@@ -14,6 +14,7 @@ import sys
 from .catalog import catalog_config, catalog_ids
 from .config import (
     ScenarioConfig,
+    _effective_seed,
     artifact_json,
     load_config,
     parse_config,
@@ -126,11 +127,8 @@ def cmd_mc(args) -> int:
     if cfg.generator_kind != "mc":
         raise ValidationError(f"scenario {cfg.id!r} is not an mc template")
     payload = dict(cfg.generator)
-    payload.setdefault("seed", args.seed if args.seed is not None else cfg.seed)
-    if payload.get("seed") is None:
-        raise ValidationError("mc template needs a seed (config seed or --seed)")
-    if args.seed is not None:
-        payload["seed"] = args.seed
+    if args.seed is not None or payload.get("seed") is None:
+        payload["seed"] = _effective_seed(cfg, args.seed)
     if args.reps is not None:
         payload["reps"] = args.reps
     template = McTemplate.from_json_dict(payload)

@@ -316,8 +316,11 @@ def listwise_complete(data: Dataset, variables: Sequence[str]) -> ListwiseResult
 def _format_cell(v: float, missing: bool) -> str:
     if missing:
         return ""
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
+    try:
+        if v == int(v) and abs(v) < 1e15:
+            return str(int(v))
+    except OverflowError:  # ±inf
+        pass
     return repr(float(v))
 
 
@@ -344,5 +347,10 @@ def read_csv(path: str) -> Dataset:
             raise ValidationError(f"{path}: row {i + 2} has {len(row)} fields, expected {len(header)}")
         for name, cell in zip(header, row):
             if cell != "":
-                arrays[name][i] = float(cell)
+                try:
+                    arrays[name][i] = float(cell)
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}: row {i + 2}, column {name!r}: not a number: {cell!r}"
+                    ) from None
     return Dataset.from_arrays(arrays)

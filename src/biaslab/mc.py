@@ -1,6 +1,6 @@
 """Reproducible Monte Carlo harness.
 
-Two drivers share the same record/aggregate machinery:
+Two drivers share one replicate runner:
 
 * :func:`run_mc` — randomized-specification loops: per replicate, draw the
   sample size and every placeholder from its range, evaluate the model
@@ -12,6 +12,9 @@ Replicate ``i`` always uses ``derive_substream(master_seed, i)``, so results
 are independent of execution order and worker count, and adding replicates
 never perturbs earlier ones.  Replicate failures (singular designs from
 extreme draws) are recorded as missing with an error tag, never fatal.
+With ``workers > 1`` each pool worker gets the call's fixed inputs once, from
+the pool initializer (inherited, not pickled, under ``fork``); tasks are
+bare replicate indices.
 """
 
 from __future__ import annotations
@@ -26,21 +29,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .causal import iv_wald, RowFilter
+from .causal import _OPS, iv_wald, RowFilter
 from .data import Column, Dataset, balance_diff, quantile_type7
 from .errors import BiaslabError, DataError, ParameterError, ValidationError
 from .regress import Formula, fit
 from .rng import RngState, derive_substream, sample_indices
 from .scm import EquationSpec, ErrorTerm, GroupError, ScmSpec, SourceSpec, evaluate_scm
-
-_OPS = {
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-    "==": np.equal,
-    "!=": np.not_equal,
-}
 
 
 @dataclass(frozen=True)
@@ -227,10 +221,7 @@ class McTemplate:
                 reserved.add(name)
 
     def series_names(self) -> list[str]:
-        names = [name for name, _ in self.bindings]
-        for step in self.analysis:
-            names.extend(step.names())
-        return names
+        return [name for name, _ in self.bindings] + _step_names(self.analysis)
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,8 +246,15 @@ class McTemplate:
         )
 
     def hash(self) -> str:
-        text = json.dumps(self.to_json_dict(), sort_keys=True)
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return _json_hash(self.to_json_dict())
+
+
+def _step_names(analysis: Sequence[AnalysisStep]) -> list[str]:
+    return [name for step in analysis for name in step.names()]
+
+
+def _json_hash(d: dict) -> str:
+    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _spec_placeholders(spec: ScmSpec) -> set[str]:
@@ -323,43 +321,18 @@ class McResult:
         return len(self.records)
 
 
-def _run_template_replicate(template: McTemplate, i: int) -> tuple[dict, str | None]:
+def _template_data(template: McTemplate, i: int, record: dict) -> Dataset:
+    """Replicate ``i``'s data: draw n, then the bindings, then evaluate the SCM."""
     rng = derive_substream(template.master_seed, i)
     n = template.n.draw_int(rng) if isinstance(template.n, RangeSpec) else int(template.n)
     values = {name: rs.draw(rng) for name, rs in template.bindings}
-    record: dict = {"i": i, "N": n, **values}
-    err: str | None = None
-    try:
-        spec = bind_spec(template.scm, values, n)
-        ds = evaluate_scm(spec, rng)
-        for step in template.analysis:
-            record.update(step.run(ds))
-    except (BiaslabError, np.linalg.LinAlgError) as exc:
-        err = f"{type(exc).__name__}: {exc}"
-        for step in template.analysis:
-            for name in step.names():
-                record.setdefault(name, math.nan)
-    return record, err
+    record.update(N=n, **values)
+    return evaluate_scm(bind_spec(template.scm, values, n), rng)
 
 
 def run_mc(template: McTemplate, workers: int = 1) -> McResult:
     """Execute the loop; per-replicate streams make the result order-free."""
-    indices = range(template.reps)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, template.reps // (workers * 8))
-            pairs = list(pool.map(_run_template_replicate, [template] * template.reps, indices, chunksize=chunk))
-    else:
-        pairs = [_run_template_replicate(template, i) for i in indices]
-    records = [rec for rec, _ in pairs]
-    errors = {rec["i"]: err for rec, err in pairs if err is not None}
-    return McResult(
-        series_names=tuple(template.series_names()),
-        records=records,
-        errors=errors,
-        template_hash=template.hash(),
-        master_seed=template.master_seed,
-    )
+    return _run_replicates(template, _template_data, (template,), workers)
 
 
 @dataclass(frozen=True)
@@ -393,26 +366,19 @@ class SamplingPlan:
             row_filter=RowFilter.from_json_list(d["filter"]) if "filter" in d else None,
         )
 
+    def series_names(self) -> list[str]:
+        return _step_names(self.analysis)
 
-_POP_CACHE: dict[int, Dataset] = {}
+    def hash(self) -> str:
+        return _json_hash(self.to_json_dict())
 
 
-def _run_sampling_replicate(args) -> tuple[dict, str | None]:
-    pop, plan, i = args
+def _sample_data(population: Dataset, plan: SamplingPlan, i: int, record: dict) -> Dataset:
+    """Replicate ``i``'s data: ``plan.k`` rows drawn without replacement."""
     rng = derive_substream(plan.master_seed, i)
-    idx = sample_indices(rng, pop.n_rows, plan.k, replace=False)
-    sample = pop.select_rows(np.sort(idx))
-    record: dict = {"i": i, "N": plan.k}
-    err: str | None = None
-    try:
-        for step in plan.analysis:
-            record.update(step.run(sample))
-    except (BiaslabError, np.linalg.LinAlgError) as exc:
-        err = f"{type(exc).__name__}: {exc}"
-        for step in plan.analysis:
-            for name in step.names():
-                record.setdefault(name, math.nan)
-    return record, err
+    record["N"] = plan.k
+    idx = sample_indices(rng, population.n_rows, plan.k, replace=False)
+    return population.select_rows(np.sort(idx))
 
 
 def repeated_samples(
@@ -428,23 +394,56 @@ def repeated_samples(
         raise DataError(
             f"population after filtering has {pool_data.n_rows} rows, cannot sample {plan.k}"
         )
-    args = [(pool_data, plan, i) for i in range(plan.reps)]
+    return _run_replicates(plan, _sample_data, (pool_data, plan), workers)
+
+
+# -- the replicate runner -----------------------------------------------------
+
+# the job (data function, fixed arguments, analysis) a pool worker serves
+_worker_job: tuple | None = None
+
+
+def _run_replicate(job: tuple, i: int) -> tuple[dict, str | None]:
+    """Record replicate ``i``; a biaslab or linear-algebra error leaves its
+    estimates NaN and is returned as the replicate's error tag."""
+    data_fn, fixed, analysis = job
+    record: dict = {"i": i}
+    try:
+        data = data_fn(*fixed, i, record)
+        for step in analysis:
+            record.update(step.run(data))
+    except (BiaslabError, np.linalg.LinAlgError) as exc:
+        for name in _step_names(analysis):
+            record.setdefault(name, math.nan)
+        return record, f"{type(exc).__name__}: {exc}"
+    return record, None
+
+
+def _init_worker(job: tuple) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_in_worker(i: int) -> tuple[dict, str | None]:
+    return _run_replicate(_worker_job, i)
+
+
+def _run_replicates(plan: McTemplate | SamplingPlan, data_fn, fixed: tuple, workers: int) -> McResult:
+    """Run replicates ``0 .. plan.reps - 1`` of ``data_fn(*fixed, i, record)``
+    followed by ``plan.analysis``, in this process or on ``workers`` processes."""
+    job = (data_fn, fixed, plan.analysis)
+    workers = min(workers, plan.reps)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(_run_sampling_replicate, args, chunksize=max(1, plan.reps // (workers * 8))))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(job,)) as pool:
+            chunk = max(1, plan.reps // (workers * 8))
+            pairs = list(pool.map(_run_in_worker, range(plan.reps), chunksize=chunk))
     else:
-        pairs = [_run_sampling_replicate(a) for a in args]
-    records = [rec for rec, _ in pairs]
-    errors = {rec["i"]: err for rec, err in pairs if err is not None}
-    names: list[str] = []
-    for step in plan.analysis:
-        names.extend(step.names())
-    text = json.dumps(plan.to_json_dict(), sort_keys=True)
+        pairs = [_run_replicate(job, i) for i in range(plan.reps)]
     return McResult(
-        series_names=tuple(names),
-        records=records,
-        errors=errors,
-        template_hash=hashlib.sha256(text.encode()).hexdigest()[:16],
+        series_names=tuple(plan.series_names()),
+        records=[rec for rec, _ in pairs],
+        errors={rec["i"]: err for rec, err in pairs if err is not None},
+        template_hash=plan.hash(),
         master_seed=plan.master_seed,
     )
 

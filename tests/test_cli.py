@@ -167,6 +167,14 @@ class TestFitSubcommand:
         proc = run_cli("fit", str(p), "--formula", "Y ~ X", "--family", "binomial")
         assert proc.returncode == 3
 
+    def test_non_numeric_cell_is_a_validation_error(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("Y,X\n1,0\n3,abc\n5,2\n")
+        proc = run_cli("fit", str(p), "--formula", "Y ~ X")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "row 3" in proc.stderr and "'X'" in proc.stderr
+
     def test_square_term_formula(self, tmp_path):
         cfgdir = tmp_path / "o"
         cli_main(["run", "--catalog", "entry1-curvilinear", "--out", str(cfgdir)])
@@ -192,6 +200,41 @@ class TestMcSubcommand:
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 11
         assert lines[0].startswith("i,N,")
+
+    def test_mc_seed_env_fallback(self, tmp_path):
+        cfg = catalog_config("entry7-confounder-pp-mc")
+        del cfg["seed"], cfg["mc"]["seed"]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        proc = run_cli("mc", "--config", str(p), "--reps", "5")
+        assert proc.returncode == 2  # no seed anywhere
+        env = {**os.environ, "BIASLAB_SEED": "77"}
+        outputs = []
+        for extra, run_env in ((["--out", str(tmp_path / "env")], env),
+                               (["--out", str(tmp_path / "flag"), "--seed", "77"], None)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "biaslab.cli", "mc", "--config", str(p), "--reps", "5", *extra],
+                capture_output=True, text=True, env=run_env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.split("wrote")[0])
+        assert outputs[0] == outputs[1]
+        name = "entry7-confounder-pp-mc.csv"
+        assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
+    def test_mc_seed_flag_beats_env(self, tmp_path):
+        env = {**os.environ, "BIASLAB_SEED": "77"}
+        outs = []
+        for seed in ("5", "6"):
+            out = tmp_path / seed
+            proc = subprocess.run(
+                [sys.executable, "-m", "biaslab.cli", "mc", "--catalog", "entry7-confounder-pp-mc",
+                 "--reps", "3", "--seed", seed, "--out", str(out)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append((out / "entry7-confounder-pp-mc.csv").read_bytes())
+        assert outs[0] != outs[1]
 
     def test_mc_rejects_non_mc_scenario(self):
         proc = run_cli("mc", "--catalog", "entry1-linearity")

@@ -239,6 +239,30 @@ class TestCsv:
         back = read_csv(str(p))
         assert np.array_equal(back["v"].values, np.array(xs, dtype=float))
 
+    @given(xs=st.lists(st.floats(allow_nan=False), min_size=1, max_size=30))
+    @settings(max_examples=25)
+    def test_round_trip_any_float(self, tmp_path_factory, xs):
+        p = tmp_path_factory.mktemp("csv") / "f.csv"
+        d = Dataset([Column("v", np.array(xs, dtype=float))])
+        write_csv(d, str(p))
+        back = read_csv(str(p))
+        assert np.array_equal(back["v"].values, np.array(xs, dtype=float))
+
+    def test_infinities_round_trip(self, tmp_path):
+        p = tmp_path / "inf.csv"
+        d = Dataset([Column("v", np.array([np.inf, -np.inf, 2.0, 0.5]))])
+        write_csv(d, str(p))
+        assert p.read_text() == "v\ninf\n-inf\n2\n0.5\n"
+        assert np.array_equal(read_csv(str(p))["v"].values, d["v"].values)
+
+    def test_non_numeric_cell_names_file_row_and_column(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("a,b\n1,2\n3,x7\n")
+        with pytest.raises(ValidationError) as info:
+            read_csv(str(p))
+        msg = str(info.value)
+        assert str(p) in msg and "row 3" in msg and "'b'" in msg and "'x7'" in msg
+
 
 def test_duplicate_column_names_rejected():
     with pytest.raises(ValidationError):

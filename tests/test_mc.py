@@ -1,9 +1,11 @@
 import math
+import multiprocessing.queues
 
 import numpy as np
 import pytest
 
 from biaslab.causal import Condition, RowFilter
+from biaslab.data import Dataset
 from biaslab.errors import DataError, ValidationError
 from biaslab.mc import (
     FitStep,
@@ -180,6 +182,90 @@ class TestRepeatedSamples:
         a = repeated_samples(pop, plan)
         b = repeated_samples(pop, plan, workers=2)
         assert a.records == b.records
+
+
+def pickled_bytes(monkeypatch) -> list[int]:
+    """Sizes of every buffer the process pool pickles for its workers."""
+    sizes: list[int] = []
+    base = multiprocessing.queues._ForkingPickler
+
+    class Counting(base):
+        @classmethod
+        def dumps(cls, obj, protocol=None):
+            buf = base.dumps(obj, protocol)
+            sizes.append(len(buf))
+            return buf
+
+    monkeypatch.setattr(multiprocessing.queues, "_ForkingPickler", Counting)
+    return sizes
+
+
+def failing_template(reps, seed):
+    """n in [2, 6] against a three-parameter fit: replicates with n <= 3 fail."""
+    scm = ScmSpec(
+        n="n",
+        sources=(SourceSpec("c", "normal", {"mean": 0, "sd": 1}),),
+        equations=(
+            EquationSpec("x", linear=(("c", "a"),), error=ErrorTerm(1.0, 0, 1.0)),
+            EquationSpec("y", linear=(("x", 1.0), ("c", 1.0)), error=ErrorTerm(1.0, 0, 1.0)),
+        ),
+    )
+    return McTemplate(
+        scm=scm, n=RangeSpec(2, 6), bindings=(("a", RangeSpec(1, 2)),),
+        analysis=(FitStep("y ~ x + c", (("bx", "b:x"),)),),
+        reps=reps, master_seed=seed,
+    )
+
+
+def rare_group_population():
+    """1000 rows with g = 1 in 20 of them: most samples of 20 hold no g = 1."""
+    g = np.zeros(1000)
+    g[::50] = 1.0
+    e = np.random.default_rng(5).normal(size=1000)
+    return Dataset.from_arrays({"g": g, "y": 2.0 * g + e})
+
+
+class TestReplicateRunner:
+    def test_population_is_not_shipped_per_chunk(self, monkeypatch):
+        rows = 200_000
+        rng = np.random.default_rng(1)
+        g = rng.normal(size=rows)
+        pop = Dataset.from_arrays({"g": g, "y": 2.0 * g + rng.normal(size=rows)})
+        nbytes = sum(c.values.nbytes + c.missing.nbytes for c in pop.columns())
+        plan = SamplingPlan(k=100, reps=64, analysis=(FitStep("y ~ g", (("slope", "b:g"),)),),
+                            master_seed=4)
+        sizes = pickled_bytes(monkeypatch)
+        pooled = repeated_samples(pop, plan, workers=2)
+        assert sizes, "the pool pickled nothing"
+        assert sum(sizes) < nbytes
+        assert pooled.records == repeated_samples(pop, plan).records
+
+    @pytest.mark.parametrize("reps", [2, 30])  # fewer and more replicates than workers
+    @pytest.mark.parametrize("driver", ["run_mc", "repeated_samples"])
+    def test_pooled_equals_serial_with_failures(self, driver, reps):
+        if driver == "run_mc":
+            template = failing_template(reps, seed=8)
+            call = lambda workers: run_mc(template, workers=workers)
+        else:
+            pop = rare_group_population()
+            plan = SamplingPlan(k=20, reps=reps, analysis=(FitStep("y ~ g", (("slope", "b:g"),)),),
+                                master_seed=6)
+            call = lambda workers: repeated_samples(pop, plan, workers=workers)
+        serial, pooled = call(1), call(3)
+        if reps == 30:
+            assert 0 < len(serial.errors) < reps
+        # repr compares NaN cells too, which == on unpickled floats does not
+        assert repr(pooled.records) == repr(serial.records)
+        assert pooled.errors == serial.errors
+        assert pooled.template_hash == serial.template_hash
+
+    def test_failed_replicate_keeps_draws_and_nan_fills(self):
+        res = run_mc(failing_template(30, seed=8))
+        for i, msg in res.errors.items():
+            rec = res.records[i]
+            assert rec["N"] <= 3 and 1 <= rec["a"] <= 2
+            assert math.isnan(rec["bx"])
+            assert msg.startswith("DataError: ")
 
 
 class TestAggregation:
