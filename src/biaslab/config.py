@@ -14,7 +14,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -27,44 +27,14 @@ from .causal import (
     moderated_fit,
     subgroup_effect,
 )
-from .data import (
-    BalanceReport,
-    Column,
-    Dataset,
-    balance_diff,
-    summarize,
-    write_csv,
-)
+from .data import Column, Dataset, balance_diff, pearson, spearman, summarize, write_csv
 from .errors import BiaslabError, ValidationError
-from .measure import (
-    AttenuationReport,
-    AttenuationVariant,
-    apply_rules,
-    attenuation_report,
-    rule_from_json,
-)
-from .regress import CollinearityReport, FitResult, Formula, collinearity_diagnostics, fit, predict
-from .rng import derive_substream
+from .measure import AttenuationVariant, apply_rules, attenuation_report, rules_from_json
+from .regress import FitResult, Formula, collinearity_diagnostics, fit, predict
+from .rng import RngState, derive_substream
 from .scm import CorrTarget, ScmSpec, block_randomize, evaluate_scm, inject_outlier, mvn_exact
 
 _GEN_KINDS = ("scm", "corr", "population", "mc")
-_ANALYSIS_KINDS = (
-    "fit",
-    "collinearity",
-    "compare_adjustments",
-    "iv",
-    "mediation",
-    "moderated_fit",
-    "subgroup",
-    "balance",
-    "block_balance",
-    "attenuation",
-    "summary",
-    "correlation",
-    "outlier_fit",
-    "recode",
-)
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -89,9 +59,6 @@ class ScenarioConfig:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
 
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        return replace(self, seed=seed)
-
     def with_reps(self, reps: int) -> "ScenarioConfig":
         gen = json.loads(json.dumps(self.generator))
         if self.generator_kind == "mc":
@@ -105,16 +72,175 @@ def _fail(path: str, message: str) -> ValidationError:
     return ValidationError(f"{path}: {message}")
 
 
-def _column_names(kind: str, gen: Mapping) -> list[str]:
-    if kind == "scm":
-        spec = ScmSpec.from_json_dict(gen)
-        return [s.name for s in spec.sources] + [e.target for e in spec.equations]
-    if kind == "corr":
-        return list(gen["names"])
-    if kind == "population":
-        spec = ScmSpec.from_json_dict(gen["scm"])
-        return [s.name for s in spec.sources] + [e.target for e in spec.equations]
-    return []  # mc scenarios analyse series, not columns
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def _malformed(path: str, exc: Exception) -> ValidationError:
+    return _fail(path, f"malformed ({type(exc).__name__}: {exc})")
+
+
+def _build_generator(kind: str, gen: Mapping, seed: int) -> tuple[Callable, list[str]]:
+    """Parse a generator payload once.
+
+    Returns ``generate(workers) -> (dataset, mc_result)`` and the columns the
+    generator defines (none for ``mc``, whose scenarios analyse series).
+    A seed embedded in an ``mc`` template or a sampling plan beats ``seed``.
+    """
+    try:
+        if kind == "mc":
+            template = mc_mod.McTemplate.from_json_dict({"seed": seed, **gen})
+            return lambda workers: (None, mc_mod.run_mc(template, workers=workers)), []
+        if kind == "corr":
+            target, n = CorrTarget.from_json_dict(gen), int(gen["n"])
+            return (lambda workers: (mvn_exact(target, n, derive_substream(seed, 0)), None),
+                    list(target.names))
+        spec = ScmSpec.from_json_dict(gen["scm"] if kind == "population" else gen)
+        if not spec.is_concrete():
+            raise _fail(kind, f"placeholders {sorted(spec.placeholders())} are only valid in mc templates")
+        columns = [s.name for s in spec.sources] + [e.target for e in spec.equations]
+        if kind == "scm":
+            return lambda workers: (evaluate_scm(spec, derive_substream(seed, 0)), None), columns
+        plan = mc_mod.SamplingPlan.from_json_dict({"seed": (seed + 1) % 2**64, **gen["sampling"]})
+    except _MALFORMED as exc:
+        raise _malformed(kind, exc) from exc
+
+    def sample(workers: int):
+        pop = evaluate_scm(spec, derive_substream(seed, 0))
+        return pop, mc_mod.repeated_samples(pop, plan, workers=workers)
+
+    return sample, columns
+
+
+# -- analysis kinds ------------------------------------------------------------
+#
+# A builder parses one analysis document and returns the columns the analysis
+# reads, the column it adds (or None), and a runner
+# ``(data, rng) -> (artifact, data seen by later analyses)``.
+
+_Built = tuple[list[str], "str | None", Callable[[Dataset, RngState], tuple[Any, Dataset]]]
+
+
+def _unchanged(fn: Callable[[Dataset], Any]) -> Callable:
+    """The runner of an analysis that needs no randomness and adds no column."""
+    return lambda data, rng: (fn(data), data)
+
+
+def _fit(a: Mapping) -> _Built:
+    formula, family = Formula.parse(a["formula"]), a.get("family", "gaussian")
+    return formula.variables(), None, _unchanged(lambda d: fit(d, formula, family=family))
+
+
+def _collinearity(a: Mapping) -> _Built:
+    formula = Formula.parse(a["formula"])
+    return formula.variables(), None, _unchanged(lambda d: collinearity_diagnostics(d, formula))
+
+
+def _compare_adjustments(a: Mapping) -> _Built:
+    reads = [a["y"], a["x"], *(v for s in a["covariate_sets"] for v in s)]
+    return reads, None, _unchanged(lambda d: compare_adjustments(
+        d, a["y"], a["x"], a["covariate_sets"], truth=a.get("truth"), scenario_id=a["name"]))
+
+
+def _iv(a: Mapping) -> _Built:
+    return [a["y"], a["x"], a["instrument"]], None, _unchanged(
+        lambda d: iv_wald(d, a["y"], a["x"], a["instrument"], allow_weak=a.get("allow_weak", False)))
+
+
+def _mediation(a: Mapping) -> _Built:
+    return [a["y"], a["x"], a["m"]], None, _unchanged(lambda d: mediation(d, a["y"], a["x"], a["m"]))
+
+
+def _moderated_fit(a: Mapping) -> _Built:
+    return [a["y"], a["x"], a["mo"]], None, _unchanged(
+        lambda d: moderated_fit(d, a["y"], a["x"], a["mo"]))
+
+
+def _subgroup(a: Mapping) -> _Built:
+    where = RowFilter.from_json_list(a["where"])
+    reads = [a["y"], a["x"], *(c.var for c in where.conditions)]
+    return reads, None, _unchanged(lambda d: subgroup_effect(d, a["y"], a["x"], where))
+
+
+def _balance(a: Mapping) -> _Built:
+    return [a["group"], *a["covariates"]], None, _unchanged(
+        lambda d: balance_diff(d, a["group"], a["covariates"]))
+
+
+def _block_balance(a: Mapping) -> _Built:
+    name = a.get("as", "treated")
+
+    def run(data: Dataset, rng: RngState):
+        with_assign = data.with_column(block_randomize(data, a["strata"], rng, name=name))
+        return balance_diff(with_assign, name, a["covariates"]), with_assign
+
+    return [a["strata"], *a["covariates"]], name, run
+
+
+def _attenuation(a: Mapping) -> _Built:
+    variants = [AttenuationVariant.from_json_dict(v) for v in a["variants"]]
+    return [a["y"], a["x"]], None, _unchanged(
+        lambda d: attenuation_report(d, a["y"], a["x"], variants))
+
+
+def _summary(a: Mapping) -> _Built:
+    return [a["var"]], None, _unchanged(lambda d: summarize(d[a["var"]]))
+
+
+def _correlation(a: Mapping) -> _Built:
+    method = a.get("method", "pearson")
+    corr = {"pearson": pearson, "spearman": spearman}.get(method)
+    if corr is None:
+        raise ValidationError(f"method must be pearson or spearman, got {method!r}")
+
+    def run(data: Dataset) -> dict:
+        xcol, ycol = data[a["x"]], data[a["y"]]
+        n_used = int((~(xcol.missing | ycol.missing)).sum())
+        return {"method": method, "x": a["x"], "y": a["y"], "r": corr(xcol, ycol), "n_used": n_used}
+
+    return [a["x"], a["y"]], None, _unchanged(run)
+
+
+def _outlier_fit(a: Mapping) -> _Built:
+    formula, family = Formula.parse(a["formula"]), a.get("family", "gaussian")
+    means = {col: v[5:] for col, v in a["assign"].items()
+             if isinstance(v, str) and v.startswith("mean:")}
+    fixed = {col: float(v) for col, v in a["assign"].items() if col not in means}
+
+    def run(data: Dataset) -> FitResult:
+        at_means = {col: float(np.nanmean(data.column_values(v))) for col, v in means.items()}
+        return fit(inject_outlier(data, {**fixed, **at_means}), formula, family=family)
+
+    return [*formula.variables(), *a["assign"], *means.values()], None, _unchanged(run)
+
+
+def _recode(a: Mapping) -> _Built:
+    rules = rules_from_json(a["rule"])
+
+    def run(data: Dataset, rng: RngState):
+        col = apply_rules(data[a["var"]], rules, name=a["as"])
+        counts = {str(k): int(c) for k, c in zip(*np.unique(col.present(), return_counts=True))}
+        return {"column": a["as"], "levels": counts, "n_missing": col.n_missing}, data.with_column(col)
+
+    return [a["var"]], a["as"], run
+
+
+# kind -> (required fields, builder)
+_ANALYSES: dict[str, tuple[tuple[str, ...], Callable[[Mapping], _Built]]] = {
+    "fit": (("formula",), _fit),
+    "collinearity": (("formula",), _collinearity),
+    "compare_adjustments": (("y", "x", "covariate_sets"), _compare_adjustments),
+    "iv": (("y", "x", "instrument"), _iv),
+    "mediation": (("y", "x", "m"), _mediation),
+    "moderated_fit": (("y", "x", "mo"), _moderated_fit),
+    "subgroup": (("y", "x", "where"), _subgroup),
+    "balance": (("group", "covariates"), _balance),
+    "block_balance": (("strata", "covariates"), _block_balance),
+    "attenuation": (("y", "x", "variants"), _attenuation),
+    "summary": (("var",), _summary),
+    "correlation": (("x", "y"), _correlation),
+    "outlier_fit": (("assign", "formula"), _outlier_fit),
+    "recode": (("var", "rule", "as"), _recode),
+}
 
 
 def parse_config(doc: Mapping | str) -> ScenarioConfig:
@@ -139,132 +265,40 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
     gen = doc[kind]
     if not isinstance(gen, Mapping):
         raise _fail(kind, "must be an object")
-
-    # structural validation of the generator payload
-    if kind == "scm":
-        spec = ScmSpec.from_json_dict(gen)
-        if not spec.is_concrete():
-            raise _fail("scm", f"placeholders {sorted(spec.placeholders())} are only valid in mc templates")
-    elif kind == "corr":
-        for req in ("names", "corr", "n"):
-            if req not in gen:
-                raise _fail(f"corr.{req}", "required")
-        CorrTarget(
-            names=tuple(gen["names"]),
-            corr=np.asarray(gen["corr"], dtype=float),
-            means=np.asarray(gen["means"], dtype=float) if "means" in gen else None,
-            sds=np.asarray(gen["sds"], dtype=float) if "sds" in gen else None,
-            empirical_exact=bool(gen.get("empirical_exact", True)),
-        )
-    elif kind == "population":
-        if "scm" not in gen or "sampling" not in gen:
-            raise _fail("population", "needs 'scm' and 'sampling'")
-        ScmSpec.from_json_dict(gen["scm"])
-        samp = gen["sampling"]
-        for req in ("k", "reps", "analysis"):
-            if req not in samp:
-                raise _fail(f"population.sampling.{req}", "required")
-        for j, step in enumerate(samp["analysis"]):
-            mc_mod.step_from_json(step)
-    else:  # mc
-        payload = dict(gen)
-        payload.setdefault("seed", seed if seed is not None else 0)
-        mc_mod.McTemplate.from_json_dict(payload)
-
-    columns = _column_names(kind, gen)
+    _, columns = _build_generator(kind, gen, seed if seed is not None else 0)
+    defined = set(columns)
 
     analyses = []
-    seen_names: set[str] = set()
-    for idx, a in enumerate(doc.get("analyses", [])):
+    for idx, a in enumerate(_json_list(doc, "analyses")):
         path = f"analyses[{idx}]"
         if not isinstance(a, Mapping):
             raise _fail(path, "must be an object")
         akind = a.get("kind")
-        if akind not in _ANALYSIS_KINDS:
-            raise _fail(f"{path}.kind", f"unknown kind {akind!r}; valid: {_ANALYSIS_KINDS}")
-        name = a.get("name", f"{akind}_{idx}")
-        if name in seen_names:
-            raise _fail(f"{path}.name", f"duplicate analysis name {name!r}")
-        seen_names.add(name)
-        a = dict(a)
-        a["name"] = name
-
-        def need(*fields: str):
-            for f in fields:
-                if f not in a:
-                    raise _fail(f"{path}.{f}", "required")
-
-        def check_cols(*names: str):
-            if not columns:
-                return
-            for nm in names:
-                if nm not in columns and nm not in seen_recodes:
-                    raise _fail(path, f"unknown column {nm!r}; generator defines {columns}")
-
-        seen_recodes: set[str] = {
-            prev.get("as") for prev in analyses if prev.get("kind") == "recode"
-        }
-        if akind == "fit":
-            need("formula")
-            f = Formula.parse(a["formula"])
-            check_cols(*f.variables())
-        elif akind == "collinearity":
-            need("formula")
-            Formula.parse(a["formula"])
-        elif akind == "compare_adjustments":
-            need("y", "x", "covariate_sets")
-            check_cols(a["y"], a["x"], *(v for s in a["covariate_sets"] for v in s))
-        elif akind == "iv":
-            need("y", "x", "instrument")
-            check_cols(a["y"], a["x"], a["instrument"])
-        elif akind == "mediation":
-            need("y", "x", "m")
-            check_cols(a["y"], a["x"], a["m"])
-        elif akind == "moderated_fit":
-            need("y", "x", "mo")
-            check_cols(a["y"], a["x"], a["mo"])
-        elif akind == "subgroup":
-            need("y", "x", "where")
-            RowFilter.from_json_list(a["where"])
-            check_cols(a["y"], a["x"])
-        elif akind in ("balance", "block_balance"):
-            need("covariates")
-            need("group" if akind == "balance" else "strata")
-            check_cols(*a["covariates"])
-        elif akind == "attenuation":
-            need("y", "x", "variants")
-            check_cols(a["y"], a["x"])
-            for v in a["variants"]:
-                rules = v["rule"] if isinstance(v["rule"], list) else [v["rule"]]
-                AttenuationVariant(
-                    label=v["label"],
-                    target=v["target"],
-                    rule=tuple(rule_from_json(r) for r in rules),
-                    family=v.get("family"),
-                )
-        elif akind == "summary":
-            need("var")
-            check_cols(a["var"])
-        elif akind == "correlation":
-            need("x", "y")
-            if a.get("method", "pearson") not in ("pearson", "spearman"):
-                raise _fail(f"{path}.method", "must be pearson or spearman")
-            check_cols(a["x"], a["y"])
-        elif akind == "outlier_fit":
-            need("assign", "formula")
-            Formula.parse(a["formula"])
-            check_cols(*a["assign"].keys())
-        elif akind == "recode":
-            need("var", "rule", "as")
-            check_cols(a["var"])
-            rules = a["rule"] if isinstance(a["rule"], list) else [a["rule"]]
-            for r in rules:
-                rule_from_json(r)
+        if not isinstance(akind, str) or akind not in _ANALYSES:
+            raise _fail(f"{path}.kind", f"unknown kind {akind!r}; valid: {tuple(_ANALYSES)}")
+        a = {**a, "name": a.get("name", f"{akind}_{idx}")}
+        if a["name"] in (prev["name"] for prev in analyses):
+            raise _fail(f"{path}.name", f"duplicate analysis name {a['name']!r}")
+        required, build = _ANALYSES[akind]
+        for f in required:
+            if f not in a:
+                raise _fail(f"{path}.{f}", "required")
+        try:
+            reads, adds, _ = build(a)
+            unknown = [nm for nm in reads if nm not in defined]
+            if adds is not None:
+                defined.add(adds)
+        except ValidationError as exc:
+            raise _fail(path, str(exc)) from exc
+        except _MALFORMED as exc:
+            raise _malformed(path, exc) from exc
+        if columns and unknown:  # mc scenarios analyse series, not columns
+            raise _fail(path, f"unknown column {unknown[0]!r}; generator defines {columns}")
         analyses.append(a)
 
     outputs = []
     seen_paths: set[str] = set()
-    for idx, o in enumerate(doc.get("outputs", [])):
+    for idx, o in enumerate(_json_list(doc, "outputs")):
         path = f"outputs[{idx}]"
         if not isinstance(o, Mapping) or "what" not in o or "path" not in o:
             raise _fail(path, "needs 'what' and 'path'")
@@ -288,6 +322,13 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
         analyses=tuple(analyses),
         outputs=tuple(outputs),
     )
+
+
+def _json_list(doc: Mapping, field: str) -> list:
+    items = doc.get(field, [])
+    if not isinstance(items, list):
+        raise _fail(field, "must be a list")
+    return items
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -322,102 +363,6 @@ def _effective_seed(cfg: ScenarioConfig, seed_override: int | None) -> int:
     raise ValidationError(f"scenario {cfg.id!r} has no seed; pass --seed or set BIASLAB_SEED")
 
 
-def _generate(cfg: ScenarioConfig, seed: int, workers: int) -> tuple[Dataset | None, mc_mod.McResult | None]:
-    gen = cfg.generator
-    if cfg.generator_kind == "scm":
-        return evaluate_scm(ScmSpec.from_json_dict(gen), derive_substream(seed, 0)), None
-    if cfg.generator_kind == "corr":
-        target = CorrTarget(
-            names=tuple(gen["names"]),
-            corr=np.asarray(gen["corr"], dtype=float),
-            means=np.asarray(gen["means"], dtype=float) if "means" in gen else None,
-            sds=np.asarray(gen["sds"], dtype=float) if "sds" in gen else None,
-            empirical_exact=bool(gen.get("empirical_exact", True)),
-        )
-        return mvn_exact(target, int(gen["n"]), derive_substream(seed, 0)), None
-    if cfg.generator_kind == "population":
-        pop = evaluate_scm(ScmSpec.from_json_dict(gen["scm"]), derive_substream(seed, 0))
-        samp = dict(gen["sampling"])
-        samp.setdefault("seed", (seed + 1) % 2**64)
-        plan = mc_mod.SamplingPlan.from_json_dict(samp)
-        return pop, mc_mod.repeated_samples(pop, plan, workers=workers)
-    payload = dict(gen)
-    payload.setdefault("seed", seed)
-    template = mc_mod.McTemplate.from_json_dict(payload)
-    return None, mc_mod.run_mc(template, workers=workers)
-
-
-def _run_analysis(a: Mapping, data: Dataset, rng_stream) -> tuple[Any, Dataset]:
-    kind = a["kind"]
-    if kind == "fit":
-        return fit(data, Formula.parse(a["formula"]), family=a.get("family", "gaussian")), data
-    if kind == "collinearity":
-        return collinearity_diagnostics(data, Formula.parse(a["formula"])), data
-    if kind == "compare_adjustments":
-        return (
-            compare_adjustments(
-                data, a["y"], a["x"], a["covariate_sets"],
-                truth=a.get("truth"), scenario_id=a["name"],
-            ),
-            data,
-        )
-    if kind == "iv":
-        return iv_wald(data, a["y"], a["x"], a["instrument"], allow_weak=a.get("allow_weak", False)), data
-    if kind == "mediation":
-        return mediation(data, a["y"], a["x"], a["m"]), data
-    if kind == "moderated_fit":
-        return moderated_fit(data, a["y"], a["x"], a["mo"]), data
-    if kind == "subgroup":
-        return subgroup_effect(data, a["y"], a["x"], RowFilter.from_json_list(a["where"])), data
-    if kind == "balance":
-        return balance_diff(data, a["group"], a["covariates"]), data
-    if kind == "block_balance":
-        assignment = block_randomize(data, a["strata"], rng_stream, name=a.get("as", "treated"))
-        with_assign = data.with_column(assignment)
-        return balance_diff(with_assign, assignment.name, a["covariates"]), with_assign
-    if kind == "attenuation":
-        variants = []
-        for v in a["variants"]:
-            rules = v["rule"] if isinstance(v["rule"], list) else [v["rule"]]
-            variants.append(
-                AttenuationVariant(
-                    label=v["label"], target=v["target"],
-                    rule=tuple(rule_from_json(r) for r in rules), family=v.get("family"),
-                )
-            )
-        return attenuation_report(data, a["y"], a["x"], variants), data
-    if kind == "summary":
-        return summarize(data[a["var"]]), data
-    if kind == "correlation":
-        from .data import pearson, spearman as spearman_corr
-
-        method = a.get("method", "pearson")
-        fn = pearson if method == "pearson" else spearman_corr
-        xcol, ycol = data[a["x"]], data[a["y"]]
-        n_used = int((~(xcol.missing | ycol.missing)).sum())
-        return {"method": method, "x": a["x"], "y": a["y"],
-                "r": fn(xcol, ycol), "n_used": n_used}, data
-    if kind == "outlier_fit":
-        assign = {}
-        for col, v in a["assign"].items():
-            if isinstance(v, str) and v.startswith("mean:"):
-                assign[col] = float(np.nanmean(data.column_values(v[5:])))
-            else:
-                assign[col] = float(v)
-        augmented = inject_outlier(data, assign)
-        return fit(augmented, Formula.parse(a["formula"]), family=a.get("family", "gaussian")), data
-    if kind == "recode":
-        rules = a["rule"] if isinstance(a["rule"], list) else [a["rule"]]
-        col = apply_rules(data[a["var"]], tuple(rule_from_json(r) for r in rules), name=a["as"])
-        new_data = data.with_column(col)
-        counts = {
-            str(k): int(c)
-            for k, c in zip(*np.unique(col.present(), return_counts=True))
-        }
-        return {"column": a["as"], "levels": counts, "n_missing": col.n_missing}, new_data
-    raise ValidationError(f"unknown analysis kind {kind!r}")
-
-
 def run_scenario(
     cfg: ScenarioConfig,
     out_dir: str | None = None,
@@ -431,7 +376,8 @@ def run_scenario(
     callers decide the exit status from ``analysis_errors``.
     """
     eff_seed = _effective_seed(cfg, seed)
-    data, mc_result = _generate(cfg, eff_seed, workers)
+    generate, _ = _build_generator(cfg.generator_kind, cfg.generator, eff_seed)
+    data, mc_result = generate(workers)
     artifacts: dict[str, Any] = {}
     errors: dict[str, str] = {}
     working = data
@@ -439,7 +385,8 @@ def run_scenario(
         try:
             if working is None:
                 raise ValidationError("mc scenarios do not support dataset analyses")
-            artifact, working = _run_analysis(a, working, derive_substream(eff_seed, k + 1))
+            _, _, run = _ANALYSES[a["kind"]][1](a)
+            artifact, working = run(working, derive_substream(eff_seed, k + 1))
             artifacts[a["name"]] = artifact
         except BiaslabError as exc:
             errors[a["name"]] = f"{type(exc).__name__}: {exc}"
@@ -466,35 +413,6 @@ def run_scenario(
 def artifact_json(artifact: Any) -> Any:
     if hasattr(artifact, "to_json_dict"):
         return artifact.to_json_dict()
-    if isinstance(artifact, CollinearityReport):
-        return {
-            "terms": list(artifact.terms),
-            "tolerance": [float(v) for v in artifact.tolerance],
-            "vif": [float(v) for v in artifact.vif],
-            "eigenvalues": [float(v) for v in artifact.eigenvalues],
-            "condition_indices": [float(v) for v in artifact.condition_indices],
-        }
-    if isinstance(artifact, BalanceReport):
-        return {
-            r.covariate: {
-                "delta_mean": r.delta_mean,
-                "delta_sd": r.delta_sd,
-                "delta_skew": r.delta_skew,
-                "delta_kurtosis": r.delta_kurtosis,
-            }
-            for r in artifact.rows
-        }
-    if isinstance(artifact, AttenuationReport):
-        return {
-            "rows": [
-                {
-                    "label": r.label, "spearman": r.spearman, "slope": r.slope,
-                    "se": r.se, "stat": r.stat, "chisq": r.chisq,
-                    "n_used": r.n_used, "family": r.family, "error": r.error,
-                }
-                for r in artifact.rows
-            ]
-        }
     if isinstance(artifact, dict):
         return artifact
     if hasattr(artifact, "__dataclass_fields__"):
@@ -503,37 +421,9 @@ def artifact_json(artifact: Any) -> Any:
 
 
 def _artifact_csv_rows(artifact: Any) -> tuple[list[str], list[list]]:
-    if isinstance(artifact, AttenuationReport):
-        return list(AttenuationReport.CSV_HEADER), artifact.to_csv_rows()
-    if isinstance(artifact, CollinearityReport):
-        header = ["term", "tolerance", "vif", "eigenvalue", "condition_index"]
-        rows = []
-        npred = len(artifact.terms)
-        for j in range(len(artifact.eigenvalues)):
-            rows.append([
-                artifact.terms[j] if j < npred else "",
-                float(artifact.tolerance[j]) if j < npred else "",
-                float(artifact.vif[j]) if j < npred else "",
-                float(artifact.eigenvalues[j]),
-                float(artifact.condition_indices[j]),
-            ])
-        return header, rows
-    if isinstance(artifact, BalanceReport):
-        header = ["covariate", "delta_mean", "delta_sd", "delta_skew", "delta_kurtosis"]
-        return header, [
-            [r.covariate, r.delta_mean, r.delta_sd, r.delta_skew, r.delta_kurtosis]
-            for r in artifact.rows
-        ]
-    if isinstance(artifact, FitResult):
-        header = ["term", "b", "se", "stat", "p", "beta"]
-        rows = [
-            [t, float(artifact.b[i]), float(artifact.se[i]), float(artifact.stat[i]),
-             float(artifact.p[i]), float(artifact.beta[i])]
-            for i, t in enumerate(artifact.terms)
-        ]
-        return header, rows
-    d = artifact_json(artifact)
-    return ["field", "value"], [[k, json.dumps(v)] for k, v in d.items()]
+    if hasattr(artifact, "csv_rows"):
+        return artifact.csv_rows()
+    return ["field", "value"], [[k, json.dumps(v)] for k, v in artifact_json(artifact).items()]
 
 
 def _write_output(
@@ -548,23 +438,15 @@ def _write_output(
     what = o["what"]
     head, _, rest = what.partition(":")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    if head in ("dataset", "scatter") and data is None:
+        raise ValidationError(f"output {head!r} requires a dataset scenario")
+    if head in ("mc", "mc_summary") and mc_result is None:
+        raise ValidationError(f"output {head!r} requires an mc or population scenario")
     if head == "dataset":
-        if data is None:
-            raise ValidationError("no dataset to write for an mc scenario")
         write_csv(data, path)
         return
     if head == "mc":
-        if mc_result is None:
-            raise ValidationError("output 'mc' requires an mc or population scenario")
         mc_mod.write_mc_csv(mc_result, path)
-        return
-    if head == "mc_summary":
-        if mc_result is None:
-            raise ValidationError("output 'mc_summary' requires an mc or population scenario")
-        summary = mc_mod.summarize_series(mc_result, rest)
-        with open(path, "w") as fh:
-            json.dump(summary.to_json_dict(), fh, indent=2)
-            fh.write("\n")
         return
     if head == "histogram":
         series, _, nbins = rest.partition(":")
@@ -582,8 +464,6 @@ def _write_output(
         return
     if head == "scatter":
         xname, _, yname = rest.partition(":")
-        if data is None:
-            raise ValidationError("scatter output requires a dataset scenario")
         pts = Dataset([data[xname], data[yname]])
         write_csv(pts, path)
         return
@@ -606,13 +486,14 @@ def _write_output(
         yhat = predict(fit_res, grid_data)
         write_csv(Dataset([grid_data[xname], Column("fitted", yhat.values, yhat.missing)]), path)
         return
-    # analysis artifact
-    name = rest
-    if name not in artifacts:
-        raise ValidationError(f"output references unknown analysis {name!r}")
-    chosen = fmt or default_format
+    if head == "mc_summary":
+        artifact, chosen = mc_mod.summarize_series(mc_result, rest), "json"
+    elif rest in artifacts:
+        artifact, chosen = artifacts[rest], fmt or default_format
+    else:
+        raise ValidationError(f"output references unknown analysis {rest!r}")
     if chosen == "csv":
-        header, rows = _artifact_csv_rows(artifacts[name])
+        header, rows = _artifact_csv_rows(artifact)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
@@ -620,5 +501,5 @@ def _write_output(
                 w.writerow([repr(v) if isinstance(v, float) else v for v in row])
     else:
         with open(path, "w") as fh:
-            json.dump(artifact_json(artifacts[name]), fh, indent=2)
+            json.dump(artifact_json(artifact), fh, indent=2)
             fh.write("\n")

@@ -244,6 +244,9 @@ def spearman(x: Column, y: Column) -> float:
     return pearson(Column("rx", rx), Column("ry", ry))
 
 
+_BALANCE_DELTAS = ("delta_mean", "delta_sd", "delta_skew", "delta_kurtosis")
+
+
 @dataclass(frozen=True)
 class BalanceRow:
     covariate: str
@@ -264,6 +267,14 @@ class BalanceReport:
             if r.covariate == covariate:
                 return r
         raise ValidationError(f"no balance row for {covariate!r}")
+
+    def to_json_dict(self) -> dict:
+        return {r.covariate: {h: getattr(r, h) for h in _BALANCE_DELTAS} for r in self.rows}
+
+    def csv_rows(self) -> tuple[list[str], list[list]]:
+        return ["covariate", *_BALANCE_DELTAS], [
+            [r.covariate, *(getattr(r, h) for h in _BALANCE_DELTAS)] for r in self.rows
+        ]
 
 
 def balance_diff(data: Dataset, group: str | Column, covariates: Sequence[str]) -> BalanceReport:

@@ -10,7 +10,7 @@ mirroring NA propagation; listwise deletion then handles them downstream.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -153,6 +153,11 @@ def rule_from_json(d: Mapping) -> "RecodeRule | TransformRule":
     return RecodeRule.from_json_dict(d)
 
 
+def rules_from_json(spec: "Mapping | Sequence[Mapping]") -> tuple:
+    """One rule document, or a list of them applied left to right."""
+    return tuple(rule_from_json(r) for r in (spec if isinstance(spec, list) else [spec]))
+
+
 def dichotomize(col: Column, rule: RecodeRule, name: str | None = None) -> Column:
     """Recode to 0/1: value <= cut -> 0, value > cut -> 1; missing passes through."""
     if not rule.is_dichotomize:
@@ -285,6 +290,11 @@ class AttenuationVariant:
     def rules(self) -> tuple:
         return self.rule if isinstance(self.rule, tuple) else (self.rule,)
 
+    @classmethod
+    def from_json_dict(cls, d: Mapping) -> "AttenuationVariant":
+        return cls(label=d["label"], target=d["target"], rule=rules_from_json(d["rule"]),
+                   family=d.get("family"))
+
 
 @dataclass(frozen=True)
 class AttenuationRow:
@@ -309,12 +319,12 @@ class AttenuationReport:
                 return r
         raise ValidationError(f"no attenuation row labelled {label!r}")
 
-    CSV_HEADER = ("label", "spearman", "slope", "se", "stat", "chisq", "n_used")
+    def to_json_dict(self) -> dict:
+        return {"rows": [{f.name: getattr(r, f.name) for f in fields(r)} for r in self.rows]}
 
-    def to_csv_rows(self) -> list[list]:
-        return [
-            [r.label, r.spearman, r.slope, r.se, r.stat, r.chisq, r.n_used] for r in self.rows
-        ]
+    def csv_rows(self) -> tuple[list[str], list[list]]:
+        header = ["label", "spearman", "slope", "se", "stat", "chisq", "n_used"]
+        return header, [[getattr(r, h) for h in header] for r in self.rows]
 
 
 def choose_family(response: Column) -> str:

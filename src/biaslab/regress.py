@@ -189,6 +189,13 @@ class FitResult:
     def stat_of(self, term: str) -> float:
         return float(self.stat[self.term_index(term)])
 
+    def csv_rows(self) -> tuple[list[str], list[list]]:
+        return ["term", "b", "se", "stat", "p", "beta"], [
+            [t, float(self.b[i]), float(self.se[i]), float(self.stat[i]),
+             float(self.p[i]), float(self.beta[i])]
+            for i, t in enumerate(self.terms)
+        ]
+
     def to_json_dict(self) -> dict:
         def arr(a):
             return [None if (x is None or not np.isfinite(x)) else float(x) for x in a]
@@ -607,6 +614,29 @@ class CollinearityReport:
     vif: np.ndarray
     eigenvalues: np.ndarray  # descending; includes one unit eigenvalue for the intercept
     condition_indices: np.ndarray
+
+    def to_json_dict(self) -> dict:
+        return {
+            "terms": list(self.terms),
+            "tolerance": [float(v) for v in self.tolerance],
+            "vif": [float(v) for v in self.vif],
+            "eigenvalues": [float(v) for v in self.eigenvalues],
+            "condition_indices": [float(v) for v in self.condition_indices],
+        }
+
+    def csv_rows(self) -> tuple[list[str], list[list]]:
+        """One row per eigenvalue; predictor columns are blank past the predictors."""
+        npred = len(self.terms)
+        return ["term", "tolerance", "vif", "eigenvalue", "condition_index"], [
+            [
+                self.terms[j] if j < npred else "",
+                float(self.tolerance[j]) if j < npred else "",
+                float(self.vif[j]) if j < npred else "",
+                float(self.eigenvalues[j]),
+                float(self.condition_indices[j]),
+            ]
+            for j in range(len(self.eigenvalues))
+        ]
 
 
 def collinearity_diagnostics(data: Dataset, formula: Formula) -> CollinearityReport:

@@ -344,6 +344,11 @@ class CorrTarget:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "sds", sds)
 
+    @classmethod
+    def from_json_dict(cls, d: Mapping) -> "CorrTarget":
+        return cls(names=d["names"], corr=d["corr"], means=d.get("means"), sds=d.get("sds"),
+                   empirical_exact=bool(d.get("empirical_exact", True)))
+
 
 def mvn_exact(target: CorrTarget, n: int, rng: RngState) -> Dataset:
     """Gaussian draws whose *sample* moments hit the target when requested.

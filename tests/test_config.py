@@ -1,0 +1,210 @@
+"""Scenario configs: every analysis kind end to end, parse-time validation, docs."""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from biaslab import config
+from biaslab.config import parse_config, run_scenario
+from biaslab.errors import ValidationError
+
+_ERR = {"coef": 1.0, "mean": 0.0, "sd": 1.0}
+_SCM = {
+    "n": 200,
+    "sources": [
+        {"name": "Z", "kind": "normal", "params": {"mean": 0, "sd": 1}},
+        {"name": "sex", "kind": "pattern", "params": {"values": [1, 2], "mode": "each", "k": 100}},
+        {"name": "G", "kind": "uniform_int", "params": {"lo": 0, "hi": 1}},
+    ],
+    "equations": [
+        {"target": "X", "linear": [["Z", 2.0]], "error": _ERR},
+        {"target": "M", "linear": [["X", 0.5]], "error": _ERR},
+        {"target": "Y", "linear": [["X", 0.4], ["M", 0.3]], "error": _ERR},
+    ],
+}
+
+# One analysis of every kind, named after its kind.
+_EVERY_KIND = [
+    {"kind": "fit", "formula": "Y ~ X + M"},
+    {"kind": "collinearity", "formula": "Y ~ X + M + Z"},
+    {"kind": "compare_adjustments", "y": "Y", "x": "X", "covariate_sets": [[], ["M"]]},
+    {"kind": "iv", "y": "Y", "x": "X", "instrument": "Z"},
+    {"kind": "mediation", "y": "Y", "x": "X", "m": "M"},
+    {"kind": "moderated_fit", "y": "Y", "x": "X", "mo": "M"},
+    {"kind": "subgroup", "y": "Y", "x": "X", "where": [{"var": "Z", "op": ">", "value": 0}]},
+    {"kind": "balance", "group": "G", "covariates": ["X", "Z"]},
+    {"kind": "block_balance", "strata": "sex", "covariates": ["X"], "as": "T"},
+    {"kind": "attenuation", "y": "Y", "x": "X",
+     "variants": [{"label": "median_split", "target": "x", "rule": {"kind": "dichotomize_median"}}]},
+    {"kind": "summary", "var": "Y"},
+    {"kind": "correlation", "x": "X", "y": "Y", "method": "spearman"},
+    {"kind": "outlier_fit", "assign": {"X": 5, "Y": "mean:Y"}, "formula": "Y ~ X"},
+    {"kind": "recode", "var": "M", "as": "M_hi", "rule": {"kind": "dichotomize_median"}},
+]
+
+_FIT_CSV = ["term", "b", "se", "stat", "p", "beta"]
+_FIT_JSON = ["family", "terms", "b", "se", "stat", "p", "beta", "cutpoints", "cutpoint_se",
+             "cutpoint_names", "r2", "adj_r2", "deviance", "null_deviance", "aic", "n_used",
+             "n_dropped", "df_residual", "converged", "iterations"]
+_FIELD_VALUE = ["field", "value"]
+_BALANCE_CSV = ["covariate", "delta_mean", "delta_sd", "delta_skew", "delta_kurtosis"]
+
+# kind -> (CSV header row, JSON top-level keys)
+_EXPECTED = {
+    "fit": (_FIT_CSV, _FIT_JSON),
+    "collinearity": (["term", "tolerance", "vif", "eigenvalue", "condition_index"],
+                     ["terms", "tolerance", "vif", "eigenvalues", "condition_indices"]),
+    "compare_adjustments": (_FIELD_VALUE,
+                            ["scenario_id", "focal_term", "truth", "fits", "focal", "errors"]),
+    "iv": (_FIELD_VALUE, ["b_yin", "se_yin", "b_xin", "se_xin", "ratio", "weak"]),
+    "mediation": (_FIELD_VALUE, ["path_xm", "path_xm_se", "path_my", "path_my_se", "direct",
+                                 "direct_se", "indirect", "total", "sobel_se", "z_indirect",
+                                 "ci_low", "ci_high"]),
+    "moderated_fit": (_FIT_CSV, _FIT_JSON),
+    "subgroup": (_FIT_CSV, _FIT_JSON),
+    "balance": (_BALANCE_CSV, ["X", "Z"]),
+    "block_balance": (_BALANCE_CSV, ["X"]),
+    "attenuation": (["label", "spearman", "slope", "se", "stat", "chisq", "n_used"], ["rows"]),
+    "summary": (_FIELD_VALUE, ["n", "n_missing", "min", "q1", "median", "mean", "q3", "max",
+                               "sd", "variance", "skew", "excess_kurtosis"]),
+    "correlation": (_FIELD_VALUE, ["method", "x", "y", "r", "n_used"]),
+    "outlier_fit": (_FIT_CSV, _FIT_JSON),
+    "recode": (_FIELD_VALUE, ["column", "levels", "n_missing"]),
+}
+
+
+def _every_kind_config() -> dict:
+    analyses = [{**a, "name": a["kind"]} for a in _EVERY_KIND]
+    outputs = [
+        {"what": f"analysis:{a['kind']}", "path": f"{a['kind']}.{fmt}", "format": fmt}
+        for a in _EVERY_KIND for fmt in ("json", "csv")
+    ]
+    outputs += [
+        {"what": "dataset", "path": "data.csv"},
+        {"what": "scatter:X:Y", "path": "scatter.csv"},
+        {"what": "fitted_line:fit:X", "path": "line.csv"},
+        {"what": "histogram:Y:10", "path": "hist.csv"},
+    ]
+    return {"id": "every-kind", "seed": 11, "scm": _SCM, "analyses": analyses, "outputs": outputs}
+
+
+def _scm_config(*analyses) -> dict:
+    return {"id": "t", "seed": 1, "scm": _SCM, "analyses": list(analyses), "outputs": []}
+
+
+class TestEveryAnalysisKind:
+    @pytest.fixture(scope="class")
+    def out(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("every-kind")
+        run = run_scenario(parse_config(_every_kind_config()), out_dir=str(out))
+        assert run.analysis_errors == {}
+        return out
+
+    def test_covers_every_kind(self):
+        assert [a["kind"] for a in _EVERY_KIND] == list(_EXPECTED)
+
+    @pytest.mark.parametrize("kind", sorted(_EXPECTED))
+    def test_csv_header_and_json_keys(self, out, kind):
+        header, keys = _EXPECTED[kind]
+        lines = (out / f"{kind}.csv").read_text().splitlines()
+        assert lines[0].split(",") == header
+        assert len(lines) > 1
+        assert list(json.loads((out / f"{kind}.json").read_text())) == keys
+
+    def test_dataset_and_plot_outputs(self, out):
+        def lines(name):
+            return (out / name).read_text().splitlines()
+
+        # the columns added by block_balance and recode are part of the dataset
+        assert lines("data.csv")[0] == "Z,sex,G,X,M,Y,T,M_hi"
+        assert len(lines("data.csv")) == 201
+        assert lines("scatter.csv")[0] == "X,Y" and len(lines("scatter.csv")) == 201
+        assert lines("line.csv")[0] == "X,fitted" and len(lines("line.csv")) == 101
+        hist = lines("hist.csv")
+        assert hist[0] == "lo,hi,count" and len(hist) == 11
+        assert sum(int(row.rsplit(",", 1)[1]) for row in hist[1:]) == 200
+
+
+def _cli_run_config(tmp_path, cfg):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    return subprocess.run([sys.executable, "-m", "biaslab.cli", "run", "--config", str(p)],
+                          capture_output=True, text=True)
+
+
+_VARIANT = {"label": "m", "target": "x", "rule": {"kind": "dichotomize_median"}}
+_MALFORMED = {
+    "variant-without-label": _scm_config(
+        {"kind": "attenuation", "y": "Y", "x": "X",
+         "variants": [{k: v for k, v in _VARIANT.items() if k != "label"}]}),
+    "variant-without-rule": _scm_config(
+        {"kind": "attenuation", "y": "Y", "x": "X",
+         "variants": [{k: v for k, v in _VARIANT.items() if k != "rule"}]}),
+    "outlier-assign-list": _scm_config(
+        {"kind": "outlier_fit", "assign": [["X", 5]], "formula": "Y ~ X"}),
+    "covariate-sets-number": _scm_config(
+        {"kind": "compare_adjustments", "y": "Y", "x": "X", "covariate_sets": 5}),
+    "where-without-op": _scm_config(
+        {"kind": "subgroup", "y": "Y", "x": "X", "where": [{"var": "Z", "value": 0}]}),
+    "analyses-number": {**_scm_config(), "analyses": 7},
+    "scm-linear-object": {"id": "t", "seed": 1, "scm": {
+        "n": 10, "sources": [{"name": "x", "kind": "normal", "params": {"mean": 0, "sd": 1}}],
+        "equations": [{"target": "y", "linear": {"x": 1}}]}},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_MALFORMED))
+def test_malformed_config_exits_2_without_traceback(tmp_path, shape):
+    proc = _cli_run_config(tmp_path, _MALFORMED[shape])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "validation error:" in proc.stderr
+
+
+def test_malformed_analysis_error_names_its_path():
+    with pytest.raises(ValidationError, match=r"analyses\[1\]"):
+        parse_config(_scm_config({"kind": "summary", "var": "Y"},
+                                 {"kind": "outlier_fit", "assign": [], "formula": "Y ~ X"}))
+
+
+@pytest.mark.parametrize("analysis", [
+    {"kind": "collinearity", "formula": "Y ~ X + nope"},
+    {"kind": "outlier_fit", "assign": {"X": 5}, "formula": "Y ~ nope"},
+    {"kind": "outlier_fit", "assign": {"X": 5, "Y": "mean:nope"}, "formula": "Y ~ X"},
+    {"kind": "balance", "group": "nope", "covariates": ["X"]},
+    {"kind": "block_balance", "strata": "nope", "covariates": ["X"]},
+], ids=["collinearity-formula", "outlier-formula", "outlier-mean", "balance-group",
+        "block-strata"])
+def test_unknown_column_is_rejected_at_parse_time(analysis):
+    with pytest.raises(ValidationError, match="unknown column 'nope'"):
+        parse_config(_scm_config(analysis))
+
+
+def test_unknown_column_exits_2(tmp_path):
+    proc = _cli_run_config(tmp_path, _scm_config({"kind": "balance", "group": "nope",
+                                                  "covariates": ["X"]}))
+    assert proc.returncode == 2, proc.stderr
+
+
+@pytest.mark.parametrize("block", [{}, {"as": "T"}], ids=["default-as", "named-as"])
+def test_block_balance_column_is_defined_for_later_analyses(block):
+    assigned = block.get("as", "treated")
+    cfg = parse_config(_scm_config(
+        {"kind": "block_balance", "strata": "sex", "covariates": ["X"], **block},
+        {"kind": "fit", "name": "f", "formula": f"Y ~ {assigned} + X"},
+    ))
+    run = run_scenario(cfg)
+    assert run.analysis_errors == {}
+    assert assigned in run.artifacts["f"].terms
+
+
+def test_readme_table_lists_every_analysis_kind():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", readme, flags=re.M)
+    table = {kind: tuple(re.findall(r"`(\w+)`", fields)) for kind, fields in rows}
+    assert table == {kind: required for kind, (required, _) in config._ANALYSES.items()}
+    assert set(table) == set(_EXPECTED)
