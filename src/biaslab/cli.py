@@ -44,16 +44,17 @@ def format_fit_table(name: str, result: FitResult) -> str:
         + (f" R2={_sig6(result.r_squared)}" if result.r_squared is not None else "")
         + ("" if result.converged else "  (NOT CONVERGED)")
     ]
-    header = f"{'term':<16}{'b':>14}{'SE':>14}{'stat':>12}{'p':>12}{'beta':>12}"
-    lines.append(header)
+    # a space between every pair of columns keeps them apart when a value
+    # (up to 13 characters from _sig6) or a term label overfills its width
+    lines.append(f"{'term':<16} {'b':>13} {'SE':>13} {'stat':>11} {'p':>11} {'beta':>11}")
     for i, term in enumerate(result.terms):
         lines.append(
-            f"{term:<16}{_sig6(result.b[i]):>14}{_sig6(result.se[i]):>14}"
-            f"{_sig6(result.stat[i]):>12}{_sig6(result.p[i]):>12}{_sig6(result.beta[i]):>12}"
+            f"{term:<16} {_sig6(result.b[i]):>13} {_sig6(result.se[i]):>13} "
+            f"{_sig6(result.stat[i]):>11} {_sig6(result.p[i]):>11} {_sig6(result.beta[i]):>11}"
         )
     for j, cname in enumerate(result.cutpoint_names):
         lines.append(
-            f"{cname:<16}{_sig6(result.cutpoints[j]):>14}{_sig6(result.cutpoint_se[j]):>14}"
+            f"{cname:<16} {_sig6(result.cutpoints[j]):>13} {_sig6(result.cutpoint_se[j]):>13}"
         )
     return "\n".join(lines)
 
@@ -98,7 +99,9 @@ def cmd_run(args) -> int:
               f"template {run.mc_result.template_hash}")
     for path in run.files:
         print(f"wrote {path}")
-    if cfg.analyses and run.analysis_errors and not run.artifacts:
+    for path, name in run.skipped_outputs.items():
+        print(f"skipped {path}: analysis {name!r} failed", file=sys.stderr)
+    if run.skipped_outputs or (cfg.analyses and run.analysis_errors and not run.artifacts):
         return EXIT_ANALYSIS
     return EXIT_OK
 

@@ -347,6 +347,7 @@ class ScenarioRun:
     artifacts: dict[str, Any]
     analysis_errors: dict[str, str]
     files: list[str]
+    skipped_outputs: dict[str, str]  # output path -> the failed analysis it shows
 
 
 def _effective_seed(cfg: ScenarioConfig, seed_override: int | None) -> int:
@@ -372,8 +373,10 @@ def run_scenario(
 ) -> ScenarioRun:
     """Generate, analyse, and write declared outputs.
 
-    Analysis failures are recorded per analysis and do not stop the run;
-    callers decide the exit status from ``analysis_errors``.
+    Analysis failures are recorded per analysis and do not stop the run.
+    The outputs of a failed analysis are skipped and listed in
+    ``skipped_outputs``; every other output is written.  Callers decide the
+    exit status from ``analysis_errors`` and ``skipped_outputs``.
     """
     eff_seed = _effective_seed(cfg, seed)
     generate, _ = _build_generator(cfg.generator_kind, cfg.generator, eff_seed)
@@ -391,10 +394,16 @@ def run_scenario(
         except BiaslabError as exc:
             errors[a["name"]] = f"{type(exc).__name__}: {exc}"
     files: list[str] = []
+    skipped: dict[str, str] = {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for o in cfg.outputs:
             path = os.path.join(out_dir, o["path"])
+            head, _, rest = o["what"].partition(":")
+            source = rest.partition(":")[0] if head == "fitted_line" else rest
+            if head in ("analysis", "fitted_line") and source in errors:
+                skipped[path] = source
+                continue
             _write_output(o, path, working, mc_result, artifacts, o.get("format", None), default_format)
             files.append(path)
     return ScenarioRun(
@@ -404,6 +413,7 @@ def run_scenario(
         artifacts=artifacts,
         analysis_errors=errors,
         files=files,
+        skipped_outputs=skipped,
     )
 
 

@@ -193,23 +193,27 @@ def summarize(col: Column) -> SummaryStats:
 
 
 def ranks_average_ties(col: Column | np.ndarray) -> np.ndarray:
-    """1-based ranks over non-missing values; ties get their mean rank."""
+    """1-based ranks over non-missing values; ties get their mean rank.
+
+    A NaN in a raw array is unequal to everything, so each one keeps its own
+    rank; NaNs sort last and take the top ranks in index order.
+    """
     x = col.present() if isinstance(col, Column) else np.asarray(col, dtype=float)
     if x.size == 0:
         raise DataError("cannot rank empty data")
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(x.size, dtype=float)
-    ranks[order] = np.arange(1, x.size + 1, dtype=float)
-    # average rank within each tie group
+    # Tied values share one rank, so an unstable sort gives the same ranks;
+    # only the NaN tail depends on the order within it.
+    order = np.argsort(x)
+    if np.isnan(x[order[-1]]):
+        n_nan = int(np.count_nonzero(np.isnan(x)))
+        order[x.size - n_nan :].sort()
     xs = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and xs[j + 1] == xs[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    lasts = np.append(starts[1:], x.size) - 1
+    # mean of the 1-based positions first+1 .. last+1 of each run of equal values
+    run_rank = 0.5 * (starts + 1 + lasts + 1)
+    ranks = np.empty(x.size, dtype=float)
+    ranks[order] = np.repeat(run_rank, lasts - starts + 1)
     return ranks
 
 

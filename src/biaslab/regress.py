@@ -245,9 +245,8 @@ def _build_design(
     return y, x, labels, n_dropped
 
 
-def _qr_solve(x: np.ndarray, y: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares via QR; returns (b, Rinv).  Raises on rank deficiency."""
-    q, r = np.linalg.qr(x)
+def _check_rank(x: np.ndarray, labels: Sequence[str], r: np.ndarray) -> None:
+    """Raise ``SingularDesignError`` if ``x`` (with QR factor ``r``) lacks full rank."""
     diag = np.abs(np.diag(r))
     if diag.size and diag.min() < _RANK_TOL * diag.max():
         # pivoted pass to name the first dependent column
@@ -256,6 +255,12 @@ def _qr_solve(x: np.ndarray, y: np.ndarray, labels: Sequence[str]) -> tuple[np.n
         bad = np.nonzero(dp < _RANK_TOL * dp.max())[0]
         term = labels[piv[bad[0]]] if bad.size else labels[-1]
         raise SingularDesignError(f"design matrix is singular at term {term!r}", term=term)
+
+
+def _qr_solve(x: np.ndarray, y: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares via QR; returns (b, Rinv).  Raises on rank deficiency."""
+    q, r = np.linalg.qr(x)
+    _check_rank(x, labels, r)
     rinv = np.linalg.inv(r)
     b = rinv @ (q.T @ y)
     return b, rinv
@@ -403,18 +408,38 @@ def fit_logistic(data: Dataset, formula: Formula) -> FitResult:
 
 
 class _OrderedNll:
-    """Negative log-likelihood machinery for the proportional-odds model."""
+    """Negative log-likelihood machinery for the proportional-odds model.
+
+    Every index set that depends only on the category codes is built once
+    here, so each Newton step gathers values but no masks.
+    """
 
     def __init__(self, x: np.ndarray, kcat: np.ndarray, n_levels: int):
         self.x = x
-        self.k = kcat  # 0-based category index per row
         self.K = n_levels
         self.n, self.p = x.shape
+        # kcat holds each row's 0-based category k; its upper cutpoint is k
+        # (none for the top level) and its lower cutpoint k - 1 (none for 0)
+        self.has_up = kcat < n_levels - 1
+        self.has_lw = kcat > 0
+        self.i_up = np.minimum(kcat, n_levels - 2)
+        self.i_lw = np.maximum(kcat - 1, 0)
+        self.up = kcat[self.has_up]
+        self.lw = (kcat - 1)[self.has_lw]
+        self.both = self.has_up & self.has_lw
+        self.up_both = kcat[self.both]
+        self.lw_both = (kcat - 1)[self.both]
+        # per cutpoint j: the rows with upper (lower) cutpoint j and x[rows].T
+        self.cut_rows = []
+        for j in range(n_levels - 1):
+            rows_up = np.flatnonzero(self.has_up & (kcat == j))
+            rows_lw = np.flatnonzero(self.has_lw & (kcat - 1 == j))
+            self.cut_rows.append((rows_up, x[rows_up].T, rows_lw, x[rows_lw].T))
 
     def _bounds(self, beta: np.ndarray, zeta: np.ndarray):
         eta = self.x @ beta
-        hi = np.where(self.k < self.K - 1, zeta[np.minimum(self.k, self.K - 2)] - eta, np.inf)
-        lo = np.where(self.k > 0, zeta[np.maximum(self.k - 1, 0)] - eta, -np.inf)
+        hi = np.where(self.has_up, zeta[self.i_up] - eta, np.inf)
+        lo = np.where(self.has_lw, zeta[self.i_lw] - eta, -np.inf)
         return eta, lo, hi
 
     def value(self, beta: np.ndarray, zeta: np.ndarray) -> float:
@@ -436,12 +461,8 @@ class _OrderedNll:
         g_eta = (a - bdens) / prob
         grad_b = self.x.T @ g_eta
         grad_z = np.zeros(self.K - 1)
-        up = self.k  # index of upper cutpoint (valid when k < K-1)
-        lw = self.k - 1  # index of lower cutpoint (valid when k > 0)
-        has_up = self.k < self.K - 1
-        has_lw = self.k > 0
-        np.add.at(grad_z, up[has_up], (-a / prob)[has_up])
-        np.add.at(grad_z, lw[has_lw], (bdens / prob)[has_lw])
+        np.add.at(grad_z, self.up, (-a / prob)[self.has_up])
+        np.add.at(grad_z, self.lw, (bdens / prob)[self.has_lw])
 
         h_ee = ((bp - ap) * prob + (a - bdens) ** 2) / prob**2
         h_eu = (ap * prob - (a - bdens) * a) / prob**2
@@ -452,19 +473,16 @@ class _OrderedNll:
 
         hbb = self.x.T @ (self.x * h_ee[:, None])
         hbz = np.zeros((self.p, self.K - 1))
-        for j in range(self.K - 1):
-            m_up = has_up & (up == j)
-            m_lw = has_lw & (lw == j)
-            if m_up.any():
-                hbz[:, j] += self.x[m_up].T @ h_eu[m_up]
-            if m_lw.any():
-                hbz[:, j] += self.x[m_lw].T @ h_el[m_lw]
+        for j, (rows_up, xt_up, rows_lw, xt_lw) in enumerate(self.cut_rows):
+            if rows_up.size:
+                hbz[:, j] += xt_up @ h_eu[rows_up]
+            if rows_lw.size:
+                hbz[:, j] += xt_lw @ h_el[rows_lw]
         hzz = np.zeros((self.K - 1, self.K - 1))
-        np.add.at(hzz, (up[has_up], up[has_up]), h_uu[has_up])
-        np.add.at(hzz, (lw[has_lw], lw[has_lw]), h_ll[has_lw])
-        both = has_up & has_lw
-        np.add.at(hzz, (lw[both], up[both]), h_ul[both])
-        np.add.at(hzz, (up[both], lw[both]), h_ul[both])
+        np.add.at(hzz, (self.up, self.up), h_uu[self.has_up])
+        np.add.at(hzz, (self.lw, self.lw), h_ll[self.has_lw])
+        np.add.at(hzz, (self.lw_both, self.up_both), h_ul[self.both])
+        np.add.at(hzz, (self.up_both, self.lw_both), h_ul[self.both])
 
         grad = np.concatenate([grad_b, grad_z])
         hess = np.block([[hbb, hbz], [hbz.T, hzz]])
@@ -497,6 +515,11 @@ def fit_ordered_logit(data: Dataset, formula: Formula) -> FitResult:
     kcat = np.searchsorted(levels, y.astype(int))
     if n <= p + K - 1:
         raise DataError(f"need more rows ({n}) than parameters ({p + K - 1})")
+    # The cutpoints play the intercept's role, so [1 | X] must have full rank.
+    # Centring X spans the same space and keeps the pivoted pass from naming
+    # the intercept, which is orthogonal to every centred column.
+    design = np.column_stack([np.ones(n), x - x.mean(axis=0)])
+    _check_rank(design, ["(Intercept)", *labels], np.linalg.qr(design, mode="r"))
 
     nll = _OrderedNll(x, kcat, K)
     counts = np.bincount(kcat, minlength=K)

@@ -144,3 +144,92 @@ def brute_force_ordered(x, y):
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000})
     p = x.shape[1]
     return res.x[:p], np.sort(res.x[p:])
+
+
+# -- reference kernels ---------------------------------------------------------
+# Loop implementations that the vectorized kernels in the package must match
+# bit for bit.  They are kept exactly as they were written before those
+# kernels were vectorized.
+
+
+def ranks_average_ties_oracle(x):
+    """1-based ranks over a float array; ties get their mean rank."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(x.size, dtype=float)
+    ranks[order] = np.arange(1, x.size + 1, dtype=float)
+    # average rank within each tie group
+    xs = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and xs[j + 1] == xs[i]:
+            j += 1
+        if j > i:
+            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
+        i = j + 1
+    return ranks
+
+
+class OrderedNllOracle:
+    """Gradient and Hessian of the proportional-odds NLL, one mask per pass."""
+
+    def __init__(self, x, kcat, n_levels):
+        self.x = x
+        self.k = kcat  # 0-based category index per row
+        self.K = n_levels
+        self.n, self.p = x.shape
+
+    def _bounds(self, beta, zeta):
+        eta = self.x @ beta
+        hi = np.where(self.k < self.K - 1, zeta[np.minimum(self.k, self.K - 2)] - eta, np.inf)
+        lo = np.where(self.k > 0, zeta[np.maximum(self.k - 1, 0)] - eta, -np.inf)
+        return eta, lo, hi
+
+    def derivs(self, beta, zeta):
+        """Gradient and Hessian w.r.t. the natural parameters (beta, zeta)."""
+        _, lo, hi = self._bounds(beta, zeta)
+        fu_ = expit(hi)
+        fv_ = expit(lo)
+        prob = np.clip(fu_ - fv_, 1e-300, None)
+        a = np.where(np.isfinite(hi), fu_ * (1 - fu_), 0.0)  # f(upper)
+        bdens = np.where(np.isfinite(lo), fv_ * (1 - fv_), 0.0)  # f(lower)
+        ap = a * (1 - 2 * fu_)  # f'(upper)
+        bp = bdens * (1 - 2 * fv_)  # f'(lower)
+
+        g_eta = (a - bdens) / prob
+        grad_b = self.x.T @ g_eta
+        grad_z = np.zeros(self.K - 1)
+        up = self.k  # index of upper cutpoint (valid when k < K-1)
+        lw = self.k - 1  # index of lower cutpoint (valid when k > 0)
+        has_up = self.k < self.K - 1
+        has_lw = self.k > 0
+        np.add.at(grad_z, up[has_up], (-a / prob)[has_up])
+        np.add.at(grad_z, lw[has_lw], (bdens / prob)[has_lw])
+
+        h_ee = ((bp - ap) * prob + (a - bdens) ** 2) / prob**2
+        h_eu = (ap * prob - (a - bdens) * a) / prob**2
+        h_el = (-bp * prob + bdens * (a - bdens)) / prob**2
+        h_uu = (a**2 - ap * prob) / prob**2
+        h_ll = (bp * prob + bdens**2) / prob**2
+        h_ul = -a * bdens / prob**2
+
+        hbb = self.x.T @ (self.x * h_ee[:, None])
+        hbz = np.zeros((self.p, self.K - 1))
+        for j in range(self.K - 1):
+            m_up = has_up & (up == j)
+            m_lw = has_lw & (lw == j)
+            if m_up.any():
+                hbz[:, j] += self.x[m_up].T @ h_eu[m_up]
+            if m_lw.any():
+                hbz[:, j] += self.x[m_lw].T @ h_el[m_lw]
+        hzz = np.zeros((self.K - 1, self.K - 1))
+        np.add.at(hzz, (up[has_up], up[has_up]), h_uu[has_up])
+        np.add.at(hzz, (lw[has_lw], lw[has_lw]), h_ll[has_lw])
+        both = has_up & has_lw
+        np.add.at(hzz, (lw[both], up[both]), h_ul[both])
+        np.add.at(hzz, (up[both], lw[both]), h_ul[both])
+
+        grad = np.concatenate([grad_b, grad_z])
+        hess = np.block([[hbb, hbz], [hbz.T, hzz]])
+        return grad, hess

@@ -3,11 +3,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from biaslab.catalog import catalog_config, catalog_ids
+from biaslab.cli import format_fit_table
 from biaslab.cli import main as cli_main
 from biaslab.config import load_config, parse_config, run_scenario
+from biaslab.regress import FitResult, Formula
 
 
 def run_cli(*argv, cwd=None):
@@ -103,6 +106,41 @@ class TestRun:
         proc = run_cli("run", "--config", str(p))
         assert proc.returncode == 3
 
+    def test_failed_analysis_skips_only_its_outputs(self, tmp_path):
+        cfg = {
+            "id": "partial",
+            "seed": 1,
+            "scm": {"n": 50, "sources": [{"name": "x", "kind": "normal",
+                                          "params": {"mean": 0, "sd": 1}}],
+                    "equations": [{"target": "y", "linear": [["x", 1.0]],
+                                   "error": {"coef": 1, "mean": 0, "sd": 1}}]},
+            # a binomial fit on a continuous response fails at run time
+            "analyses": [
+                {"kind": "fit", "name": "bad", "formula": "y ~ x", "family": "binomial"},
+                {"kind": "fit", "name": "good", "formula": "y ~ x"},
+            ],
+            "outputs": [
+                {"what": "analysis:bad", "path": "bad.json"},
+                {"what": "fitted_line:bad:x", "path": "bad_line.csv"},
+                {"what": "analysis:good", "path": "good.json"},
+                {"what": "fitted_line:good:x", "path": "good_line.csv"},
+            ],
+        }
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        proc = run_cli("run", "--config", str(p), "--out", str(out))
+        assert proc.returncode == 3
+        assert sorted(f.name for f in out.iterdir()) == ["good.json", "good_line.csv"]
+        assert json.loads((out / "good.json").read_text())["terms"] == ["(Intercept)", "x"]
+        assert "bad" in proc.stderr and "DataError" in proc.stderr
+        assert "bad.json" in proc.stderr and "bad_line.csv" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+        run = run_scenario(parse_config(cfg), out_dir=str(tmp_path / "lib"))
+        assert [os.path.basename(f) for f in run.files] == ["good.json", "good_line.csv"]
+        assert sorted(run.skipped_outputs.values()) == ["bad", "bad"]
+
     def test_io_error_exit_code(self):
         proc = run_cli("run", "--config", "/nonexistent/no.json")
         assert proc.returncode == 4
@@ -136,6 +174,27 @@ class TestConfigRoundTrip:
         p.write_text(parse_config(catalog_config("entry10-descendant")).to_json())
         cfg = load_config(str(p))
         assert cfg.id == "entry10-descendant"
+
+
+class TestFitTable:
+    def test_columns_stay_apart_at_maximal_width(self):
+        wide = np.array([-1.23456e-100, -1.23456e-05])
+        result = FitResult(
+            family="ordered",
+            formula=Formula.parse("y ~ a_long_predictor_name + x"),
+            terms=("a_long_predictor_name", "x"),
+            b=wide, se=wide, stat=wide, p=wide, beta=wide,
+            n_used=10, n_dropped=0, df_residual=7, deviance=1.0,
+            null_deviance=2.0, aic=3.0,
+            cutpoint_names=("1|2", "2|3"), cutpoints=wide, cutpoint_se=wide,
+        )
+        lines = format_fit_table("f", result).splitlines()
+        header, rows, cuts = lines[1], lines[2:4], lines[4:]
+        assert header.split() == ["term", "b", "SE", "stat", "p", "beta"]
+        assert rows[0].split() == ["a_long_predictor_name"] + ["-1.23456e-100"] * 5
+        assert rows[1].split() == ["x"] + ["-1.23456e-05"] * 5
+        assert cuts[0].split() == ["1|2", "-1.23456e-100", "-1.23456e-100"]
+        assert cuts[1].split() == ["2|3", "-1.23456e-05", "-1.23456e-05"]
 
 
 class TestFitSubcommand:

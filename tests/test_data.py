@@ -21,7 +21,7 @@ from biaslab.data import (
 from biaslab.errors import DataError, ParameterError, ValidationError
 from biaslab.rng import RngState, normal_draws
 
-from _oracles import moments_oracle, quantile7_oracle
+from _oracles import moments_oracle, quantile7_oracle, ranks_average_ties_oracle
 
 
 def col(vals, missing=None, name="x"):
@@ -102,6 +102,20 @@ class TestRanks:
     def test_ranks_sum(self, xs):
         n = len(xs)
         assert abs(ranks_average_ties(col(xs)).sum() - n * (n + 1) / 2) < 1e-9
+
+    # few distinct values, so most draws are heavily tied
+    _TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan])
+
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(_TIED, st.floats(), st.integers(-3, 3).map(float)),
+                    min_size=1, max_size=200))
+    def test_matches_loop_oracle_bit_for_bit(self, xs):
+        x = np.asarray(xs, dtype=float)
+        assert ranks_average_ties(x).tobytes() == ranks_average_ties_oracle(x).tobytes()
+        present = x[~np.isnan(x)]
+        if present.size:
+            assert (ranks_average_ties(col(xs)).tobytes()
+                    == ranks_average_ties_oracle(present).tobytes())
 
 
 class TestCorrelation:

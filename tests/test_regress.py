@@ -25,7 +25,12 @@ from biaslab.regress import (
 from biaslab.rng import RngState, normal_draws
 from biaslab.scm import CorrTarget, mvn_exact
 
-from _oracles import brute_force_logistic, brute_force_ordered, normal_equations_ols
+from _oracles import (
+    OrderedNllOracle,
+    brute_force_logistic,
+    brute_force_ordered,
+    normal_equations_ols,
+)
 
 
 def dataset(**arrays):
@@ -290,6 +295,43 @@ class TestOrderedLogit:
                 gd, _ = nll.derivs(dnk[:1], dnk[1:])
                 fd2 = (gu[j] - gd[j]) / (2 * eps)
                 assert hess[j, k] == pytest.approx(fd2, rel=1e-3, abs=1e-4)
+
+    @pytest.mark.parametrize("n_levels", range(2, 10))
+    def test_derivs_match_loop_oracle_exactly(self, n_levels):
+        from biaslab.regress import _OrderedNll
+
+        rng = np.random.default_rng(100 + n_levels)
+        for p in (1, 2, 3):
+            # n=7 leaves some cutpoints without rows at larger K
+            for n in (7, 60, 400):
+                x = rng.normal(size=(n, p))
+                kcat = rng.integers(0, n_levels, size=n)
+                nll = _OrderedNll(x, kcat, n_levels)
+                oracle = OrderedNllOracle(x, kcat, n_levels)
+                for _ in range(3):
+                    beta = rng.normal(size=p)
+                    zeta = np.sort(rng.normal(0, 2, size=n_levels - 1))
+                    grad, hess = nll.derivs(beta, zeta)
+                    grad_o, hess_o = oracle.derivs(beta, zeta)
+                    assert grad.tobytes() == grad_o.tobytes()
+                    assert hess.tobytes() == hess_o.tobytes()
+
+    @pytest.mark.parametrize("value", [0.0, 0.5, 5.0])
+    def test_constant_predictor_is_unidentified(self, value):
+        # the cutpoints absorb any constant, as an intercept would
+        y = np.tile([1.0, 2.0, 3.0], 100)
+        x = normal_draws(RngState(24), 300, 0, 1)
+        d = dataset(y=y, x=x, c=np.full(300, value))
+        for text in ("y ~ c", "y ~ x + c"):
+            with pytest.raises(SingularDesignError) as info:
+                fit_ordered_logit(d, Formula.parse(text))
+            assert info.value.term == "c"
+
+    def test_collinear_predictors_are_unidentified(self):
+        x = normal_draws(RngState(25), 300, 0, 1)
+        d = dataset(y=np.tile([1.0, 2.0, 3.0], 100), x=x, z=3.0 - 2.0 * x)
+        with pytest.raises(SingularDesignError):
+            fit_ordered_logit(d, Formula.parse("y ~ x + z"))
 
     def test_cutpoints_strictly_increasing(self):
         f = fit_ordered_logit(self._quartile_data(), Formula.parse("y ~ x"))
