@@ -13,9 +13,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, listwise_complete
 from .errors import BiaslabError, DataError, ValidationError, WeakInstrumentError
-from .regress import FitResult, Formula, fit_ols, interaction, main
+from .regress import FitResult, Formula, _least_squares, fit_ols, interaction, main
 
 _OPS = {
     "<": np.less,
@@ -189,18 +189,25 @@ class IvEstimate:
 def iv_wald(
     data: Dataset, y: str, x: str, instrument: str, allow_weak: bool = False
 ) -> IvEstimate:
-    """Two bivariate fits (y~in, x~in) and their slope ratio.
+    """Two bivariate least-squares slopes (y~in, x~in) and their ratio.
 
-    The ratio is withheld (error) when |b_xin| <= 10 * SE(b_xin) unless
-    ``allow_weak`` preserves the divide-then-filter workflow.
+    Both regressions share the design ``[1 | instrument]``, which is factored
+    once per distinct set of complete rows: once unless y and x are missing
+    on different rows.  The ratio is withheld (error) when
+    |b_xin| <= 10 * SE(b_xin) unless ``allow_weak`` preserves the
+    divide-then-filter workflow.
     """
-    n_ok = int(np.sum(~(data[y].missing | data[x].missing | data[instrument].missing)))
+    miss_y, miss_x, miss_in = data[y].missing, data[x].missing, data[instrument].missing
+    n_ok = int(np.sum(~(miss_y | miss_x | miss_in)))
     if n_ok < 10:
         raise DataError(f"instrumental-variable analysis needs n >= 10, have {n_ok}")
-    fy = fit_ols(data, Formula(y, (main(instrument),)), standardized=False)
-    fx = fit_ols(data, Formula(x, (main(instrument),)), standardized=False)
-    b_yin, se_yin = fy.coef(instrument), fy.se_of(instrument)
-    b_xin, se_xin = fx.coef(instrument), fx.se_of(instrument)
+    groups = [(y, x)] if np.array_equal(miss_y | miss_in, miss_x | miss_in) else [(y,), (x,)]
+    slopes = []
+    for responses in groups:
+        complete, _ = listwise_complete(data, [*responses, instrument])
+        _, _, fits = _least_squares(complete, responses, (main(instrument),), True)
+        slopes += [(float(b[1]), float(se[1])) for _, b, _, se in fits]
+    (b_yin, se_yin), (b_xin, se_xin) = slopes
     weak = abs(b_xin) <= 10.0 * se_xin
     if weak and not allow_weak:
         raise WeakInstrumentError(

@@ -298,6 +298,7 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
 
     outputs = []
     seen_paths: set[str] = set()
+    analysis_kinds = {a["name"]: a["kind"] for a in analyses}
     for idx, o in enumerate(_json_list(doc, "outputs")):
         path = f"outputs[{idx}]"
         if not isinstance(o, Mapping) or "what" not in o or "path" not in o:
@@ -308,10 +309,7 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
         fmt = o.get("format")
         if fmt is not None and fmt not in ("csv", "json"):
             raise _fail(f"{path}.format", f"must be csv or json, got {fmt!r}")
-        what = o["what"]
-        head = what.split(":", 1)[0]
-        if head not in ("dataset", "analysis", "mc", "mc_summary", "histogram", "scatter", "fitted_line"):
-            raise _fail(f"{path}.what", f"unknown output kind {what!r}")
+        _check_output(f"{path}.what", o["what"], kind, analysis_kinds)
         outputs.append(dict(o))
 
     return ScenarioConfig(
@@ -322,6 +320,26 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
         analyses=tuple(analyses),
         outputs=tuple(outputs),
     )
+
+
+# analysis kinds whose artifact is a FitResult, which a fitted_line plots
+_FIT_KINDS = ("fit", "moderated_fit", "subgroup", "outlier_fit")
+
+
+def _check_output(path: str, what: str, gen_kind: str, analyses: Mapping[str, str]) -> None:
+    """Reject an output that could not be written, before anything runs."""
+    head, _, rest = what.partition(":")
+    if head not in ("dataset", "analysis", "mc", "mc_summary", "histogram", "scatter", "fitted_line"):
+        raise _fail(path, f"unknown output kind {what!r}")
+    if head == "analysis" and rest not in analyses:
+        raise _fail(path, f"output references unknown analysis {rest!r}")
+    fit_name = rest.partition(":")[0]
+    if head == "fitted_line" and analyses.get(fit_name) not in _FIT_KINDS:
+        raise _fail(path, f"fitted_line needs a declared fit, got {fit_name!r}")
+    if head in ("mc", "mc_summary") and gen_kind not in ("mc", "population"):
+        raise _fail(path, f"output {head!r} requires an mc or population scenario")
+    if head in ("dataset", "scatter") and gen_kind == "mc":
+        raise _fail(path, f"output {head!r} requires a dataset scenario")
 
 
 def _json_list(doc: Mapping, field: str) -> list:
@@ -448,10 +466,6 @@ def _write_output(
     what = o["what"]
     head, _, rest = what.partition(":")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    if head in ("dataset", "scatter") and data is None:
-        raise ValidationError(f"output {head!r} requires a dataset scenario")
-    if head in ("mc", "mc_summary") and mc_result is None:
-        raise ValidationError(f"output {head!r} requires an mc or population scenario")
     if head == "dataset":
         write_csv(data, path)
         return
@@ -479,11 +493,7 @@ def _write_output(
         return
     if head == "fitted_line":
         fit_name, _, xname = rest.partition(":")
-        if fit_name not in artifacts:
-            raise ValidationError(f"fitted_line references unknown analysis {fit_name!r}")
         fit_res = artifacts[fit_name]
-        if not isinstance(fit_res, FitResult):
-            raise ValidationError(f"fitted_line target {fit_name!r} is not a fit")
         xcol = data[xname]  # type: ignore[index]
         grid = np.linspace(float(np.nanmin(xcol.values)), float(np.nanmax(xcol.values)), 100)
         grid_data = Dataset.from_arrays({xname: grid})
@@ -498,10 +508,8 @@ def _write_output(
         return
     if head == "mc_summary":
         artifact, chosen = mc_mod.summarize_series(mc_result, rest), "json"
-    elif rest in artifacts:
-        artifact, chosen = artifacts[rest], fmt or default_format
     else:
-        raise ValidationError(f"output references unknown analysis {rest!r}")
+        artifact, chosen = artifacts[rest], fmt or default_format
     if chosen == "csv":
         header, rows = _artifact_csv_rows(artifact)
         with open(path, "w", newline="") as fh:

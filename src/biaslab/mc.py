@@ -32,9 +32,9 @@ import numpy as np
 from .causal import _OPS, iv_wald, RowFilter
 from .data import Column, Dataset, balance_diff, quantile_type7
 from .errors import BiaslabError, DataError, ParameterError, ValidationError
-from .regress import Formula, fit
+from .regress import Formula, fit, fit_terms
 from .rng import RngState, derive_substream, sample_indices
-from .scm import EquationSpec, ErrorTerm, GroupError, ScmSpec, SourceSpec, evaluate_scm
+from .scm import EquationSpec, ErrorTerm, GroupError, ScmSpec, SourceSpec, evaluate_scm, prevalidated
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,9 @@ class RangeSpec:
 # -- analysis plan steps -----------------------------------------------------
 
 
+_FIT_SELECTORS = ("b", "se", "stat", "p", "beta")
+
+
 @dataclass(frozen=True)
 class FitStep:
     """Fit a formula and record selected quantities.
@@ -72,8 +75,18 @@ class FitStep:
     family: str = "gaussian"
 
     def __post_init__(self):
-        object.__setattr__(self, "_parsed", Formula.parse(self.formula))
-        object.__setattr__(self, "_wants_beta", any(s.startswith("beta") for _, s in self.record))
+        parsed = Formula.parse(self.formula)
+        terms = fit_terms(parsed, self.family)
+        # (name, selector, term, index of the term in the fit, or None if absent)
+        picks = []
+        for name, selector in self.record:
+            what, _, term = selector.partition(":")
+            if selector != "r2" and what not in _FIT_SELECTORS:
+                raise ValidationError(f"unknown selector {selector!r} for {name!r}")
+            picks.append((name, what, term, terms.index(term) if term in terms else None))
+        object.__setattr__(self, "_parsed", parsed)
+        object.__setattr__(self, "_picks", tuple(picks))
+        object.__setattr__(self, "_wants_beta", any(what == "beta" for _, what, _, _ in picks))
 
     def run(self, data: Dataset) -> dict[str, float]:
         if self.family == "gaussian":
@@ -83,13 +96,11 @@ class FitStep:
         else:
             f = fit(data, self._parsed, family=self.family)
         out = {}
-        for name, selector in self.record:
-            if selector == "r2":
+        for name, what, term, idx in self._picks:
+            if what == "r2":
                 out[name] = f.r_squared if f.r_squared is not None else float("nan")
-                continue
-            what, _, term = selector.partition(":")
-            idx = f.term_index(term)
-            out[name] = float({"b": f.b, "se": f.se, "stat": f.stat, "p": f.p, "beta": f.beta}[what][idx])
+            else:  # an absent term raises the fit's own error
+                out[name] = float(getattr(f, what)[f.term_index(term) if idx is None else idx])
         return out
 
     def names(self) -> list[str]:
@@ -219,6 +230,26 @@ class McTemplate:
                 if name in reserved:
                     raise ValidationError(f"recorded series name {name!r} collides")
                 reserved.add(name)
+        # binding draws, compiled once: a lo == hi binding is its value and
+        # consumes no draw; the ranged ones are drawn by one vector uniform
+        ranged = [j for j, (_, r) in enumerate(self.bindings) if r.lo != r.hi]
+        object.__setattr__(self, "_names", tuple(bound))
+        object.__setattr__(self, "_fixed_values", [float(r.lo) for _, r in self.bindings])
+        object.__setattr__(self, "_ranged", ranged)
+        object.__setattr__(self, "_lo", np.array([self.bindings[j][1].lo for j in ranged], dtype=float))
+        object.__setattr__(self, "_hi", np.array([self.bindings[j][1].hi for j in ranged], dtype=float))
+
+    def draw_bindings(self, rng: RngState) -> dict[str, float]:
+        """One value per binding, in declaration order.
+
+        The same values, from the same stream positions, as
+        ``RangeSpec.draw`` called for each binding in turn.
+        """
+        values = list(self._fixed_values)
+        if self._ranged:
+            for j, v in zip(self._ranged, rng.generator.uniform(self._lo, self._hi).tolist()):
+                values[j] = v
+        return dict(zip(self._names, values))
 
     def series_names(self) -> list[str]:
         return [name for name, _ in self.bindings] + _step_names(self.analysis)
@@ -268,37 +299,40 @@ def _subst(v, values: Mapping[str, float]):
 
 
 def bind_spec(spec: ScmSpec, values: Mapping[str, float], n: int) -> ScmSpec:
-    """Substitute placeholder draws (and the sample size) into a template spec."""
+    """Substitute placeholder draws (and the sample size) into a template spec.
+
+    Binding changes numbers only, so the bound spec is built without
+    validating again the names and references that ``spec`` already passed.
+    """
 
     def bind_err(e: ErrorTerm | None) -> ErrorTerm | None:
         if e is None:
             return None
-        return ErrorTerm(_subst(e.scale_coef, values), _subst(e.mean, values), _subst(e.sd, values))
+        return prevalidated(ErrorTerm, scale_coef=_subst(e.scale_coef, values),
+                            mean=_subst(e.mean, values), sd=_subst(e.sd, values))
 
     sources = tuple(
-        SourceSpec(s.name, s.kind, {k: _subst(v, values) for k, v in s.params.items()})
+        prevalidated(SourceSpec, name=s.name, kind=s.kind,
+                     params={k: _subst(v, values) for k, v in s.params.items()})
         for s in spec.sources
     )
-    equations = []
-    for eq in spec.equations:
-        ge = None
-        if eq.group_error is not None:
-            ge = GroupError(
-                eq.group_error.by,
-                {k: bind_err(t) for k, t in eq.group_error.levels.items()},
-            )
-        equations.append(
-            EquationSpec(
-                target=eq.target,
-                intercept=_subst(eq.intercept, values),
-                linear=tuple((s, _subst(c, values)) for s, c in eq.linear),
-                interactions=tuple((a, b, _subst(c, values)) for a, b, c in eq.interactions),
-                squares=tuple((s, _subst(c, values)) for s, c in eq.squares),
-                error=bind_err(eq.error),
-                group_error=ge,
-            )
+    equations = tuple(
+        prevalidated(
+            EquationSpec,
+            target=eq.target,
+            intercept=_subst(eq.intercept, values),
+            linear=tuple((s, _subst(c, values)) for s, c in eq.linear),
+            interactions=tuple((a, b, _subst(c, values)) for a, b, c in eq.interactions),
+            squares=tuple((s, _subst(c, values)) for s, c in eq.squares),
+            error=bind_err(eq.error),
+            group_error=None if eq.group_error is None else prevalidated(
+                GroupError, by=eq.group_error.by,
+                levels={k: bind_err(t) for k, t in eq.group_error.levels.items()}),
         )
-    return ScmSpec(n=n, sources=sources, equations=tuple(equations))
+        for eq in spec.equations
+    )
+    return prevalidated(ScmSpec, n=n, sources=sources, equations=equations,
+                        _placeholders=frozenset(p for p in spec._placeholders if p not in values))
 
 
 @dataclass
@@ -325,7 +359,7 @@ def _template_data(template: McTemplate, i: int, record: dict) -> Dataset:
     """Replicate ``i``'s data: draw n, then the bindings, then evaluate the SCM."""
     rng = derive_substream(template.master_seed, i)
     n = template.n.draw_int(rng) if isinstance(template.n, RangeSpec) else int(template.n)
-    values = {name: rs.draw(rng) for name, rs in template.bindings}
+    values = template.draw_bindings(rng)
     record.update(N=n, **values)
     return evaluate_scm(bind_spec(template.scm, values, n), rng)
 

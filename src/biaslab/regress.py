@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 from scipy.special import chdtrc, expit, ndtr, stdtr
 
 from .data import Column, Dataset, listwise_complete
@@ -225,31 +224,46 @@ class FitResult:
         }
 
 
+def _complete_rows(data: Dataset, variables: Sequence[str]) -> tuple[Dataset, int]:
+    """Listwise-delete over ``variables``; returns the complete rows and the dropped count."""
+    complete, n_dropped = listwise_complete(data, variables)
+    if complete.n_rows == 0:
+        raise DataError("no complete rows after listwise deletion")
+    return complete, n_dropped
+
+
+def _term_labels(terms: Sequence[Term], with_intercept: bool) -> list[str]:
+    return ["(Intercept)"] * with_intercept + [t.label for t in terms]
+
+
+def _design(complete: Dataset, terms: Sequence[Term], with_intercept: bool) -> tuple[np.ndarray, list[str]]:
+    """The design matrix ``[1 |] terms``, filled column by column in place, and its labels."""
+    labels = _term_labels(terms, with_intercept)
+    x = np.empty((complete.n_rows, len(labels)))
+    if with_intercept:
+        x[:, 0] = 1.0
+    for j, term in enumerate(terms, start=int(with_intercept)):
+        x[:, j] = term.build(complete)
+    return x, labels
+
+
 def _build_design(
     data: Dataset, formula: Formula, with_intercept: bool
 ) -> tuple[np.ndarray, np.ndarray, list[str], int]:
     """Listwise-delete over formula variables, then build (y, X, labels)."""
-    complete, n_dropped = listwise_complete(data, formula.variables())
-    if complete.n_rows == 0:
-        raise DataError("no complete rows after listwise deletion")
-    y = complete.column_values(formula.response)
-    cols: list[np.ndarray] = []
-    labels: list[str] = []
-    if with_intercept:
-        cols.append(np.ones(complete.n_rows))
-        labels.append("(Intercept)")
-    for term in formula.terms:
-        cols.append(term.build(complete))
-        labels.append(term.label)
-    x = np.column_stack(cols) if cols else np.empty((complete.n_rows, 0))
-    return y, x, labels, n_dropped
+    complete, n_dropped = _complete_rows(data, formula.variables())
+    x, labels = _design(complete, formula.terms, with_intercept)
+    return complete.column_values(formula.response), x, labels, n_dropped
 
 
 def _check_rank(x: np.ndarray, labels: Sequence[str], r: np.ndarray) -> None:
     """Raise ``SingularDesignError`` if ``x`` (with QR factor ``r``) lacks full rank."""
-    diag = np.abs(np.diag(r))
+    diag = np.abs(r.diagonal())
     if diag.size and diag.min() < _RANK_TOL * diag.max():
-        # pivoted pass to name the first dependent column
+        # pivoted pass to name the first dependent column; scipy.linalg is
+        # imported here so that a full-rank fit never loads it
+        import scipy.linalg
+
         _, rp, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
         dp = np.abs(np.diag(rp))
         bad = np.nonzero(dp < _RANK_TOL * dp.max())[0]
@@ -257,13 +271,37 @@ def _check_rank(x: np.ndarray, labels: Sequence[str], r: np.ndarray) -> None:
         raise SingularDesignError(f"design matrix is singular at term {term!r}", term=term)
 
 
-def _qr_solve(x: np.ndarray, y: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares via QR; returns (b, Rinv).  Raises on rank deficiency."""
+def _qr_factor(x: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """QR-factor ``x`` once; returns (Q', R^-1), so ``b = R^-1 (Q'y)`` for any response y.
+
+    Raises ``SingularDesignError`` on rank deficiency."""
     q, r = np.linalg.qr(x)
     _check_rank(x, labels, r)
-    rinv = np.linalg.inv(r)
-    b = rinv @ (q.T @ y)
-    return b, rinv
+    return q.T, np.linalg.inv(r)
+
+
+def _least_squares(
+    complete: Dataset, responses: Sequence[str], terms: Sequence[Term], with_intercept: bool
+) -> tuple[np.ndarray, list[str], list[tuple[np.ndarray, np.ndarray, float, np.ndarray]]]:
+    """Gaussian least squares of each response on one design, factored once.
+
+    ``complete`` holds only complete rows.  Returns the design, its labels and,
+    per response, ``(y, b, rss, se)`` with classical standard errors.
+    """
+    x, labels = _design(complete, terms, with_intercept)
+    n, p = x.shape
+    if n <= p:
+        raise DataError(f"need more rows ({n}) than parameters ({p})")
+    qt, rinv = _qr_factor(x, labels)
+    unscaled_var = np.sum(rinv**2, axis=1)
+    fits = []
+    for name in responses:
+        y = complete.column_values(name)
+        b = rinv @ (qt @ y)
+        resid = y - x @ b
+        rss = float(resid @ resid)
+        fits.append((y, b, rss, np.sqrt(unscaled_var * (rss / (n - p)))))
+    return x, labels, fits
 
 
 def _standardized(
@@ -282,19 +320,18 @@ def _standardized(
 
 def fit_ols(data: Dataset, formula: Formula, standardized: bool = True) -> FitResult:
     """Gaussian least squares with classical (t-based) inference."""
-    y, x, labels, n_dropped = _build_design(data, formula, with_intercept=formula.intercept)
+    complete, n_dropped = _complete_rows(data, formula.variables())
+    x, labels, [(y, b, rss, se)] = _least_squares(
+        complete, (formula.response,), formula.terms, formula.intercept
+    )
     n, p = x.shape
-    if n <= p:
-        raise DataError(f"need more rows ({n}) than parameters ({p})")
-    b, rinv = _qr_solve(x, y, labels)
-    fitted = x @ b
-    resid = y - fitted
-    rss = float(resid @ resid)
     df = n - p
     sigma2 = rss / df
-    se = np.sqrt(np.sum(rinv**2, axis=1) * sigma2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stat = np.where(se > 0, b / se, np.inf * np.sign(b))
+    if (se > 0).all():
+        stat = b / se
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stat = np.where(se > 0, b / se, np.inf * np.sign(b))
     pvals = 2.0 * stdtr(df, -np.abs(stat))
     if formula.intercept:
         tss = float(np.sum((y - y.mean()) ** 2))
@@ -353,7 +390,8 @@ def fit_logistic(data: Dataset, formula: Formula) -> FitResult:
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
         z = eta + (y - mu) / w
         sw = np.sqrt(w)
-        b, _ = _qr_solve(x * sw[:, None], z * sw, labels)
+        qt, rinv = _qr_factor(x * sw[:, None], labels)
+        b = rinv @ (qt @ (z * sw))
         eta = x @ b
         new_dev = _binomial_deviance(y, eta)
         mu_new = expit(eta)
@@ -612,15 +650,23 @@ def fit_ordered_logit(data: Dataset, formula: Formula) -> FitResult:
     )
 
 
+_ORDERED = ("ordered", "ordered-logit")
+
+
 def fit(data: Dataset, formula: Formula, family: str = "gaussian") -> FitResult:
     """Dispatch to the family-appropriate fitter."""
     if family in ("gaussian", "identity"):
         return fit_ols(data, formula)
     if family in ("binomial", "binomial-logit", "logit"):
         return fit_logistic(data, formula)
-    if family in ("ordered", "ordered-logit"):
+    if family in _ORDERED:
         return fit_ordered_logit(data, formula)
     raise ParameterError(f"unknown family {family!r}")
+
+
+def fit_terms(formula: Formula, family: str) -> tuple[str, ...]:
+    """The ``terms`` of ``fit(data, formula, family)``; ordered fits have no intercept term."""
+    return tuple(_term_labels(formula.terms, formula.intercept and family not in _ORDERED))
 
 
 def wald_chisq(fit_result: FitResult, term: str) -> tuple[float, float]:
@@ -680,8 +726,8 @@ def collinearity_diagnostics(data: Dataset, formula: Formula) -> CollinearityRep
     for j in range(p):
         others = np.column_stack([ones, np.delete(x, j, axis=1)])
         target = x[:, j]
-        bj, _ = _qr_solve(others, target, ["(Intercept)"] + [l for i, l in enumerate(labels) if i != j])
-        resid = target - others @ bj
+        qt, rinv = _qr_factor(others, ["(Intercept)"] + [l for i, l in enumerate(labels) if i != j])
+        resid = target - others @ (rinv @ (qt @ target))
         tss = float(np.sum((target - target.mean()) ** 2))
         if tss <= 0:
             raise SingularDesignError(f"constant predictor {labels[j]!r}", term=labels[j])

@@ -41,8 +41,16 @@ _NUMERIC_PARAMS = {
 }
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def prevalidated(cls, **fields):
+    """An instance of the frozen spec class ``cls`` built without ``__post_init__``.
+
+    Only for copies of a validated spec that change numeric values and keep
+    its names, kinds and structure, which is all that validation checks.
+    A :class:`ScmSpec` also needs its ``_placeholders`` field.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -174,6 +182,11 @@ class ScmSpec:
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "equations", tuple(self.equations))
         self.validate()
+        # placeholder names in the sources and equations (``n`` aside), found once
+        found: set[str] = set()
+        for part in (*self.sources, *self.equations):
+            found |= part.placeholders()
+        object.__setattr__(self, "_placeholders", frozenset(found))
 
     def validate(self) -> None:
         defined: set[str] = set()
@@ -193,15 +206,10 @@ class ScmSpec:
             defined.add(eq.target)
 
     def placeholders(self) -> set[str]:
-        out: set[str] = {self.n} if isinstance(self.n, str) else set()
-        for src in self.sources:
-            out |= src.placeholders()
-        for eq in self.equations:
-            out |= eq.placeholders()
-        return out
+        return {*self._placeholders, self.n} if isinstance(self.n, str) else set(self._placeholders)
 
     def is_concrete(self) -> bool:
-        return not self.placeholders()
+        return not (self._placeholders or isinstance(self.n, str))
 
     # -- JSON interchange -----------------------------------------------
 

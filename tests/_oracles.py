@@ -233,3 +233,141 @@ class OrderedNllOracle:
         grad = np.concatenate([grad_b, grad_z])
         hess = np.block([[hbb, hbz], [hbz.T, hzz]])
         return grad, hess
+
+
+# Gaussian least squares as it was before the design was factored once per
+# call: one QR per fit, and ``iv_wald`` as two separate fits.
+
+
+def _build_design_oracle(data, formula, with_intercept):
+    """Listwise-delete over formula variables, then build (y, X, labels)."""
+    from biaslab.data import listwise_complete
+    from biaslab.errors import DataError
+
+    complete, n_dropped = listwise_complete(data, formula.variables())
+    if complete.n_rows == 0:
+        raise DataError("no complete rows after listwise deletion")
+    y = complete.column_values(formula.response)
+    cols = []
+    labels = []
+    if with_intercept:
+        cols.append(np.ones(complete.n_rows))
+        labels.append("(Intercept)")
+    for term in formula.terms:
+        cols.append(term.build(complete))
+        labels.append(term.label)
+    x = np.column_stack(cols) if cols else np.empty((complete.n_rows, 0))
+    return y, x, labels, n_dropped
+
+
+def _check_rank_oracle(x, labels, r):
+    """Raise ``SingularDesignError`` if ``x`` (with QR factor ``r``) lacks full rank."""
+    import scipy.linalg
+
+    from biaslab.errors import SingularDesignError
+
+    diag = np.abs(np.diag(r))
+    if diag.size and diag.min() < 1e-10 * diag.max():
+        # pivoted pass to name the first dependent column
+        _, rp, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
+        dp = np.abs(np.diag(rp))
+        bad = np.nonzero(dp < 1e-10 * dp.max())[0]
+        term = labels[piv[bad[0]]] if bad.size else labels[-1]
+        raise SingularDesignError(f"design matrix is singular at term {term!r}", term=term)
+
+
+def _qr_solve_oracle(x, y, labels):
+    """Least squares via QR; returns (b, Rinv).  Raises on rank deficiency."""
+    q, r = np.linalg.qr(x)
+    _check_rank_oracle(x, labels, r)
+    rinv = np.linalg.inv(r)
+    b = rinv @ (q.T @ y)
+    return b, rinv
+
+
+def _standardized_oracle(b, x, y, labels):
+    sy = float(np.std(y, ddof=1))
+    beta = np.zeros_like(b)
+    if sy == 0 or not labels:
+        return beta
+    sx = np.std(x, axis=0, ddof=1)
+    for j, lab in enumerate(labels):
+        if lab != "(Intercept)":
+            beta[j] = b[j] * sx[j] / sy
+    return beta
+
+
+def fit_ols_oracle(data, formula, standardized=True):
+    """Gaussian least squares with classical (t-based) inference."""
+    from scipy.special import stdtr
+
+    from biaslab.errors import DataError
+    from biaslab.regress import FitResult
+
+    y, x, labels, n_dropped = _build_design_oracle(data, formula, with_intercept=formula.intercept)
+    n, p = x.shape
+    if n <= p:
+        raise DataError(f"need more rows ({n}) than parameters ({p})")
+    b, rinv = _qr_solve_oracle(x, y, labels)
+    fitted = x @ b
+    resid = y - fitted
+    rss = float(resid @ resid)
+    df = n - p
+    sigma2 = rss / df
+    se = np.sqrt(np.sum(rinv**2, axis=1) * sigma2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stat = np.where(se > 0, b / se, np.inf * np.sign(b))
+    pvals = 2.0 * stdtr(df, -np.abs(stat))
+    if formula.intercept:
+        tss = float(np.sum((y - y.mean()) ** 2))
+    else:
+        tss = float(y @ y)
+    r2 = 1.0 - rss / tss if tss > 0 else 1.0
+    adj = 1.0 - (1.0 - r2) * (n - (1 if formula.intercept else 0)) / df if df > 0 else float("nan")
+    # ML-convention AIC; comparable only within the gaussian family
+    aic = n * (math.log(2 * math.pi) + math.log(max(rss, 1e-300) / n) + 1) + 2 * (p + 1)
+    return FitResult(
+        family="gaussian",
+        formula=formula,
+        terms=tuple(labels),
+        b=b,
+        se=se,
+        stat=stat,
+        p=pvals,
+        beta=_standardized_oracle(b, x, y, labels) if standardized else np.zeros_like(b),
+        n_used=n,
+        n_dropped=n_dropped,
+        df_residual=df,
+        deviance=rss,
+        null_deviance=tss,
+        aic=aic,
+        r_squared=r2,
+        adj_r_squared=adj,
+        residual_se=math.sqrt(sigma2),
+    )
+
+
+def iv_wald_oracle(data, y, x, instrument, allow_weak=False):
+    """Two bivariate fits (y~in, x~in) and their slope ratio.
+
+    The ratio is withheld (error) when |b_xin| <= 10 * SE(b_xin) unless
+    ``allow_weak`` preserves the divide-then-filter workflow.
+    """
+    from biaslab.causal import IvEstimate
+    from biaslab.errors import DataError, WeakInstrumentError
+    from biaslab.regress import Formula, main
+
+    n_ok = int(np.sum(~(data[y].missing | data[x].missing | data[instrument].missing)))
+    if n_ok < 10:
+        raise DataError(f"instrumental-variable analysis needs n >= 10, have {n_ok}")
+    fy = fit_ols_oracle(data, Formula(y, (main(instrument),)), standardized=False)
+    fx = fit_ols_oracle(data, Formula(x, (main(instrument),)), standardized=False)
+    b_yin, se_yin = fy.coef(instrument), fy.se_of(instrument)
+    b_xin, se_xin = fx.coef(instrument), fx.se_of(instrument)
+    weak = abs(b_xin) <= 10.0 * se_xin
+    if weak and not allow_weak:
+        raise WeakInstrumentError(
+            f"first-stage slope {b_xin:.4g} within 10 SE ({se_xin:.4g}) of zero; ratio withheld"
+        )
+    ratio = b_yin / b_xin if b_xin != 0 else math.inf
+    return IvEstimate(b_yin, se_yin, b_xin, se_xin, ratio, weak=weak)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biaslab.causal import (
     Condition,
@@ -13,7 +15,7 @@ from biaslab.causal import (
     subgroup_effect,
 )
 from biaslab.data import Column, Dataset
-from biaslab.errors import DataError, ValidationError, WeakInstrumentError
+from biaslab.errors import BiaslabError, DataError, ValidationError, WeakInstrumentError
 from biaslab.regress import Formula, fit_ols, main
 from biaslab.rng import RngState, normal_draws
 from biaslab.scm import (
@@ -26,7 +28,7 @@ from biaslab.scm import (
     mvn_exact,
 )
 
-from _oracles import CovOracle
+from _oracles import CovOracle, iv_wald_oracle
 
 
 def normal(name, mean, sd):
@@ -169,6 +171,53 @@ class TestIv:
         )
         with pytest.raises(DataError):
             iv_wald(d, "a", "b", "c")
+
+
+class TestIvMatchesOracle:
+    """``iv_wald`` gives the bits of the two separate fits it replaced."""
+
+    @staticmethod
+    def outcome(*args, **kwargs):
+        try:
+            return iv_wald(*args, **kwargs), iv_wald_oracle(*args, **kwargs)
+        except BiaslabError:
+            pass
+        with pytest.raises(BiaslabError) as got:
+            iv_wald(*args, **kwargs)
+        with pytest.raises(BiaslabError) as want:
+            iv_wald_oracle(*args, **kwargs)
+        return got.value, want.value
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(5, 2000), seed=st.integers(0, 2**32 - 1),
+           strength=st.sampled_from([0.0, 0.01, 1.0, -3.0]),
+           missing=st.sampled_from(["none", "same rows", "different rows", "instrument"]),
+           allow_weak=st.booleans())
+    def test_random_data(self, n, seed, strength, missing, allow_weak):
+        g = np.random.default_rng(seed)
+        inst = g.normal(size=n) * g.uniform(0.1, 10)
+        x = strength * inst + g.normal(size=n)
+        y = 0.7 * x + g.normal(size=n)
+        if missing == "same rows":
+            rows = g.random(n) < 0.2
+            y[rows] = x[rows] = np.nan
+        elif missing == "different rows":
+            y[g.random(n) < 0.2] = np.nan
+            x[g.random(n) < 0.2] = np.nan
+        elif missing == "instrument":
+            inst[g.random(n) < 0.2] = np.nan
+        d = Dataset.from_arrays({"IN": inst, "X": x, "Y": y})
+        got, want = self.outcome(d, "Y", "X", "IN", allow_weak=allow_weak)
+        if isinstance(want, BiaslabError):
+            assert (type(got), str(got)) == (type(want), str(want))
+        else:
+            assert repr(got) == repr(want)
+
+    def test_constant_instrument_raises_the_same_error(self):
+        g = np.random.default_rng(4)
+        d = Dataset.from_arrays({"IN": np.full(40, 2.0), "X": g.normal(size=40), "Y": g.normal(size=40)})
+        got, want = self.outcome(d, "Y", "X", "IN", allow_weak=True)
+        assert (type(got), str(got), got.term) == (type(want), str(want), want.term)
 
 
 class TestMediation:

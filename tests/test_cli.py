@@ -141,6 +141,42 @@ class TestRun:
         assert [os.path.basename(f) for f in run.files] == ["good.json", "good_line.csv"]
         assert sorted(run.skipped_outputs.values()) == ["bad", "bad"]
 
+    @pytest.mark.parametrize("generator, what", [
+        ("scm", "analysis:godo"),        # names no declared analysis
+        ("scm", "fitted_line:corr:x"),   # names an analysis that is not a fit
+        ("scm", "fitted_line:nope:x"),   # names no declared analysis
+        ("scm", "mc"),
+        ("scm", "mc_summary:b"),
+        ("mc", "dataset"),
+        ("mc", "scatter:x:y"),
+    ])
+    def test_bad_output_reference_fails_before_anything_runs(self, tmp_path, generator, what):
+        source = {"name": "x", "kind": "normal", "params": {"mean": 0, "sd": 1}}
+        scm = {"n": 50, "sources": [source],
+               "equations": [{"target": "y", "linear": [["x", 1.0]],
+                              "error": {"coef": 1, "mean": 0, "sd": 1}}]}
+        cfg = {"id": "typo", "seed": 1}
+        if generator == "scm":
+            cfg["scm"] = scm
+            cfg["analyses"] = [{"kind": "fit", "name": "good", "formula": "y ~ x"},
+                               {"kind": "correlation", "name": "corr", "x": "x", "y": "y"}]
+            first = {"what": "analysis:good", "path": "good.json"}
+        else:
+            cfg["mc"] = {"scm": {**scm, "n": "n"}, "n": 20, "reps": 3,
+                         "analysis": [{"kind": "fit", "formula": "y ~ x", "record": {"b": "b:x"}}]}
+            first = {"what": "mc", "path": "loop.csv"}
+        cfg["outputs"] = [first, {"what": what, "path": "bad.out"},
+                          {"what": "mc_summary:b" if generator == "mc" else "dataset",
+                           "path": "last.out"}]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        proc = run_cli("run", "--config", str(p), "--out", str(out))
+        assert proc.returncode == 2
+        assert "outputs[1]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists() or not any(out.iterdir())
+
     def test_io_error_exit_code(self):
         proc = run_cli("run", "--config", "/nonexistent/no.json")
         assert proc.returncode == 4
@@ -159,6 +195,17 @@ class TestRun:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is only needed to name the dependent term of a singular
+    # design, so the command line starts without it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, biaslab.cli; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestConfigRoundTrip:

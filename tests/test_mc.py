@@ -47,6 +47,26 @@ def small_template(reps=20, seed=11):
     )
 
 
+def mixed_template(n, reps=5, seed=31):
+    """Ranged bindings interleaved with lo == hi ones."""
+    scm = ScmSpec(
+        n="n",
+        sources=(SourceSpec("c", "normal", {"mean": "mu_c", "sd": "sd_c"}),),
+        equations=(
+            EquationSpec("x", intercept="k", linear=(("c", "a"),), error=ErrorTerm("e", 0, 1.0)),
+            EquationSpec("y", linear=(("c", "b"), ("x", "g")), error=ErrorTerm(1.0, "mu_y", "sd_y")),
+        ),
+    )
+    bindings = (("mu_c", RangeSpec(0, 0)), ("a", RangeSpec(1, 3)), ("sd_c", RangeSpec(2, 2)),
+                ("k", RangeSpec(-1.5, -1.5)), ("b", RangeSpec(-2, 5)), ("e", RangeSpec(0.5, 1.5)),
+                ("g", RangeSpec(0.25, 0.25)), ("mu_y", RangeSpec(-5, 5)), ("sd_y", RangeSpec(1, 1)))
+    return McTemplate(
+        scm=scm, n=n, bindings=bindings,
+        analysis=(FitStep("y ~ x", (("bxy", "b:x"), ("se_xy", "se:x"), ("r2", "r2"))),),
+        reps=reps, master_seed=seed,
+    )
+
+
 class TestValidation:
     def test_unbound_placeholder_rejected(self):
         scm = ScmSpec(
@@ -73,6 +93,21 @@ class TestValidation:
                 reps=5, master_seed=1,
             )
 
+    def test_unknown_selector_rejected(self):
+        with pytest.raises(ValidationError):
+            FitStep("y ~ x", (("v", "var:x"),))
+        with pytest.raises(ValidationError):
+            FitStep("y ~ x", (("r", "r2:x"),))
+
+    @pytest.mark.parametrize("bound", [{"a": 2.0, "b": -1.0, "sd_c": 1.5}, {"a": 2.0}])
+    def test_bound_spec_equals_a_validated_one(self, bound):
+        spec = small_template().scm
+        got = bind_spec(spec, bound, 40)
+        again = ScmSpec.from_json_dict(got.to_json_dict())
+        assert got == again
+        assert got.placeholders() == again.placeholders()
+        assert got.is_concrete() == again.is_concrete() == (len(bound) == 3)
+
     def test_json_round_trip(self):
         t = small_template()
         again = McTemplate.from_json_dict(t.to_json_dict())
@@ -90,19 +125,25 @@ class TestRunMc:
         assert np.all((n >= 50) & (n <= 200))
 
     def test_rep_equals_hand_run(self):
-        t = small_template(reps=1, seed=77)
-        res = run_mc(t)
-        rec = res.records[0]
-        rng = derive_substream(77, 0)
-        n = t.n.draw_int(rng)
-        values = {name: rs.draw(rng) for name, rs in t.bindings}
-        spec = bind_spec(t.scm, values, n)
-        ds = evaluate_scm(spec, rng)
-        f = fit_ols(ds, Formula("y", (main("x"),)))
-        assert rec["N"] == n
-        assert rec["bxy"] == pytest.approx(f.coef("x"), abs=1e-15)
-        for k, v in values.items():
-            assert rec[k] == v
+        # all bindings ranged; lo == hi bindings between ranged ones, which
+        # consume no draw; the same with a fixed integer n
+        for template in (small_template(reps=4, seed=77), mixed_template(RangeSpec(50, 200)),
+                         mixed_template(120)):
+            res = run_mc(template)
+            for i, rec in enumerate(res.records):
+                rng = derive_substream(template.master_seed, i)
+                n = template.n.draw_int(rng) if isinstance(template.n, RangeSpec) else template.n
+                values = {name: rs.draw(rng) for name, rs in template.bindings}
+                spec = bind_spec(template.scm, values, n)
+                ds = evaluate_scm(spec, rng)
+                f = fit_ols(ds, Formula("y", (main("x"),)))
+                assert rec["N"] == n
+                assert rec["bxy"] == pytest.approx(f.coef("x"), abs=1e-15)
+                assert repr({k: rec[k] for k in values}) == repr(values)
+                hand = {"i": i, "N": n, **values}
+                for step in template.analysis:
+                    hand.update(step.run(ds))
+                assert repr(rec) == repr(hand)
 
     def test_determinism_across_worker_counts(self):
         a = run_mc(small_template(), workers=1)

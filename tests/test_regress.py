@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biaslab.data import Column, Dataset, pearson
 from biaslab.errors import (
+    BiaslabError,
     DataError,
     SeparationWarning,
     SingularDesignError,
@@ -29,6 +32,7 @@ from _oracles import (
     OrderedNllOracle,
     brute_force_logistic,
     brute_force_ordered,
+    fit_ols_oracle,
     normal_equations_ols,
 )
 
@@ -142,6 +146,91 @@ class TestOls:
     def test_insufficient_rows(self):
         with pytest.raises(DataError):
             fit_ols(dataset(x=[1, 2], y=[1, 2]), Formula.parse("y ~ x"))
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of ``fn``, or the biaslab error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except BiaslabError as exc:
+        return exc
+
+
+def assert_same_error(got, want):
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    assert getattr(got, "term", None) == getattr(want, "term", None)
+
+
+def assert_same_fit(got, want):
+    if isinstance(want, BiaslabError):
+        assert_same_error(got, want)
+        return
+    for name in ("b", "se", "stat", "p", "beta"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    # repr tells -0.0 from 0.0 and compares NaN with NaN
+    for name in ("r_squared", "adj_r_squared", "aic", "deviance", "null_deviance", "residual_se"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    assert (got.terms, got.n_used, got.n_dropped, got.df_residual) == (
+        want.terms, want.n_used, want.n_dropped, want.df_residual)
+
+
+class TestOlsMatchesOracle:
+    """``fit_ols`` gives the bits of the one-QR-per-fit code it replaced."""
+
+    _TERMS = {"a": main("a"), "b": main("b"), "c": main("c"),
+              "a:b": Formula.parse("y ~ a:b").terms[0], "b^2": Formula.parse("y ~ b^2").terms[0]}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_designs(self, draw):
+        labels = draw.draw(st.lists(st.sampled_from(sorted(self._TERMS)), min_size=1, max_size=5,
+                                    unique=True))
+        intercept = draw.draw(st.booleans())
+        p = len(labels) + intercept
+        n = draw.draw(st.integers(p + 1, 2000))
+        missing = draw.draw(st.sampled_from([0.0, 0.02, 0.3]))
+        g = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
+        cols = {v: g.normal(size=n) * g.uniform(0.1, 10) + g.normal() for v in "abc"}
+        cols["y"] = 1.5 * cols["a"] - cols["b"] + g.normal(size=n)
+        for v in cols:
+            cols[v][g.random(n) < missing] = np.nan
+        d = Dataset.from_arrays(cols)
+        formula = Formula("y", tuple(self._TERMS[t] for t in labels), intercept=intercept)
+        standardized = draw.draw(st.booleans())
+        assert_same_fit(outcome(fit_ols, d, formula, standardized=standardized),
+                        outcome(fit_ols_oracle, d, formula, standardized=standardized))
+
+    @pytest.mark.parametrize("y, x", [
+        ([2.0, 2, 2, 2], None),
+        ([4.0, 4, 2, 2], [1.0, 1, -1, -1]),
+    ])
+    def test_zero_residual_design(self, y, x):
+        d = dataset(y=y, x=x if x is not None else np.zeros(len(y)))
+        formula = Formula.parse("y ~ x" if x is not None else "y ~ 1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the division by SE 0 stays silent
+            got = fit_ols(d, formula)
+        assert np.isinf(got.stat).any()  # SE 0: the +-inf statistic path
+        assert_same_fit(got, fit_ols_oracle(d, formula))
+
+    @pytest.mark.parametrize("text", ["y ~ a + c", "y ~ a + c + b", "y ~ c + a", "y ~ a + c - 1",
+                                      "y ~ k + a"])
+    def test_collinear_designs_raise_the_same_error(self, text):
+        g = np.random.default_rng(2)
+        a = g.normal(size=50)
+        d = dataset(a=a, b=g.normal(size=50), c=2.0 * a, k=np.full(50, 3.0), y=g.normal(size=50))
+        formula = Formula.parse(text)
+        got = outcome(fit_ols, d, formula)
+        assert isinstance(got, SingularDesignError)
+        assert_same_error(got, outcome(fit_ols_oracle, d, formula))
+
+    def test_too_few_complete_rows(self):
+        d = dataset(a=[1.0, 2, np.nan, 4], y=[1.0, np.nan, 3, 5])
+        for text in ("y ~ a", "y ~ a + a^2"):
+            got = outcome(fit_ols, d, Formula.parse(text))
+            assert isinstance(got, DataError)
+            assert_same_error(got, outcome(fit_ols_oracle, d, Formula.parse(text)))
 
 
 class TestResidualsPredict:
