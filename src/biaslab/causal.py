@@ -205,7 +205,7 @@ def iv_wald(
     slopes = []
     for responses in groups:
         complete, _ = listwise_complete(data, [*responses, instrument])
-        _, _, fits = _least_squares(complete, responses, (main(instrument),), True)
+        _, fits = _least_squares(complete, responses, (main(instrument),), ("(Intercept)", instrument))
         slopes += [(float(b[1]), float(se[1])) for _, b, _, se in fits]
     (b_yin, se_yin), (b_xin, se_xin) = slopes
     weak = abs(b_xin) <= 10.0 * se_xin

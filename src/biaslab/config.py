@@ -79,27 +79,30 @@ def _malformed(path: str, exc: Exception) -> ValidationError:
     return _fail(path, f"malformed ({type(exc).__name__}: {exc})")
 
 
-def _build_generator(kind: str, gen: Mapping, seed: int) -> tuple[Callable, list[str]]:
+def _build_generator(kind: str, gen: Mapping, seed: int) -> tuple[Callable, list[str], list[str]]:
     """Parse a generator payload once.
 
-    Returns ``generate(workers) -> (dataset, mc_result)`` and the columns the
-    generator defines (none for ``mc``, whose scenarios analyse series).
-    A seed embedded in an ``mc`` template or a sampling plan beats ``seed``.
+    Returns ``generate(workers) -> (dataset, mc_result)``, the columns the
+    generator defines (none for ``mc``, whose scenarios analyse series) and
+    the series of its MC result, ``i`` and ``N`` included (none for ``scm``
+    and ``corr``).  A seed embedded in an ``mc`` template or a sampling plan
+    beats ``seed``.
     """
     try:
         if kind == "mc":
             template = mc_mod.McTemplate.from_json_dict({"seed": seed, **gen})
-            return lambda workers: (None, mc_mod.run_mc(template, workers=workers)), []
+            return (lambda workers: (None, mc_mod.run_mc(template, workers=workers)), [],
+                    ["i", "N", *template.series_names()])
         if kind == "corr":
             target, n = CorrTarget.from_json_dict(gen), int(gen["n"])
             return (lambda workers: (mvn_exact(target, n, derive_substream(seed, 0)), None),
-                    list(target.names))
+                    list(target.names), [])
         spec = ScmSpec.from_json_dict(gen["scm"] if kind == "population" else gen)
         if not spec.is_concrete():
             raise _fail(kind, f"placeholders {sorted(spec.placeholders())} are only valid in mc templates")
         columns = [s.name for s in spec.sources] + [e.target for e in spec.equations]
         if kind == "scm":
-            return lambda workers: (evaluate_scm(spec, derive_substream(seed, 0)), None), columns
+            return lambda workers: (evaluate_scm(spec, derive_substream(seed, 0)), None), columns, []
         plan = mc_mod.SamplingPlan.from_json_dict({"seed": (seed + 1) % 2**64, **gen["sampling"]})
     except _MALFORMED as exc:
         raise _malformed(kind, exc) from exc
@@ -108,7 +111,7 @@ def _build_generator(kind: str, gen: Mapping, seed: int) -> tuple[Callable, list
         pop = evaluate_scm(spec, derive_substream(seed, 0))
         return pop, mc_mod.repeated_samples(pop, plan, workers=workers)
 
-    return sample, columns
+    return sample, columns, ["i", "N", *plan.series_names()]
 
 
 # -- analysis kinds ------------------------------------------------------------
@@ -265,7 +268,7 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
     gen = doc[kind]
     if not isinstance(gen, Mapping):
         raise _fail(kind, "must be an object")
-    _, columns = _build_generator(kind, gen, seed if seed is not None else 0)
+    _, columns, series = _build_generator(kind, gen, seed if seed is not None else 0)
     defined = set(columns)
 
     analyses = []
@@ -309,7 +312,7 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
         fmt = o.get("format")
         if fmt is not None and fmt not in ("csv", "json"):
             raise _fail(f"{path}.format", f"must be csv or json, got {fmt!r}")
-        _check_output(f"{path}.what", o["what"], kind, analysis_kinds)
+        _check_output(f"{path}.what", o["what"], kind, analysis_kinds, defined, series)
         outputs.append(dict(o))
 
     return ScenarioConfig(
@@ -326,8 +329,13 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
 _FIT_KINDS = ("fit", "moderated_fit", "subgroup", "outlier_fit")
 
 
-def _check_output(path: str, what: str, gen_kind: str, analyses: Mapping[str, str]) -> None:
-    """Reject an output that could not be written, before anything runs."""
+def _check_output(
+    path: str, what: str, gen_kind: str, analyses: Mapping[str, str], columns: set[str], series: list[str]
+) -> None:
+    """Reject an output that could not be written, before anything runs.
+
+    ``columns`` are the dataset's columns after every analysis has run, and
+    ``series`` the names an MC result answers to."""
     head, _, rest = what.partition(":")
     if head not in ("dataset", "analysis", "mc", "mc_summary", "histogram", "scatter", "fitted_line"):
         raise _fail(path, f"unknown output kind {what!r}")
@@ -338,8 +346,28 @@ def _check_output(path: str, what: str, gen_kind: str, analyses: Mapping[str, st
         raise _fail(path, f"fitted_line needs a declared fit, got {fit_name!r}")
     if head in ("mc", "mc_summary") and gen_kind not in ("mc", "population"):
         raise _fail(path, f"output {head!r} requires an mc or population scenario")
-    if head in ("dataset", "scatter") and gen_kind == "mc":
+    if head in ("dataset", "scatter", "fitted_line") and gen_kind == "mc":
         raise _fail(path, f"output {head!r} requires a dataset scenario")
+    if head == "histogram":
+        name, _, bins = rest.partition(":")
+        try:
+            nbins = int(bins)
+        except ValueError:
+            raise _fail(path, f"histogram bins must be an integer, got {bins!r}") from None
+        if nbins < 1:
+            raise _fail(path, f"histogram bins must be >= 1, got {nbins}")
+        reads = [name]
+    else:
+        first, _, second = rest.partition(":")
+        reads = {"scatter": [first, second], "fitted_line": [second], "mc_summary": [rest]}.get(head, [])
+    # a histogram of an mc or population scenario, like a summary, reads a series
+    if head == "mc_summary" or (head == "histogram" and gen_kind in ("mc", "population")):
+        known, noun = series, "series"
+    else:
+        known, noun = columns, "column"
+    for name in reads:
+        if name not in known:
+            raise _fail(path, f"unknown {noun} {name!r}; have {sorted(known)}")
 
 
 def _json_list(doc: Mapping, field: str) -> list:
@@ -397,7 +425,7 @@ def run_scenario(
     exit status from ``analysis_errors`` and ``skipped_outputs``.
     """
     eff_seed = _effective_seed(cfg, seed)
-    generate, _ = _build_generator(cfg.generator_kind, cfg.generator, eff_seed)
+    generate, _, _ = _build_generator(cfg.generator_kind, cfg.generator, eff_seed)
     data, mc_result = generate(workers)
     artifacts: dict[str, Any] = {}
     errors: dict[str, str] = {}

@@ -30,10 +30,6 @@ class Column:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1:
             raise ValidationError(f"column {self.name!r} must be 1-dimensional")
-        if self.missing is False:  # caller guarantees no NaN cells
-            self.values = vals
-            self.missing = np.zeros(vals.shape, dtype=bool)
-            return
         if self.missing is None:
             miss = np.isnan(vals)
         else:
@@ -76,12 +72,9 @@ class Dataset:
         self.n_rows = lengths.pop() if lengths else 0
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], clean: bool = False) -> "Dataset":
-        """Build from name->vector; ``clean`` asserts no cell is missing."""
-        return cls(
-            Column(name, np.asarray(v, dtype=float), missing=False if clean else None)
-            for name, v in arrays.items()
-        )
+    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "Dataset":
+        """Build from name->vector; NaN cells are missing."""
+        return cls(Column(name, np.asarray(v, dtype=float)) for name, v in arrays.items())
 
     @property
     def names(self) -> list[str]:
@@ -105,10 +98,27 @@ class Dataset:
         cols.append(col)
         return Dataset(cols)
 
+    @classmethod
+    def _trusted(cls, n_rows: int, columns: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> "Dataset":
+        """A dataset over arrays that are valid by construction, built without checks or copies.
+
+        Each ``(name, values, missing)`` holds a unique name, 1-D float64
+        ``values`` of length ``n_rows`` and a bool ``missing`` of the same shape
+        that flags its NaN cells.  Only for arrays the caller has just built,
+        or gathered from a valid dataset.
+        """
+        ds = object.__new__(cls)
+        ds._cols = {}
+        for name, values, missing in columns:
+            col = object.__new__(Column)
+            col.name, col.values, col.missing = name, values, missing
+            ds._cols[name] = col
+        ds.n_rows = n_rows
+        return ds
+
     def select_rows(self, index: np.ndarray) -> "Dataset":
-        return Dataset(
-            Column(c.name, c.values[index], c.missing[index]) for c in self._cols.values()
-        )
+        cols = [(c.name, c.values[index], c.missing[index]) for c in self._cols.values()]
+        return Dataset._trusted(len(cols[0][1]) if cols else 0, cols)
 
     def columns(self) -> list[Column]:
         return list(self._cols.values())
@@ -313,7 +323,7 @@ class ListwiseResult(NamedTuple):
 def listwise_complete(data: Dataset, variables: Sequence[str]) -> ListwiseResult:
     """Drop rows with any missing value among ``variables``."""
     cols = [data[name] for name in variables]
-    if not any(c.missing.any() for c in cols):
+    if not any(np.count_nonzero(c.missing) for c in cols):
         return ListwiseResult(data, 0)
     keep = np.ones(data.n_rows, dtype=bool)
     for c in cols:
@@ -336,6 +346,8 @@ def _format_cell(v: float, missing: bool) -> str:
             return str(int(v))
     except OverflowError:  # ±inf
         pass
+    except ValueError:  # an unflagged NaN writes as missing too
+        return ""
     return repr(float(v))
 
 

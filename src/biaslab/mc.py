@@ -32,7 +32,7 @@ import numpy as np
 from .causal import _OPS, iv_wald, RowFilter
 from .data import Column, Dataset, balance_diff, quantile_type7
 from .errors import BiaslabError, DataError, ParameterError, ValidationError
-from .regress import Formula, fit, fit_terms
+from .regress import Formula, fit, fit_ols, fit_terms
 from .rng import RngState, derive_substream, sample_indices
 from .scm import EquationSpec, ErrorTerm, GroupError, ScmSpec, SourceSpec, evaluate_scm, prevalidated
 
@@ -90,8 +90,6 @@ class FitStep:
 
     def run(self, data: Dataset) -> dict[str, float]:
         if self.family == "gaussian":
-            from .regress import fit_ols
-
             f = fit_ols(data, self._parsed, standardized=self._wants_beta)
         else:
             f = fit(data, self._parsed, family=self.family)
@@ -233,21 +231,29 @@ class McTemplate:
         # binding draws, compiled once: a lo == hi binding is its value and
         # consumes no draw; the ranged ones are drawn by one vector uniform
         ranged = [j for j, (_, r) in enumerate(self.bindings) if r.lo != r.hi]
+        for j in ranged:
+            name, r = self.bindings[j]
+            if not math.isfinite(float(r.hi) - float(r.lo)):
+                raise ValidationError(f"binding {name!r}: range [{r.lo}, {r.hi}] is not finite")
+        lo = np.array([self.bindings[j][1].lo for j in ranged], dtype=float)
+        hi = np.array([self.bindings[j][1].hi for j in ranged], dtype=float)
         object.__setattr__(self, "_names", tuple(bound))
         object.__setattr__(self, "_fixed_values", [float(r.lo) for _, r in self.bindings])
         object.__setattr__(self, "_ranged", ranged)
-        object.__setattr__(self, "_lo", np.array([self.bindings[j][1].lo for j in ranged], dtype=float))
-        object.__setattr__(self, "_hi", np.array([self.bindings[j][1].hi for j in ranged], dtype=float))
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_width", hi - lo)
 
     def draw_bindings(self, rng: RngState) -> dict[str, float]:
         """One value per binding, in declaration order.
 
         The same values, from the same stream positions, as
-        ``RangeSpec.draw`` called for each binding in turn.
+        ``RangeSpec.draw`` called for each binding in turn: ``uniform(lo, hi)``
+        is ``lo + (hi - lo) * u`` for one ``random()`` draw ``u``.
         """
         values = list(self._fixed_values)
         if self._ranged:
-            for j, v in zip(self._ranged, rng.generator.uniform(self._lo, self._hi).tolist()):
+            u = rng.generator.random(len(self._ranged))
+            for j, v in zip(self._ranged, (self._lo + self._width * u).tolist()):
                 values[j] = v
         return dict(zip(self._names, values))
 

@@ -89,14 +89,18 @@ class Formula:
         dupes = {x for x in labels if labels.count(x) > 1}
         if dupes:
             raise ValidationError(f"duplicate terms in formula: {sorted(dupes)}")
-
-    def variables(self) -> list[str]:
         seen: list[str] = [self.response]
         for t in self.terms:
             for v in t.variables():
                 if v not in seen:
                     seen.append(v)
-        return seen
+        # found once: the variables listwise deletion reads and the labels of
+        # the design ``[1 |] terms``
+        object.__setattr__(self, "_variables", tuple(seen))
+        object.__setattr__(self, "_labels", tuple(_term_labels(self.terms, self.intercept)))
+
+    def variables(self) -> list[str]:
+        return list(self._variables)
 
     def text(self) -> str:
         rhs = " + ".join(t.label for t in self.terms) if self.terms else "1"
@@ -236,30 +240,34 @@ def _term_labels(terms: Sequence[Term], with_intercept: bool) -> list[str]:
     return ["(Intercept)"] * with_intercept + [t.label for t in terms]
 
 
-def _design(complete: Dataset, terms: Sequence[Term], with_intercept: bool) -> tuple[np.ndarray, list[str]]:
-    """The design matrix ``[1 |] terms``, filled column by column in place, and its labels."""
-    labels = _term_labels(terms, with_intercept)
+def _design(complete: Dataset, terms: Sequence[Term], labels: Sequence[str]) -> np.ndarray:
+    """The design matrix ``[1 |] terms`` with columns ``labels``, filled column by column in place.
+
+    ``labels`` has ``(Intercept)`` first when the design has an intercept column."""
     x = np.empty((complete.n_rows, len(labels)))
-    if with_intercept:
+    first = len(labels) - len(terms)  # 1 with an intercept column, else 0
+    if first:
         x[:, 0] = 1.0
-    for j, term in enumerate(terms, start=int(with_intercept)):
+    for j, term in enumerate(terms, start=first):
         x[:, j] = term.build(complete)
-    return x, labels
+    return x
 
 
 def _build_design(
     data: Dataset, formula: Formula, with_intercept: bool
 ) -> tuple[np.ndarray, np.ndarray, list[str], int]:
     """Listwise-delete over formula variables, then build (y, X, labels)."""
-    complete, n_dropped = _complete_rows(data, formula.variables())
-    x, labels = _design(complete, formula.terms, with_intercept)
+    complete, n_dropped = _complete_rows(data, formula._variables)
+    labels = _term_labels(formula.terms, with_intercept)
+    x = _design(complete, formula.terms, labels)
     return complete.column_values(formula.response), x, labels, n_dropped
 
 
 def _check_rank(x: np.ndarray, labels: Sequence[str], r: np.ndarray) -> None:
     """Raise ``SingularDesignError`` if ``x`` (with QR factor ``r``) lacks full rank."""
-    diag = np.abs(r.diagonal())
-    if diag.size and diag.min() < _RANK_TOL * diag.max():
+    diag = np.abs(r.diagonal()).tolist()
+    # a NaN on the diagonal (NaN data) never raises; Python's min/max would skip it
+    if diag and min(diag) < _RANK_TOL * max(diag) and not any(map(math.isnan, diag)):
         # pivoted pass to name the first dependent column; scipy.linalg is
         # imported here so that a full-rank fit never loads it
         import scipy.linalg
@@ -281,19 +289,20 @@ def _qr_factor(x: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.nda
 
 
 def _least_squares(
-    complete: Dataset, responses: Sequence[str], terms: Sequence[Term], with_intercept: bool
-) -> tuple[np.ndarray, list[str], list[tuple[np.ndarray, np.ndarray, float, np.ndarray]]]:
+    complete: Dataset, responses: Sequence[str], terms: Sequence[Term], labels: Sequence[str]
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, float, np.ndarray]]]:
     """Gaussian least squares of each response on one design, factored once.
 
-    ``complete`` holds only complete rows.  Returns the design, its labels and,
-    per response, ``(y, b, rss, se)`` with classical standard errors.
+    ``complete`` holds only complete rows; the design is ``[1 |] terms`` with
+    columns ``labels`` (see :func:`_design`).  Returns the design and, per
+    response, ``(y, b, rss, se)`` with classical standard errors.
     """
-    x, labels = _design(complete, terms, with_intercept)
+    x = _design(complete, terms, labels)
     n, p = x.shape
     if n <= p:
         raise DataError(f"need more rows ({n}) than parameters ({p})")
     qt, rinv = _qr_factor(x, labels)
-    unscaled_var = np.sum(rinv**2, axis=1)
+    unscaled_var = np.add.reduce(rinv**2, axis=1)
     fits = []
     for name in responses:
         y = complete.column_values(name)
@@ -301,7 +310,7 @@ def _least_squares(
         resid = y - x @ b
         rss = float(resid @ resid)
         fits.append((y, b, rss, np.sqrt(unscaled_var * (rss / (n - p)))))
-    return x, labels, fits
+    return x, fits
 
 
 def _standardized(
@@ -320,21 +329,21 @@ def _standardized(
 
 def fit_ols(data: Dataset, formula: Formula, standardized: bool = True) -> FitResult:
     """Gaussian least squares with classical (t-based) inference."""
-    complete, n_dropped = _complete_rows(data, formula.variables())
-    x, labels, [(y, b, rss, se)] = _least_squares(
-        complete, (formula.response,), formula.terms, formula.intercept
-    )
+    complete, n_dropped = _complete_rows(data, formula._variables)
+    labels = formula._labels
+    x, [(y, b, rss, se)] = _least_squares(complete, (formula.response,), formula.terms, labels)
     n, p = x.shape
     df = n - p
     sigma2 = rss / df
-    if (se > 0).all():
+    if all(v > 0 for v in se.tolist()):
         stat = b / se
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             stat = np.where(se > 0, b / se, np.inf * np.sign(b))
     pvals = 2.0 * stdtr(df, -np.abs(stat))
+    # np.add.reduce is the reduction np.sum and ndarray.mean make, with their bits
     if formula.intercept:
-        tss = float(np.sum((y - y.mean()) ** 2))
+        tss = float(np.add.reduce((y - np.add.reduce(y) / n) ** 2))
     else:
         tss = float(y @ y)
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
@@ -344,12 +353,12 @@ def fit_ols(data: Dataset, formula: Formula, standardized: bool = True) -> FitRe
     return FitResult(
         family="gaussian",
         formula=formula,
-        terms=tuple(labels),
+        terms=labels,
         b=b,
         se=se,
         stat=stat,
         p=pvals,
-        beta=_standardized(b, x, y, labels) if standardized else np.zeros_like(b),
+        beta=_standardized(b, x, y, labels) if standardized else np.zeros(p),
         n_used=n,
         n_dropped=n_dropped,
         df_residual=df,

@@ -67,7 +67,9 @@ class ErrorTerm:
     def draw(self, rng: RngState, n: int) -> np.ndarray:
         if self.sd < 0:
             raise ValidationError(f"error term sd must be >= 0, got {self.sd}")
-        return self.scale_coef * rng.generator.normal(self.mean, self.sd, n)
+        e = rng.generator.normal(self.mean, self.sd, n)
+        e *= self.scale_coef
+        return e
 
 
 @dataclass(frozen=True)
@@ -292,7 +294,8 @@ def evaluate_scm(spec: ScmSpec, rng: RngState) -> Dataset:
     for src in spec.sources:
         cols[src.name] = src.generate(rng, n)
     for eq in spec.equations:
-        y = np.full(n, float(eq.intercept))
+        y = np.empty(n)
+        y.fill(float(eq.intercept))
         for s, c in eq.linear:
             y += c * cols[s]
         for a, b, c in eq.interactions:
@@ -319,7 +322,8 @@ def evaluate_scm(spec: ScmSpec, rng: RngState) -> Dataset:
                 if idx.size:
                     y[idx] += levels[level].draw(rng, idx.size)
         cols[eq.target] = y
-    return Dataset.from_arrays(cols, clean=True)
+    # arithmetic that overflows leaves NaN cells, which are missing like any other
+    return Dataset._trusted(n, ((name, v, np.isnan(v)) for name, v in cols.items()))
 
 
 @dataclass(frozen=True)
@@ -389,7 +393,8 @@ def mvn_exact(target: CorrTarget, n: int, rng: RngState) -> Dataset:
         color = U @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ U.T
         x = z @ color
     x = x * target.sds + target.means
-    return Dataset.from_arrays({name: x[:, j] for j, name in enumerate(target.names)}, clean=True)
+    cols = {name: x[:, j] for j, name in enumerate(target.names)}
+    return Dataset._trusted(n, ((name, v, np.isnan(v)) for name, v in cols.items()))
 
 
 def clamped_integer_normal(

@@ -299,14 +299,14 @@ def test_criterion_05_quadrant_sign_laws():
         tpl = McTemplate.from_json_dict(
             confounder_template(sx, sy, n=10_000, reps=reps, seed=1992, effect_lo=5.0)
         )
-        res = run_mc(tpl)
+        res = run_mc(tpl, workers=2)
         bxy = res.series("bxy")
         ok = np.sign(bxy) == (1 if sx * sy > 0 else -1)
         rates[f"confounder {sx:+d}{sy:+d}"] = ok.mean()
         tpl = McTemplate.from_json_dict(
             collider_template(sx, sy, n=10_000, reps=reps, seed=1992, effect_lo=5.0)
         )
-        res = run_mc(tpl)
+        res = run_mc(tpl, workers=2)
         adj = res.series("bxy_adj")
         ok = np.sign(adj) == (-1 if sx * sy > 0 else 1)
         rates[f"collider {sx:+d}{sy:+d}"] = ok.mean()
@@ -432,7 +432,7 @@ def test_criterion_09_iv_misidentification_ordering():
     raw_r = 0.0
     for variant in ("valid", "causes-confounder", "correlated-confounder", "direct", "indirect"):
         tpl = McTemplate.from_json_dict(iv_template(variant, reps=reps, seed=1992))
-        res = run_mc(tpl)
+        res = run_mc(tpl, workers=2)
         kept = filter_replicates(res, [("IN_byx", ">=", 0.0)])  # the anomaly filter
         diff = np.abs(kept.series("IN_byx") - kept.series("M1_byx"))
         medians[variant] = float(np.median(diff))

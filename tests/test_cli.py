@@ -149,6 +149,15 @@ class TestRun:
         ("scm", "mc_summary:b"),
         ("mc", "dataset"),
         ("mc", "scatter:x:y"),
+        ("scm", "scatter:x:yy"),          # unknown column
+        ("scm", "fitted_line:good:zz"),   # unknown column
+        ("scm", "histogram:zz:10"),       # unknown column
+        ("scm", "histogram:x:abc"),       # bins not an integer
+        ("scm", "histogram:x"),           # bins missing
+        ("scm", "histogram:x:0"),         # bins below 1
+        ("mc", "mc_summary:zz"),          # unknown series
+        ("mc", "histogram:zz:10"),        # unknown series
+        ("mc", "histogram:b:-2"),         # bins below 1
     ])
     def test_bad_output_reference_fails_before_anything_runs(self, tmp_path, generator, what):
         source = {"name": "x", "kind": "normal", "params": {"mean": 0, "sd": 1}}
@@ -176,6 +185,27 @@ class TestRun:
         assert "outputs[1]" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists() or not any(out.iterdir())
+
+    def test_nan_cell_writes_as_missing(self, tmp_path):
+        # x^2 overflows to inf for sd 1e300, and inf - inf is NaN
+        cfg = {
+            "id": "overflow",
+            "seed": 1,
+            "scm": {"n": 5, "sources": [{"name": "x", "kind": "normal",
+                                         "params": {"mean": 0, "sd": 1e300}}],
+                    "equations": [{"target": "y", "squares": [["x", 1.0]]},
+                                  {"target": "z", "linear": [["y", 1.0], ["y", -1.0]]}]},
+            "outputs": [{"what": "dataset", "path": "d.csv"}],
+        }
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        proc = run_cli("run", "--config", str(p), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        rows = (out / "d.csv").read_text().splitlines()
+        assert rows[0] == "x,y,z" and len(rows) == 6
+        assert all(row.endswith(",inf,") for row in rows[1:])
 
     def test_io_error_exit_code(self):
         proc = run_cli("run", "--config", "/nonexistent/no.json")

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from biaslab import config
+from biaslab.catalog import catalog_config
 from biaslab.config import parse_config, run_scenario
 from biaslab.errors import ValidationError
 
@@ -88,6 +89,7 @@ def _every_kind_config() -> dict:
         {"what": "scatter:X:Y", "path": "scatter.csv"},
         {"what": "fitted_line:fit:X", "path": "line.csv"},
         {"what": "histogram:Y:10", "path": "hist.csv"},
+        {"what": "histogram:M_hi:2", "path": "hist_added.csv"},  # a column recode adds
     ]
     return {"id": "every-kind", "seed": 11, "scm": _SCM, "analyses": analyses, "outputs": outputs}
 
@@ -127,6 +129,7 @@ class TestEveryAnalysisKind:
         hist = lines("hist.csv")
         assert hist[0] == "lo,hi,count" and len(hist) == 11
         assert sum(int(row.rsplit(",", 1)[1]) for row in hist[1:]) == 200
+        assert sum(int(row.rsplit(",", 1)[1]) for row in lines("hist_added.csv")[1:]) == 200
 
 
 def _cli_run_config(tmp_path, cfg):
@@ -182,6 +185,16 @@ def test_malformed_analysis_error_names_its_path():
 def test_unknown_column_is_rejected_at_parse_time(analysis):
     with pytest.raises(ValidationError, match="unknown column 'nope'"):
         parse_config(_scm_config(analysis))
+
+
+@pytest.mark.parametrize("ident, whats", [
+    ("entry8-collider-pp-mc", ["histogram:N:4", "mc_summary:i", "histogram:b_xc:3", "mc_summary:bxy_adj"]),
+    ("entry5-sampling-random", ["histogram:i:2", "mc_summary:N", "histogram:slope:5", "scatter:EP:SIEM"]),
+])
+def test_outputs_may_name_every_series(ident, whats):
+    doc = catalog_config(ident)
+    doc["outputs"] = [{"what": w, "path": f"out{k}"} for k, w in enumerate(whats)]
+    assert [o["what"] for o in parse_config(doc).outputs] == whats
 
 
 def test_unknown_column_exits_2(tmp_path):

@@ -218,6 +218,17 @@ class TestListwise:
         assert dropped == 0 and out.n_rows == 3
 
 
+@pytest.mark.parametrize("index", [np.array([True, False, True, True]), np.array([3, 0, 3])])
+def test_select_rows_gathers_values_and_missing_flags(index):
+    d = Dataset([col([1, np.nan, 3, np.nan], name="a"), col([5, 6, 7, 8], [0, 1, 0, 0], name="b")])
+    out = d.select_rows(index)
+    assert out.names == ["a", "b"] and out.n_rows == len(out["a"].values)
+    for name in d.names:
+        want = Column(name, d[name].values[index], d[name].missing[index])
+        assert repr(out[name].values) == repr(want.values)
+        assert out[name].missing.tolist() == want.missing.tolist()
+
+
 class TestCsv:
     def test_round_trip_identity(self, tmp_path):
         s = RngState(21)

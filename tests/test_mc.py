@@ -1,14 +1,19 @@
 import math
 import multiprocessing.queues
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from biaslab import causal, rng, scm
+from biaslab.catalog import collider_template, iv_template
 from biaslab.causal import Condition, RowFilter
 from biaslab.data import Dataset
 from biaslab.errors import DataError, ValidationError
 from biaslab.mc import (
     FitStep,
+    IvStep,
     McTemplate,
     RangeSpec,
     SamplingPlan,
@@ -113,6 +118,33 @@ class TestValidation:
         again = McTemplate.from_json_dict(t.to_json_dict())
         assert again.to_json_dict() == t.to_json_dict()
         assert again.hash() == t.hash()
+
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (0.0, math.inf), (-math.inf, 0.0),
+                                        (math.nan, 1.0)])
+    def test_non_finite_binding_range_rejected(self, lo, hi):
+        t = small_template()
+        bindings = (("a", RangeSpec(lo, hi)), *t.bindings[1:])
+        with pytest.raises(ValidationError, match="binding 'a'"):
+            McTemplate(scm=t.scm, n=t.n, bindings=bindings, analysis=t.analysis, reps=2,
+                       master_seed=1)
+
+    def test_binding_draws_equal_scalar_uniform_draws(self):
+        # ranges of assorted widths, signs and magnitudes, some of them lo == hi
+        g = np.random.default_rng(12)
+        lo = g.normal(0.0, 1.0, 40) * 10.0 ** g.integers(-300, 300, 40)
+        hi = lo + np.abs(g.normal(0.0, 1.0, 40)) * 10.0 ** g.integers(-300, 300, 40)
+        hi[::7] = lo[::7]
+        names = tuple(f"p{j}" for j in range(40))
+        scm_spec = ScmSpec(n="n", sources=tuple(
+            SourceSpec(name, "normal", {"mean": name, "sd": 1.0}) for name in names))
+        t = McTemplate(scm=scm_spec, n=10,
+                       bindings=tuple((name, RangeSpec(float(a), float(b)))
+                                      for name, a, b in zip(names, lo, hi)),
+                       analysis=(), reps=1, master_seed=1)
+        for i in range(50):
+            state = derive_substream(8, i)
+            scalar = {name: r.draw(state) for name, r in t.bindings}
+            assert repr(t.draw_bindings(derive_substream(8, i))) == repr(scalar)
 
 
 class TestRunMc:
@@ -307,6 +339,73 @@ class TestReplicateRunner:
             assert rec["N"] <= 3 and 1 <= rec["a"] <= 2
             assert math.isnan(rec["bx"])
             assert msg.startswith("DataError: ")
+
+
+# The boundaries whose calls the benchmark's traced runs time (bench/tracing.py):
+# a function is swapped wherever a biaslab module holds it, a method on its
+# class.  The per-layer split is only right if every replicate still calls each
+# one, and through those names.
+_TRACED_FUNCTIONS = {
+    "derive_substream": rng.derive_substream,
+    "sample_indices": rng.sample_indices,
+    "bind_spec": bind_spec,
+    "evaluate_scm": scm.evaluate_scm,
+    "fit_ols": fit_ols,
+    "iv_wald": causal.iv_wald,
+}
+_TRACED_METHODS = {
+    "RangeSpec.draw_int": (RangeSpec, "draw_int"),
+    "FitStep.run": (FitStep, "run"),
+    "IvStep.run": (IvStep, "run"),
+    "Dataset.select_rows": (Dataset, "select_rows"),
+}
+
+
+@pytest.fixture
+def boundary_calls(monkeypatch) -> Counter:
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {id(fn): counted(name, fn) for name, fn in _TRACED_FUNCTIONS.items()}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "biaslab" or mod_name.startswith("biaslab."):
+            for attr, value in list(vars(mod).items()):
+                if id(value) in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[id(value)])
+    for name, (cls, attr) in _TRACED_METHODS.items():
+        monkeypatch.setattr(cls, attr, counted(name, vars(cls)[attr]))
+    return calls
+
+
+@pytest.mark.parametrize("loop", ["collider", "iv", "sampling"])
+def test_each_traced_boundary_is_called_per_replicate(boundary_calls, loop):
+    reps = 5
+    if loop == "sampling":
+        g = np.random.default_rng(3).normal(size=400)
+        pop = Dataset.from_arrays({"g": g, "y": 2.0 * g + np.random.default_rng(4).normal(size=400)})
+        plan = SamplingPlan(k=50, reps=reps, analysis=(FitStep("y ~ g", (("slope", "b:g"),)),),
+                            master_seed=2)
+        res = repeated_samples(pop, plan)
+        per_rep = ["derive_substream", "sample_indices", "Dataset.select_rows"]
+        steps = plan.analysis
+    else:
+        doc = collider_template if loop == "collider" else lambda **kw: iv_template("valid", **kw)
+        template = McTemplate.from_json_dict(doc(reps=reps, seed=3))
+        res = run_mc(template)
+        per_rep = ["derive_substream", "RangeSpec.draw_int", "bind_spec", "evaluate_scm"]
+        steps = template.analysis
+    assert res.errors == {}
+    fits = sum(isinstance(s, FitStep) for s in steps)
+    ivs = sum(isinstance(s, IvStep) for s in steps)
+    expected = Counter({name: reps for name in per_rep})
+    expected.update({"fit_ols": fits * reps, "FitStep.run": fits * reps,
+                     "iv_wald": ivs * reps, "IvStep.run": ivs * reps})
+    assert +expected == boundary_calls
 
 
 class TestAggregation:
