@@ -27,6 +27,12 @@ _OPS = {
 }
 
 
+def _holds(values: np.ndarray, op: str, value: float) -> np.ndarray:
+    """Where ``values op value`` holds; a NaN cell fails every op, ``!=`` included."""
+    with np.errstate(invalid="ignore"):
+        return ~np.isnan(values) & _OPS[op](values, value)
+
+
 @dataclass(frozen=True)
 class Condition:
     var: str
@@ -50,9 +56,7 @@ class RowFilter:
     def mask(self, data: Dataset) -> np.ndarray:
         keep = np.ones(data.n_rows, dtype=bool)
         for c in self.conditions:
-            col = data[c.var]
-            with np.errstate(invalid="ignore"):
-                keep &= ~col.missing & _OPS[c.op](col.values, c.value)
+            keep &= _holds(data.column_values(c.var), c.op, c.value)
         return keep
 
     def to_json_list(self) -> list[dict]:
@@ -197,15 +201,19 @@ def iv_wald(
     |b_xin| <= 10 * SE(b_xin) unless ``allow_weak`` preserves the
     divide-then-filter workflow.
     """
-    miss_y, miss_x, miss_in = data[y].missing, data[x].missing, data[instrument].missing
-    n_ok = int(np.sum(~(miss_y | miss_x | miss_in)))
-    if n_ok < 10:
-        raise DataError(f"instrumental-variable analysis needs n >= 10, have {n_ok}")
-    groups = [(y, x)] if np.array_equal(miss_y | miss_in, miss_x | miss_in) else [(y,), (x,)]
+    complete, n_dropped = listwise_complete(data, [y, x, instrument])
+    if complete.n_rows < 10:
+        raise DataError(f"instrumental-variable analysis needs n >= 10, have {complete.n_rows}")
+    groups = [(complete, (y, x))]
+    if n_dropped:
+        # each response keeps the rows complete in it and the instrument; they
+        # are the joint rows unless y and x are missing on different rows
+        own = [(listwise_complete(data, [v, instrument]).data, (v,)) for v in (y, x)]
+        if any(rows.n_rows != complete.n_rows for rows, _ in own):
+            groups = own
     slopes = []
-    for responses in groups:
-        complete, _ = listwise_complete(data, [*responses, instrument])
-        _, fits = _least_squares(complete, responses, (main(instrument),), ("(Intercept)", instrument))
+    for rows, responses in groups:
+        _, fits = _least_squares(rows, responses, (main(instrument),), ("(Intercept)", instrument))
         slopes += [(float(b[1]), float(se[1])) for _, b, _, se in fits]
     (b_yin, se_yin), (b_xin, se_xin) = slopes
     weak = abs(b_xin) <= 10.0 * se_xin

@@ -197,7 +197,7 @@ def _correlation(a: Mapping) -> _Built:
 
     def run(data: Dataset) -> dict:
         xcol, ycol = data[a["x"]], data[a["y"]]
-        n_used = int((~(xcol.missing | ycol.missing)).sum())
+        n_used = int((~(np.isnan(xcol.values) | np.isnan(ycol.values))).sum())
         return {"method": method, "x": a["x"], "y": a["y"], "r": corr(xcol, ycol), "n_used": n_used}
 
     return [a["x"], a["y"]], None, _unchanged(run)
@@ -505,10 +505,7 @@ def _write_output(
         if mc_result is not None:
             bins = mc_mod.histogram(mc_result, series, int(nbins))
         else:
-            col = data[series]  # type: ignore[index]
-            fake = mc_mod.McResult((series,), [{"i": i, "N": 0, series: v}
-                                               for i, v in enumerate(col.values)], {}, "", 0)
-            bins = mc_mod.histogram(fake, series, int(nbins))
+            bins = mc_mod.value_histogram(data.column_values(series), series, int(nbins))  # type: ignore[union-attr]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["lo", "hi", "count"])
@@ -532,7 +529,7 @@ def _write_output(
                     Column(v, np.full(100, float(np.nanmean(data.column_values(v)))))  # type: ignore[union-attr]
                 )
         yhat = predict(fit_res, grid_data)
-        write_csv(Dataset([grid_data[xname], Column("fitted", yhat.values, yhat.missing)]), path)
+        write_csv(Dataset([grid_data[xname], Column("fitted", yhat.values)]), path)
         return
     if head == "mc_summary":
         artifact, chosen = mc_mod.summarize_series(mc_result, rest), "json"

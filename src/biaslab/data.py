@@ -1,7 +1,8 @@
 """Tabular data model and descriptive statistics.
 
-Columns are named float vectors with explicit per-cell missingness.  Every
-statistic excludes missing cells and reports how many were excluded.
+Columns are named float vectors, and a NaN cell is a missing cell: NaN is
+the only missing marker, while ±inf is a value.  Every statistic excludes
+missing cells and reports how many were excluded.
 Quantiles use type-7 (order-statistic interpolation at ``h = (n-1)p + 1``),
 matching the cutpoint semantics the measurement recodes depend on.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -20,41 +21,27 @@ from .errors import DataError, ParameterError, ValidationError
 
 @dataclass
 class Column:
-    """A named numeric column with an explicit missingness mask."""
+    """A named float column; its NaN cells are its missing cells."""
 
     name: str
     values: np.ndarray
-    missing: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1:
             raise ValidationError(f"column {self.name!r} must be 1-dimensional")
-        if self.missing is None:
-            miss = np.isnan(vals)
-        else:
-            miss = np.asarray(self.missing, dtype=bool)
-            if miss.shape != vals.shape:
-                raise ValidationError(
-                    f"column {self.name!r}: values and missing flags differ in length"
-                )
-            miss = miss | np.isnan(vals)
-        if miss.any():
-            vals = vals.copy()
-            vals[miss] = np.nan
         self.values = vals
-        self.missing = miss
 
     def __len__(self) -> int:
         return len(self.values)
 
     @property
     def n_missing(self) -> int:
-        return int(self.missing.sum())
+        return int(np.count_nonzero(np.isnan(self.values)))
 
     def present(self) -> np.ndarray:
         """Values with missing cells removed."""
-        return self.values[~self.missing]
+        return self.values[~np.isnan(self.values)]
 
 
 class Dataset:
@@ -99,25 +86,24 @@ class Dataset:
         return Dataset(cols)
 
     @classmethod
-    def _trusted(cls, n_rows: int, columns: Iterable[tuple[str, np.ndarray, np.ndarray]]) -> "Dataset":
+    def _trusted(cls, n_rows: int, columns: Iterable[tuple[str, np.ndarray]]) -> "Dataset":
         """A dataset over arrays that are valid by construction, built without checks or copies.
 
-        Each ``(name, values, missing)`` holds a unique name, 1-D float64
-        ``values`` of length ``n_rows`` and a bool ``missing`` of the same shape
-        that flags its NaN cells.  Only for arrays the caller has just built,
-        or gathered from a valid dataset.
+        Each ``(name, values)`` holds a unique name and 1-D float64 ``values``
+        of length ``n_rows``, whose NaN cells are missing.  Only for arrays the
+        caller has just built, or gathered from a valid dataset.
         """
         ds = object.__new__(cls)
         ds._cols = {}
-        for name, values, missing in columns:
+        for name, values in columns:
             col = object.__new__(Column)
-            col.name, col.values, col.missing = name, values, missing
+            col.name, col.values = name, values
             ds._cols[name] = col
         ds.n_rows = n_rows
         return ds
 
     def select_rows(self, index: np.ndarray) -> "Dataset":
-        cols = [(c.name, c.values[index], c.missing[index]) for c in self._cols.values()]
+        cols = [(c.name, c.values[index]) for c in self._cols.values()]
         return Dataset._trusted(len(cols[0][1]) if cols else 0, cols)
 
     def columns(self) -> list[Column]:
@@ -230,7 +216,7 @@ def ranks_average_ties(col: Column | np.ndarray) -> np.ndarray:
 def _paired(x: Column, y: Column) -> tuple[np.ndarray, np.ndarray]:
     if len(x) != len(y):
         raise ValidationError("correlation requires equal-length columns")
-    keep = ~(x.missing | y.missing)
+    keep = ~(np.isnan(x.values) | np.isnan(y.values))
     return x.values[keep], y.values[keep]
 
 
@@ -295,18 +281,19 @@ def balance_diff(data: Dataset, group: str | Column, covariates: Sequence[str]) 
     """Moment differences (mean, sd, skew, kurtosis) between group 1 and group 0."""
     gcol = data[group] if isinstance(group, str) else group
     g = gcol.values
-    treated = (~gcol.missing) & (g == 1)
-    control = (~gcol.missing) & (g == 0)
-    bad = (~gcol.missing) & (g != 0) & (g != 1)
+    treated = g == 1  # a NaN cell equals nothing
+    control = g == 0
+    bad = ~np.isnan(g) & (g != 0) & (g != 1)
     if bad.any():
         raise ValidationError(f"group column {gcol.name!r} must be 0/1-valued")
     if not treated.any() or not control.any():
         raise DataError("both treatment and control groups must be non-empty")
     rows = []
     for name in covariates:
-        col = data[name]
-        t = col.values[treated & ~col.missing]
-        c = col.values[control & ~col.missing]
+        v = data.column_values(name)
+        present = ~np.isnan(v)
+        t = v[treated & present]
+        c = v[control & present]
         if t.size == 0 or c.size == 0:
             raise DataError(f"covariate {name!r} has an empty group after missing removal")
         mt, st, kt, ut = _moments(t)
@@ -321,15 +308,26 @@ class ListwiseResult(NamedTuple):
 
 
 def listwise_complete(data: Dataset, variables: Sequence[str]) -> ListwiseResult:
-    """Drop rows with any missing value among ``variables``."""
-    cols = [data[name] for name in variables]
-    if not any(np.count_nonzero(c.missing) for c in cols):
+    """Drop rows with a NaN among ``variables``.
+
+    A ±inf cell is a value that no fit can use, so one left in a kept row
+    raises ``DataError`` naming its column.  Clean data pays one reduction
+    per variable: ``v @ v`` is finite only when ``v`` holds neither NaN nor
+    ±inf, and unlike a sum it does not warn where +inf meets -inf.  The
+    exact masks are built only for the variables that fail it.
+    """
+    values = {name: data.column_values(name) for name in variables}
+    unclean = [name for name, v in values.items() if not math.isfinite(v @ v)]
+    if not unclean:
         return ListwiseResult(data, 0)
     keep = np.ones(data.n_rows, dtype=bool)
-    for c in cols:
-        keep &= ~c.missing
-    dropped = int(data.n_rows - keep.sum())
-    return ListwiseResult(data.select_rows(keep), dropped)
+    for name in unclean:
+        keep &= ~np.isnan(values[name])
+    for name in unclean:
+        if np.isinf(values[name][keep]).any():
+            raise DataError(f"column {name!r} holds an infinite value; fits need finite data")
+    dropped = int(data.n_rows - np.count_nonzero(keep))
+    return ListwiseResult(data.select_rows(keep) if dropped else data, dropped)
 
 
 # -- CSV interchange ---------------------------------------------------------
@@ -338,16 +336,14 @@ def listwise_complete(data: Dataset, variables: Sequence[str]) -> ListwiseResult
 # written with shortest round-trip precision so read(write(ds)) is identity.
 
 
-def _format_cell(v: float, missing: bool) -> str:
-    if missing:
+def _format_cell(v: float) -> str:
+    if math.isnan(v):  # a missing cell
         return ""
     try:
         if v == int(v) and abs(v) < 1e15:
             return str(int(v))
     except OverflowError:  # ±inf
         pass
-    except ValueError:  # an unflagged NaN writes as missing too
-        return ""
     return repr(float(v))
 
 
@@ -357,7 +353,7 @@ def write_csv(data: Dataset, path: str) -> None:
         cols = data.columns()
         w.writerow([c.name for c in cols])
         for i in range(data.n_rows):
-            w.writerow([_format_cell(c.values[i], c.missing[i]) for c in cols])
+            w.writerow([_format_cell(c.values[i]) for c in cols])
 
 
 def read_csv(path: str) -> Dataset:

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .causal import _OPS, iv_wald, RowFilter
+from .causal import _OPS, _holds, iv_wald, RowFilter
 from .data import Column, Dataset, balance_diff, quantile_type7
 from .errors import BiaslabError, DataError, ParameterError, ValidationError
 from .regress import Formula, fit, fit_ols, fit_terms
@@ -343,22 +343,27 @@ def bind_spec(spec: ScmSpec, values: Mapping[str, float], n: int) -> ScmSpec:
 
 @dataclass
 class McResult:
-    """Per-replicate records plus provenance."""
+    """One array per series, with a row per replicate, plus provenance.
+
+    ``columns`` maps ``i`` and ``N`` (each replicate's index and sample size,
+    as integers) and then every name in ``series_names`` (float64, NaN where
+    a replicate recorded no value) to its array.
+    """
 
     series_names: tuple[str, ...]
-    records: list[dict]
+    columns: dict[str, np.ndarray]
     errors: dict[int, str]
     template_hash: str
     master_seed: int
     n_filtered: int = 0
 
     def series(self, name: str) -> np.ndarray:
-        if name not in ("i", "N") and name not in self.series_names:
+        if name not in self.columns:
             raise ValidationError(f"unknown series {name!r}; have {list(self.series_names)}")
-        return np.array([float(r.get(name, math.nan)) for r in self.records])
+        return self.columns[name].astype(float, copy=False)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns["i"])
 
 
 def _template_data(template: McTemplate, i: int, record: dict) -> Dataset:
@@ -439,24 +444,24 @@ def repeated_samples(
 
 # -- the replicate runner -----------------------------------------------------
 
-# the job (data function, fixed arguments, analysis) a pool worker serves
+# the job (data function, fixed arguments, analysis, series names) a pool worker serves
 _worker_job: tuple | None = None
 
 
-def _run_replicate(job: tuple, i: int) -> tuple[dict, str | None]:
-    """Record replicate ``i``; a biaslab or linear-algebra error leaves its
-    estimates NaN and is returned as the replicate's error tag."""
-    data_fn, fixed, analysis = job
-    record: dict = {"i": i}
+def _run_replicate(job: tuple, i: int) -> tuple[int, list[float], str | None]:
+    """Replicate ``i``'s sample size, its value of each series and its error
+    tag.  A biaslab or linear-algebra error becomes the tag, and the
+    estimates the replicate did not reach stay NaN."""
+    data_fn, fixed, analysis, names = job
+    record: dict = {}
+    error = None
     try:
         data = data_fn(*fixed, i, record)
         for step in analysis:
             record.update(step.run(data))
     except (BiaslabError, np.linalg.LinAlgError) as exc:
-        for name in _step_names(analysis):
-            record.setdefault(name, math.nan)
-        return record, f"{type(exc).__name__}: {exc}"
-    return record, None
+        error = f"{type(exc).__name__}: {exc}"
+    return record["N"], [record.get(name, math.nan) for name in names], error
 
 
 def _init_worker(job: tuple) -> None:
@@ -464,25 +469,34 @@ def _init_worker(job: tuple) -> None:
     _worker_job = job
 
 
-def _run_in_worker(i: int) -> tuple[dict, str | None]:
+def _run_in_worker(i: int) -> tuple[int, list[float], str | None]:
     return _run_replicate(_worker_job, i)
 
 
 def _run_replicates(plan: McTemplate | SamplingPlan, data_fn, fixed: tuple, workers: int) -> McResult:
     """Run replicates ``0 .. plan.reps - 1`` of ``data_fn(*fixed, i, record)``
-    followed by ``plan.analysis``, in this process or on ``workers`` processes."""
-    job = (data_fn, fixed, plan.analysis)
-    workers = min(workers, plan.reps)
+    followed by ``plan.analysis``, in this process or on ``workers`` processes,
+    writing replicate ``i`` into row ``i`` of each series."""
+    names = tuple(plan.series_names())
+    job = (data_fn, fixed, plan.analysis, names)
+    reps, workers = plan.reps, min(workers, plan.reps)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(job,)) as pool:
-            chunk = max(1, plan.reps // (workers * 8))
-            pairs = list(pool.map(_run_in_worker, range(plan.reps), chunksize=chunk))
+            chunk = max(1, reps // (workers * 8))
+            rows = list(pool.map(_run_in_worker, range(reps), chunksize=chunk))
     else:
-        pairs = [_run_replicate(job, i) for i in range(plan.reps)]
+        rows = [_run_replicate(job, i) for i in range(reps)]
+    sizes = np.empty(reps, dtype=np.int64)
+    values = np.full((len(names), reps), np.nan)  # row j is series j
+    errors: dict[int, str] = {}
+    for i, (n, row, error) in enumerate(rows):
+        sizes[i], values[:, i] = n, row
+        if error is not None:
+            errors[i] = error
     return McResult(
-        series_names=tuple(plan.series_names()),
-        records=[rec for rec, _ in pairs],
-        errors={rec["i"]: err for rec, err in pairs if err is not None},
+        series_names=names,
+        columns={"i": np.arange(reps), "N": sizes, **dict(zip(names, values))},
+        errors=errors,
         template_hash=plan.hash(),
         master_seed=plan.master_seed,
     )
@@ -500,28 +514,21 @@ def filter_replicates(
     else:
         conds = list(conditions)
     for series, op, _ in conds:
-        if series not in ("i", "N") and series not in result.series_names:
+        if series not in result.columns:
             raise ValidationError(f"unknown series {series!r}")
         if op not in _OPS:
             raise ValidationError(f"unknown comparison op {op!r}")
-    kept = []
-    for rec in result.records:
-        ok = True
-        for series, op, value in conds:
-            v = float(rec.get(series, math.nan))
-            if math.isnan(v) or not bool(_OPS[op](v, value)):
-                ok = False
-                break
-        if ok:
-            kept.append(rec)
-    kept_ids = {r["i"] for r in kept}
+    keep = np.ones(len(result), dtype=bool)
+    for series, op, value in conds:
+        keep &= _holds(result.series(series), op, value)
+    kept_ids = set(result.columns["i"][keep].tolist())
     return McResult(
         series_names=result.series_names,
-        records=kept,
+        columns={name: col[keep] for name, col in result.columns.items()},
         errors={i: m for i, m in result.errors.items() if i in kept_ids},
         template_hash=result.template_hash,
         master_seed=result.master_seed,
-        n_filtered=result.n_filtered + (len(result.records) - len(kept)),
+        n_filtered=result.n_filtered + int(np.count_nonzero(~keep)),
     )
 
 
@@ -543,8 +550,7 @@ class McSummary:
         }
 
 
-def _clean_series(result: McResult, series: str) -> np.ndarray:
-    x = result.series(series)
+def _clean_series(x: np.ndarray, series: str) -> np.ndarray:
     x = x[~np.isnan(x)]
     if x.size == 0:
         raise DataError(f"series {series!r} has no non-missing values")
@@ -552,7 +558,7 @@ def _clean_series(result: McResult, series: str) -> np.ndarray:
 
 
 def summarize_series(result: McResult, series: str) -> McSummary:
-    x = _clean_series(result, series)
+    x = _clean_series(result.series(series), series)
     return McSummary(
         min=float(x.min()),
         q1=quantile_type7(x, 0.25),
@@ -572,10 +578,15 @@ def series_correlation(result: McResult, a: str, b: str) -> float:
 
 
 def histogram(result: McResult, series: str, bins: int) -> list[tuple[float, float, int]]:
-    """Equal-width bins over [min, max]; counts sum to the non-missing n."""
+    """Equal-width bins over [min, max] of a series; counts sum to its non-missing n."""
+    return value_histogram(result.series(series), series, bins)
+
+
+def value_histogram(values: np.ndarray, name: str, bins: int) -> list[tuple[float, float, int]]:
+    """Equal-width bins over [min, max] of ``values``; counts sum to the non-NaN n."""
     if bins < 1:
         raise ParameterError("bins must be >= 1")
-    x = _clean_series(result, series)
+    x = _clean_series(values, name)
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         out = [(lo, hi, 0)] * bins
@@ -588,12 +599,10 @@ def histogram(result: McResult, series: str, bins: int) -> list[tuple[float, flo
 
 def write_mc_csv(result: McResult, path: str) -> None:
     """Columns: i, N, then the recorded series; missing cells are empty."""
+    names = ("i", "N", *result.series_names)
+    columns = [result.columns[name].tolist() for name in names]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["i", "N", *result.series_names])
-        for rec in result.records:
-            row = [rec["i"], rec["N"]]
-            for name in result.series_names:
-                v = rec.get(name, math.nan)
-                row.append("" if (isinstance(v, float) and math.isnan(v)) else repr(float(v)))
-            w.writerow(row)
+        w.writerow(names)
+        for i, n, *values in zip(*columns):
+            w.writerow([i, n, *("" if math.isnan(v) else repr(v) for v in values)])

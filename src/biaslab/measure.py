@@ -172,8 +172,8 @@ def dichotomize(col: Column, rule: RecodeRule, name: str | None = None) -> Colum
     else:
         cut = float(rule.threshold)  # type: ignore[arg-type]
     out = np.where(col.values > cut, 1.0, 0.0)
-    out[col.missing] = np.nan
-    recoded = Column(name or col.name, out, col.missing.copy())
+    out[np.isnan(col.values)] = np.nan
+    recoded = Column(name or col.name, out)
     classes = np.unique(recoded.present())
     if classes.size < 2:
         warnings.warn(
@@ -200,24 +200,23 @@ def ordinalize(col: Column, rule: RecodeRule, name: str | None = None) -> Column
     out = np.ones(len(col), dtype=float)
     for c in cuts:
         out += (col.values >= c).astype(float)
-    out[col.missing] = np.nan
-    return Column(name or col.name, out, col.missing.copy())
+    out[np.isnan(col.values)] = np.nan
+    return Column(name or col.name, out)
 
 
 def transform(col: Column, rule: TransformRule, name: str | None = None) -> Column:
     """Apply a continuous transformation; domain violations become missing."""
     x = col.values
-    miss = col.missing.copy()
     nm = name or col.name
     if rule.kind == "scale":
-        return Column(nm, x * rule.c, miss)
+        return Column(nm, x * rule.c)
     if rule.kind == "shift":
-        return Column(nm, x + rule.c, miss)
+        return Column(nm, x + rule.c)
     if rule.kind == "zscore":
         present = col.present()
         if present.size < 2 or np.std(present, ddof=1) == 0:
             raise DataError(f"zscore of constant/degenerate column {col.name!r}")
-        return Column(nm, (x - present.mean()) / np.std(present, ddof=1), miss)
+        return Column(nm, (x - present.mean()) / np.std(present, ddof=1))
     if rule.kind == "minmax":
         present = col.present()
         if present.size == 0:
@@ -226,31 +225,26 @@ def transform(col: Column, rule: TransformRule, name: str | None = None) -> Colu
         hi = present.max() + rule.pad_hi
         if hi == lo:
             raise DataError(f"minmax of constant column {col.name!r} with zero pads")
-        return Column(nm, (x - lo) / (hi - lo), miss)
+        return Column(nm, (x - lo) / (hi - lo))
+    # a NaN cell compares false and stays NaN through the arithmetic
     if rule.kind in ("log_e", "log_10"):
-        bad = ~miss & (x <= 0)
-        vals = np.where(miss | bad, np.nan, x)
+        vals = np.where(x <= 0, np.nan, x)
         with np.errstate(invalid="ignore", divide="ignore"):
-            vals = np.log(vals) if rule.kind == "log_e" else np.log10(vals)
-        return Column(nm, vals, miss | bad)
+            return Column(nm, np.log(vals) if rule.kind == "log_e" else np.log10(vals))
     if rule.kind == "power":
         e = float(rule.exponent)  # type: ignore[arg-type]
         if e == round(e):
             with np.errstate(divide="ignore"):
-                vals = np.where(miss, np.nan, x) ** e
-            bad = ~miss & ~np.isfinite(vals)
-            return Column(nm, np.where(bad, np.nan, vals), miss | bad)
-        bad = ~miss & (x < 0)
-        bad |= ~miss & (x == 0) & (e < 0)
+                vals = x ** e
+            # except under a zero exponent: NaN ** 0 is 1
+            return Column(nm, np.where(np.isfinite(vals) & ~np.isnan(x), vals, np.nan))
+        bad = (x < 0) | ((x == 0) & (e < 0))
         with np.errstate(invalid="ignore"):
-            vals = np.where(miss | bad, np.nan, x) ** e
-        return Column(nm, vals, miss | bad)
+            return Column(nm, np.where(bad, np.nan, x) ** e)
     if rule.kind == "round_whole":
-        vals = np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
-        return Column(nm, np.where(miss, np.nan, vals), miss)
+        return Column(nm, np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5)))
     if rule.kind == "window":
-        bad = ~miss & ((x <= rule.lo) | (x >= rule.hi))
-        return Column(nm, np.where(miss | bad, np.nan, x), miss | bad)
+        return Column(nm, np.where((x <= rule.lo) | (x >= rule.hi), np.nan, x))
     raise AssertionError(rule.kind)
 
 
@@ -355,7 +349,7 @@ def attenuation_report(
     def run(label: str, xcol: Column, ycol: Column, family: str | None):
         try:
             fam = family or choose_family(ycol)
-            ds = Dataset([Column("x", xcol.values, xcol.missing), Column("y", ycol.values, ycol.missing)])
+            ds = Dataset([Column("x", xcol.values), Column("y", ycol.values)])
             rho = spearman(xcol, ycol)
             f: FitResult = fit(ds, Formula("y", (main("x"),)), family=fam)
             stat = f.stat_of("x")

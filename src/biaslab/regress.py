@@ -769,7 +769,7 @@ def predict(fit_result: FitResult, data: Dataset) -> Column:
                 needed.append(v)
     ok = np.ones(data.n_rows, dtype=bool)
     for v in needed:
-        ok &= ~data[v].missing
+        ok &= ~np.isnan(data.column_values(v))
     cols = []
     if fit_result.family != "ordered" and f.intercept:
         cols.append(np.ones(data.n_rows))
@@ -780,7 +780,7 @@ def predict(fit_result: FitResult, data: Dataset) -> Column:
     out = np.where(ok, eta, np.nan)
     if fit_result.family == "binomial":
         out = np.where(ok, expit(eta), np.nan)
-    return Column("predicted", out, ~ok)
+    return Column("predicted", out)
 
 
 def residuals(fit_result: FitResult, data: Dataset) -> Column:
@@ -788,7 +788,4 @@ def residuals(fit_result: FitResult, data: Dataset) -> Column:
     if fit_result.family == "ordered":
         raise ParameterError("residuals are not defined for the ordered family")
     pred = predict(fit_result, data)
-    ycol = data[fit_result.formula.response]
-    vals = ycol.values - pred.values
-    miss = ycol.missing | pred.missing
-    return Column("residual", np.where(miss, np.nan, vals), miss)
+    return Column("residual", data.column_values(fit_result.formula.response) - pred.values)

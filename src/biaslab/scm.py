@@ -323,7 +323,7 @@ def evaluate_scm(spec: ScmSpec, rng: RngState) -> Dataset:
                     y[idx] += levels[level].draw(rng, idx.size)
         cols[eq.target] = y
     # arithmetic that overflows leaves NaN cells, which are missing like any other
-    return Dataset._trusted(n, ((name, v, np.isnan(v)) for name, v in cols.items()))
+    return Dataset._trusted(n, cols.items())
 
 
 @dataclass(frozen=True)
@@ -393,8 +393,7 @@ def mvn_exact(target: CorrTarget, n: int, rng: RngState) -> Dataset:
         color = U @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ U.T
         x = z @ color
     x = x * target.sds + target.means
-    cols = {name: x[:, j] for j, name in enumerate(target.names)}
-    return Dataset._trusted(n, ((name, v, np.isnan(v)) for name, v in cols.items()))
+    return Dataset._trusted(n, ((name, x[:, j]) for j, name in enumerate(target.names)))
 
 
 def clamped_integer_normal(
@@ -435,16 +434,10 @@ def inject_outlier(data: Dataset, assignments: Mapping[str, float]) -> Dataset:
     for name in assignments:
         if name not in data:
             raise ValidationError(f"outlier assigns unknown column {name!r}")
-    cols = []
-    for col in data.columns():
-        if col.name in assignments:
-            vals = np.append(col.values, float(assignments[col.name]))
-            miss = np.append(col.missing, False)
-        else:
-            vals = np.append(col.values, np.nan)
-            miss = np.append(col.missing, True)
-        cols.append(Column(col.name, vals, miss))
-    return Dataset(cols)
+    return Dataset(
+        Column(col.name, np.append(col.values, float(assignments.get(col.name, np.nan))))
+        for col in data.columns()
+    )
 
 
 def block_randomize(data: Dataset, strata: str | Column, rng: RngState, name: str = "treated") -> Column:

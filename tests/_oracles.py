@@ -357,7 +357,7 @@ def iv_wald_oracle(data, y, x, instrument, allow_weak=False):
     from biaslab.errors import DataError, WeakInstrumentError
     from biaslab.regress import Formula, main
 
-    n_ok = int(np.sum(~(data[y].missing | data[x].missing | data[instrument].missing)))
+    n_ok = int(np.sum(~(np.isnan(data[y].values) | np.isnan(data[x].values) | np.isnan(data[instrument].values))))
     if n_ok < 10:
         raise DataError(f"instrumental-variable analysis needs n >= 10, have {n_ok}")
     fy = fit_ols_oracle(data, Formula(y, (main(instrument),)), standardized=False)

@@ -131,6 +131,14 @@ class TestIv:
         )
         return evaluate_scm(spec, RngState(seed))
 
+    @pytest.mark.parametrize("column", ["IN", "X", "Y"])
+    def test_infinite_cell_is_refused_and_named(self, column):
+        d = self._iv_data(n=200)
+        v = d.column_values(column).copy()
+        v[7] = -np.inf
+        with pytest.raises(DataError, match=f"column '{column}' holds an infinite value"):
+            iv_wald(d.with_column(Column(column, v)), "Y", "X", "IN", allow_weak=True)
+
     def test_ratio_arithmetic(self):
         # b_yin = 1, b_xin = 2 -> ratio 0.5 (exactly constructed data)
         inst = np.array([0.0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
@@ -353,6 +361,13 @@ class TestSubgroup:
         d = Dataset([Column("x", np.arange(10.0)), Column("y", np.arange(10.0))])
         with pytest.raises(DataError):
             subgroup_effect(d, "y", "x", RowFilter((Condition("x", ">", 100),)))
+
+    # cells 2, NaN, 3 against 2: the rows each op keeps; NaN fails them all, != included
+    @pytest.mark.parametrize("op, kept", [("<", []), ("<=", [0]), (">", [2]), (">=", [0, 2]),
+                                          ("==", [0]), ("!=", [2])])
+    def test_nan_cell_fails_every_op(self, op, kept):
+        d = Dataset([Column("a", np.array([2.0, np.nan, 3.0]))])
+        assert np.flatnonzero(RowFilter((Condition("a", op, 2.0),)).mask(d)).tolist() == kept
 
     def test_filter_json_round_trip(self):
         rf = RowFilter((Condition("a", ">=", 1.5), Condition("b", "<", 2.0)))

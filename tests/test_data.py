@@ -24,8 +24,8 @@ from biaslab.rng import RngState, normal_draws
 from _oracles import moments_oracle, quantile7_oracle, ranks_average_ties_oracle
 
 
-def col(vals, missing=None, name="x"):
-    return Column(name, np.asarray(vals, dtype=float), missing)
+def col(vals, name="x"):
+    return Column(name, np.asarray(vals, dtype=float))
 
 
 class TestSummarize:
@@ -61,7 +61,7 @@ class TestSummarize:
             assert abs(s.q3 - quantile7_oracle(x, 0.75)) < 1e-12
 
     def test_missing_excluded_and_counted(self):
-        s = summarize(col([1, 2, 3, 99], missing=[False, False, False, True]))
+        s = summarize(col([1, 2, 3, np.nan]))
         assert s.n == 3 and s.n_missing == 1 and s.mean == 2
 
     def test_all_missing_is_an_error(self):
@@ -220,13 +220,13 @@ class TestListwise:
 
 @pytest.mark.parametrize("index", [np.array([True, False, True, True]), np.array([3, 0, 3])])
 def test_select_rows_gathers_values_and_missing_flags(index):
-    d = Dataset([col([1, np.nan, 3, np.nan], name="a"), col([5, 6, 7, 8], [0, 1, 0, 0], name="b")])
+    d = Dataset([col([1, np.nan, 3, np.nan], name="a"), col([5, np.nan, 7, 8], name="b")])
     out = d.select_rows(index)
     assert out.names == ["a", "b"] and out.n_rows == len(out["a"].values)
     for name in d.names:
-        want = Column(name, d[name].values[index], d[name].missing[index])
+        want = Column(name, d[name].values[index])
         assert repr(out[name].values) == repr(want.values)
-        assert out[name].missing.tolist() == want.missing.tolist()
+        assert np.isnan(out[name].values).tolist() == np.isnan(want.values).tolist()
 
 
 class TestCsv:
@@ -243,17 +243,15 @@ class TestCsv:
         write_csv(d, str(p))
         back = read_csv(str(p))
         for name in d.names:
-            assert np.array_equal(back[name].missing, d[name].missing)
-            assert np.array_equal(
-                back[name].values[~back[name].missing], d[name].values[~d[name].missing]
-            )
+            assert np.array_equal(np.isnan(back[name].values), np.isnan(d[name].values))
+            assert np.array_equal(back[name].present(), d[name].present())
 
     def test_empty_field_is_missing(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("a,b\n1,\n,2\n")
         d = read_csv(str(p))
-        assert d["a"].missing.tolist() == [False, True]
-        assert d["b"].missing.tolist() == [True, False]
+        assert np.isnan(d["a"].values).tolist() == [False, True]
+        assert np.isnan(d["b"].values).tolist() == [True, False]
 
     @given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
     @settings(max_examples=25)

@@ -33,6 +33,18 @@ from biaslab.scm import EquationSpec, ErrorTerm, ScmSpec, SourceSpec, evaluate_s
 from _oracles import quantile7_oracle
 
 
+def same_columns(a: dict, b: dict) -> bool:
+    """The same series in the same order, each with the same dtype and bits, NaN cells included."""
+    return list(a) == list(b) and all(
+        a[k].dtype == b[k].dtype and a[k].tobytes() == b[k].tobytes() for k in a
+    )
+
+
+def row(res, i) -> dict:
+    """Replicate row ``i`` of an MC result as Python numbers: i, N, then each series."""
+    return {name: col[i].item() for name, col in res.columns.items()}
+
+
 def small_template(reps=20, seed=11):
     scm = ScmSpec(
         n="n",
@@ -162,7 +174,8 @@ class TestRunMc:
         for template in (small_template(reps=4, seed=77), mixed_template(RangeSpec(50, 200)),
                          mixed_template(120)):
             res = run_mc(template)
-            for i, rec in enumerate(res.records):
+            for i in range(len(res)):
+                rec = row(res, i)
                 rng = derive_substream(template.master_seed, i)
                 n = template.n.draw_int(rng) if isinstance(template.n, RangeSpec) else template.n
                 values = {name: rs.draw(rng) for name, rs in template.bindings}
@@ -180,12 +193,12 @@ class TestRunMc:
     def test_determinism_across_worker_counts(self):
         a = run_mc(small_template(), workers=1)
         b = run_mc(small_template(), workers=2)
-        assert a.records == b.records
+        assert same_columns(a.columns, b.columns)
 
     def test_adding_reps_preserves_earlier_replicates(self):
         short = run_mc(small_template(reps=10))
         long = run_mc(small_template(reps=20))
-        assert long.records[:10] == short.records
+        assert same_columns({k: v[:10] for k, v in long.columns.items()}, short.columns)
 
     def test_replicate_failures_recorded_not_fatal(self):
         scm = ScmSpec(
@@ -204,7 +217,21 @@ class TestRunMc:
         res = run_mc(t)
         assert len(res) == 4
         assert len(res.errors) == 4
-        assert all(math.isnan(r["b"]) for r in res.records)
+        assert all(math.isnan(v) for v in res.series("b"))
+
+    def test_infinite_cells_become_an_error_tag_not_nan_estimates(self):
+        # x * 1e10 overflows for x drawn with sd 1e300: nearly every y cell is ±inf
+        scm = ScmSpec(
+            n="n",
+            sources=(SourceSpec("x", "normal", {"mean": 0, "sd": 1e300}),),
+            equations=(EquationSpec("y", linear=(("x", 1e10),), error=ErrorTerm(1.0, 0, 1)),),
+        )
+        t = McTemplate(scm=scm, n=30, bindings=(), analysis=(FitStep("y ~ x", (("b", "b:x"),)),),
+                       reps=3, master_seed=5)
+        res = run_mc(t)
+        assert sorted(res.errors) == [0, 1, 2]
+        assert all(m.startswith("DataError: column 'y' holds an infinite value") for m in res.errors.values())
+        assert np.isnan(res.series("b")).all()
 
 
 class TestRepeatedSamples:
@@ -254,7 +281,7 @@ class TestRepeatedSamples:
                             master_seed=9)
         a = repeated_samples(pop, plan)
         b = repeated_samples(pop, plan, workers=2)
-        assert a.records == b.records
+        assert same_columns(a.columns, b.columns)
 
 
 def pickled_bytes(monkeypatch) -> list[int]:
@@ -304,14 +331,14 @@ class TestReplicateRunner:
         rng = np.random.default_rng(1)
         g = rng.normal(size=rows)
         pop = Dataset.from_arrays({"g": g, "y": 2.0 * g + rng.normal(size=rows)})
-        nbytes = sum(c.values.nbytes + c.missing.nbytes for c in pop.columns())
+        nbytes = sum(c.values.nbytes for c in pop.columns())
         plan = SamplingPlan(k=100, reps=64, analysis=(FitStep("y ~ g", (("slope", "b:g"),)),),
                             master_seed=4)
         sizes = pickled_bytes(monkeypatch)
         pooled = repeated_samples(pop, plan, workers=2)
         assert sizes, "the pool pickled nothing"
         assert sum(sizes) < nbytes
-        assert pooled.records == repeated_samples(pop, plan).records
+        assert same_columns(pooled.columns, repeated_samples(pop, plan).columns)
 
     @pytest.mark.parametrize("reps", [2, 30])  # fewer and more replicates than workers
     @pytest.mark.parametrize("driver", ["run_mc", "repeated_samples"])
@@ -327,15 +354,15 @@ class TestReplicateRunner:
         serial, pooled = call(1), call(3)
         if reps == 30:
             assert 0 < len(serial.errors) < reps
-        # repr compares NaN cells too, which == on unpickled floats does not
-        assert repr(pooled.records) == repr(serial.records)
+        # the bits of NaN cells too, which == does not compare
+        assert same_columns(pooled.columns, serial.columns)
         assert pooled.errors == serial.errors
         assert pooled.template_hash == serial.template_hash
 
     def test_failed_replicate_keeps_draws_and_nan_fills(self):
         res = run_mc(failing_template(30, seed=8))
         for i, msg in res.errors.items():
-            rec = res.records[i]
+            rec = row(res, i)
             assert rec["N"] <= 3 and 1 <= rec["a"] <= 2
             assert math.isnan(rec["bx"])
             assert msg.startswith("DataError: ")
@@ -415,7 +442,7 @@ class TestAggregation:
     def test_always_true_filter_unchanged(self):
         res = self._result()
         kept = filter_replicates(res, [("bxy", ">=", -1e18)])
-        assert kept.records == res.records
+        assert same_columns(kept.columns, res.columns)
         assert kept.n_filtered == 0
 
     def test_filter_drops_and_counts(self):
@@ -427,9 +454,20 @@ class TestAggregation:
 
     def test_missing_rows_fail_predicates(self):
         res = self._result()
-        res.records[0]["bxy"] = math.nan
+        res.columns["bxy"][0] = math.nan
         kept = filter_replicates(res, [("bxy", ">=", -1e18)])
         assert len(kept) == len(res) - 1
+
+    # cells 2, NaN, 3 against 2: the replicates each op keeps; NaN fails them all, != included
+    @pytest.mark.parametrize("op, kept", [("<", []), ("<=", [0]), (">", [2]), (">=", [0, 2]),
+                                          ("==", [0]), ("!=", [2])])
+    def test_nan_cell_fails_every_op(self, op, kept):
+        assert sorted(causal._OPS) == sorted(["<", "<=", ">", ">=", "==", "!="])
+        res = run_mc(small_template(reps=3, seed=4))
+        res.columns["bxy"][:] = [2.0, math.nan, 3.0]
+        out = filter_replicates(res, [("bxy", op, 2.0)])
+        assert out.columns["i"].tolist() == kept
+        assert out.n_filtered == 3 - len(kept)
 
     def test_summary_six_numbers(self):
         res = self._result()
@@ -444,14 +482,14 @@ class TestAggregation:
     def test_trivial_summary(self):
         res = run_mc(small_template(reps=5, seed=1))
         for i, v in enumerate([1.0, 2, 3, 4, 5]):
-            res.records[i]["bxy"] = v
+            res.columns["bxy"][i] = v
         s = summarize_series(res, "bxy")
         assert (s.min, s.q1, s.median, s.mean, s.q3, s.max) == (1, 2, 3, 3, 4, 5)
 
     def test_filter_then_summarize_commutes(self):
         res = self._result()
         kept = filter_replicates(res, [("bxy", ">", 0.3)])
-        direct = np.array([r["bxy"] for r in res.records if r["bxy"] > 0.3])
+        direct = np.array([v for v in res.series("bxy") if v > 0.3])
         s = summarize_series(kept, "bxy")
         assert s.mean == pytest.approx(direct.mean())
         assert s.median == pytest.approx(quantile7_oracle(direct, 0.5))
@@ -470,8 +508,7 @@ class TestAggregation:
 
     def test_histogram_constant_series(self):
         res = run_mc(small_template(reps=5, seed=2))
-        for r in res.records:
-            r["bxy"] = 3.0
+        res.columns["bxy"][:] = 3.0
         bins = histogram(res, "bxy", 3)
         assert [c for _, _, c in bins] == [5, 0, 0]
 
@@ -482,7 +519,7 @@ class TestAggregation:
 
 def test_csv_export_missing_empty(tmp_path):
     res = run_mc(small_template(reps=3, seed=4))
-    res.records[1]["bxy"] = math.nan
+    res.columns["bxy"][1] = math.nan
     p = tmp_path / "mc.csv"
     write_mc_csv(res, str(p))
     lines = p.read_text().strip().splitlines()

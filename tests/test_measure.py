@@ -53,7 +53,7 @@ class TestDichotomize:
     def test_missing_passes_through(self):
         c = Column("v", np.array([1.0, np.nan, 3.0]))
         d = dichotomize(c, RecodeRule("dichotomize_threshold", threshold=2))
-        assert d.missing.tolist() == [False, True, False]
+        assert np.isnan(d.values).tolist() == [False, True, False]
 
     def test_constant_column_warns(self):
         with pytest.warns(UserWarning):
@@ -118,10 +118,10 @@ class TestTransform:
 
     def test_log_domain_violations_become_missing(self):
         t = transform(col([-1, 0, 1, np.e]), TransformRule("log_e"))
-        assert t.missing.tolist() == [True, True, False, False]
+        assert np.isnan(t.values).tolist() == [True, True, False, False]
         assert t.values[3] == pytest.approx(1.0)
         t10 = transform(col([100, -5]), TransformRule("log_10"))
-        assert t10.values[0] == pytest.approx(2.0) and t10.missing[1]
+        assert t10.values[0] == pytest.approx(2.0) and np.isnan(t10.values[1])
 
     def test_fractional_power_negative_missing(self):
         y = entry13_data()["Y"]

@@ -259,7 +259,7 @@ class TestResidualsPredict:
         )
         f = fit_ols(d, Formula.parse("y ~ x"))
         p = predict(f, d)
-        assert p.missing.tolist() == [False, True, False, False]
+        assert np.isnan(p.values).tolist() == [False, True, False, False]
 
 
 class TestLogistic:
@@ -493,3 +493,34 @@ class TestCollinearity:
         assert np.allclose(rep.vif, 3.25, atol=1e-9)
         assert np.allclose(np.sort(rep.eigenvalues)[::-1], [4, 1, 0.25, 0.25, 0.25, 0.25], atol=1e-9)
         assert np.allclose(rep.condition_indices, [1, 2, 4, 4, 4, 4], atol=1e-9)
+
+
+class TestInfiniteCells:
+    """A ±inf cell is a value, not a missing cell, and no fitter can use it:
+    each refuses the fit and names the column instead of returning NaN estimates."""
+
+    def _data(self, inf_at="x", value=np.inf):
+        g = np.random.default_rng(30)
+        x, z = g.normal(size=30), g.normal(size=30)
+        lin = x + z + g.normal(size=30)
+        d = {"x": x, "z": z, "y": lin, "yb": (lin > 0).astype(float), "yo": np.digitize(lin, [-1, 1]) + 1.0}
+        d[inf_at] = d[inf_at].copy()
+        d[inf_at][4] = value
+        return dataset(**d)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("fitter, response", [(fit_ols, "y"), (fit_logistic, "yb"), (fit_ordered_logit, "yo")])
+    def test_fitter_names_the_infinite_column(self, fitter, response, value):
+        with pytest.raises(DataError, match="column 'x' holds an infinite value"):
+            fitter(self._data(value=value), Formula.parse(f"{response} ~ x + z"))
+
+    def test_infinite_response_is_named(self):
+        with pytest.raises(DataError, match="column 'y'"):
+            fit_ols(self._data(inf_at="y"), Formula.parse("y ~ x + z"))
+
+    def test_infinite_cell_in_a_dropped_row_is_never_used(self):
+        d = self._data()
+        y = d.column_values("y").copy()
+        y[4] = np.nan  # the row of the inf x cell
+        f = fit_ols(d.with_column(Column("y", y)), Formula.parse("y ~ x + z"))
+        assert f.n_dropped == 1 and np.all(np.isfinite(f.b))

@@ -238,7 +238,7 @@ class TestInjectOutlier:
         ds = self._base().with_column(Column("Z", np.zeros(100)))
         out = inject_outlier(ds, {"X": 16.0, "Y": 14.0})
         assert out.n_rows == 101
-        assert out["Z"].missing[-1] and not out["X"].missing[-1]
+        assert np.isnan(out["Z"].values[-1]) and not np.isnan(out["X"].values[-1])
 
     def test_unknown_column_rejected(self):
         with pytest.raises(ValidationError):
