@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, listwise_complete
-from .errors import BiaslabError, DataError, ValidationError, WeakInstrumentError
+from .errors import BiaslabError, DataError, ValidationError, WeakInstrumentError, expect
 from .regress import FitResult, Formula, _least_squares, fit_ols, interaction, main
 
 _OPS = {
@@ -40,6 +40,7 @@ class Condition:
     value: float
 
     def __post_init__(self):
+        expect(str, "condition", var=self.var)
         if self.op not in _OPS:
             raise ValidationError(f"unknown comparison op {self.op!r}")
 

@@ -9,20 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import catalog_config, catalog_ids
-from .config import (
-    ScenarioConfig,
-    _effective_seed,
-    artifact_json,
-    load_config,
-    parse_config,
-    run_scenario,
-)
+from .config import ScenarioConfig, artifact_json, load_config, parse_config, run_scenario
 from .data import read_csv
 from .errors import BiaslabError, ValidationError
-from .mc import McTemplate, run_mc, summarize_series, write_mc_csv
+from .mc import summarize_series, write_mc_csv
 from .regress import FitResult, Formula, fit
 
 EXIT_OK = 0
@@ -71,26 +65,22 @@ def _print_artifacts(run) -> None:
 
 
 def _load_scenario(args) -> ScenarioConfig:
+    """The scenario of ``--config`` or ``--catalog``, with ``--reps`` applied."""
     if args.catalog and args.config:
         raise ValidationError("pass --config or --catalog, not both")
     if args.catalog:
-        return parse_config(catalog_config(args.catalog))
-    if args.config:
-        return load_config(args.config)
-    raise ValidationError("one of --config PATH or --catalog ID is required")
+        cfg = parse_config(catalog_config(args.catalog))
+    elif args.config:
+        cfg = load_config(args.config)
+    else:
+        raise ValidationError("one of --config PATH or --catalog ID is required")
+    return cfg if args.reps is None else cfg.with_reps(args.reps)
 
 
 def cmd_run(args) -> int:
     cfg = _load_scenario(args)
-    if args.reps is not None:
-        cfg = cfg.with_reps(args.reps)
-    run = run_scenario(
-        cfg,
-        out_dir=args.out,
-        seed=args.seed,
-        workers=args.threads,
-        default_format=args.format,
-    )
+    run = run_scenario(cfg, out_dir=args.out, seed=args.seed, workers=args.threads,
+                       default_format=args.format)
     _print_artifacts(run)
     if run.mc_result is not None:
         kept = len(run.mc_result)
@@ -129,13 +119,7 @@ def cmd_mc(args) -> int:
     cfg = _load_scenario(args)
     if cfg.generator_kind != "mc":
         raise ValidationError(f"scenario {cfg.id!r} is not an mc template")
-    payload = dict(cfg.generator)
-    if args.seed is not None or payload.get("seed") is None:
-        payload["seed"] = _effective_seed(cfg, args.seed)
-    if args.reps is not None:
-        payload["reps"] = args.reps
-    template = McTemplate.from_json_dict(payload)
-    result = run_mc(template, workers=args.threads)
+    result = run_scenario(cfg, seed=args.seed, workers=args.threads).mc_result
     for series in result.series_names:
         try:
             s = summarize_series(result, series)
@@ -146,8 +130,6 @@ def cmd_mc(args) -> int:
             f"mean={_sig6(s.mean)} q3={_sig6(s.q3)} max={_sig6(s.max)}"
         )
     if args.out:
-        import os
-
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{cfg.id}.csv")
         write_mc_csv(result, path)

@@ -2,10 +2,12 @@
 
 A scenario couples one data-generation stage (``scm`` | ``corr`` |
 ``population`` | ``mc``) with an ordered list of analyses and a list of
-declared file outputs.  Reproducibility is keyed entirely by the scenario
-seed: generation consumes ``derive_substream(seed, 0)``, analysis k that
-needs randomness consumes ``derive_substream(seed, k + 1)``, and embedded
-sampling/MC plans default their master seed to ``seed + 1`` / ``seed``.
+declared file outputs.  Reproducibility is keyed entirely by seeds, each
+decided by :func:`resolve_seed`.  The seed (flag, then ``seed``, then
+``BIASLAB_SEED``) keys generation, ``derive_substream(seed, 0)``, and analysis
+k, ``derive_substream(seed, k + 1)``.  An ``mc`` template's master seed puts
+``mc.seed`` after the flag; a sampling plan's is the flag + 1, then
+``sampling.seed``, then the seed + 1.  Parsing checks every seed a config holds.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -28,7 +31,7 @@ from .causal import (
     subgroup_effect,
 )
 from .data import Column, Dataset, balance_diff, pearson, spearman, summarize, write_csv
-from .errors import BiaslabError, ValidationError
+from .errors import BiaslabError, ValidationError, expect
 from .measure import AttenuationVariant, apply_rules, attenuation_report, rules_from_json
 from .regress import FitResult, Formula, collinearity_diagnostics, fit, predict
 from .rng import RngState, derive_substream
@@ -79,20 +82,47 @@ def _malformed(path: str, exc: Exception) -> ValidationError:
     return _fail(path, f"malformed ({type(exc).__name__}: {exc})")
 
 
-def _build_generator(kind: str, gen: Mapping, seed: int) -> tuple[Callable, list[str], list[str]]:
+def resolve_seed(flag: int | None, *fallbacks: tuple[str, Any]) -> tuple[int, str]:
+    """The seed and the name of its source: the ``--seed`` flag, then each
+    ``(name, value)`` fallback whose value is not None, then ``BIASLAB_SEED``.
+
+    The winner must be an integer in [0, 2^64); a bool, any other type or an
+    out-of-range value is a ``ValidationError`` naming its source, as is no
+    seed at all.
+    """
+    env = os.environ.get("BIASLAB_SEED")
+    for source, value in (("--seed", flag), *fallbacks, ("BIASLAB_SEED", env)):
+        if value is None:
+            continue
+        if source == "BIASLAB_SEED" and value.strip().lstrip("+-").isdecimal():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
+            raise _fail(source, f"must be an integer in [0, 2^64), got {value!r}")
+        return value, source
+    raise ValidationError("no seed: pass --seed, set the config's seed or set BIASLAB_SEED")
+
+
+def _build_generator(
+    kind: str, gen: Mapping, flag: int | None, config_seed: int | None
+) -> tuple[Callable, list[str], list[str]]:
     """Parse a generator payload once.
 
     Returns ``generate(workers) -> (dataset, mc_result)``, the columns the
     generator defines (none for ``mc``, whose scenarios analyse series) and
     the series of its MC result, ``i`` and ``N`` included (none for ``scm``
-    and ``corr``).  A seed embedded in an ``mc`` template or a sampling plan
-    beats ``seed``.
+    and ``corr``).  Its seeds come from :func:`resolve_seed`, an embedded
+    seed going between ``flag`` and ``config_seed``.
     """
+    def seed_of(*embedded):
+        return resolve_seed(flag, *embedded, ("seed", config_seed))
+
     try:
         if kind == "mc":
-            template = mc_mod.McTemplate.from_json_dict({"seed": seed, **gen})
+            master, _ = seed_of(("mc.seed", gen.get("seed")))
+            template = mc_mod.McTemplate.from_json_dict({**gen, "seed": master})
             return (lambda workers: (None, mc_mod.run_mc(template, workers=workers)), [],
                     ["i", "N", *template.series_names()])
+        seed, _ = seed_of()
         if kind == "corr":
             target, n = CorrTarget.from_json_dict(gen), int(gen["n"])
             return (lambda workers: (mvn_exact(target, n, derive_substream(seed, 0)), None),
@@ -103,7 +133,12 @@ def _build_generator(kind: str, gen: Mapping, seed: int) -> tuple[Callable, list
         columns = [s.name for s in spec.sources] + [e.target for e in spec.equations]
         if kind == "scm":
             return lambda workers: (evaluate_scm(spec, derive_substream(seed, 0)), None), columns, []
-        plan = mc_mod.SamplingPlan.from_json_dict({"seed": (seed + 1) % 2**64, **gen["sampling"]})
+        # the flag and the config's seed key the population itself, so the
+        # sampling stream takes them + 1 (an embedded sampling.seed as is)
+        master, source = seed_of(("population.sampling.seed", gen["sampling"].get("seed")))
+        if source != "population.sampling.seed":
+            master = (master + 1) % 2**64
+        plan = mc_mod.SamplingPlan.from_json_dict({**gen["sampling"], "seed": master})
     except _MALFORMED as exc:
         raise _malformed(kind, exc) from exc
 
@@ -139,6 +174,7 @@ def _collinearity(a: Mapping) -> _Built:
 
 
 def _compare_adjustments(a: Mapping) -> _Built:
+    expect(Real, "compare_adjustments", optional=True, truth=a.get("truth"))
     reads = [a["y"], a["x"], *(v for s in a["covariate_sets"] for v in s)]
     return reads, None, _unchanged(lambda d: compare_adjustments(
         d, a["y"], a["x"], a["covariate_sets"], truth=a.get("truth"), scenario_id=a["name"]))
@@ -259,8 +295,8 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
     if not isinstance(ident, str) or not ident:
         raise _fail("id", "required non-empty string")
     seed = doc.get("seed")
-    if seed is not None and (not isinstance(seed, int) or not (0 <= seed < 2**64)):
-        raise _fail("seed", f"must be a decimal 64-bit unsigned integer, got {seed!r}")
+    if seed is not None:
+        resolve_seed(None, ("seed", seed))
     gens = [k for k in _GEN_KINDS if k in doc]
     if len(gens) != 1:
         raise _fail("config", f"exactly one of {_GEN_KINDS} required, found {gens}")
@@ -268,7 +304,8 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
     gen = doc[kind]
     if not isinstance(gen, Mapping):
         raise _fail(kind, "must be an object")
-    _, columns, series = _build_generator(kind, gen, seed if seed is not None else 0)
+    # checks every embedded seed; a config without a seed leaves it to the run
+    _, columns, series = _build_generator(kind, gen, None, 0 if seed is None else seed)
     defined = set(columns)
 
     analyses = []
@@ -280,6 +317,7 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
         if not isinstance(akind, str) or akind not in _ANALYSES:
             raise _fail(f"{path}.kind", f"unknown kind {akind!r}; valid: {tuple(_ANALYSES)}")
         a = {**a, "name": a.get("name", f"{akind}_{idx}")}
+        expect(str, path, name=a["name"])
         if a["name"] in (prev["name"] for prev in analyses):
             raise _fail(f"{path}.name", f"duplicate analysis name {a['name']!r}")
         required, build = _ANALYSES[akind]
@@ -304,8 +342,8 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
     analysis_kinds = {a["name"]: a["kind"] for a in analyses}
     for idx, o in enumerate(_json_list(doc, "outputs")):
         path = f"outputs[{idx}]"
-        if not isinstance(o, Mapping) or "what" not in o or "path" not in o:
-            raise _fail(path, "needs 'what' and 'path'")
+        if not isinstance(o, Mapping) or not all(isinstance(o.get(f), str) for f in ("what", "path")):
+            raise _fail(path, "needs string 'what' and 'path'")
         if o["path"] in seen_paths:
             raise _fail(f"{path}.path", f"duplicate output path {o['path']!r}")
         seen_paths.add(o["path"])
@@ -396,20 +434,6 @@ class ScenarioRun:
     skipped_outputs: dict[str, str]  # output path -> the failed analysis it shows
 
 
-def _effective_seed(cfg: ScenarioConfig, seed_override: int | None) -> int:
-    if seed_override is not None:
-        return seed_override
-    if cfg.seed is not None:
-        return cfg.seed
-    env = os.environ.get("BIASLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"BIASLAB_SEED is not an integer: {env!r}") from None
-    raise ValidationError(f"scenario {cfg.id!r} has no seed; pass --seed or set BIASLAB_SEED")
-
-
 def run_scenario(
     cfg: ScenarioConfig,
     out_dir: str | None = None,
@@ -424,8 +448,7 @@ def run_scenario(
     ``skipped_outputs``; every other output is written.  Callers decide the
     exit status from ``analysis_errors`` and ``skipped_outputs``.
     """
-    eff_seed = _effective_seed(cfg, seed)
-    generate, _, _ = _build_generator(cfg.generator_kind, cfg.generator, eff_seed)
+    generate, _, _ = _build_generator(cfg.generator_kind, cfg.generator, seed, cfg.seed)
     data, mc_result = generate(workers)
     artifacts: dict[str, Any] = {}
     errors: dict[str, str] = {}
@@ -435,7 +458,8 @@ def run_scenario(
             if working is None:
                 raise ValidationError("mc scenarios do not support dataset analyses")
             _, _, run = _ANALYSES[a["kind"]][1](a)
-            artifact, working = run(working, derive_substream(eff_seed, k + 1))
+            rng = derive_substream(resolve_seed(seed, ("seed", cfg.seed))[0], k + 1)
+            artifact, working = run(working, rng)
             artifacts[a["name"]] = artifact
         except BiaslabError as exc:
             errors[a["name"]] = f"{type(exc).__name__}: {exc}"

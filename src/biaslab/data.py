@@ -125,10 +125,6 @@ class SummaryStats:
     skew: float
     excess_kurtosis: float
 
-    def six_number(self) -> tuple[float, float, float, float, float, float]:
-        """Layout order: Min. 1st Qu. Median Mean 3rd Qu. Max."""
-        return (self.min, self.q1, self.median, self.mean, self.q3, self.max)
-
 
 def quantile_type7(values: np.ndarray | Column | Sequence[float], p: float) -> float:
     """Type-7 quantile: linear interpolation at ``h = (n-1)p + 1``."""

@@ -13,6 +13,16 @@ class ValidationError(BiaslabError):
     """A spec, config, or name reference failed validation."""
 
 
+def expect(kind: type, owner: str, optional: bool = False, **fields: object) -> None:
+    """Raise ``ValidationError`` naming the first of ``fields`` that is not a
+    ``kind`` (``str`` or ``numbers.Real``), or None where ``optional``; a bool
+    is no number."""
+    for name, value in fields.items():
+        if not (optional and value is None) and (isinstance(value, bool) or not isinstance(value, kind)):
+            noun = "a string" if kind is str else "a number"
+            raise ValidationError(f"{owner}: {name} must be {noun}, got {value!r}")
+
+
 class DataError(BiaslabError):
     """The data cannot support the requested computation (empty,
     degenerate, insufficient rows, missing group, ...)."""

@@ -30,8 +30,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .causal import _OPS, _holds, iv_wald, RowFilter
-from .data import Column, Dataset, balance_diff, quantile_type7
-from .errors import BiaslabError, DataError, ParameterError, ValidationError
+from .data import _BALANCE_DELTAS, Column, Dataset, balance_diff, quantile_type7
+from .errors import BiaslabError, DataError, ParameterError, ValidationError, expect
 from .regress import Formula, fit, fit_ols, fit_terms
 from .rng import RngState, derive_substream, sample_indices
 from .scm import EquationSpec, ErrorTerm, GroupError, ScmSpec, SourceSpec, evaluate_scm, prevalidated
@@ -63,6 +63,12 @@ class RangeSpec:
 _FIT_SELECTORS = ("b", "se", "stat", "p", "beta")
 
 
+def _check_selectors(record: Sequence[tuple[str, str]], known) -> None:
+    for name, selector in record:
+        if not isinstance(selector, str) or not known(selector):
+            raise ValidationError(f"unknown selector {selector!r} for {name!r}")
+
+
 @dataclass(frozen=True)
 class FitStep:
     """Fit a formula and record selected quantities.
@@ -77,12 +83,11 @@ class FitStep:
     def __post_init__(self):
         parsed = Formula.parse(self.formula)
         terms = fit_terms(parsed, self.family)
+        _check_selectors(self.record, lambda s: s == "r2" or s.partition(":")[0] in _FIT_SELECTORS)
         # (name, selector, term, index of the term in the fit, or None if absent)
         picks = []
         for name, selector in self.record:
             what, _, term = selector.partition(":")
-            if selector != "r2" and what not in _FIT_SELECTORS:
-                raise ValidationError(f"unknown selector {selector!r} for {name!r}")
             picks.append((name, what, term, terms.index(term) if term in terms else None))
         object.__setattr__(self, "_parsed", parsed)
         object.__setattr__(self, "_picks", tuple(picks))
@@ -115,6 +120,10 @@ class IvStep:
     record: tuple[tuple[str, str], ...]
     allow_weak: bool = True
 
+    def __post_init__(self):
+        expect(str, "iv step", y=self.y, x=self.x, instrument=self.instrument)
+        _check_selectors(self.record, lambda s: s in ("ratio", "b_yin", "se_yin", "b_xin", "se_xin"))
+
     def run(self, data: Dataset) -> dict[str, float]:
         est = iv_wald(data, self.y, self.x, self.instrument, allow_weak=self.allow_weak)
         pool = est.to_json_dict()
@@ -131,6 +140,12 @@ class BalanceStep:
     group: str
     covariates: tuple[str, ...]
     record: tuple[tuple[str, str], ...]
+
+    def __post_init__(self):
+        expect(str, "balance step", group=self.group,
+               **{f"covariates[{i}]": c for i, c in enumerate(self.covariates)})
+        _check_selectors(self.record, lambda s: s.partition(":")[0] in _BALANCE_DELTAS
+                         and s.partition(":")[2] in self.covariates)
 
     def run(self, data: Dataset) -> dict[str, float]:
         rep = balance_diff(data, self.group, self.covariates)
@@ -149,27 +164,13 @@ AnalysisStep = FitStep | IvStep | BalanceStep
 
 def step_to_json(step: AnalysisStep) -> dict:
     if isinstance(step, FitStep):
-        return {
-            "kind": "fit",
-            "formula": step.formula,
-            "family": step.family,
-            "record": {n: s for n, s in step.record},
-        }
-    if isinstance(step, IvStep):
-        return {
-            "kind": "iv",
-            "y": step.y,
-            "x": step.x,
-            "instrument": step.instrument,
-            "allow_weak": step.allow_weak,
-            "record": {n: s for n, s in step.record},
-        }
-    return {
-        "kind": "balance",
-        "group": step.group,
-        "covariates": list(step.covariates),
-        "record": {n: s for n, s in step.record},
-    }
+        d = {"kind": "fit", "formula": step.formula, "family": step.family}
+    elif isinstance(step, IvStep):
+        d = {"kind": "iv", "y": step.y, "x": step.x, "instrument": step.instrument,
+             "allow_weak": step.allow_weak}
+    else:
+        d = {"kind": "balance", "group": step.group, "covariates": list(step.covariates)}
+    return {**d, "record": dict(step.record)}
 
 
 def step_from_json(d: Mapping) -> AnalysisStep:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields
+from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .data import Column, Dataset, quantile_type7, spearman
-from .errors import BiaslabError, DataError, ParameterError, ValidationError
+from .errors import BiaslabError, DataError, ParameterError, ValidationError, expect
 from .regress import FitResult, Formula, fit, main
 
 _DICHOTOMIZE_KINDS = {"dichotomize_median", "dichotomize_quantile", "dichotomize_threshold"}
@@ -36,6 +37,7 @@ class RecodeRule:
     def __post_init__(self):
         if self.kind not in _DICHOTOMIZE_KINDS | _ORDINALIZE_KINDS:
             raise ValidationError(f"unknown recode kind {self.kind!r}")
+        expect(Real, self.kind, optional=True, p=self.p, threshold=self.threshold)
         if self.kind == "dichotomize_quantile":
             if self.p is None or not (0.0 < self.p < 1.0):
                 raise ValidationError(f"dichotomize_quantile needs p in (0,1), got {self.p}")
@@ -61,18 +63,6 @@ class RecodeRule:
     @property
     def is_dichotomize(self) -> bool:
         return self.kind in _DICHOTOMIZE_KINDS
-
-    def to_json_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.p is not None:
-            d["p"] = self.p
-        if self.threshold is not None:
-            d["threshold"] = self.threshold
-        if self.probs:
-            d["probs"] = list(self.probs)
-        if self.cutpoints:
-            d["cutpoints"] = list(self.cutpoints)
-        return d
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "RecodeRule":
@@ -113,6 +103,8 @@ class TransformRule:
     def __post_init__(self):
         if self.kind not in _TRANSFORM_KINDS:
             raise ValidationError(f"unknown transform kind {self.kind!r}")
+        expect(Real, self.kind, pad_lo=self.pad_lo, pad_hi=self.pad_hi)
+        expect(Real, self.kind, optional=True, c=self.c, exponent=self.exponent, lo=self.lo, hi=self.hi)
         if self.kind == "scale" and (self.c is None or self.c == 0):
             raise ParameterError("scale constant must be nonzero")
         if self.kind == "shift" and self.c is None:
@@ -122,17 +114,6 @@ class TransformRule:
         if self.kind == "window":
             if self.lo is None or self.hi is None or not (self.lo < self.hi):
                 raise ValidationError(f"window needs lo < hi, got ({self.lo}, {self.hi})")
-
-    def to_json_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        for k in ("c", "exponent", "lo", "hi"):
-            v = getattr(self, k)
-            if v is not None:
-                d[k] = v
-        if self.pad_lo or self.pad_hi:
-            d["pad_lo"] = self.pad_lo
-            d["pad_hi"] = self.pad_hi
-        return d
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "TransformRule":

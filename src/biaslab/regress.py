@@ -243,13 +243,21 @@ def _term_labels(terms: Sequence[Term], with_intercept: bool) -> list[str]:
 def _design(complete: Dataset, terms: Sequence[Term], labels: Sequence[str]) -> np.ndarray:
     """The design matrix ``[1 |] terms`` with columns ``labels``, filled column by column in place.
 
-    ``labels`` has ``(Intercept)`` first when the design has an intercept column."""
+    ``labels`` has ``(Intercept)`` first when the design has an intercept column.
+    A built interaction or square that overflows to ±inf raises ``DataError``;
+    as in ``listwise_complete``, ``v @ v`` screens it before the exact pass."""
     x = np.empty((complete.n_rows, len(labels)))
     first = len(labels) - len(terms)  # 1 with an intercept column, else 0
     if first:
         x[:, 0] = 1.0
     for j, term in enumerate(terms, start=first):
-        x[:, j] = term.build(complete)
+        if term.kind == "main":
+            x[:, j] = term.build(complete)
+            continue
+        with np.errstate(over="ignore"):
+            x[:, j] = v = term.build(complete)
+            if not math.isfinite(v @ v) and np.isinf(v).any():
+                raise DataError(f"term {term.label!r} overflows to ±inf; fits need finite data")
     return x
 
 

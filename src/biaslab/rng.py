@@ -72,13 +72,6 @@ def uniform_draw(state: RngState, lo: float, hi: float) -> float:
     return float(state.generator.uniform(lo, hi))
 
 
-def uniform_int_draw(state: RngState, lo: int, hi: int) -> int:
-    """Draw one integer uniformly from {lo, ..., hi} (both ends included)."""
-    if lo > hi:
-        raise ParameterError(f"integer range reversed: lo={lo} > hi={hi}")
-    return int(state.generator.integers(lo, hi + 1))
-
-
 def sample_indices(state: RngState, n_total: int, k: int, replace: bool = False) -> np.ndarray:
     """Sample ``k`` row indices from ``range(n_total)``.
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .data import Column, Dataset
-from .errors import DataError, ParameterError, ValidationError
+from .errors import DataError, ParameterError, ValidationError, expect
 from .rng import RngState
 
 Value = float | str  # str = placeholder name, bound by the MC harness
@@ -61,8 +62,8 @@ class ErrorTerm:
     mean: Value = 0.0
     sd: Value = 1.0
 
-    def placeholders(self) -> set[str]:
-        return {v for v in (self.scale_coef, self.mean, self.sd) if isinstance(v, str)}
+    def numbers(self) -> list[Value]:
+        return [self.scale_coef, self.mean, self.sd]
 
     def draw(self, rng: RngState, n: int) -> np.ndarray:
         if self.sd < 0:
@@ -86,14 +87,13 @@ class SourceSpec:
         missing = [k for k in _SOURCE_KINDS[self.kind] if k not in self.params]
         if missing:
             raise ValidationError(f"source {self.name!r} ({self.kind}) missing params {missing}")
+        if self.kind == "pattern":
+            values = self.params["values"]
+            expect(Real, f"source {self.name!r}", **{f"values[{i}]": v for i, v in enumerate(values)})
         object.__setattr__(self, "params", dict(self.params))
 
-    def placeholders(self) -> set[str]:
-        return {
-            self.params[k]
-            for k in _NUMERIC_PARAMS[self.kind]
-            if isinstance(self.params.get(k), str)
-        }
+    def numbers(self) -> list[Value]:
+        return [self.params[k] for k in _NUMERIC_PARAMS[self.kind]]
 
     def generate(self, rng: RngState, n: int) -> np.ndarray:
         p = self.params
@@ -125,11 +125,8 @@ class GroupError:
     def __post_init__(self):
         object.__setattr__(self, "levels", {int(k): v for k, v in self.levels.items()})
 
-    def placeholders(self) -> set[str]:
-        out: set[str] = set()
-        for t in self.levels.values():
-            out |= t.placeholders()
-        return out
+    def numbers(self) -> list[Value]:
+        return [v for t in self.levels.values() for v in t.numbers()]
 
 
 @dataclass(frozen=True)
@@ -159,16 +156,12 @@ class EquationSpec:
             names.append(self.group_error.by)
         return names
 
-    def placeholders(self) -> set[str]:
-        out = {c for _, c in self.linear if isinstance(c, str)}
-        out |= {c for _, _, c in self.interactions if isinstance(c, str)}
-        out |= {c for _, c in self.squares if isinstance(c, str)}
-        if isinstance(self.intercept, str):
-            out.add(self.intercept)
-        if self.error is not None:
-            out |= self.error.placeholders()
-        if self.group_error is not None:
-            out |= self.group_error.placeholders()
+    def numbers(self) -> list[Value]:
+        out = [self.intercept, *(c for _, c in self.linear), *(c for _, _, c in self.interactions),
+               *(c for _, c in self.squares)]
+        for term in (self.error, self.group_error):
+            if term is not None:
+                out += term.numbers()
         return out
 
 
@@ -183,11 +176,18 @@ class ScmSpec:
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "equations", tuple(self.equations))
+        if isinstance(self.n, bool) or not isinstance(self.n, (Real, str)):
+            raise ValidationError(f"n must be a number or a placeholder name, got {self.n!r}")
         self.validate()
         # placeholder names in the sources and equations (``n`` aside), found once
         found: set[str] = set()
         for part in (*self.sources, *self.equations):
-            found |= part.placeholders()
+            for v in part.numbers():
+                if isinstance(v, str):
+                    found.add(v)
+                elif isinstance(v, bool) or not isinstance(v, Real):
+                    owner = part.name if isinstance(part, SourceSpec) else part.target
+                    raise ValidationError(f"{owner!r}: {v!r} is neither a number nor a placeholder name")
         object.__setattr__(self, "_placeholders", frozenset(found))
 
     def validate(self) -> None:
@@ -337,6 +337,7 @@ class CorrTarget:
     empirical_exact: bool = True
 
     def __post_init__(self):
+        expect(str, "corr", **{f"names[{i}]": v for i, v in enumerate(self.names)})
         corr = np.asarray(self.corr, dtype=float)
         d = len(self.names)
         if corr.shape != (d, d):

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from biaslab.catalog import catalog_config, catalog_ids
 from biaslab.cli import format_fit_table
@@ -386,3 +393,90 @@ class TestPopulationScenario:
         assert (slopes > 2.5).all()  # low-PEA subgroup effect is large
         assert (tmp_path / "o" / "samples.csv").exists()
         assert (tmp_path / "o" / "slope_hist.csv").exists()
+
+
+# -- property: a mutated catalog config never escapes as a traceback ----------------
+#
+# Hypothesis (MacIver et al., JOSS 2019) mutates catalog configs and runs each
+# through the command line with --reps 2.  The 500k-row entry5 population is
+# replaced by one population scenario shrunk to 2000 rows, which covers the
+# same population and sampling fields.
+
+
+def _small_population() -> dict:
+    doc = catalog_config("entry5-sampling-high-pea")
+    doc["population"]["scm"]["n"] = 2000
+    doc["population"]["scm"]["sources"][0]["params"]["k"] = 1000
+    doc["population"]["sampling"]["k"] = 50
+    return doc
+
+
+_BASES = {i: catalog_config(i) for i in catalog_ids() if not i.startswith("entry5-")}
+_BASES["entry5-small"] = _small_population()
+_SEED_SLOTS = (("seed",), ("mc", "seed"), ("population", "sampling", "seed"))
+_WRONG = (None, True, -1, 0.5, "x", [], {})
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) below ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield (*path, key), value
+        yield from _nodes(value, (*path, key))
+
+
+_DROP = object()
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    if value is _DROP:
+        del doc[path[-1]]
+    else:
+        doc[path[-1]] = value
+
+
+@st.composite
+def _mutated(draw):
+    ident = draw(st.sampled_from(sorted(_BASES)))
+    doc = json.loads(json.dumps(_BASES[ident]))
+    nodes = list(_nodes(doc))
+    how = draw(st.sampled_from(("drop", "wrong_type", "unknown_column", "unknown_kind", "seed")))
+    if how == "drop":
+        path = draw(st.sampled_from([p for p, _ in nodes if isinstance(p[-1], str)]))
+        _set(doc, path, _DROP)
+    elif how == "wrong_type":
+        path, old = draw(st.sampled_from(nodes))
+        _set(doc, path, draw(st.sampled_from([v for v in _WRONG if type(v) is not type(old)])))
+    elif how == "unknown_column":
+        # the columns that sources and equations define
+        names = {v for p, v in nodes if p[-1] in ("name", "target") and isinstance(v, str)}
+        uses = [(p, v) for p, v in nodes if isinstance(v, str) and p[-1] not in ("id", "path")
+                and any(re.search(rf"\b{re.escape(n)}\b", v) for n in names)]
+        path, text = draw(st.sampled_from(uses))
+        name = draw(st.sampled_from(sorted(n for n in names if re.search(rf"\b{re.escape(n)}\b", text))))
+        _set(doc, path, re.sub(rf"\b{re.escape(name)}\b", "nope", text))
+    elif how == "unknown_kind":
+        path = draw(st.sampled_from([p for p, _ in nodes if p[-1] in ("kind", "what")]))
+        _set(doc, path, "nope")
+    else:
+        slot = draw(st.sampled_from([s for s in _SEED_SLOTS if s[0] in doc]))
+        _set(doc, slot, draw(st.sampled_from((-1, 2**64, True, 1.5, "7"))))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_mutated(), command=st.sampled_from(("run", "mc")), flag=st.sampled_from(([], ["--seed", "3"])))
+def test_mutated_catalog_configs_exit_cleanly(doc, command, flag):
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rc = cli_main([command, "--config", path, "--reps", "2", *flag,
+                               "--out", os.path.join(root, "out")])
+    event(f"exit {rc}")
+    assert rc in (0, 2, 3, 4)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -517,6 +518,29 @@ class TestInfiniteCells:
     def test_infinite_response_is_named(self):
         with pytest.raises(DataError, match="column 'y'"):
             fit_ols(self._data(inf_at="y"), Formula.parse("y ~ x + z"))
+
+    @pytest.mark.parametrize("fitter, response", [
+        (fit_ols, "y"), (fit_logistic, "yb"), (fit_ordered_logit, "yo"),
+        (lambda d, f: collinearity_diagnostics(d, f), "y"),
+    ], ids=["ols", "logistic", "ordered", "collinearity"])
+    @pytest.mark.parametrize("rhs, term", [("x + x^2", "x^2"), ("z + x:z", "x:z")])
+    def test_overflowing_term_is_named(self, fitter, response, rhs, term):
+        # finite cells whose square or product overflows to inf
+        d = self._data(value=1e200)
+        z = d.column_values("z").copy()
+        z[4] = -1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # x @ x overflows in the listwise screen
+            with pytest.raises(DataError, match=f"term '{re.escape(term)}' overflows"):
+                fitter(d.with_column(Column("z", z)), Formula.parse(f"{response} ~ {rhs}"))
+
+    def test_finite_term_whose_screen_overflows_still_fits(self):
+        d = self._data(value=0.5)
+        x = d.column_values("x") * 1e77  # x^2 is finite, but its v @ v overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = fit_ols(d.with_column(Column("x", x)), Formula.parse("y ~ x^2 - 1"), standardized=False)
+        assert np.all(np.isfinite(f.b)) and np.all(np.isfinite(f.se))
 
     def test_infinite_cell_in_a_dropped_row_is_never_used(self):
         d = self._data()
