@@ -20,7 +20,6 @@ from .causal import (
 )
 from .data import (
     BalanceReport,
-    Column,
     Dataset,
     SummaryStats,
     balance_diff,

@@ -8,7 +8,7 @@ simple-slope readouts, and subgroup regressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -57,7 +57,7 @@ class RowFilter:
     def mask(self, data: Dataset) -> np.ndarray:
         keep = np.ones(data.n_rows, dtype=bool)
         for c in self.conditions:
-            keep &= _holds(data.column_values(c.var), c.op, c.value)
+            keep &= _holds(data[c.var], c.op, c.value)
         return keep
 
     def to_json_list(self) -> list[dict]:
@@ -106,16 +106,7 @@ class ScenarioReport:
             "focal_term": self.focal_term,
             "truth": self.truth,
             "fits": {lab: f.to_json_dict() for lab, f in self.fits},
-            "focal": [
-                {
-                    "label": e.label,
-                    "estimate": e.estimate,
-                    "se": e.se,
-                    "stat": e.stat,
-                    "bias": e.bias,
-                }
-                for e in self.focal
-            ],
+            "focal": [asdict(e) for e in self.focal],
             "errors": {lab: msg for lab, msg in self.errors},
         }
 
@@ -179,16 +170,6 @@ class IvEstimate:
     se_xin: float
     ratio: float
     weak: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "b_yin": self.b_yin,
-            "se_yin": self.se_yin,
-            "b_xin": self.b_xin,
-            "se_xin": self.se_xin,
-            "ratio": self.ratio,
-            "weak": self.weak,
-        }
 
 
 def iv_wald(

@@ -30,11 +30,11 @@ from .causal import (
     moderated_fit,
     subgroup_effect,
 )
-from .data import Column, Dataset, balance_diff, pearson, spearman, summarize, write_csv
+from .data import Dataset, balance_diff, pearson, spearman, summarize, write_csv
 from .errors import BiaslabError, ValidationError, expect
 from .measure import AttenuationVariant, apply_rules, attenuation_report, rules_from_json
 from .regress import FitResult, Formula, collinearity_diagnostics, fit, predict
-from .rng import RngState, derive_substream
+from .rng import RngState, check_seed, derive_substream
 from .scm import CorrTarget, ScmSpec, block_randomize, evaluate_scm, inject_outlier, mvn_exact
 
 _GEN_KINDS = ("scm", "corr", "population", "mc")
@@ -96,8 +96,7 @@ def resolve_seed(flag: int | None, *fallbacks: tuple[str, Any]) -> tuple[int, st
             continue
         if source == "BIASLAB_SEED" and value.strip().lstrip("+-").isdecimal():
             value = int(value)
-        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
-            raise _fail(source, f"must be an integer in [0, 2^64), got {value!r}")
+        check_seed(source, value)
         return value, source
     raise ValidationError("no seed: pass --seed, set the config's seed or set BIASLAB_SEED")
 
@@ -130,7 +129,7 @@ def _build_generator(
         spec = ScmSpec.from_json_dict(gen["scm"] if kind == "population" else gen)
         if not spec.is_concrete():
             raise _fail(kind, f"placeholders {sorted(spec.placeholders())} are only valid in mc templates")
-        columns = [s.name for s in spec.sources] + [e.target for e in spec.equations]
+        columns = spec.column_names()
         if kind == "scm":
             return lambda workers: (evaluate_scm(spec, derive_substream(seed, 0)), None), columns, []
         # the flag and the config's seed key the population itself, so the
@@ -139,6 +138,7 @@ def _build_generator(
         if source != "population.sampling.seed":
             master = (master + 1) % 2**64
         plan = mc_mod.SamplingPlan.from_json_dict({**gen["sampling"], "seed": master})
+        mc_mod.check_reads("population.sampling", plan.analysis, columns, plan.row_filter)
     except _MALFORMED as exc:
         raise _malformed(kind, exc) from exc
 
@@ -209,7 +209,7 @@ def _block_balance(a: Mapping) -> _Built:
     name = a.get("as", "treated")
 
     def run(data: Dataset, rng: RngState):
-        with_assign = data.with_column(block_randomize(data, a["strata"], rng, name=name))
+        with_assign = data.with_column(name, block_randomize(data, a["strata"], rng))
         return balance_diff(with_assign, name, a["covariates"]), with_assign
 
     return [a["strata"], *a["covariates"]], name, run
@@ -222,7 +222,7 @@ def _attenuation(a: Mapping) -> _Built:
 
 
 def _summary(a: Mapping) -> _Built:
-    return [a["var"]], None, _unchanged(lambda d: summarize(d[a["var"]]))
+    return [a["var"]], None, _unchanged(lambda d: summarize(d[a["var"]], a["var"]))
 
 
 def _correlation(a: Mapping) -> _Built:
@@ -232,9 +232,9 @@ def _correlation(a: Mapping) -> _Built:
         raise ValidationError(f"method must be pearson or spearman, got {method!r}")
 
     def run(data: Dataset) -> dict:
-        xcol, ycol = data[a["x"]], data[a["y"]]
-        n_used = int((~(np.isnan(xcol.values) | np.isnan(ycol.values))).sum())
-        return {"method": method, "x": a["x"], "y": a["y"], "r": corr(xcol, ycol), "n_used": n_used}
+        x, y = data[a["x"]], data[a["y"]]
+        n_used = int((~(np.isnan(x) | np.isnan(y))).sum())
+        return {"method": method, "x": a["x"], "y": a["y"], "r": corr(x, y), "n_used": n_used}
 
     return [a["x"], a["y"]], None, _unchanged(run)
 
@@ -246,7 +246,7 @@ def _outlier_fit(a: Mapping) -> _Built:
     fixed = {col: float(v) for col, v in a["assign"].items() if col not in means}
 
     def run(data: Dataset) -> FitResult:
-        at_means = {col: float(np.nanmean(data.column_values(v))) for col, v in means.items()}
+        at_means = {col: float(np.nanmean(data[v])) for col, v in means.items()}
         return fit(inject_outlier(data, {**fixed, **at_means}), formula, family=family)
 
     return [*formula.variables(), *a["assign"], *means.values()], None, _unchanged(run)
@@ -256,9 +256,11 @@ def _recode(a: Mapping) -> _Built:
     rules = rules_from_json(a["rule"])
 
     def run(data: Dataset, rng: RngState):
-        col = apply_rules(data[a["var"]], rules, name=a["as"])
-        counts = {str(k): int(c) for k, c in zip(*np.unique(col.present(), return_counts=True))}
-        return {"column": a["as"], "levels": counts, "n_missing": col.n_missing}, data.with_column(col)
+        values = apply_rules(data[a["var"]], rules, a["var"])
+        missing = np.isnan(values)
+        counts = {str(k): int(c) for k, c in zip(*np.unique(values[~missing], return_counts=True))}
+        artifact = {"column": a["as"], "levels": counts, "n_missing": int(np.count_nonzero(missing))}
+        return artifact, data.with_column(a["as"], values)
 
     return [a["var"]], a["as"], run
 
@@ -311,6 +313,8 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
     analyses = []
     for idx, a in enumerate(_json_list(doc, "analyses")):
         path = f"analyses[{idx}]"
+        if kind == "mc":  # its replicates run the template's own analysis steps
+            raise _fail(path, "mc scenarios do not support dataset analyses")
         if not isinstance(a, Mapping):
             raise _fail(path, "must be an object")
         akind = a.get("kind")
@@ -333,7 +337,7 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
             raise _fail(path, str(exc)) from exc
         except _MALFORMED as exc:
             raise _malformed(path, exc) from exc
-        if columns and unknown:  # mc scenarios analyse series, not columns
+        if unknown:
             raise _fail(path, f"unknown column {unknown[0]!r}; generator defines {columns}")
         analyses.append(a)
 
@@ -398,6 +402,8 @@ def _check_output(
     else:
         first, _, second = rest.partition(":")
         reads = {"scatter": [first, second], "fitted_line": [second], "mc_summary": [rest]}.get(head, [])
+        if head == "scatter" and first == second:  # a dataset holds one column per name
+            raise _fail(path, f"scatter needs two different columns, got {what!r}")
     # a histogram of an mc or population scenario, like a summary, reads a series
     if head == "mc_summary" or (head == "histogram" and gen_kind in ("mc", "population")):
         known, noun = series, "series"
@@ -455,8 +461,6 @@ def run_scenario(
     working = data
     for k, a in enumerate(cfg.analyses):
         try:
-            if working is None:
-                raise ValidationError("mc scenarios do not support dataset analyses")
             _, _, run = _ANALYSES[a["kind"]][1](a)
             rng = derive_substream(resolve_seed(seed, ("seed", cfg.seed))[0], k + 1)
             artifact, working = run(working, rng)
@@ -529,7 +533,7 @@ def _write_output(
         if mc_result is not None:
             bins = mc_mod.histogram(mc_result, series, int(nbins))
         else:
-            bins = mc_mod.value_histogram(data.column_values(series), series, int(nbins))  # type: ignore[union-attr]
+            bins = mc_mod.value_histogram(data[series], series, int(nbins))  # type: ignore[index]
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["lo", "hi", "count"])
@@ -537,23 +541,19 @@ def _write_output(
         return
     if head == "scatter":
         xname, _, yname = rest.partition(":")
-        pts = Dataset([data[xname], data[yname]])
-        write_csv(pts, path)
+        write_csv(Dataset({xname: data[xname], yname: data[yname]}), path)  # type: ignore[index]
         return
     if head == "fitted_line":
         fit_name, _, xname = rest.partition(":")
         fit_res = artifacts[fit_name]
-        xcol = data[xname]  # type: ignore[index]
-        grid = np.linspace(float(np.nanmin(xcol.values)), float(np.nanmax(xcol.values)), 100)
-        grid_data = Dataset.from_arrays({xname: grid})
+        x = data[xname]  # type: ignore[index]
+        grid = {xname: np.linspace(float(np.nanmin(x)), float(np.nanmax(x)), 100)}
         # other variables in the formula are held at their means
         for v in fit_res.formula.variables()[1:]:
             if v != xname:
-                grid_data = grid_data.with_column(
-                    Column(v, np.full(100, float(np.nanmean(data.column_values(v)))))  # type: ignore[union-attr]
-                )
-        yhat = predict(fit_res, grid_data)
-        write_csv(Dataset([grid_data[xname], Column("fitted", yhat.values)]), path)
+                grid[v] = np.full(100, float(np.nanmean(data[v])))  # type: ignore[index]
+        yhat = predict(fit_res, Dataset(grid))
+        write_csv(Dataset({xname: grid[xname], "fitted": yhat}), path)
         return
     if head == "mc_summary":
         artifact, chosen = mc_mod.summarize_series(mc_result, rest), "json"

@@ -1,8 +1,9 @@
 """Tabular data model and descriptive statistics.
 
-Columns are named float vectors, and a NaN cell is a missing cell: NaN is
-the only missing marker, while ±inf is a value.  Every statistic excludes
-missing cells and reports how many were excluded.
+A :class:`Dataset` maps each column name to a 1-D float64 array, so
+``data["x"]`` is the column itself.  A NaN cell is a missing cell: NaN is
+the only missing marker, while ±inf is a value.  The statistics here take
+arrays, exclude missing cells and report how many were excluded.
 Quantiles use type-7 (order-statistic interpolation at ``h = (n-1)p + 1``),
 matching the cutpoint semantics the measurement recodes depend on.
 """
@@ -12,56 +13,26 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError, ParameterError, ValidationError
 
 
-@dataclass
-class Column:
-    """A named float column; its NaN cells are its missing cells."""
-
-    name: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValidationError(f"column {self.name!r} must be 1-dimensional")
-        self.values = vals
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def n_missing(self) -> int:
-        return int(np.count_nonzero(np.isnan(self.values)))
-
-    def present(self) -> np.ndarray:
-        """Values with missing cells removed."""
-        return self.values[~np.isnan(self.values)]
-
-
 class Dataset:
-    """An ordered collection of equal-length, uniquely named columns."""
+    """An ordered map from unique column names to equal-length 1-D float64 arrays."""
 
-    def __init__(self, columns: Iterable[Column]):
-        cols = list(columns)
-        names = [c.name for c in cols]
-        if len(set(names)) != len(names):
-            raise ValidationError(f"duplicate column names: {names}")
-        lengths = {len(c) for c in cols}
+    def __init__(self, columns: Mapping[str, np.ndarray | Sequence[float]]):
+        cols = {name: np.asarray(v, dtype=float) for name, v in columns.items()}
+        for name, v in cols.items():
+            if v.ndim != 1:
+                raise ValidationError(f"column {name!r} must be 1-dimensional")
+        lengths = {len(v) for v in cols.values()}
         if len(lengths) > 1:
-            raise ValidationError(f"columns differ in length: { {c.name: len(c) for c in cols} }")
-        self._cols: dict[str, Column] = {c.name: c for c in cols}
+            raise ValidationError(f"columns differ in length: { {n: len(v) for n, v in cols.items()} }")
+        self._cols = cols
         self.n_rows = lengths.pop() if lengths else 0
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "Dataset":
-        """Build from name->vector; NaN cells are missing."""
-        return cls(Column(name, np.asarray(v, dtype=float)) for name, v in arrays.items())
 
     @property
     def names(self) -> list[str]:
@@ -70,44 +41,35 @@ class Dataset:
     def __contains__(self, name: str) -> bool:
         return name in self._cols
 
-    def __getitem__(self, name: str) -> Column:
+    def __getitem__(self, name: str) -> np.ndarray:
         try:
             return self._cols[name]
         except KeyError:
             raise ValidationError(f"unknown column {name!r}; have {self.names}") from None
 
-    def column_values(self, name: str) -> np.ndarray:
-        return self[name].values
+    def items(self):
+        return self._cols.items()
 
-    def with_column(self, col: Column) -> "Dataset":
-        """New dataset with ``col`` appended or replaced."""
-        cols = [c for c in self._cols.values() if c.name != col.name]
-        cols.append(col)
+    def with_column(self, name: str, values: np.ndarray | Sequence[float]) -> "Dataset":
+        """New dataset with column ``name`` appended, or moved to the end and replaced."""
+        cols = {n: v for n, v in self._cols.items() if n != name}
+        cols[name] = values
         return Dataset(cols)
 
     @classmethod
-    def _trusted(cls, n_rows: int, columns: Iterable[tuple[str, np.ndarray]]) -> "Dataset":
-        """A dataset over arrays that are valid by construction, built without checks or copies.
+    def _trusted(cls, n_rows: int, columns: dict[str, np.ndarray]) -> "Dataset":
+        """A dataset over ``columns``, taken as they are, without checks or copies.
 
-        Each ``(name, values)`` holds a unique name and 1-D float64 ``values``
-        of length ``n_rows``, whose NaN cells are missing.  Only for arrays the
-        caller has just built, or gathered from a valid dataset.
+        Each value is a 1-D float64 array of length ``n_rows``.  Only for
+        arrays the caller has just built, or gathered from a valid dataset.
         """
         ds = object.__new__(cls)
-        ds._cols = {}
-        for name, values in columns:
-            col = object.__new__(Column)
-            col.name, col.values = name, values
-            ds._cols[name] = col
-        ds.n_rows = n_rows
+        ds._cols, ds.n_rows = columns, n_rows
         return ds
 
     def select_rows(self, index: np.ndarray) -> "Dataset":
-        cols = [(c.name, c.values[index]) for c in self._cols.values()]
-        return Dataset._trusted(len(cols[0][1]) if cols else 0, cols)
-
-    def columns(self) -> list[Column]:
-        return list(self._cols.values())
+        cols = {name: v[index] for name, v in self._cols.items()}
+        return Dataset._trusted(len(next(iter(cols.values()))) if cols else 0, cols)
 
 
 @dataclass(frozen=True)
@@ -126,13 +88,10 @@ class SummaryStats:
     excess_kurtosis: float
 
 
-def quantile_type7(values: np.ndarray | Column | Sequence[float], p: float) -> float:
-    """Type-7 quantile: linear interpolation at ``h = (n-1)p + 1``."""
-    if isinstance(values, Column):
-        x = values.present()
-    else:
-        x = np.asarray(values, dtype=float)
-        x = x[~np.isnan(x)]
+def quantile_type7(values: np.ndarray | Sequence[float], p: float) -> float:
+    """Type-7 quantile of the non-missing values: linear interpolation at ``h = (n-1)p + 1``."""
+    x = np.asarray(values, dtype=float)
+    x = x[~np.isnan(x)]
     if not (0.0 <= p <= 1.0):
         raise ParameterError(f"quantile probability out of range: {p}")
     if x.size == 0:
@@ -158,19 +117,21 @@ def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
     return mean, sd, m3 / m2**1.5, m4 / m2**2 - 3.0
 
 
-def summarize(col: Column) -> SummaryStats:
-    """Six-number summary plus spread and shape moments.
+def summarize(values: np.ndarray, name: str = "values") -> SummaryStats:
+    """Six-number summary plus spread and shape moments of the non-missing values.
 
     Quantiles are type-7; ``sd`` uses the n-1 denominator; skew and excess
     kurtosis use 1/n central moments and are NaN for zero-variance data.
+    ``name`` names the column in the error for all-missing values.
     """
-    x = col.present()
+    v = np.asarray(values, dtype=float)
+    x = v[~np.isnan(v)]
     if x.size == 0:
-        raise DataError(f"column {col.name!r} has no non-missing values")
+        raise DataError(f"column {name!r} has no non-missing values")
     mean, sd, skew, kurt = _moments(x)
     return SummaryStats(
         n=int(x.size),
-        n_missing=col.n_missing,
+        n_missing=int(v.size - x.size),
         min=float(x.min()),
         q1=quantile_type7(x, 0.25),
         median=quantile_type7(x, 0.5),
@@ -184,13 +145,13 @@ def summarize(col: Column) -> SummaryStats:
     )
 
 
-def ranks_average_ties(col: Column | np.ndarray) -> np.ndarray:
-    """1-based ranks over non-missing values; ties get their mean rank.
+def ranks_average_ties(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; ties get their mean rank.
 
-    A NaN in a raw array is unequal to everything, so each one keeps its own
-    rank; NaNs sort last and take the top ranks in index order.
+    A NaN is unequal to everything, so each one keeps its own rank; NaNs sort
+    last and take the top ranks in index order.
     """
-    x = col.present() if isinstance(col, Column) else np.asarray(col, dtype=float)
+    x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise DataError("cannot rank empty data")
     # Tied values share one rank, so an unstable sort gives the same ranks;
@@ -209,14 +170,15 @@ def ranks_average_ties(col: Column | np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _paired(x: Column, y: Column) -> tuple[np.ndarray, np.ndarray]:
+def _paired(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if len(x) != len(y):
         raise ValidationError("correlation requires equal-length columns")
-    keep = ~(np.isnan(x.values) | np.isnan(y.values))
-    return x.values[keep], y.values[keep]
+    keep = ~(np.isnan(x) | np.isnan(y))
+    return x[keep], y[keep]
 
 
-def pearson(x: Column, y: Column) -> float:
+def pearson(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation over pairwise-complete rows."""
     xv, yv = _paired(x, y)
     if xv.size < 3:
@@ -230,14 +192,12 @@ def pearson(x: Column, y: Column) -> float:
     return float((xc @ yc) / math.sqrt(sx * sy))
 
 
-def spearman(x: Column, y: Column) -> float:
+def spearman(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman rank correlation (average ties, pairwise deletion)."""
     xv, yv = _paired(x, y)
     if xv.size < 3:
         raise DataError(f"need >= 3 complete pairs, have {xv.size}")
-    rx = ranks_average_ties(xv)
-    ry = ranks_average_ties(yv)
-    return pearson(Column("rx", rx), Column("ry", ry))
+    return pearson(ranks_average_ties(xv), ranks_average_ties(yv))
 
 
 _BALANCE_DELTAS = ("delta_mean", "delta_sd", "delta_skew", "delta_kurtosis")
@@ -273,20 +233,19 @@ class BalanceReport:
         ]
 
 
-def balance_diff(data: Dataset, group: str | Column, covariates: Sequence[str]) -> BalanceReport:
+def balance_diff(data: Dataset, group: str, covariates: Sequence[str]) -> BalanceReport:
     """Moment differences (mean, sd, skew, kurtosis) between group 1 and group 0."""
-    gcol = data[group] if isinstance(group, str) else group
-    g = gcol.values
+    g = data[group]
     treated = g == 1  # a NaN cell equals nothing
     control = g == 0
     bad = ~np.isnan(g) & (g != 0) & (g != 1)
     if bad.any():
-        raise ValidationError(f"group column {gcol.name!r} must be 0/1-valued")
+        raise ValidationError(f"group column {group!r} must be 0/1-valued")
     if not treated.any() or not control.any():
         raise DataError("both treatment and control groups must be non-empty")
     rows = []
     for name in covariates:
-        v = data.column_values(name)
+        v = data[name]
         present = ~np.isnan(v)
         t = v[treated & present]
         c = v[control & present]
@@ -308,12 +267,14 @@ def listwise_complete(data: Dataset, variables: Sequence[str]) -> ListwiseResult
 
     A ±inf cell is a value that no fit can use, so one left in a kept row
     raises ``DataError`` naming its column.  Clean data pays one reduction
-    per variable: ``v @ v`` is finite only when ``v`` holds neither NaN nor
-    ±inf, and unlike a sum it does not warn where +inf meets -inf.  The
-    exact masks are built only for the variables that fail it.
+    per variable: ``v @ v`` is finite when ``v`` holds neither NaN nor ±inf
+    (nor values whose squares overflow), and unlike a sum it does not warn
+    where +inf meets -inf.  The exact masks are built only for the
+    variables that fail it.
     """
-    values = {name: data.column_values(name) for name in variables}
-    unclean = [name for name, v in values.items() if not math.isfinite(v @ v)]
+    values = {name: data[name] for name in variables}
+    with np.errstate(over="ignore"):
+        unclean = [name for name, v in values.items() if not math.isfinite(v @ v)]
     if not unclean:
         return ListwiseResult(data, 0)
     keep = np.ones(data.n_rows, dtype=bool)
@@ -346,10 +307,10 @@ def _format_cell(v: float) -> str:
 def write_csv(data: Dataset, path: str) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        cols = data.columns()
-        w.writerow([c.name for c in cols])
+        w.writerow(data.names)
+        columns = [v for _, v in data.items()]
         for i in range(data.n_rows):
-            w.writerow([_format_cell(c.values[i]) for c in cols])
+            w.writerow([_format_cell(v[i]) for v in columns])
 
 
 def read_csv(path: str) -> Dataset:
@@ -360,6 +321,9 @@ def read_csv(path: str) -> Dataset:
         except StopIteration:
             raise DataError(f"{path}: empty CSV") from None
         rows = list(r)
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise ValidationError(f"{path}: the header names column {name!r} twice")
     arrays = {name: np.full(len(rows), np.nan) for name in header}
     for i, row in enumerate(rows):
         if len(row) != len(header):
@@ -372,4 +336,4 @@ def read_csv(path: str) -> Dataset:
                     raise ValidationError(
                         f"{path}: row {i + 2}, column {name!r}: not a number: {cell!r}"
                     ) from None
-    return Dataset.from_arrays(arrays)
+    return Dataset._trusted(len(rows), arrays)

@@ -30,10 +30,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .causal import _OPS, _holds, iv_wald, RowFilter
-from .data import _BALANCE_DELTAS, Column, Dataset, balance_diff, quantile_type7
+from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantile_type7
 from .errors import BiaslabError, DataError, ParameterError, ValidationError, expect
 from .regress import Formula, fit, fit_ols, fit_terms
-from .rng import RngState, derive_substream, sample_indices
+from .rng import RngState, check_seed, derive_substream, sample_indices
 from .scm import EquationSpec, ErrorTerm, GroupError, ScmSpec, SourceSpec, evaluate_scm, prevalidated
 
 
@@ -106,8 +106,8 @@ class FitStep:
                 out[name] = float(getattr(f, what)[f.term_index(term) if idx is None else idx])
         return out
 
-    def names(self) -> list[str]:
-        return [n for n, _ in self.record]
+    def reads(self) -> list[str]:
+        return self._parsed.variables()
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,10 @@ class IvStep:
 
     def run(self, data: Dataset) -> dict[str, float]:
         est = iv_wald(data, self.y, self.x, self.instrument, allow_weak=self.allow_weak)
-        pool = est.to_json_dict()
-        return {name: float(pool[selector]) for name, selector in self.record}
+        return {name: float(getattr(est, selector)) for name, selector in self.record}
 
-    def names(self) -> list[str]:
-        return [n for n, _ in self.record]
+    def reads(self) -> list[str]:
+        return [self.y, self.x, self.instrument]
 
 
 @dataclass(frozen=True)
@@ -155,11 +154,24 @@ class BalanceStep:
             out[name] = float(getattr(rep.row(cov), what))
         return out
 
-    def names(self) -> list[str]:
-        return [n for n, _ in self.record]
+    def reads(self) -> list[str]:
+        return [self.group, *self.covariates]
 
 
 AnalysisStep = FitStep | IvStep | BalanceStep
+
+
+def check_reads(owner: str, analysis: Sequence[AnalysisStep], columns: Sequence[str],
+                row_filter: RowFilter | None = None) -> None:
+    """Refuse, before anything runs, an analysis step or a row filter of
+    ``owner`` that reads a column outside ``columns``."""
+    readers = [(f"{owner} analysis[{k}]", step.reads()) for k, step in enumerate(analysis)]
+    if row_filter is not None:
+        readers.append((f"{owner} filter", [c.var for c in row_filter.conditions]))
+    for where, reads in readers:
+        for name in reads:
+            if name not in columns:
+                raise ValidationError(f"{where}: unknown column {name!r}; have {sorted(columns)}")
 
 
 def step_to_json(step: AnalysisStep) -> dict:
@@ -213,6 +225,8 @@ class McTemplate:
         object.__setattr__(self, "analysis", tuple(self.analysis))
         if self.reps < 1:
             raise ValidationError("reps must be >= 1")
+        check_seed("master_seed", self.master_seed)
+        check_reads("mc template", self.analysis, self.scm.column_names())
         bound = [name for name, _ in self.bindings]
         if len(set(bound)) != len(bound):
             raise ValidationError(f"placeholder bound more than once: {bound}")
@@ -225,7 +239,7 @@ class McTemplate:
             raise ValidationError(f"unbound placeholders: {sorted(missing)}")
         reserved = {"i", "N"} | set(bound)
         for step in self.analysis:
-            for name in step.names():
+            for name, _ in step.record:
                 if name in reserved:
                     raise ValidationError(f"recorded series name {name!r} collides")
                 reserved.add(name)
@@ -288,7 +302,7 @@ class McTemplate:
 
 
 def _step_names(analysis: Sequence[AnalysisStep]) -> list[str]:
-    return [name for step in analysis for name in step.names()]
+    return [name for step in analysis for name, _ in step.record]
 
 
 def _json_hash(d: dict) -> str:
@@ -391,6 +405,9 @@ class SamplingPlan:
     master_seed: int
     row_filter: RowFilter | None = None
 
+    def __post_init__(self):
+        check_seed("master_seed", self.master_seed)
+
     def to_json_dict(self) -> dict:
         d: dict = {
             "k": self.k,
@@ -433,6 +450,7 @@ def repeated_samples(
     workers: int = 1,
 ) -> McResult:
     """Draw ``k`` rows without replacement per replicate and run the plan."""
+    check_reads("sampling", plan.analysis, population.names, plan.row_filter)
     pool_data = population
     if plan.row_filter is not None:
         pool_data = population.select_rows(plan.row_filter.mask(population))
@@ -544,12 +562,6 @@ class McSummary:
     q3: float
     max: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "min": self.min, "q1": self.q1, "median": self.median,
-            "mean": self.mean, "q3": self.q3, "max": self.max,
-        }
-
 
 def _clean_series(x: np.ndarray, series: str) -> np.ndarray:
     x = x[~np.isnan(x)]
@@ -571,11 +583,7 @@ def summarize_series(result: McResult, series: str) -> McSummary:
 
 
 def series_correlation(result: McResult, a: str, b: str) -> float:
-    from .data import pearson
-
-    xa = result.series(a)
-    xb = result.series(b)
-    return pearson(Column("a", xa), Column("b", xb))
+    return pearson(result.series(a), result.series(b))
 
 
 def histogram(result: McResult, series: str, bins: int) -> list[tuple[float, float, int]]:

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Column, Dataset, quantile_type7, spearman
+from .data import Dataset, quantile_type7, spearman
 from .errors import BiaslabError, DataError, ParameterError, ValidationError, expect
 from .regress import FitResult, Formula, fit, main
 
@@ -139,31 +139,31 @@ def rules_from_json(spec: "Mapping | Sequence[Mapping]") -> tuple:
     return tuple(rule_from_json(r) for r in (spec if isinstance(spec, list) else [spec]))
 
 
-def dichotomize(col: Column, rule: RecodeRule, name: str | None = None) -> Column:
-    """Recode to 0/1: value <= cut -> 0, value > cut -> 1; missing passes through."""
+def dichotomize(values: np.ndarray, rule: RecodeRule, name: str = "values") -> np.ndarray:
+    """Recode to 0/1: value <= cut -> 0, value > cut -> 1; missing passes through.
+
+    ``name`` names the column in errors and warnings, here and in the other rules.
+    """
     if not rule.is_dichotomize:
         raise ParameterError(f"{rule.kind} is not a dichotomize rule")
-    present = col.present()
+    x = np.asarray(values, dtype=float)
+    present = x[~np.isnan(x)]
     if present.size == 0:
-        raise DataError(f"column {col.name!r} has no non-missing values")
+        raise DataError(f"column {name!r} has no non-missing values")
     if rule.kind == "dichotomize_median":
         cut = quantile_type7(present, 0.5)
     elif rule.kind == "dichotomize_quantile":
         cut = quantile_type7(present, float(rule.p))  # type: ignore[arg-type]
     else:
         cut = float(rule.threshold)  # type: ignore[arg-type]
-    out = np.where(col.values > cut, 1.0, 0.0)
-    out[np.isnan(col.values)] = np.nan
-    recoded = Column(name or col.name, out)
-    classes = np.unique(recoded.present())
-    if classes.size < 2:
-        warnings.warn(
-            f"dichotomizing {col.name!r} produced a single class", stacklevel=2
-        )
-    return recoded
+    out = np.where(x > cut, 1.0, 0.0)
+    out[np.isnan(x)] = np.nan
+    if np.unique(out[~np.isnan(x)]).size < 2:
+        warnings.warn(f"dichotomizing {name!r} produced a single class", stacklevel=2)
+    return out
 
 
-def ordinalize(col: Column, rule: RecodeRule, name: str | None = None) -> Column:
+def ordinalize(values: np.ndarray, rule: RecodeRule, name: str = "values") -> np.ndarray:
     """Recode to ordered labels 1..K.
 
     Interior bins are left-closed/right-open; the final bin is closed at the
@@ -171,79 +171,76 @@ def ordinalize(col: Column, rule: RecodeRule, name: str | None = None) -> Column
     """
     if rule.kind not in _ORDINALIZE_KINDS:
         raise ParameterError(f"{rule.kind} is not an ordinalize rule")
-    present = col.present()
+    x = np.asarray(values, dtype=float)
+    present = x[~np.isnan(x)]
     if present.size == 0:
-        raise DataError(f"column {col.name!r} has no non-missing values")
+        raise DataError(f"column {name!r} has no non-missing values")
     if rule.kind == "ordinalize_quantiles":
         cuts = [quantile_type7(present, q) for q in rule.probs]
     else:
         cuts = list(rule.cutpoints)
-    out = np.ones(len(col), dtype=float)
+    out = np.ones(len(x), dtype=float)
     for c in cuts:
-        out += (col.values >= c).astype(float)
-    out[np.isnan(col.values)] = np.nan
-    return Column(name or col.name, out)
+        out += (x >= c).astype(float)
+    out[np.isnan(x)] = np.nan
+    return out
 
 
-def transform(col: Column, rule: TransformRule, name: str | None = None) -> Column:
+def transform(values: np.ndarray, rule: TransformRule, name: str = "values") -> np.ndarray:
     """Apply a continuous transformation; domain violations become missing."""
-    x = col.values
-    nm = name or col.name
+    x = np.asarray(values, dtype=float)
     if rule.kind == "scale":
-        return Column(nm, x * rule.c)
+        return x * rule.c
     if rule.kind == "shift":
-        return Column(nm, x + rule.c)
+        return x + rule.c
     if rule.kind == "zscore":
-        present = col.present()
+        present = x[~np.isnan(x)]
         if present.size < 2 or np.std(present, ddof=1) == 0:
-            raise DataError(f"zscore of constant/degenerate column {col.name!r}")
-        return Column(nm, (x - present.mean()) / np.std(present, ddof=1))
+            raise DataError(f"zscore of constant/degenerate column {name!r}")
+        return (x - present.mean()) / np.std(present, ddof=1)
     if rule.kind == "minmax":
-        present = col.present()
+        present = x[~np.isnan(x)]
         if present.size == 0:
-            raise DataError(f"minmax of all-missing column {col.name!r}")
+            raise DataError(f"minmax of all-missing column {name!r}")
         lo = present.min() - rule.pad_lo
         hi = present.max() + rule.pad_hi
         if hi == lo:
-            raise DataError(f"minmax of constant column {col.name!r} with zero pads")
-        return Column(nm, (x - lo) / (hi - lo))
+            raise DataError(f"minmax of constant column {name!r} with zero pads")
+        return (x - lo) / (hi - lo)
     # a NaN cell compares false and stays NaN through the arithmetic
     if rule.kind in ("log_e", "log_10"):
         vals = np.where(x <= 0, np.nan, x)
         with np.errstate(invalid="ignore", divide="ignore"):
-            return Column(nm, np.log(vals) if rule.kind == "log_e" else np.log10(vals))
+            return np.log(vals) if rule.kind == "log_e" else np.log10(vals)
     if rule.kind == "power":
         e = float(rule.exponent)  # type: ignore[arg-type]
         if e == round(e):
             with np.errstate(divide="ignore"):
                 vals = x ** e
             # except under a zero exponent: NaN ** 0 is 1
-            return Column(nm, np.where(np.isfinite(vals) & ~np.isnan(x), vals, np.nan))
+            return np.where(np.isfinite(vals) & ~np.isnan(x), vals, np.nan)
         bad = (x < 0) | ((x == 0) & (e < 0))
         with np.errstate(invalid="ignore"):
-            return Column(nm, np.where(bad, np.nan, x) ** e)
+            return np.where(bad, np.nan, x) ** e
     if rule.kind == "round_whole":
-        return Column(nm, np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5)))
+        return np.where(x >= 0, np.floor(x + 0.5), np.ceil(x - 0.5))
     if rule.kind == "window":
-        return Column(nm, np.where((x <= rule.lo) | (x >= rule.hi), np.nan, x))
+        return np.where((x <= rule.lo) | (x >= rule.hi), np.nan, x)
     raise AssertionError(rule.kind)
 
 
-def apply_rule(col: Column, rule: "RecodeRule | TransformRule", name: str | None = None) -> Column:
-    if isinstance(rule, TransformRule):
-        return transform(col, rule, name)
-    if rule.is_dichotomize:
-        return dichotomize(col, rule, name)
-    return ordinalize(col, rule, name)
-
-
 def apply_rules(
-    col: Column, rules: Sequence["RecodeRule | TransformRule"], name: str | None = None
-) -> Column:
+    values: np.ndarray, rules: Sequence["RecodeRule | TransformRule"], name: str = "values"
+) -> np.ndarray:
     """Apply a pipeline of rules left to right (e.g. minmax-with-pads then log)."""
-    out = col
+    out = values
     for rule in rules:
-        out = apply_rule(out, rule, name)
+        if isinstance(rule, TransformRule):
+            out = transform(out, rule, name)
+        elif rule.is_dichotomize:
+            out = dichotomize(out, rule, name)
+        else:
+            out = ordinalize(out, rule, name)
     return out
 
 
@@ -302,9 +299,9 @@ class AttenuationReport:
         return header, [[getattr(r, h) for h in header] for r in self.rows]
 
 
-def choose_family(response: Column) -> str:
+def choose_family(response: np.ndarray) -> str:
     """2 observed {0,1} levels -> binomial; 3..9 integer levels -> ordered; else gaussian."""
-    vals = np.unique(response.present())
+    vals = np.unique(response[~np.isnan(response)])
     if vals.size == 2 and set(vals) <= {0.0, 1.0}:
         return "binomial"
     if 3 <= vals.size <= 9 and np.all(vals == np.round(vals)):
@@ -327,11 +324,11 @@ def attenuation_report(
     """
     rows: list[AttenuationRow] = []
 
-    def run(label: str, xcol: Column, ycol: Column, family: str | None):
+    def run(label: str, xv: np.ndarray, yv: np.ndarray, family: str | None):
         try:
-            fam = family or choose_family(ycol)
-            ds = Dataset([Column("x", xcol.values), Column("y", ycol.values)])
-            rho = spearman(xcol, ycol)
+            fam = family or choose_family(yv)
+            ds = Dataset({"x": xv, "y": yv})
+            rho = spearman(xv, yv)
             f: FitResult = fit(ds, Formula("y", (main("x"),)), family=fam)
             stat = f.stat_of("x")
             rows.append(
@@ -357,9 +354,9 @@ def attenuation_report(
     for v in variants:
         try:
             if v.target == "x":
-                run(v.label, apply_rules(xbase, v.rules()), ybase, v.family)
+                run(v.label, apply_rules(xbase, v.rules(), x), ybase, v.family)
             else:
-                run(v.label, xbase, apply_rules(ybase, v.rules()), v.family)
+                run(v.label, xbase, apply_rules(ybase, v.rules(), y), v.family)
         except BiaslabError as exc:
             rows.append(
                 AttenuationRow(v.label, float("nan"), float("nan"), float("nan"), float("nan"),

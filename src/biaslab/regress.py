@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import chdtrc, expit, ndtr, stdtr
 
-from .data import Column, Dataset, listwise_complete
+from .data import Dataset, listwise_complete
 from .errors import (
     DataError,
     ParameterError,
@@ -57,10 +57,10 @@ class Term:
 
     def build(self, data: Dataset) -> np.ndarray:
         if self.kind == "main":
-            return data.column_values(self.a)
+            return data[self.a]
         if self.kind == "interaction":
-            return data.column_values(self.a) * data.column_values(self.b)
-        return data.column_values(self.a) ** 2
+            return data[self.a] * data[self.b]
+        return data[self.a] ** 2
 
 
 def main(name: str) -> Term:
@@ -268,7 +268,7 @@ def _build_design(
     complete, n_dropped = _complete_rows(data, formula._variables)
     labels = _term_labels(formula.terms, with_intercept)
     x = _design(complete, formula.terms, labels)
-    return complete.column_values(formula.response), x, labels, n_dropped
+    return complete[formula.response], x, labels, n_dropped
 
 
 def _check_rank(x: np.ndarray, labels: Sequence[str], r: np.ndarray) -> None:
@@ -313,7 +313,10 @@ def _least_squares(
     unscaled_var = np.add.reduce(rinv**2, axis=1)
     fits = []
     for name in responses:
-        y = complete.column_values(name)
+        y = complete[name]
+        with np.errstate(over="ignore"):
+            if not math.isfinite(y @ y):
+                raise DataError(f"response {name!r} is too large: its squares overflow float64")
         b = rinv @ (qt @ y)
         resid = y - x @ b
         rss = float(resid @ resid)
@@ -324,15 +327,33 @@ def _least_squares(
 def _standardized(
     b: np.ndarray, x: np.ndarray, y: np.ndarray, labels: Sequence[str]
 ) -> np.ndarray:
-    sy = float(np.std(y, ddof=1))
+    sy = float(np.std(y, ddof=1))  # no fitter passes a response whose squares overflow
     beta = np.zeros_like(b)
     if sy == 0 or not labels:
         return beta
-    sx = np.std(x, axis=0, ddof=1)
+    with np.errstate(over="ignore"):
+        sx = np.std(x, axis=0, ddof=1)
+    # a design column whose squares overflow: its SD on that column scaled by 1 / max |v|
+    for j in np.flatnonzero(~np.isfinite(sx)):
+        m = np.max(np.abs(x[:, j]))
+        sx[j] = m * np.std(x[:, j] / m, ddof=1)
     for j, lab in enumerate(labels):
         if lab != "(Intercept)":
             beta[j] = b[j] * sx[j] / sy
     return beta
+
+
+def _wald(b: np.ndarray, se: np.ndarray, df: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Wald statistics ``b / se`` and their two-sided p-values, from t(df) or,
+    without ``df``, the normal.  Where an SE is not positive the statistic is
+    undefined, so its stat and p are NaN."""
+    if all(v > 0 for v in se.tolist()):
+        stat = b / se
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stat = np.where(se > 0, b / se, np.nan)
+    tail = ndtr(-np.abs(stat)) if df is None else stdtr(df, -np.abs(stat))
+    return stat, 2.0 * tail
 
 
 def fit_ols(data: Dataset, formula: Formula, standardized: bool = True) -> FitResult:
@@ -343,12 +364,7 @@ def fit_ols(data: Dataset, formula: Formula, standardized: bool = True) -> FitRe
     n, p = x.shape
     df = n - p
     sigma2 = rss / df
-    if all(v > 0 for v in se.tolist()):
-        stat = b / se
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            stat = np.where(se > 0, b / se, np.inf * np.sign(b))
-    pvals = 2.0 * stdtr(df, -np.abs(stat))
+    stat, pvals = _wald(b, se, df)
     # np.add.reduce is the reduction np.sum and ndarray.mean make, with their bits
     if formula.intercept:
         tss = float(np.add.reduce((y - np.add.reduce(y) / n) ** 2))
@@ -435,9 +451,7 @@ def fit_logistic(data: Dataset, formula: Formula) -> FitResult:
     info = x.T @ (x * w[:, None])
     cov = np.linalg.inv(info)
     se = np.sqrt(np.diag(cov))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stat = np.where(se > 0, b / se, np.inf * np.sign(b))
-    pvals = 2.0 * ndtr(-np.abs(stat))
+    stat, pvals = _wald(b, se)
     pbar = float(y.mean())
     null_dev = -2.0 * (
         y.sum() * math.log(pbar) + (n - y.sum()) * math.log(1.0 - pbar)
@@ -638,9 +652,7 @@ def fit_ordered_logit(data: Dataset, formula: Formula) -> FitResult:
         converged = False
     se = se_all[:p]
     cut_se = se_all[p:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stat = np.where(se > 0, beta / se, np.inf * np.sign(beta))
-    pvals = 2.0 * ndtr(-np.abs(stat))
+    stat, pvals = _wald(beta, se)
     dev = 2.0 * value
     null_dev = -2.0 * float(np.sum(counts * np.log(counts / n)))
     cut_names = tuple(f"{levels[i]}|{levels[i + 1]}" for i in range(K - 1))
@@ -764,20 +776,15 @@ def collinearity_diagnostics(data: Dataset, formula: Formula) -> CollinearityRep
     )
 
 
-def predict(fit_result: FitResult, data: Dataset) -> Column:
+def predict(fit_result: FitResult, data: Dataset) -> np.ndarray:
     """Predictions: linear predictor for gaussian/ordered, probability for binomial.
 
     Rows with missing inputs predict as missing.
     """
     f = fit_result.formula
-    needed: list[str] = []
-    for term in f.terms:
-        for v in term.variables():
-            if v not in needed:
-                needed.append(v)
     ok = np.ones(data.n_rows, dtype=bool)
-    for v in needed:
-        ok &= ~np.isnan(data.column_values(v))
+    for v in dict.fromkeys(v for term in f.terms for v in term.variables()):
+        ok &= ~np.isnan(data[v])
     cols = []
     if fit_result.family != "ordered" and f.intercept:
         cols.append(np.ones(data.n_rows))
@@ -785,15 +792,11 @@ def predict(fit_result: FitResult, data: Dataset) -> Column:
         cols.append(term.build(data))
     x = np.column_stack(cols) if cols else np.empty((data.n_rows, 0))
     eta = x @ fit_result.b
-    out = np.where(ok, eta, np.nan)
-    if fit_result.family == "binomial":
-        out = np.where(ok, expit(eta), np.nan)
-    return Column("predicted", out)
+    return np.where(ok, expit(eta) if fit_result.family == "binomial" else eta, np.nan)
 
 
-def residuals(fit_result: FitResult, data: Dataset) -> Column:
+def residuals(fit_result: FitResult, data: Dataset) -> np.ndarray:
     """Response residuals ``y - prediction`` (gaussian/binomial)."""
     if fit_result.family == "ordered":
         raise ParameterError("residuals are not defined for the ordered family")
-    pred = predict(fit_result, data)
-    return Column("residual", data.column_values(fit_result.formula.response) - pred.values)
+    return data[fit_result.formula.response] - predict(fit_result, data)

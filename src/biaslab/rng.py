@@ -8,11 +8,20 @@ which makes replicated simulations reproducible regardless of scheduling.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ValidationError
 
 _U64 = 2**64
+
+
+def check_seed(source: str, value: object) -> None:
+    """Raise ``ValidationError`` naming ``source`` unless ``value`` is an
+    integer (not a bool) in [0, 2^64)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not 0 <= value < _U64:
+        raise ValidationError(f"{source}: must be an integer in [0, 2^64), got {value!r}")
 
 
 class RngState:

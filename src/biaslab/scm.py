@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Column, Dataset
+from .data import Dataset
 from .errors import DataError, ParameterError, ValidationError, expect
 from .rng import RngState
 
@@ -107,11 +107,9 @@ class SourceSpec:
                 raise ValidationError(f"source {self.name!r}: lo > hi")
             return rng.generator.integers(lo, hi + 1, size=n).astype(float)
         if self.kind == "pattern":
-            return repeat_pattern(p["values"], p["mode"], int(p["k"]), n, name=self.name).values
+            return repeat_pattern(p["values"], p["mode"], int(p["k"]), n)
         if self.kind == "clamped_int_normal":
-            return clamped_integer_normal(
-                n, p["mean"], p["sd"], p["lo"], p["hi"], rng, name=self.name
-            ).values
+            return clamped_integer_normal(n, p["mean"], p["sd"], p["lo"], p["hi"], rng)
         raise AssertionError(self.kind)
 
 
@@ -206,6 +204,9 @@ class ScmSpec:
                         "(cyclic or unknown name)"
                     )
             defined.add(eq.target)
+
+    def column_names(self) -> list[str]:
+        return [s.name for s in self.sources] + [e.target for e in self.equations]
 
     def placeholders(self) -> set[str]:
         return {*self._placeholders, self.n} if isinstance(self.n, str) else set(self._placeholders)
@@ -323,7 +324,7 @@ def evaluate_scm(spec: ScmSpec, rng: RngState) -> Dataset:
                     y[idx] += levels[level].draw(rng, idx.size)
         cols[eq.target] = y
     # arithmetic that overflows leaves NaN cells, which are missing like any other
-    return Dataset._trusted(n, cols.items())
+    return Dataset._trusted(n, cols)
 
 
 @dataclass(frozen=True)
@@ -394,7 +395,7 @@ def mvn_exact(target: CorrTarget, n: int, rng: RngState) -> Dataset:
         color = U @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ U.T
         x = z @ color
     x = x * target.sds + target.means
-    return Dataset._trusted(n, ((name, x[:, j]) for j, name in enumerate(target.names)))
+    return Dataset._trusted(n, {name: x[:, j] for j, name in enumerate(target.names)})
 
 
 def clamped_integer_normal(
@@ -404,8 +405,7 @@ def clamped_integer_normal(
     lo: float,
     hi: float,
     rng: RngState,
-    name: str = "value",
-) -> Column:
+) -> np.ndarray:
     """Normal draws truncated toward zero to integers, then clamped to [lo, hi]."""
     if lo > hi:
         raise ParameterError(f"clamp range reversed: lo={lo} > hi={hi}")
@@ -414,20 +414,17 @@ def clamped_integer_normal(
     x = np.trunc(rng.generator.normal(mean, sd, n))
     x[x <= lo] = lo
     x[x >= hi] = hi
-    return Column(name, x)
+    return x
 
 
-def repeat_pattern(
-    values: Sequence[float], mode: str, k: int, n: int, name: str = "value"
-) -> Column:
+def repeat_pattern(values: Sequence[float], mode: str, k: int, n: int) -> np.ndarray:
     """Deterministic repetition: each value k times, or the pattern k times."""
     vals = np.asarray(list(values), dtype=float)
     if mode not in ("each", "times"):
         raise ParameterError(f"mode must be 'each' or 'times', got {mode!r}")
     if len(vals) * k != n:
         raise ParameterError(f"pattern length {len(vals)} x {k} != n = {n}")
-    out = np.repeat(vals, k) if mode == "each" else np.tile(vals, k)
-    return Column(name, out)
+    return np.repeat(vals, k) if mode == "each" else np.tile(vals, k)
 
 
 def inject_outlier(data: Dataset, assignments: Mapping[str, float]) -> Dataset:
@@ -435,24 +432,22 @@ def inject_outlier(data: Dataset, assignments: Mapping[str, float]) -> Dataset:
     for name in assignments:
         if name not in data:
             raise ValidationError(f"outlier assigns unknown column {name!r}")
-    return Dataset(
-        Column(col.name, np.append(col.values, float(assignments.get(col.name, np.nan))))
-        for col in data.columns()
-    )
+    return Dataset({name: np.append(v, float(assignments.get(name, np.nan)))
+                    for name, v in data.items()})
 
 
-def block_randomize(data: Dataset, strata: str | Column, rng: RngState, name: str = "treated") -> Column:
-    """Assign half of each stratum (uniformly at random) to treatment.
+def block_randomize(data: Dataset, strata: str, rng: RngState) -> np.ndarray:
+    """A 0/1 treatment column that assigns half of each stratum (uniformly at random).
 
     Odd strata get floor or ceil treated counts, decided by one extra coin
     flip per odd stratum.
     """
-    scol = data[strata] if isinstance(strata, str) else strata
-    if scol.n_missing:
+    s = data[strata]
+    if np.isnan(s).any():
         raise DataError("strata column has missing values")
     out = np.zeros(data.n_rows)
-    for level in np.unique(scol.values):
-        idx = np.flatnonzero(scol.values == level)
+    for level in np.unique(s):
+        idx = np.flatnonzero(s == level)
         m = idx.size
         if m < 2:
             raise DataError(f"stratum {level!r} has fewer than 2 members")
@@ -461,4 +456,4 @@ def block_randomize(data: Dataset, strata: str | Column, rng: RngState, name: st
             t += 1
         chosen = rng.generator.choice(m, size=t, replace=False)
         out[idx[chosen]] = 1.0
-    return Column(name, out)
+    return out

@@ -247,7 +247,7 @@ def _build_design_oracle(data, formula, with_intercept):
     complete, n_dropped = listwise_complete(data, formula.variables())
     if complete.n_rows == 0:
         raise DataError("no complete rows after listwise deletion")
-    y = complete.column_values(formula.response)
+    y = complete[formula.response]
     cols = []
     labels = []
     if with_intercept:
@@ -316,7 +316,7 @@ def fit_ols_oracle(data, formula, standardized=True):
     sigma2 = rss / df
     se = np.sqrt(np.sum(rinv**2, axis=1) * sigma2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        stat = np.where(se > 0, b / se, np.inf * np.sign(b))
+        stat = np.where(se > 0, b / se, np.nan)  # SE 0: the statistic is undefined
     pvals = 2.0 * stdtr(df, -np.abs(stat))
     if formula.intercept:
         tss = float(np.sum((y - y.mean()) ** 2))
@@ -357,7 +357,7 @@ def iv_wald_oracle(data, y, x, instrument, allow_weak=False):
     from biaslab.errors import DataError, WeakInstrumentError
     from biaslab.regress import Formula, main
 
-    n_ok = int(np.sum(~(np.isnan(data[y].values) | np.isnan(data[x].values) | np.isnan(data[instrument].values))))
+    n_ok = int(np.sum(~(np.isnan(data[y]) | np.isnan(data[x]) | np.isnan(data[instrument]))))
     if n_ok < 10:
         raise DataError(f"instrumental-variable analysis needs n >= 10, have {n_ok}")
     fy = fit_ols_oracle(data, Formula(y, (main(instrument),)), standardized=False)

@@ -20,7 +20,7 @@ from biaslab.catalog import (
 )
 from biaslab.causal import compare_adjustments, iv_wald, mediation, moderated_fit
 from biaslab.config import parse_config, run_scenario
-from biaslab.data import Column, Dataset, pearson, spearman
+from biaslab.data import Dataset, pearson, spearman
 from biaslab.measure import (
     AttenuationVariant,
     RecodeRule,
@@ -56,6 +56,10 @@ from _oracles import normal_equations_ols
 
 def _report(num: int, name: str, detail: str = ""):
     print(f"\nACCEPTANCE {num:>2} PASS  {name}" + (f"  [{detail}]" if detail else ""))
+
+
+def present(v):
+    return v[~np.isnan(v)]
 
 
 def normal(name, mean, sd):
@@ -134,7 +138,7 @@ def test_criterion_02_algebraic_identities():
     s = RngState(20)
     x = normal_draws(s, 2000, 0, 2)
     z = (x + normal_draws(s, 2000, 0, 2) > 0).astype(float)
-    d2 = Dataset([Column("x", x), Column("yb", z), Column("yo", z + 1)])
+    d2 = Dataset({"x": x, "yb": z, "yo": z + 1})
     fb = fit_logistic(d2, Formula.parse("yb ~ x"))
     fo = fit_ordered_logit(d2, Formula.parse("yo ~ x"))
     assert abs(fo.coef("x") - fb.coef("x")) < 1e-6
@@ -148,7 +152,7 @@ def test_criterion_02_algebraic_identities():
         p = int(g.integers(1, 4))
         xm = g.normal(0, 1, (n, p))
         y = g.normal(0, 1, p + 1)[0] + xm @ g.normal(0, 1, p) + g.normal(0, 0.6, n)
-        d = Dataset([Column(f"x{j}", xm[:, j]) for j in range(p)] + [Column("y", y)])
+        d = Dataset({**{f"x{j}": xm[:, j] for j in range(p)}, "y": y})
         f = fit_ols(d, Formula("y", tuple(main(f"x{j}") for j in range(p))))
         b_or, se_or = normal_equations_ols(np.column_stack([np.ones(n), xm]), y)
         assert np.abs(f.b - b_or).max() < 1e-8
@@ -163,7 +167,7 @@ def test_criterion_03_affine_monotone_invariance():
     ds = evaluate_scm(ENTRY13_SPEC, RngState(7))
     base = fit_ols(ds, Formula.parse("Y ~ X"))
     a, c = 3.7, -11.25
-    scaled = ds.with_column(Column("Y", a * ds.column_values("Y") + c))
+    scaled = ds.with_column("Y", a * ds["Y"] + c)
     fs = fit_ols(scaled, Formula.parse("Y ~ X"))
     rel = lambda u, v: abs(u - v) <= 1e-10 * max(1.0, abs(u), abs(v))
     assert rel(fs.stat_of("X"), base.stat_of("X"))
@@ -177,15 +181,15 @@ def test_criterion_03_affine_monotone_invariance():
 
     # strictly monotone (nonlinear) transform: spearman and recodes untouched
     y = ds["Y"]
-    mono = Column("Y", np.exp(y.values / 60.0))
+    mono = np.exp(y / 60.0)
     assert spearman(ds["X"], mono) == spearman(ds["X"], y)
     for rule in (RecodeRule("dichotomize_median"),
                  RecodeRule("dichotomize_quantile", p=0.25),
                  RecodeRule("ordinalize_quantiles", probs=(0.25, 0.5, 0.75))):
         if rule.is_dichotomize:
-            assert np.array_equal(dichotomize(y, rule).values, dichotomize(mono, rule).values)
+            assert np.array_equal(dichotomize(y, rule), dichotomize(mono, rule))
         else:
-            assert np.array_equal(ordinalize(y, rule).values, ordinalize(mono, rule).values)
+            assert np.array_equal(ordinalize(y, rule), ordinalize(mono, rule))
 
     # zscore leaves the statistic identical to 1e-10 (Entry 13 section 3 behavior)
     rep = attenuation_report(ds, "Y", "X", [
@@ -345,15 +349,15 @@ def test_criterion_06_attenuation_ordering():
         # recode bin counts are exact on tie-free data
         y = ds["Y"]
         _, counts = np.unique(
-            ordinalize(y, RecodeRule("ordinalize_quantiles", probs=(0.25, 0.5, 0.75))).present(),
+            present(ordinalize(y, RecodeRule("ordinalize_quantiles", probs=(0.25, 0.5, 0.75)))),
             return_counts=True,
         )
         assert counts.tolist() == [2500, 2500, 2500, 2500]
-        _, counts = np.unique(dichotomize(y, RecodeRule("dichotomize_median")).present(),
+        _, counts = np.unique(present(dichotomize(y, RecodeRule("dichotomize_median"))),
                               return_counts=True)
         assert counts.tolist() == [5000, 5000]
         _, counts = np.unique(
-            dichotomize(y, RecodeRule("dichotomize_quantile", p=0.25)).present(),
+            present(dichotomize(y, RecodeRule("dichotomize_quantile", p=0.25))),
             return_counts=True,
         )
         assert counts.tolist() == [2500, 7500]
@@ -404,8 +408,8 @@ def test_criterion_08_outlier_determinism():
     ds = evaluate_scm(spec, RngState(32))
     formula = Formula.parse("Y ~ X")
     base = fit_ols(ds, formula)
-    xbar = float(ds.column_values("X").mean())
-    ybar = float(ds.column_values("Y").mean())
+    xbar = float(ds["X"].mean())
+    ybar = float(ds["Y"].mean())
 
     centroid = fit_ols(inject_outlier(ds, {"X": xbar, "Y": ybar}), formula)
     assert abs(centroid.coef("X") - base.coef("X")) < 1e-12
@@ -443,8 +447,7 @@ def test_criterion_09_iv_misidentification_ordering():
             # reported but the robust rank version is asserted)
             assert len(res) - len(kept) < 0.02 * len(res)
             raw_r = series_correlation(kept, "IN_byx", "M1_byx")
-            rank_r = spearman(Column("iv", kept.series("IN_byx")),
-                              Column("m1", kept.series("M1_byx")))
+            rank_r = spearman(kept.series("IN_byx"), kept.series("M1_byx"))
             assert rank_r > 0.85
     for variant, med in medians.items():
         if variant != "valid":
@@ -482,13 +485,13 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
     from biaslab.data import read_csv, write_csv
 
     ds = evaluate_scm(ENTRY13_SPEC, RngState(3))
-    ds = ds.with_column(Column("W", np.where(ds.column_values("X") > 5, np.nan, 1.5)))
+    ds = ds.with_column("W", np.where(ds["X"] > 5, np.nan, 1.5))
     p = tmp_path / "ds.csv"
     write_csv(ds, str(p))
     back = read_csv(str(p))
     for nm in ds.names:
-        assert np.array_equal(np.isnan(back[nm].values), np.isnan(ds[nm].values))
-        assert np.array_equal(back[nm].present(), ds[nm].present())
+        assert np.array_equal(np.isnan(back[nm]), np.isnan(ds[nm]))
+        assert np.array_equal(present(back[nm]), present(ds[nm]))
     p2 = tmp_path / "ds2.csv"
     write_csv(back, str(p2))
     assert p.read_bytes() == p2.read_bytes()

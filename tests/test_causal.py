@@ -14,7 +14,7 @@ from biaslab.causal import (
     sobel_se,
     subgroup_effect,
 )
-from biaslab.data import Column, Dataset
+from biaslab.data import Dataset
 from biaslab.errors import BiaslabError, DataError, ValidationError, WeakInstrumentError
 from biaslab.regress import Formula, fit_ols, main
 from biaslab.rng import RngState, normal_draws
@@ -101,7 +101,7 @@ class TestCompareAdjustments:
         x = normal_draws(s, 10_000, 0, 10)
         y = x + normal_draws(s, 10_000, 0, 10)
         z = normal_draws(s, 10_000, 0, 10)
-        d = Dataset([Column("x", x), Column("y", y), Column("z", z)])
+        d = Dataset({"x": x, "y": y, "z": z})
         rep = compare_adjustments(d, "y", "x", [["z"]])
         biv = rep.focal_estimate("bivariate")
         adj = rep.focal_estimate("adjusted:z")
@@ -110,10 +110,7 @@ class TestCompareAdjustments:
     def test_failing_set_recorded_not_fatal(self):
         s = RngState(13)
         x = normal_draws(s, 200, 0, 1)
-        d = Dataset(
-            [Column("x", x), Column("y", x + normal_draws(s, 200, 0, 1)),
-             Column("dup", 2 * x)]
-        )
+        d = Dataset({"x": x, "y": x + normal_draws(s, 200, 0, 1), "dup": 2 * x})
         rep = compare_adjustments(d, "y", "x", [["dup"], []])
         assert any(lab == "adjusted:dup" for lab, _ in rep.errors)
         assert rep.focal_estimate("bivariate") is not None
@@ -134,15 +131,15 @@ class TestIv:
     @pytest.mark.parametrize("column", ["IN", "X", "Y"])
     def test_infinite_cell_is_refused_and_named(self, column):
         d = self._iv_data(n=200)
-        v = d.column_values(column).copy()
+        v = d[column].copy()
         v[7] = -np.inf
         with pytest.raises(DataError, match=f"column '{column}' holds an infinite value"):
-            iv_wald(d.with_column(Column(column, v)), "Y", "X", "IN", allow_weak=True)
+            iv_wald(d.with_column(column, v), "Y", "X", "IN", allow_weak=True)
 
     def test_ratio_arithmetic(self):
         # b_yin = 1, b_xin = 2 -> ratio 0.5 (exactly constructed data)
         inst = np.array([0.0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
-        d = Dataset([Column("inst", inst), Column("x", 2 * inst), Column("y", inst)])
+        d = Dataset({"inst": inst, "x": 2 * inst, "y": inst})
         est = iv_wald(d, "y", "x", "inst")
         assert est.ratio == pytest.approx(0.5)
         assert est.b_yin == pytest.approx(1.0) and est.b_xin == pytest.approx(2.0)
@@ -154,18 +151,18 @@ class TestIv:
     def test_instrument_rescaling_invariance(self):
         d = self._iv_data(n=5000)
         est1 = iv_wald(d, "Y", "X", "IN")
-        d2 = d.with_column(Column("IN", d.column_values("IN") * -3.7))
+        d2 = d.with_column("IN", d["IN"] * -3.7)
         est2 = iv_wald(d2, "Y", "X", "IN")
         assert est2.ratio == pytest.approx(est1.ratio, rel=1e-12)
 
     def test_weak_instrument_error_and_override(self):
         s = RngState(6)
         d = Dataset(
-            [
-                Column("IN", normal_draws(s, 1000, 0, 1)),
-                Column("X", normal_draws(s, 1000, 0, 1)),
-                Column("Y", normal_draws(s, 1000, 0, 1)),
-            ]
+            {
+                "IN": normal_draws(s, 1000, 0, 1),
+                "X": normal_draws(s, 1000, 0, 1),
+                "Y": normal_draws(s, 1000, 0, 1),
+            }
         )
         with pytest.raises(WeakInstrumentError):
             iv_wald(d, "Y", "X", "IN")
@@ -173,10 +170,7 @@ class TestIv:
         assert est.weak
 
     def test_minimum_rows(self):
-        d = Dataset(
-            [Column("a", np.arange(5.0)), Column("b", np.arange(5.0)),
-             Column("c", np.arange(5.0))]
-        )
+        d = Dataset({"a": np.arange(5.0), "b": np.arange(5.0), "c": np.arange(5.0)})
         with pytest.raises(DataError):
             iv_wald(d, "a", "b", "c")
 
@@ -214,7 +208,7 @@ class TestIvMatchesOracle:
             x[g.random(n) < 0.2] = np.nan
         elif missing == "instrument":
             inst[g.random(n) < 0.2] = np.nan
-        d = Dataset.from_arrays({"IN": inst, "X": x, "Y": y})
+        d = Dataset({"IN": inst, "X": x, "Y": y})
         got, want = self.outcome(d, "Y", "X", "IN", allow_weak=allow_weak)
         if isinstance(want, BiaslabError):
             assert (type(got), str(got)) == (type(want), str(want))
@@ -223,7 +217,7 @@ class TestIvMatchesOracle:
 
     def test_constant_instrument_raises_the_same_error(self):
         g = np.random.default_rng(4)
-        d = Dataset.from_arrays({"IN": np.full(40, 2.0), "X": g.normal(size=40), "Y": g.normal(size=40)})
+        d = Dataset({"IN": np.full(40, 2.0), "X": g.normal(size=40), "Y": g.normal(size=40)})
         got, want = self.outcome(d, "Y", "X", "IN", allow_weak=True)
         assert (type(got), str(got), got.term) == (type(want), str(want), want.term)
 
@@ -267,7 +261,7 @@ class TestMediation:
         x = normal_draws(s, 20_000, 0, 1)
         m = normal_draws(s, 20_000, 0, 1)
         y = x + normal_draws(s, 20_000, 0, 1)
-        d = Dataset([Column("x", x), Column("m", m), Column("y", y)])
+        d = Dataset({"x": x, "m": m, "y": y})
         res = mediation(d, "y", "x", "m")
         assert res.indirect == pytest.approx(0.0, abs=0.01)
         assert res.total == pytest.approx(res.direct, abs=0.01)
@@ -278,7 +272,7 @@ class TestModeration:
         s = RngState(7)
         x = normal_draws(s, 2000, 0, 1)
         mo = normal_draws(s, 2000, 0, 1)
-        d = Dataset([Column("x", x), Column("mo", mo), Column("y", x * mo)])
+        d = Dataset({"x": x, "mo": mo, "y": x * mo})
         f = moderated_fit(d, "y", "x", "mo")
         assert f.coef("x:mo") == pytest.approx(1.0, abs=1e-10)
         assert f.coef("x") == pytest.approx(0.0, abs=1e-10)
@@ -300,7 +294,7 @@ class TestModeration:
     def test_constant_moderator_singular(self):
         s = RngState(8)
         x = normal_draws(s, 100, 0, 1)
-        d = Dataset([Column("x", x), Column("mo", np.ones(100)), Column("y", x)])
+        d = Dataset({"x": x, "mo": np.ones(100), "y": x})
         with pytest.raises(DataError):
             moderated_fit(d, "y", "x", "mo")
 
@@ -308,7 +302,7 @@ class TestModeration:
         s = RngState(9)
         x = normal_draws(s, 3000, 0, 1)
         mo = normal_draws(s, 3000, 0, 1)
-        d = Dataset([Column("x", x), Column("mo", mo), Column("y", x * mo)])
+        d = Dataset({"x": x, "mo": mo, "y": x * mo})
         f = moderated_fit(d, "y", "x", "mo")
         assert conditional_slope(f, "x", "mo", 0.0) == pytest.approx(f.coef("x"))
         assert conditional_slope(f, "x", "mo", 3.0) == pytest.approx(3.0, abs=0.01)
@@ -341,7 +335,7 @@ class TestSubgroup:
         s = RngState(10)
         x = normal_draws(s, 500, 0, 1)
         y = x + normal_draws(s, 500, 0, 1)
-        d = Dataset([Column("x", x), Column("y", y)])
+        d = Dataset({"x": x, "y": y})
         full = fit_ols(d, Formula("y", (main("x"),)))
         sub = subgroup_effect(d, "y", "x", RowFilter((Condition("x", ">=", -1e9),)))
         assert sub.coef("x") == pytest.approx(full.coef("x"))
@@ -358,7 +352,7 @@ class TestSubgroup:
         assert high.coef("EP") == pytest.approx(-0.88, abs=0.15)
 
     def test_empty_subgroup(self):
-        d = Dataset([Column("x", np.arange(10.0)), Column("y", np.arange(10.0))])
+        d = Dataset({"x": np.arange(10.0), "y": np.arange(10.0)})
         with pytest.raises(DataError):
             subgroup_effect(d, "y", "x", RowFilter((Condition("x", ">", 100),)))
 
@@ -366,7 +360,7 @@ class TestSubgroup:
     @pytest.mark.parametrize("op, kept", [("<", []), ("<=", [0]), (">", [2]), (">=", [0, 2]),
                                           ("==", [0]), ("!=", [2])])
     def test_nan_cell_fails_every_op(self, op, kept):
-        d = Dataset([Column("a", np.array([2.0, np.nan, 3.0]))])
+        d = Dataset({"a": np.array([2.0, np.nan, 3.0])})
         assert np.flatnonzero(RowFilter((Condition("a", op, 2.0),)).mask(d)).tolist() == kept
 
     def test_filter_json_round_trip(self):

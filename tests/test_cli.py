@@ -157,6 +157,7 @@ class TestRun:
         ("mc", "dataset"),
         ("mc", "scatter:x:y"),
         ("scm", "scatter:x:yy"),          # unknown column
+        ("scm", "scatter:x:x"),           # one column twice
         ("scm", "fitted_line:good:zz"),   # unknown column
         ("scm", "histogram:zz:10"),       # unknown column
         ("scm", "histogram:x:abc"),       # bins not an integer
@@ -318,6 +319,14 @@ class TestFitSubcommand:
         assert "Traceback" not in proc.stderr
         assert "row 3" in proc.stderr and "'X'" in proc.stderr
 
+    def test_column_named_twice_is_a_validation_error(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("x,x,y\n1,2,3\n2,1,5\n3,4,6\n4,3,9\n")
+        proc = run_cli("fit", str(p), "--formula", "y ~ x")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "'x' twice" in proc.stderr
+
     def test_square_term_formula(self, tmp_path):
         cfgdir = tmp_path / "o"
         cli_main(["run", "--catalog", "entry1-curvilinear", "--out", str(cfgdir)])
@@ -393,6 +402,30 @@ class TestPopulationScenario:
         assert (slopes > 2.5).all()  # low-PEA subgroup effect is large
         assert (tmp_path / "o" / "samples.csv").exists()
         assert (tmp_path / "o" / "slope_hist.csv").exists()
+
+
+@pytest.mark.parametrize("scenario, path, value, names", [
+    ("entry8-collider-pp-mc", ("mc", "analysis", 0, "formula"), "y ~ x + colx", ("analysis[0]", "'colx'")),
+    ("entry11-iv-valid-mc", ("mc", "analysis", 1, "instrument"), "INX", ("analysis[1]", "'INX'")),
+    ("entry6-balance", ("population", "sampling", "analysis", 1, "covariates"),
+     ["DI1", "DV1", "SCV1", "CV1", "DVX"], ("analysis[1]", "'DVX'")),
+    ("entry5-small", ("population", "sampling", "analysis", 0, "formula"), "SIEM ~ EPX",
+     ("analysis[0]", "'EPX'")),
+    ("entry5-small", ("population", "sampling", "filter", 0, "var"), "PEAX", ("filter", "'PEAX'")),
+    ("entry8-collider-pp-mc", ("analyses",), [{"kind": "summary", "var": "x"}], ("analyses[0]",)),
+])
+def test_unrunnable_loop_fails_before_anything_runs(tmp_path, scenario, path, value, names):
+    doc = json.loads(json.dumps(_small_population() if scenario == "entry5-small"
+                                else catalog_config(scenario)))
+    _set(doc, path, value)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    proc = run_cli("run", "--config", str(p), "--reps", "2", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert all(name in proc.stderr for name in names), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists() or not any(out.iterdir())
 
 
 # -- property: a mutated catalog config never escapes as a traceback ----------------

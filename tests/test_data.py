@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biaslab.data import (
-    Column,
     Dataset,
     balance_diff,
     listwise_complete,
@@ -24,8 +23,8 @@ from biaslab.rng import RngState, normal_draws
 from _oracles import moments_oracle, quantile7_oracle, ranks_average_ties_oracle
 
 
-def col(vals, name="x"):
-    return Column(name, np.asarray(vals, dtype=float))
+def col(vals):
+    return np.asarray(vals, dtype=float)
 
 
 class TestSummarize:
@@ -114,7 +113,7 @@ class TestRanks:
         assert ranks_average_ties(x).tobytes() == ranks_average_ties_oracle(x).tobytes()
         present = x[~np.isnan(x)]
         if present.size:
-            assert (ranks_average_ties(col(xs)).tobytes()
+            assert (ranks_average_ties(present).tobytes()
                     == ranks_average_ties_oracle(present).tobytes())
 
 
@@ -122,7 +121,7 @@ class TestCorrelation:
     def test_self_correlation(self):
         x = col(normal_draws(RngState(3), 50, 0, 1))
         assert pearson(x, x) == pytest.approx(1.0)
-        y = Column("y", -x.values)
+        y = -x
         assert pearson(x, y) == pytest.approx(-1.0)
 
     def test_population_r_one_over_sqrt10(self):
@@ -131,12 +130,12 @@ class TestCorrelation:
         s = RngState(42)
         x = normal_draws(s, n, 0, 10)
         y = x + normal_draws(s, n, 0, 30)
-        assert pearson(col(x), col(y, name="y")) == pytest.approx(1 / math.sqrt(10), abs=0.01)
+        assert pearson(x, y) == pytest.approx(1 / math.sqrt(10), abs=0.01)
 
     def test_spearman_monotone_invariance_exact(self):
         s = RngState(5)
         x = col(normal_draws(s, 200, 0, 1))
-        y = Column("y", np.exp(x.values))
+        y = np.exp(x)
         assert spearman(x, y) == spearman(x, x) == 1.0
 
     def test_spearman_entry13_value(self):
@@ -144,21 +143,21 @@ class TestCorrelation:
         s = RngState(1992)
         x = normal_draws(s, n, 0, 10)
         y = x + normal_draws(s, n, 0, 30)
-        assert spearman(col(x), col(y, name="y")) == pytest.approx(0.31, abs=0.02)
+        assert spearman(x, y) == pytest.approx(0.31, abs=0.02)
 
     def test_spearman_null_bound(self):
         s = RngState(17)
         x = normal_draws(s, 10_000, 0, 1)
         shuffled = x[s.generator.permutation(10_000)]
-        assert abs(spearman(col(x), col(shuffled, name="y"))) < 0.03
+        assert abs(spearman(x, shuffled)) < 0.03
 
     def test_zero_variance_degenerate(self):
         with pytest.raises(DataError):
-            pearson(col([1, 1, 1]), col([1, 2, 3], name="y"))
+            pearson(col([1, 1, 1]), col([1, 2, 3]))
 
     def test_pairwise_deletion(self):
         x = col([1, 2, 3, 4, np.nan])
-        y = col([2, 4, 6, np.nan, 10], name="y")
+        y = col([2, 4, 6, np.nan, 10])
         assert pearson(x, y) == pytest.approx(1.0)
 
 
@@ -166,7 +165,7 @@ class TestBalance:
     def _data(self, treat_vals, control_vals):
         g = [1] * len(treat_vals) + [0] * len(control_vals)
         v = list(treat_vals) + list(control_vals)
-        return Dataset([Column("g", np.array(g, float)), Column("v", np.array(v, float))])
+        return Dataset({"g": g, "v": v})
 
     def test_identical_groups_all_zero(self):
         d = self._data([1, 2, 3], [1, 2, 3])
@@ -183,100 +182,100 @@ class TestBalance:
         s = RngState(8)
         g = (normal_draws(s, 40, 0, 1) > 0).astype(float)
         v = normal_draws(s, 40, 5, 2)
-        d = Dataset([Column("g", g), Column("v", v)])
-        swapped = Dataset([Column("g", 1 - g), Column("v", v)])
+        d = Dataset({"g": g, "v": v})
+        swapped = Dataset({"g": 1 - g, "v": v})
         a = balance_diff(d, "g", ["v"]).row("v")
         b = balance_diff(swapped, "g", ["v"]).row("v")
         for f in ("delta_mean", "delta_sd", "delta_skew", "delta_kurtosis"):
             assert getattr(a, f) == pytest.approx(-getattr(b, f), abs=1e-12)
 
     def test_single_group_error(self):
-        d = Dataset([Column("g", np.ones(5)), Column("v", np.arange(5.0))])
+        d = Dataset({"g": np.ones(5), "v": np.arange(5.0)})
         with pytest.raises(DataError):
             balance_diff(d, "g", ["v"])
 
     def test_non_binary_group_rejected(self):
-        d = Dataset([Column("g", np.array([0.0, 1.0, 2.0])), Column("v", np.arange(3.0))])
+        d = Dataset({"g": [0.0, 1.0, 2.0], "v": np.arange(3.0)})
         with pytest.raises(ValidationError):
             balance_diff(d, "g", ["v"])
 
 
 class TestListwise:
     def test_no_missing_unchanged(self):
-        d = Dataset.from_arrays({"a": np.arange(5.0), "b": np.arange(5.0)})
+        d = Dataset({"a": np.arange(5.0), "b": np.arange(5.0)})
         out, dropped = listwise_complete(d, ["a", "b"])
         assert dropped == 0 and out.n_rows == 5
 
     def test_one_missing_row(self):
-        d = Dataset([col([1, 2, np.nan], name="a"), col([1, 2, 3], name="b")])
+        d = Dataset({"a": [1, 2, np.nan], "b": [1, 2, 3]})
         out, dropped = listwise_complete(d, ["a", "b"])
         assert dropped == 1 and out.n_rows == 2
 
     def test_only_listed_vars_count(self):
-        d = Dataset([col([1, np.nan, 3], name="a"), col([1, 2, 3], name="b")])
+        d = Dataset({"a": [1, np.nan, 3], "b": [1, 2, 3]})
         out, dropped = listwise_complete(d, ["b"])
         assert dropped == 0 and out.n_rows == 3
 
 
 @pytest.mark.parametrize("index", [np.array([True, False, True, True]), np.array([3, 0, 3])])
 def test_select_rows_gathers_values_and_missing_flags(index):
-    d = Dataset([col([1, np.nan, 3, np.nan], name="a"), col([5, np.nan, 7, 8], name="b")])
+    d = Dataset({"a": [1, np.nan, 3, np.nan], "b": [5, np.nan, 7, 8]})
     out = d.select_rows(index)
-    assert out.names == ["a", "b"] and out.n_rows == len(out["a"].values)
+    assert out.names == ["a", "b"] and out.n_rows == len(out["a"])
     for name in d.names:
-        want = Column(name, d[name].values[index])
-        assert repr(out[name].values) == repr(want.values)
-        assert np.isnan(out[name].values).tolist() == np.isnan(want.values).tolist()
+        want = d[name][index]
+        assert repr(out[name]) == repr(want)
+        assert np.isnan(out[name]).tolist() == np.isnan(want).tolist()
 
 
 class TestCsv:
     def test_round_trip_identity(self, tmp_path):
         s = RngState(21)
         d = Dataset(
-            [
-                Column("x", normal_draws(s, 50, 0, 1)),
-                Column("y", normal_draws(s, 50, 1e6, 123.456)),
-                Column("z", np.where(normal_draws(s, 50, 0, 1) > 0, np.nan, 1.25)),
-            ]
+            {
+                "x": normal_draws(s, 50, 0, 1),
+                "y": normal_draws(s, 50, 1e6, 123.456),
+                "z": np.where(normal_draws(s, 50, 0, 1) > 0, np.nan, 1.25),
+            }
         )
         p = tmp_path / "d.csv"
         write_csv(d, str(p))
         back = read_csv(str(p))
         for name in d.names:
-            assert np.array_equal(np.isnan(back[name].values), np.isnan(d[name].values))
-            assert np.array_equal(back[name].present(), d[name].present())
+            assert np.array_equal(np.isnan(back[name]), np.isnan(d[name]))
+            assert np.array_equal(back[name][~np.isnan(back[name])], d[name][~np.isnan(d[name])])
 
     def test_empty_field_is_missing(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("a,b\n1,\n,2\n")
         d = read_csv(str(p))
-        assert np.isnan(d["a"].values).tolist() == [False, True]
-        assert np.isnan(d["b"].values).tolist() == [True, False]
+        assert np.isnan(d["a"]).tolist() == [False, True]
+        assert np.isnan(d["b"]).tolist() == [True, False]
 
     @given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30))
     @settings(max_examples=25)
     def test_round_trip_floats_exact(self, tmp_path_factory, xs):
         p = tmp_path_factory.mktemp("csv") / "f.csv"
-        d = Dataset([Column("v", np.array(xs, dtype=float))])
+        d = Dataset({"v": xs})
         write_csv(d, str(p))
         back = read_csv(str(p))
-        assert np.array_equal(back["v"].values, np.array(xs, dtype=float))
+        assert np.array_equal(back["v"], np.array(xs, dtype=float))
 
     @given(xs=st.lists(st.floats(allow_nan=False), min_size=1, max_size=30))
     @settings(max_examples=25)
     def test_round_trip_any_float(self, tmp_path_factory, xs):
         p = tmp_path_factory.mktemp("csv") / "f.csv"
-        d = Dataset([Column("v", np.array(xs, dtype=float))])
+        d = Dataset({"v": xs})
         write_csv(d, str(p))
         back = read_csv(str(p))
-        assert np.array_equal(back["v"].values, np.array(xs, dtype=float))
+        assert np.array_equal(back["v"], np.array(xs, dtype=float))
 
     def test_infinities_round_trip(self, tmp_path):
         p = tmp_path / "inf.csv"
-        d = Dataset([Column("v", np.array([np.inf, -np.inf, 2.0, 0.5]))])
+        d = Dataset({"v": [np.inf, -np.inf, 2.0, 0.5]})
         write_csv(d, str(p))
         assert p.read_text() == "v\ninf\n-inf\n2\n0.5\n"
-        assert np.array_equal(read_csv(str(p))["v"].values, d["v"].values)
+        assert np.array_equal(read_csv(str(p))["v"], d["v"])
 
     def test_non_numeric_cell_names_file_row_and_column(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -287,11 +286,13 @@ class TestCsv:
         assert str(p) in msg and "row 3" in msg and "'b'" in msg and "'x7'" in msg
 
 
-def test_duplicate_column_names_rejected():
-    with pytest.raises(ValidationError):
-        Dataset([col([1]), col([2])])
+def test_duplicate_column_names_rejected(tmp_path):
+    p = tmp_path / "dup.csv"
+    p.write_text("x,x,y\n1,2,3\n4,5,6\n")
+    with pytest.raises(ValidationError, match="'x' twice"):
+        read_csv(str(p))
 
 
 def test_length_mismatch_rejected():
     with pytest.raises(ValidationError):
-        Dataset([col([1, 2]), col([1], name="y")])
+        Dataset({"x": [1, 2], "y": [1]})

@@ -12,6 +12,7 @@ from biaslab.causal import Condition, RowFilter
 from biaslab.data import Dataset
 from biaslab.errors import DataError, ValidationError
 from biaslab.mc import (
+    BalanceStep,
     FitStep,
     IvStep,
     McTemplate,
@@ -23,6 +24,7 @@ from biaslab.mc import (
     repeated_samples,
     run_mc,
     series_correlation,
+    step_to_json,
     summarize_series,
     write_mc_csv,
 )
@@ -139,6 +141,29 @@ class TestValidation:
         with pytest.raises(ValidationError, match="binding 'a'"):
             McTemplate(scm=t.scm, n=t.n, bindings=bindings, analysis=t.analysis, reps=2,
                        master_seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_out_of_range_rejected_at_construction(self, seed):
+        with pytest.raises(ValidationError, match="master_seed"):
+            McTemplate.from_json_dict({**collider_template(reps=2), "seed": seed})
+        with pytest.raises(ValidationError, match="master_seed"):
+            SamplingPlan(k=5, reps=2, analysis=(), master_seed=seed)
+
+    @pytest.mark.parametrize("step", [
+        FitStep("y ~ x + colx", (("b", "b:x"),)),
+        IvStep("y", "x", "colx", (("r", "ratio"),)),
+        BalanceStep("x", ("colx",), (("d", "delta_mean:colx"),)),
+    ])
+    def test_step_reading_an_undefined_column_rejected(self, step):
+        t = collider_template(reps=2)
+        with pytest.raises(ValidationError, match=r"analysis\[1\]: unknown column 'colx'"):
+            McTemplate.from_json_dict({**t, "analysis": [*t["analysis"], step_to_json(step)]})
+        pop = Dataset({"x": np.arange(20.0), "y": np.arange(20.0) % 2})
+        plan = SamplingPlan(k=5, reps=2, analysis=(FitStep("y ~ x", (("s", "b:x"),)),),
+                            master_seed=1, row_filter=RowFilter((Condition("colx", ">", 0),)))
+        for bad in (SamplingPlan(k=5, reps=2, analysis=(step,), master_seed=1), plan):
+            with pytest.raises(ValidationError, match="unknown column 'colx'"):
+                repeated_samples(pop, bad)
 
     def test_binding_draws_equal_scalar_uniform_draws(self):
         # ranges of assorted widths, signs and magnitudes, some of them lo == hi
@@ -322,7 +347,7 @@ def rare_group_population():
     g = np.zeros(1000)
     g[::50] = 1.0
     e = np.random.default_rng(5).normal(size=1000)
-    return Dataset.from_arrays({"g": g, "y": 2.0 * g + e})
+    return Dataset({"g": g, "y": 2.0 * g + e})
 
 
 class TestReplicateRunner:
@@ -330,8 +355,8 @@ class TestReplicateRunner:
         rows = 200_000
         rng = np.random.default_rng(1)
         g = rng.normal(size=rows)
-        pop = Dataset.from_arrays({"g": g, "y": 2.0 * g + rng.normal(size=rows)})
-        nbytes = sum(c.values.nbytes for c in pop.columns())
+        pop = Dataset({"g": g, "y": 2.0 * g + rng.normal(size=rows)})
+        nbytes = sum(v.nbytes for _, v in pop.items())
         plan = SamplingPlan(k=100, reps=64, analysis=(FitStep("y ~ g", (("slope", "b:g"),)),),
                             master_seed=4)
         sizes = pickled_bytes(monkeypatch)
@@ -414,7 +439,7 @@ def test_each_traced_boundary_is_called_per_replicate(boundary_calls, loop):
     reps = 5
     if loop == "sampling":
         g = np.random.default_rng(3).normal(size=400)
-        pop = Dataset.from_arrays({"g": g, "y": 2.0 * g + np.random.default_rng(4).normal(size=400)})
+        pop = Dataset({"g": g, "y": 2.0 * g + np.random.default_rng(4).normal(size=400)})
         plan = SamplingPlan(k=50, reps=reps, analysis=(FitStep("y ~ g", (("slope", "b:g"),)),),
                             master_seed=2)
         res = repeated_samples(pop, plan)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaslab.data import Column, Dataset, spearman
+from biaslab.data import Dataset, spearman
 from biaslab.errors import DataError, ParameterError, ValidationError
 from biaslab.measure import (
     AttenuationVariant,
@@ -18,8 +18,16 @@ from biaslab.rng import RngState
 from biaslab.scm import EquationSpec, ErrorTerm, ScmSpec, SourceSpec, evaluate_scm
 
 
-def col(vals, name="v"):
-    return Column(name, np.asarray(vals, dtype=float))
+def col(vals):
+    return np.asarray(vals, dtype=float)
+
+
+def present(v):
+    return v[~np.isnan(v)]
+
+
+def n_missing(v):
+    return int(np.isnan(v).sum())
 
 
 def entry13_data(seed=1992, n=10_000):
@@ -35,25 +43,25 @@ class TestDichotomize:
     def test_median_split_exact_counts(self):
         y = entry13_data()["Y"]
         d = dichotomize(y, RecodeRule("dichotomize_median"))
-        vals, counts = np.unique(d.present(), return_counts=True)
+        vals, counts = np.unique(present(d), return_counts=True)
         assert vals.tolist() == [0, 1] and counts.tolist() == [5000, 5000]
 
     def test_quantile_split_counts(self):
         y = entry13_data()["Y"]
         d = dichotomize(y, RecodeRule("dichotomize_quantile", p=0.25))
-        _, counts = np.unique(d.present(), return_counts=True)
+        _, counts = np.unique(present(d), return_counts=True)
         assert counts.tolist() == [2500, 7500]
 
     def test_threshold_90_band(self):
         y = entry13_data()["Y"]
         d = dichotomize(y, RecodeRule("dichotomize_threshold", threshold=90))
-        ones = int(d.present().sum())
+        ones = int(present(d).sum())
         assert 5 <= ones <= 60
 
     def test_missing_passes_through(self):
-        c = Column("v", np.array([1.0, np.nan, 3.0]))
+        c = col([1.0, np.nan, 3.0])
         d = dichotomize(c, RecodeRule("dichotomize_threshold", threshold=2))
-        assert np.isnan(d.values).tolist() == [False, True, False]
+        assert np.isnan(d).tolist() == [False, True, False]
 
     def test_constant_column_warns(self):
         with pytest.warns(UserWarning):
@@ -68,21 +76,21 @@ class TestOrdinalize:
     def test_quartile_counts_exact(self):
         y = entry13_data()["Y"]
         o = ordinalize(y, RecodeRule("ordinalize_quantiles", probs=(0.25, 0.5, 0.75)))
-        _, counts = np.unique(o.present(), return_counts=True)
+        _, counts = np.unique(present(o), return_counts=True)
         assert counts.tolist() == [2500, 2500, 2500, 2500]
 
     def test_skewed_probs_counts(self):
         y = entry13_data()["Y"]
         o = ordinalize(y, RecodeRule("ordinalize_quantiles", probs=(0.5, 0.6, 0.9)))
-        _, counts = np.unique(o.present(), return_counts=True)
+        _, counts = np.unique(present(o), return_counts=True)
         assert counts.tolist() == [5000, 1000, 3000, 1000]
         o = ordinalize(y, RecodeRule("ordinalize_quantiles", probs=(0.1, 0.2, 0.3)))
-        _, counts = np.unique(o.present(), return_counts=True)
+        _, counts = np.unique(present(o), return_counts=True)
         assert counts.tolist() == [1000, 1000, 1000, 7000]
 
     def test_explicit_cutpoints(self):
         o = ordinalize(col([1, 2, 3, 4, 5]), RecodeRule("ordinalize_cutpoints", cutpoints=(2.5, 4.5)))
-        assert o.values.tolist() == [1, 1, 2, 2, 3]
+        assert o.tolist() == [1, 1, 2, 2, 3]
 
     def test_decreasing_cutpoints_rejected(self):
         with pytest.raises(ParameterError):
@@ -96,11 +104,11 @@ class TestOrdinalize:
 class TestTransform:
     def test_minmax_basic(self):
         t = transform(col([2, 4, 6]), TransformRule("minmax"))
-        assert t.values.tolist() == [0, 0.5, 1]
+        assert t.tolist() == [0, 0.5, 1]
 
     def test_minmax_pads(self):
         t = transform(col([0, 50, 100]), TransformRule("minmax", pad_lo=25, pad_hi=25))
-        assert t.values.tolist() == [
+        assert t.tolist() == [
             pytest.approx(25 / 150),
             pytest.approx(75 / 150),
             pytest.approx(125 / 150),
@@ -112,44 +120,44 @@ class TestTransform:
 
     def test_zscore(self):
         t = transform(col([1, 2, 3]), TransformRule("zscore"))
-        assert t.values.tolist() == [-1, 0, 1]
+        assert t.tolist() == [-1, 0, 1]
         with pytest.raises(DataError):
             transform(col([5, 5, 5]), TransformRule("zscore"))
 
     def test_log_domain_violations_become_missing(self):
         t = transform(col([-1, 0, 1, np.e]), TransformRule("log_e"))
-        assert np.isnan(t.values).tolist() == [True, True, False, False]
-        assert t.values[3] == pytest.approx(1.0)
+        assert np.isnan(t).tolist() == [True, True, False, False]
+        assert t[3] == pytest.approx(1.0)
         t10 = transform(col([100, -5]), TransformRule("log_10"))
-        assert t10.values[0] == pytest.approx(2.0) and np.isnan(t10.values[1])
+        assert t10[0] == pytest.approx(2.0) and np.isnan(t10[1])
 
     def test_fractional_power_negative_missing(self):
         y = entry13_data()["Y"]
         t = transform(y, TransformRule("power", exponent=0.2))
-        negatives = int((y.values < 0).sum())
-        assert t.n_missing == negatives
+        negatives = int((y < 0).sum())
+        assert n_missing(t) == negatives
         assert 4700 <= negatives <= 5300  # symmetric distribution, about half
 
     def test_even_power_keeps_everything(self):
         t = transform(col([-3, -1, 2]), TransformRule("power", exponent=2))
-        assert t.values.tolist() == [9, 1, 4]
-        assert t.n_missing == 0
+        assert t.tolist() == [9, 1, 4]
+        assert n_missing(t) == 0
 
     def test_round_half_away_from_zero(self):
         t = transform(col([0.5, 1.5, -0.5, -1.5, 2.4]), TransformRule("round_whole"))
-        assert t.values.tolist() == [1, 2, -1, -2, 2]
+        assert t.tolist() == [1, 2, -1, -2, 2]
 
     def test_window_missingness(self):
         x = entry13_data()["X"]
         t = transform(x, TransformRule("window", lo=-5, hi=5))
         # X ~ N(0,10): P(|X| >= 5) ~ 0.617
-        assert abs(t.n_missing - 6170) < 200
+        assert abs(n_missing(t) - 6170) < 200
 
     def test_window_entry13_response_side(self):
         y = entry13_data()["Y"]
         t = transform(y, TransformRule("window", lo=-5, hi=5))
         # Y sd ~ 31.6: about 87.4% outside (-5, 5)
-        assert abs(t.n_missing - 8740) < 250
+        assert abs(n_missing(t) - 8740) < 250
 
 
 class TestInvariances:
@@ -158,11 +166,11 @@ class TestInvariances:
     def test_monotone_maps_leave_recodes_unchanged(self, kind):
         y = entry13_data(seed=5, n=500)["Y"]
         if kind == "exp":
-            mapped = Column("m", np.exp(y.values / 50))
+            mapped = np.exp(y / 50)
         elif kind == "cube":
-            mapped = Column("m", y.values**3)
+            mapped = y**3
         else:
-            mapped = Column("m", 2.5 * y.values + 7)
+            mapped = 2.5 * y + 7
         for rule in (
             RecodeRule("dichotomize_median"),
             RecodeRule("dichotomize_quantile", p=0.25),
@@ -172,21 +180,21 @@ class TestInvariances:
                 a, b = dichotomize(y, rule), dichotomize(mapped, rule)
             else:
                 a, b = ordinalize(y, rule), ordinalize(mapped, rule)
-            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a, b)
 
     def test_monotone_map_leaves_spearman_exact(self):
         d = entry13_data(seed=6, n=1000)
         x, y = d["X"], d["Y"]
         rho = spearman(x, y)
-        assert spearman(x, Column("m", np.exp(y.values / 50))) == pytest.approx(rho, abs=1e-14)
+        assert spearman(x, np.exp(y / 50)) == pytest.approx(rho, abs=1e-14)
 
     def test_recode_determinism_order_independence(self):
         y = entry13_data(seed=8, n=400)["Y"]
         rule = RecodeRule("ordinalize_quantiles", probs=(0.3, 0.7))
         a = ordinalize(y, rule)
         perm = RngState(1).generator.permutation(400)
-        b = ordinalize(Column("y", y.values[perm]), rule)
-        assert np.array_equal(a.values[perm], b.values)
+        b = ordinalize(y[perm], rule)
+        assert np.array_equal(a[perm], b)
 
 
 class TestAttenuation:
@@ -280,7 +288,7 @@ class TestAttenuation:
 
     def test_errors_recorded_per_row(self):
         d = entry13_data(seed=10, n=100)
-        constant = Dataset([d["X"], Column("Y", np.ones(100))])
+        constant = Dataset({"X": d["X"], "Y": np.ones(100)})
         rep = attenuation_report(
             constant, "Y", "X",
             [AttenuationVariant("z", "y", TransformRule("zscore"))],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaslab.data import Column, Dataset, pearson
+from biaslab.data import Dataset, pearson
 from biaslab.errors import (
     BiaslabError,
     DataError,
@@ -39,7 +39,7 @@ from _oracles import (
 
 
 def dataset(**arrays):
-    return Dataset([Column(k, np.asarray(v, dtype=float)) for k, v in arrays.items()])
+    return Dataset(arrays)
 
 
 class TestFormula:
@@ -86,9 +86,7 @@ class TestOls:
             x = g.normal(0, 1, (n, p))
             beta = g.normal(0, 2, p + 1)
             y = beta[0] + x @ beta[1:] + g.normal(0, 0.5, n)
-            d = Dataset(
-                [Column(f"x{j}", x[:, j]) for j in range(p)] + [Column("y", y)]
-            )
+            d = Dataset({**{f"x{j}": x[:, j] for j in range(p)}, "y": y})
             f = fit_ols(d, Formula("y", tuple(main(f"x{j}") for j in range(p))))
             xd = np.column_stack([np.ones(n), x])
             b_or, se_or = normal_equations_ols(xd, y)
@@ -136,10 +134,10 @@ class TestOls:
 
     def test_listwise_deletion_counted(self):
         d = Dataset(
-            [
-                Column("x", np.array([1.0, 2, 3, np.nan, 5])),
-                Column("y", np.array([1.0, np.nan, 3, 4, 5])),
-            ]
+            {
+                "x": np.array([1.0, 2, 3, np.nan, 5]),
+                "y": np.array([1.0, np.nan, 3, 4, 5]),
+            }
         )
         f = fit_ols(d, Formula.parse("y ~ x"))
         assert f.n_used == 3 and f.n_dropped == 2
@@ -196,7 +194,7 @@ class TestOlsMatchesOracle:
         cols["y"] = 1.5 * cols["a"] - cols["b"] + g.normal(size=n)
         for v in cols:
             cols[v][g.random(n) < missing] = np.nan
-        d = Dataset.from_arrays(cols)
+        d = Dataset(cols)
         formula = Formula("y", tuple(self._TERMS[t] for t in labels), intercept=intercept)
         standardized = draw.draw(st.booleans())
         assert_same_fit(outcome(fit_ols, d, formula, standardized=standardized),
@@ -212,7 +210,8 @@ class TestOlsMatchesOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the division by SE 0 stays silent
             got = fit_ols(d, formula)
-        assert np.isinf(got.stat).any()  # SE 0: the +-inf statistic path
+        undefined = got.se == 0  # SE 0: the statistic and its p are undefined
+        assert undefined.any() and np.isnan(got.stat[undefined]).all() and np.isnan(got.p[undefined]).all()
         assert_same_fit(got, fit_ols_oracle(d, formula))
 
     @pytest.mark.parametrize("text", ["y ~ a + c", "y ~ a + c + b", "y ~ c + a", "y ~ a + c - 1",
@@ -239,7 +238,7 @@ class TestResidualsPredict:
         d = dataset(x=[0, 1, 2, 3], y=[1, 3, 5, 7])
         f = fit_ols(d, Formula.parse("y ~ x"))
         r = residuals(f, d)
-        assert np.abs(r.values).max() < 1e-12
+        assert np.abs(r).max() < 1e-12
 
     def test_residuals_orthogonal_to_design(self):
         s = RngState(11)
@@ -247,20 +246,20 @@ class TestResidualsPredict:
         y = x + normal_draws(s, 300, 0, 1)
         d = dataset(x=x, y=y)
         f = fit_ols(d, Formula.parse("y ~ x"))
-        e = residuals(f, d).values
+        e = residuals(f, d)
         assert abs(e.sum()) < 1e-8
         assert abs(e @ x) < 1e-8
 
     def test_predict_missing_rows_stay_missing(self):
         d = Dataset(
-            [
-                Column("x", np.array([1.0, np.nan, 3.0, 4.0])),
-                Column("y", np.array([2.0, 4.0, 6.0, 8.5])),
-            ]
+            {
+                "x": np.array([1.0, np.nan, 3.0, 4.0]),
+                "y": np.array([2.0, 4.0, 6.0, 8.5]),
+            }
         )
         f = fit_ols(d, Formula.parse("y ~ x"))
         p = predict(f, d)
-        assert np.isnan(p.values).tolist() == [False, True, False, False]
+        assert np.isnan(p).tolist() == [False, True, False, False]
 
 
 class TestLogistic:
@@ -348,7 +347,7 @@ class TestOrderedLogit:
     def test_matches_brute_force_minimizer(self):
         d = self._quartile_data(n=300, seed=22)
         f = fit_ordered_logit(d, Formula.parse("y ~ x"))
-        b_or, z_or = brute_force_ordered(d["x"].values.reshape(-1, 1), d["y"].values)
+        b_or, z_or = brute_force_ordered(d["x"].reshape(-1, 1), d["y"])
         assert f.coef("x") == pytest.approx(b_or[0], abs=1e-5)
         assert np.allclose(f.cutpoints, z_or, atol=1e-4)
 
@@ -356,9 +355,9 @@ class TestOrderedLogit:
         from biaslab.regress import _OrderedNll
 
         d = self._quartile_data(n=120, seed=23)
-        x = d["x"].values.reshape(-1, 1)
-        levels = np.unique(d["y"].values)
-        kcat = np.searchsorted(levels, d["y"].values)
+        x = d["x"].reshape(-1, 1)
+        levels = np.unique(d["y"])
+        kcat = np.searchsorted(levels, d["y"])
         nll = _OrderedNll(x, kcat, len(levels))
         beta = np.array([0.03])
         zeta = np.array([-1.0, 0.1, 1.2])
@@ -527,24 +526,42 @@ class TestInfiniteCells:
     def test_overflowing_term_is_named(self, fitter, response, rhs, term):
         # finite cells whose square or product overflows to inf
         d = self._data(value=1e200)
-        z = d.column_values("z").copy()
+        z = d["z"].copy()
         z[4] = -1e200
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # x @ x overflows in the listwise screen
+            warnings.simplefilter("error")  # x @ x overflows silently in the listwise screen
             with pytest.raises(DataError, match=f"term '{re.escape(term)}' overflows"):
-                fitter(d.with_column(Column("z", z)), Formula.parse(f"{response} ~ {rhs}"))
+                fitter(d.with_column("z", z), Formula.parse(f"{response} ~ {rhs}"))
 
     def test_finite_term_whose_screen_overflows_still_fits(self):
         d = self._data(value=0.5)
-        x = d.column_values("x") * 1e77  # x^2 is finite, but its v @ v overflows
+        x = d["x"] * 1e77  # x^2 is finite, but its v @ v overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            f = fit_ols(d.with_column(Column("x", x)), Formula.parse("y ~ x^2 - 1"), standardized=False)
+            f = fit_ols(d.with_column("x", x), Formula.parse("y ~ x^2 - 1"), standardized=False)
         assert np.all(np.isfinite(f.b)) and np.all(np.isfinite(f.se))
+
+    @pytest.mark.parametrize("text, scale", [("y ~ x^2 - 1", 1e77), ("y ~ x - 1", 1e160)])
+    def test_standardized_beta_survives_an_overflowing_sd(self, text, scale):
+        # the squares of the x column (or of its x^2 term) overflow, so a plain SD does
+        d = self._data(value=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = fit_ols(d.with_column("x", d["x"] * scale), Formula.parse(text))
+        want = fit_ols(d, Formula.parse(text))
+        assert np.all(np.isfinite(f.b)) and np.all(np.isfinite(f.se))
+        assert f.beta == pytest.approx(want.beta, rel=1e-9)
+
+    def test_response_whose_squares_overflow_is_named(self):
+        d = self._data(value=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="response 'y' is too large"):
+                fit_ols(d.with_column("y", (3.0 + d["y"]) * 1e160), Formula.parse("y ~ x"))
 
     def test_infinite_cell_in_a_dropped_row_is_never_used(self):
         d = self._data()
-        y = d.column_values("y").copy()
+        y = d["y"].copy()
         y[4] = np.nan  # the row of the inf x cell
-        f = fit_ols(d.with_column(Column("y", y)), Formula.parse("y ~ x + z"))
+        f = fit_ols(d.with_column("y", y), Formula.parse("y ~ x + z"))
         assert f.n_dropped == 1 and np.all(np.isfinite(f.b))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biaslab.data import Column, Dataset
+from biaslab.data import Dataset
 from biaslab.errors import DataError, ParameterError, ValidationError
 from biaslab.regress import Formula, fit_ols, main
 from biaslab.rng import RngState
@@ -35,7 +35,7 @@ class TestEvaluate:
             equations=(EquationSpec("Y", linear=(("X", 2.0),)),),
         )
         ds = evaluate_scm(spec, RngState(1))
-        assert np.allclose(ds.column_values("Y"), 2 * ds.column_values("X"))
+        assert np.allclose(ds["Y"], 2 * ds["X"])
 
     def test_interactions_squares_intercept(self):
         spec = ScmSpec(
@@ -52,7 +52,7 @@ class TestEvaluate:
             ),
         )
         ds = evaluate_scm(spec, RngState(4))
-        a, b, y = (ds.column_values(v) for v in "ABY")
+        a, b, y = (ds[v] for v in "ABY")
         assert np.allclose(y, 3.0 + 1.5 * a - 2.0 * a * b + 0.5 * b**2)
 
     def test_unknown_reference_rejected(self):
@@ -132,7 +132,7 @@ class TestEvaluate:
                                     group_error=GroupError("X", levels)),),
         )
         ds = evaluate_scm(spec, RngState(15))
-        x, y = ds.column_values("X"), ds.column_values("Y")
+        x, y = ds["X"], ds["Y"]
         for k in range(1, 6):
             resid = y[x == k] - 2.0 * k
             assert abs(resid.std(ddof=1) - k) < 0.2 * k + 0.1
@@ -164,7 +164,7 @@ class TestMvnExact:
     def test_identity_corr_off_diagonals_vanish(self):
         t = CorrTarget(names=("a", "b", "c"), corr=np.eye(3))
         ds = mvn_exact(t, 200, RngState(3))
-        m = np.corrcoef(np.column_stack([ds.column_values(n) for n in ("a", "b", "c")]).T)
+        m = np.corrcoef(np.column_stack([ds[n] for n in ("a", "b", "c")]).T)
         assert np.abs(m - np.eye(3)).max() < 1e-10
 
     def test_sample_moments_match_request(self):
@@ -172,7 +172,7 @@ class TestMvnExact:
         t = CorrTarget(names=("a", "b"), corr=corr, means=np.array([5.0, -2.0]),
                        sds=np.array([2.0, 7.0]))
         ds = mvn_exact(t, 500, RngState(9))
-        a, b = ds.column_values("a"), ds.column_values("b")
+        a, b = ds["a"], ds["b"]
         assert abs(a.mean() - 5) < 1e-10 and abs(b.mean() + 2) < 1e-10
         assert abs(a.std(ddof=1) - 2) < 1e-10 and abs(b.std(ddof=1) - 7) < 1e-10
         assert abs(np.corrcoef(a, b)[0, 1] - 0.3) < 1e-10
@@ -190,7 +190,7 @@ class TestMvnExact:
         t = CorrTarget(names=("a", "b"), corr=np.array([[1, 0.5], [0.5, 1]]),
                        empirical_exact=False)
         ds = mvn_exact(t, 50_000, RngState(10))
-        r = np.corrcoef(ds.column_values("a"), ds.column_values("b"))[0, 1]
+        r = np.corrcoef(ds["a"], ds["b"])[0, 1]
         assert r == pytest.approx(0.5, abs=0.02)
         assert abs(r - 0.5) > 1e-10  # genuinely sampled, not forced
 
@@ -200,8 +200,8 @@ class TestGenerators:
         assert float(np.trunc(2.9)) == 2.0 and float(np.trunc(-0.7)) == -0.0
 
     def test_clamped_integer_normal_shape(self):
-        c = clamped_integer_normal(500_000, 12, 2.5, 4, 19, RngState(1121), name="PEA")
-        v = c.values
+        c = clamped_integer_normal(500_000, 12, 2.5, 4, 19, RngState(1121))
+        v = c
         assert v.min() == 4 and v.max() == 19
         assert np.all(v == np.round(v))
         vals, counts = np.unique(v, return_counts=True)
@@ -210,16 +210,16 @@ class TestGenerators:
 
     def test_clamped_zero_sd(self):
         c = clamped_integer_normal(10, 7, 0, 0, 100, RngState(2))
-        assert np.all(c.values == 7)
+        assert np.all(c == 7)
 
     def test_clamp_range_validated(self):
         with pytest.raises(ParameterError):
             clamped_integer_normal(10, 0, 1, 5, 4, RngState(2))
 
     def test_repeat_pattern(self):
-        assert repeat_pattern([1, 2], "each", 2, 4).values.tolist() == [1, 1, 2, 2]
-        assert repeat_pattern([0, 1], "times", 3, 6).values.tolist() == [0, 1, 0, 1, 0, 1]
-        levels = repeat_pattern(list(range(1, 6)), "each", 200, 1000).values
+        assert repeat_pattern([1, 2], "each", 2, 4).tolist() == [1, 1, 2, 2]
+        assert repeat_pattern([0, 1], "times", 3, 6).tolist() == [0, 1, 0, 1, 0, 1]
+        levels = repeat_pattern(list(range(1, 6)), "each", 200, 1000)
         assert all((levels == k).sum() == 200 for k in range(1, 6))
         with pytest.raises(ParameterError):
             repeat_pattern([1, 2], "each", 2, 5)
@@ -235,10 +235,10 @@ class TestInjectOutlier:
         return evaluate_scm(spec, RngState(32))
 
     def test_appends_one_row_with_missing_elsewhere(self):
-        ds = self._base().with_column(Column("Z", np.zeros(100)))
+        ds = self._base().with_column("Z", np.zeros(100))
         out = inject_outlier(ds, {"X": 16.0, "Y": 14.0})
         assert out.n_rows == 101
-        assert np.isnan(out["Z"].values[-1]) and not np.isnan(out["X"].values[-1])
+        assert np.isnan(out["Z"][-1]) and not np.isnan(out["X"][-1])
 
     def test_unknown_column_rejected(self):
         with pytest.raises(ValidationError):
@@ -247,8 +247,8 @@ class TestInjectOutlier:
     def test_point_at_centroid_changes_nothing(self):
         ds = self._base()
         f0 = fit_ols(ds, Formula("Y", (main("X"),)))
-        xbar = float(ds.column_values("X").mean())
-        ybar = float(ds.column_values("Y").mean())
+        xbar = float(ds["X"].mean())
+        ybar = float(ds["Y"].mean())
         f1 = fit_ols(inject_outlier(ds, {"X": xbar, "Y": ybar}), Formula("Y", (main("X"),)))
         assert abs(f1.coef("X") - f0.coef("X")) < 1e-12
 
@@ -256,11 +256,11 @@ class TestInjectOutlier:
         # leverage algebra: adding (x0, ybar) leaves Sxy fixed, grows Sxx
         ds = self._base()
         f0 = fit_ols(ds, Formula("Y", (main("X"),)))
-        ybar = float(ds.column_values("Y").mean())
+        ybar = float(ds["Y"].mean())
         f1 = fit_ols(inject_outlier(ds, {"X": 16.0, "Y": ybar}), Formula("Y", (main("X"),)))
         assert abs(f1.coef("X")) < abs(f0.coef("X"))
         # brute-force refit agreement with the algebraic prediction
-        x = ds.column_values("X")
+        x = ds["X"]
         n = len(x)
         xbar = x.mean()
         sxx = ((x - xbar) ** 2).sum()
@@ -278,23 +278,23 @@ class TestInjectOutlier:
 
 class TestBlockRandomize:
     def test_even_strata_split_exactly(self):
-        strata = Column("s", np.repeat([1.0, 2.0], 6))
-        ds = Dataset([strata, Column("v", np.arange(12.0))])
+        strata = np.repeat([1.0, 2.0], 6)
+        ds = Dataset({"s": strata, "v": np.arange(12.0)})
         assigned = block_randomize(ds, "s", RngState(6))
         for level in (1.0, 2.0):
-            assert assigned.values[strata.values == level].sum() == 3
+            assert assigned[strata == level].sum() == 3
 
     def test_single_even_stratum(self):
-        ds = Dataset([Column("s", np.ones(4)), Column("v", np.arange(4.0))])
+        ds = Dataset({"s": np.ones(4), "v": np.arange(4.0)})
         assigned = block_randomize(ds, "s", RngState(6))
-        assert assigned.values.sum() == 2
+        assert assigned.sum() == 2
 
     def test_odd_stratum_floor_or_ceil(self):
-        ds = Dataset([Column("s", np.ones(5))])
-        totals = {block_randomize(ds, "s", RngState(seed)).values.sum() for seed in range(30)}
+        ds = Dataset({"s": np.ones(5)})
+        totals = {block_randomize(ds, "s", RngState(seed)).sum() for seed in range(30)}
         assert totals == {2.0, 3.0}
 
     def test_tiny_stratum_rejected(self):
-        ds = Dataset([Column("s", np.array([1.0, 2.0, 2.0]))])
+        ds = Dataset({"s": np.array([1.0, 2.0, 2.0])})
         with pytest.raises(DataError):
             block_randomize(ds, "s", RngState(1))
