@@ -60,9 +60,6 @@ class RowFilter:
             keep &= _holds(data[c.var], c.op, c.value)
         return keep
 
-    def to_json_list(self) -> list[dict]:
-        return [{"var": c.var, "op": c.op, "value": c.value} for c in self.conditions]
-
     @classmethod
     def from_json_list(cls, items: Sequence[Mapping]) -> "RowFilter":
         return cls(tuple(Condition(i["var"], i["op"], float(i["value"])) for i in items))
@@ -233,22 +230,6 @@ class MediationResult:
     ci_high: float
     fit_m: FitResult = field(repr=False, compare=False, default=None)  # type: ignore[assignment]
     fit_y: FitResult = field(repr=False, compare=False, default=None)  # type: ignore[assignment]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "path_xm": self.path_xm,
-            "path_xm_se": self.path_xm_se,
-            "path_my": self.path_my,
-            "path_my_se": self.path_my_se,
-            "direct": self.direct,
-            "direct_se": self.direct_se,
-            "indirect": self.indirect,
-            "total": self.total,
-            "sobel_se": self.sobel_se,
-            "z_indirect": self.z_indirect,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-        }
 
 
 def mediation(data: Dataset, y: str, x: str, m: str) -> MediationResult:

@@ -15,8 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, replace
-from numbers import Real
+from dataclasses import dataclass, fields, is_dataclass, replace
+from numbers import Integral, Real
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -123,7 +123,8 @@ def _build_generator(
                     ["i", "N", *template.series_names()])
         seed, _ = seed_of()
         if kind == "corr":
-            target, n = CorrTarget.from_json_dict(gen), int(gen["n"])
+            target, n = CorrTarget.from_json_dict(gen), gen["n"]
+            expect(Integral, "corr", n=n)
             return (lambda workers: (mvn_exact(target, n, derive_substream(seed, 0)), None),
                     list(target.names), [])
         spec = ScmSpec.from_json_dict(gen["scm"] if kind == "population" else gen)
@@ -495,13 +496,24 @@ def run_scenario(
 
 
 def artifact_json(artifact: Any) -> Any:
+    """An artifact as JSON data: its own ``to_json_dict``, a dict as is, or a
+    dataclass's repr fields, with arrays as lists and tuples of dataclasses
+    as lists of dicts."""
     if hasattr(artifact, "to_json_dict"):
         return artifact.to_json_dict()
     if isinstance(artifact, dict):
         return artifact
-    if hasattr(artifact, "__dataclass_fields__"):
-        return {k: getattr(artifact, k) for k in artifact.__dataclass_fields__}
+    if is_dataclass(artifact):
+        return {f.name: _json_value(getattr(artifact, f.name)) for f in fields(artifact) if f.repr}
     raise ValidationError(f"cannot serialize artifact of type {type(artifact).__name__}")
+
+
+def _json_value(value: Any) -> Any:
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple) and all(map(is_dataclass, value)):
+        return [artifact_json(v) for v in value]
+    return value
 
 
 def _artifact_csv_rows(artifact: Any) -> tuple[list[str], list[list]]:

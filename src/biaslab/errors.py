@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+from numbers import Integral
+
 
 class BiaslabError(Exception):
     """Base class for all errors raised by this package."""
@@ -15,11 +17,11 @@ class ValidationError(BiaslabError):
 
 def expect(kind: type, owner: str, optional: bool = False, **fields: object) -> None:
     """Raise ``ValidationError`` naming the first of ``fields`` that is not a
-    ``kind`` (``str`` or ``numbers.Real``), or None where ``optional``; a bool
-    is no number."""
+    ``kind`` (``str``, ``numbers.Real`` or ``numbers.Integral``), or None where
+    ``optional``; a bool is no number."""
     for name, value in fields.items():
         if not (optional and value is None) and (isinstance(value, bool) or not isinstance(value, kind)):
-            noun = "a string" if kind is str else "a number"
+            noun = {str: "a string", Integral: "an integer"}.get(kind, "a number")
             raise ValidationError(f"{owner}: {name} must be {noun}, got {value!r}")
 
 

@@ -24,7 +24,8 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -174,17 +175,6 @@ def check_reads(owner: str, analysis: Sequence[AnalysisStep], columns: Sequence[
                 raise ValidationError(f"{where}: unknown column {name!r}; have {sorted(columns)}")
 
 
-def step_to_json(step: AnalysisStep) -> dict:
-    if isinstance(step, FitStep):
-        d = {"kind": "fit", "formula": step.formula, "family": step.family}
-    elif isinstance(step, IvStep):
-        d = {"kind": "iv", "y": step.y, "x": step.x, "instrument": step.instrument,
-             "allow_weak": step.allow_weak}
-    else:
-        d = {"kind": "balance", "group": step.group, "covariates": list(step.covariates)}
-    return {**d, "record": dict(step.record)}
-
-
 def step_from_json(d: Mapping) -> AnalysisStep:
     kind = d.get("kind")
     rec = tuple((n, s) for n, s in d.get("record", {}).items())
@@ -223,6 +213,8 @@ class McTemplate:
     def __post_init__(self):
         object.__setattr__(self, "bindings", tuple(self.bindings))
         object.__setattr__(self, "analysis", tuple(self.analysis))
+        sizes = {"n.lo": self.n.lo, "n.hi": self.n.hi} if isinstance(self.n, RangeSpec) else {"n": self.n}
+        expect(Integral, "mc", reps=self.reps, **sizes)
         if self.reps < 1:
             raise ValidationError("reps must be >= 1")
         check_seed("master_seed", self.master_seed)
@@ -275,38 +267,29 @@ class McTemplate:
     def series_names(self) -> list[str]:
         return [name for name, _ in self.bindings] + _step_names(self.analysis)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "scm": self.scm.to_json_dict(),
-            "n": {"lo": self.n.lo, "hi": self.n.hi} if isinstance(self.n, RangeSpec) else self.n,
-            "bindings": {name: {"lo": r.lo, "hi": r.hi} for name, r in self.bindings},
-            "analysis": [step_to_json(s) for s in self.analysis],
-            "reps": self.reps,
-            "seed": self.master_seed,
-        }
-
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "McTemplate":
         n = d["n"]
         return cls(
             scm=ScmSpec.from_json_dict(d["scm"]),
-            n=RangeSpec(n["lo"], n["hi"]) if isinstance(n, Mapping) else int(n),
+            n=RangeSpec(n["lo"], n["hi"]) if isinstance(n, Mapping) else n,
             bindings=tuple((k, RangeSpec(v["lo"], v["hi"])) for k, v in d.get("bindings", {}).items()),
             analysis=tuple(step_from_json(s) for s in d["analysis"]),
-            reps=int(d["reps"]),
-            master_seed=int(d["seed"]),
+            reps=d["reps"],
+            master_seed=d["seed"],
         )
 
     def hash(self) -> str:
-        return _json_hash(self.to_json_dict())
+        return _json_hash(self)
 
 
 def _step_names(analysis: Sequence[AnalysisStep]) -> list[str]:
     return [name for step in analysis for name, _ in step.record]
 
 
-def _json_hash(d: dict) -> str:
-    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]
+def _json_hash(spec: McTemplate | SamplingPlan) -> str:
+    """The first 16 hex digits of the sha256 of the spec's fields as sorted-key JSON."""
+    return hashlib.sha256(json.dumps(asdict(spec), sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _spec_placeholders(spec: ScmSpec) -> set[str]:
@@ -406,26 +389,16 @@ class SamplingPlan:
     row_filter: RowFilter | None = None
 
     def __post_init__(self):
+        expect(Integral, "sampling", k=self.k, reps=self.reps)
         check_seed("master_seed", self.master_seed)
-
-    def to_json_dict(self) -> dict:
-        d: dict = {
-            "k": self.k,
-            "reps": self.reps,
-            "analysis": [step_to_json(s) for s in self.analysis],
-            "seed": self.master_seed,
-        }
-        if self.row_filter is not None:
-            d["filter"] = self.row_filter.to_json_list()
-        return d
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "SamplingPlan":
         return cls(
-            k=int(d["k"]),
-            reps=int(d["reps"]),
+            k=d["k"],
+            reps=d["reps"],
             analysis=tuple(step_from_json(s) for s in d["analysis"]),
-            master_seed=int(d["seed"]),
+            master_seed=d["seed"],
             row_filter=RowFilter.from_json_list(d["filter"]) if "filter" in d else None,
         )
 
@@ -433,7 +406,7 @@ class SamplingPlan:
         return _step_names(self.analysis)
 
     def hash(self) -> str:
-        return _json_hash(self.to_json_dict())
+        return _json_hash(self)
 
 
 def _sample_data(population: Dataset, plan: SamplingPlan, i: int, record: dict) -> Dataset:

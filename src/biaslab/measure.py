@@ -10,7 +10,7 @@ mirroring NA propagation; listwise deletion then handles them downstream.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from numbers import Real
 from typing import Mapping, Sequence
 
@@ -290,9 +290,6 @@ class AttenuationReport:
             if r.label == label:
                 return r
         raise ValidationError(f"no attenuation row labelled {label!r}")
-
-    def to_json_dict(self) -> dict:
-        return {"rows": [{f.name: getattr(r, f.name) for f in fields(r)} for r in self.rows]}
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
         header = ["label", "spearman", "slope", "se", "stat", "chisq", "n_used"]

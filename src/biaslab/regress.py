@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 
-_RANK_TOL = 1e-10  # relative to the largest R diagonal
+_RANK_TOL = 1e-10  # relative to the largest |R| entry of the same column
 
 
 @dataclass(frozen=True)
@@ -272,10 +272,18 @@ def _build_design(
 
 
 def _check_rank(x: np.ndarray, labels: Sequence[str], r: np.ndarray) -> None:
-    """Raise ``SingularDesignError`` if ``x`` (with QR factor ``r``) lacks full rank."""
-    diag = np.abs(r.diagonal()).tolist()
-    # a NaN on the diagonal (NaN data) never raises; Python's min/max would skip it
-    if diag and min(diag) < _RANK_TOL * max(diag) and not any(map(math.isnan, diag)):
+    """Raise ``SingularDesignError`` if ``x`` (with QR factor ``r``) lacks full rank.
+
+    Column j is numerically a combination of the columns before it when
+    ``|R_jj|`` is at most ``_RANK_TOL`` times the largest ``|R_ij|`` of its own
+    column.  Scaling a column scales its column of R, so the test does not
+    depend on the scale of any column; a zero column is dependent."""
+    a = np.abs(r)
+    diag = a.diagonal().tolist()
+    # a NaN on the diagonal (NaN data) never raises; lists, not arrays, because a
+    # design has few columns and numpy's per-call overhead would dominate
+    if (diag and any(d <= _RANK_TOL * m for d, m in zip(diag, a.max(axis=0).tolist()))
+            and not any(map(math.isnan, diag))):
         # pivoted pass to name the first dependent column; scipy.linalg is
         # imported here so that a full-rank fit never loads it
         import scipy.linalg
@@ -712,15 +720,6 @@ class CollinearityReport:
     vif: np.ndarray
     eigenvalues: np.ndarray  # descending; includes one unit eigenvalue for the intercept
     condition_indices: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        return {
-            "terms": list(self.terms),
-            "tolerance": [float(v) for v in self.tolerance],
-            "vif": [float(v) for v in self.vif],
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "condition_indices": [float(v) for v in self.condition_indices],
-        }
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
         """One row per eigenvalue; predictor columns are blank past the predictors."""

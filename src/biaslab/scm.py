@@ -13,9 +13,8 @@ and blocked randomization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -174,8 +173,8 @@ class ScmSpec:
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "equations", tuple(self.equations))
-        if isinstance(self.n, bool) or not isinstance(self.n, (Real, str)):
-            raise ValidationError(f"n must be a number or a placeholder name, got {self.n!r}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (Integral, str)):
+            raise ValidationError(f"n must be an integer or a placeholder name, got {self.n!r}")
         self.validate()
         # placeholder names in the sources and equations (``n`` aside), found once
         found: set[str] = set()
@@ -214,35 +213,6 @@ class ScmSpec:
     def is_concrete(self) -> bool:
         return not (self._placeholders or isinstance(self.n, str))
 
-    # -- JSON interchange -----------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        def err(e: ErrorTerm) -> dict:
-            return {"coef": e.scale_coef, "mean": e.mean, "sd": e.sd}
-
-        eqs = []
-        for eq in self.equations:
-            d: dict = {
-                "target": eq.target,
-                "intercept": eq.intercept,
-                "linear": [[s, c] for s, c in eq.linear],
-                "interactions": [[a, b, c] for a, b, c in eq.interactions],
-                "squares": [[s, c] for s, c in eq.squares],
-            }
-            if eq.error is not None:
-                d["error"] = err(eq.error)
-            if eq.group_error is not None:
-                d["group_error"] = {
-                    "by": eq.group_error.by,
-                    "levels": {str(k): err(v) for k, v in eq.group_error.levels.items()},
-                }
-            eqs.append(d)
-        return {
-            "n": self.n,
-            "sources": [{"name": s.name, "kind": s.kind, "params": dict(s.params)} for s in self.sources],
-            "equations": eqs,
-        }
-
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "ScmSpec":
         def err(e: Mapping) -> ErrorTerm:
@@ -276,13 +246,6 @@ class ScmSpec:
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed scm spec: {exc}") from exc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScmSpec":
-        return cls.from_json_dict(json.loads(text))
-
 
 def evaluate_scm(spec: ScmSpec, rng: RngState) -> Dataset:
     """Materialize a concrete spec into a dataset, consuming ``rng`` in order."""
@@ -294,36 +257,38 @@ def evaluate_scm(spec: ScmSpec, rng: RngState) -> Dataset:
     cols: dict[str, np.ndarray] = {}
     for src in spec.sources:
         cols[src.name] = src.generate(rng, n)
-    for eq in spec.equations:
-        y = np.empty(n)
-        y.fill(float(eq.intercept))
-        for s, c in eq.linear:
-            y += c * cols[s]
-        for a, b, c in eq.interactions:
-            y += c * cols[a] * cols[b]
-        for s, c in eq.squares:
-            y += c * cols[s] ** 2
-        if eq.error is not None:
-            y += eq.error.draw(rng, n)
-        elif eq.group_error is not None:
-            g = cols[eq.group_error.by]
-            if not np.all(g == np.round(g)):
-                raise ValidationError(
-                    f"group_error column {eq.group_error.by!r} must be integer-valued"
-                )
-            levels = eq.group_error.levels
-            observed = np.unique(g.astype(int))
-            unknown = [int(v) for v in observed if int(v) not in levels]
-            if unknown:
-                raise ValidationError(
-                    f"group_error for {eq.target!r}: no error spec for levels {unknown}"
-                )
-            for level in sorted(levels):
-                idx = np.flatnonzero(g == level)
-                if idx.size:
-                    y[idx] += levels[level].draw(rng, idx.size)
-        cols[eq.target] = y
-    # arithmetic that overflows leaves NaN cells, which are missing like any other
+    # arithmetic that overflows leaves ±inf or NaN (missing) cells, which is an
+    # outcome of the spec, not a fault, so numpy is not asked to warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for eq in spec.equations:
+            y = np.empty(n)
+            y.fill(float(eq.intercept))
+            for s, c in eq.linear:
+                y += c * cols[s]
+            for a, b, c in eq.interactions:
+                y += c * cols[a] * cols[b]
+            for s, c in eq.squares:
+                y += c * cols[s] ** 2
+            if eq.error is not None:
+                y += eq.error.draw(rng, n)
+            elif eq.group_error is not None:
+                g = cols[eq.group_error.by]
+                if not np.all(g == np.round(g)):
+                    raise ValidationError(
+                        f"group_error column {eq.group_error.by!r} must be integer-valued"
+                    )
+                levels = eq.group_error.levels
+                observed = np.unique(g.astype(int))
+                unknown = [int(v) for v in observed if int(v) not in levels]
+                if unknown:
+                    raise ValidationError(
+                        f"group_error for {eq.target!r}: no error spec for levels {unknown}"
+                    )
+                for level in sorted(levels):
+                    idx = np.flatnonzero(g == level)
+                    if idx.size:
+                        y[idx] += levels[level].draw(rng, idx.size)
+            cols[eq.target] = y
     return Dataset._trusted(n, cols)
 
 

@@ -365,4 +365,5 @@ class TestSubgroup:
 
     def test_filter_json_round_trip(self):
         rf = RowFilter((Condition("a", ">=", 1.5), Condition("b", "<", 2.0)))
-        assert RowFilter.from_json_list(rf.to_json_list()) == rf
+        items = [{"var": "a", "op": ">=", "value": 1.5}, {"var": "b", "op": "<", "value": 2}]
+        assert RowFilter.from_json_list(items) == rf

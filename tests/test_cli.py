@@ -305,6 +305,14 @@ class TestFitSubcommand:
         assert fit["family"] == "gaussian"
         assert fit["terms"] == ["(Intercept)", "X"]
 
+    def test_zero_column_fails_without_traceback(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("Y,X\n1,0\n3,0\n5,0\n7,0\n")
+        proc = run_cli("fit", str(p), "--formula", "Y ~ X - 1")
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "singular at term 'X'" in proc.stderr
+
     def test_binomial_on_bad_response_fails(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("Y,X\n1,0\n3,1\n5,2\n7,3\n")

@@ -10,6 +10,7 @@ import pytest
 
 from biaslab import config
 from biaslab.catalog import catalog_config
+from biaslab.cli import main as cli_main
 from biaslab.config import parse_config, run_scenario
 from biaslab.errors import ValidationError
 
@@ -221,3 +222,37 @@ def test_readme_table_lists_every_analysis_kind():
     table = {kind: tuple(re.findall(r"`(\w+)`", fields)) for kind, fields in rows}
     assert table == {kind: required for kind, (required, _) in config._ANALYSES.items()}
     assert set(table) == set(_EXPECTED)
+
+
+def _catalog_with(ident: str, kind: str, **fields) -> dict:
+    """Catalog scenario ``ident`` with ``fields`` set in its ``kind`` document."""
+    doc = catalog_config(ident)
+    doc[kind] = {**doc[kind], **fields}
+    return doc
+
+
+# each integer field given a value that is not an integer, and the words that name it
+_NOT_INTEGER = {
+    "mc.reps-float": (_catalog_with("entry8-collider-pp-mc", "mc", reps=2.5), "mc: reps"),
+    "mc.reps-bool": (_catalog_with("entry8-collider-pp-mc", "mc", reps=True), "mc: reps"),
+    "mc.reps-string": (_catalog_with("entry8-collider-pp-mc", "mc", reps="3"), "mc: reps"),
+    "mc.n": (_catalog_with("entry8-collider-pp-mc", "mc", reps=2, n=150.7), "mc: n"),
+    "mc.n-range": (_catalog_with("entry8-collider-pp-mc", "mc", reps=2, n={"lo": 100.5, "hi": 120.9}),
+                   "mc: n.lo"),
+    "population.sampling.k": (_catalog_with("entry5-sampling-random", "population", sampling={
+        **catalog_config("entry5-sampling-random")["population"]["sampling"], "k": 10.5, "reps": 2}),
+        "sampling: k"),
+    "corr.n": (_catalog_with("entry3-collinearity-none", "corr", n=999.9), "corr: n"),
+    "scm.n": (_catalog_with("entry1-linearity", "scm", n=100.5), "n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_INTEGER))
+def test_integer_field_that_is_not_an_integer_exits_2(tmp_path, capsys, case):
+    doc, named = _NOT_INTEGER[case]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"validation error: {named} must be an integer" in err
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,7 @@
 import math
 import multiprocessing.queues
+import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -24,7 +26,7 @@ from biaslab.mc import (
     repeated_samples,
     run_mc,
     series_correlation,
-    step_to_json,
+    step_from_json,
     summarize_series,
     write_mc_csv,
 )
@@ -64,6 +66,25 @@ def small_template(reps=20, seed=11):
         reps=reps,
         master_seed=seed,
     )
+
+
+def small_doc(reps=20, seed=11) -> dict:
+    """``small_template(reps, seed)`` as the JSON document a config holds."""
+    return {
+        "scm": {
+            "n": "n",
+            "sources": [{"name": "c", "kind": "normal", "params": {"mean": 0, "sd": "sd_c"}}],
+            "equations": [
+                {"target": "x", "linear": [["c", "a"]], "error": {"coef": 1.0, "mean": 0, "sd": 1.0}},
+                {"target": "y", "linear": [["c", "b"]], "error": {"coef": 1.0, "mean": 0, "sd": 1.0}},
+            ],
+        },
+        "n": {"lo": 50, "hi": 200},
+        "bindings": {"a": {"lo": 1, "hi": 3}, "b": {"lo": 1, "hi": 3}, "sd_c": {"lo": 1, "hi": 2}},
+        "analysis": [{"kind": "fit", "formula": "y ~ x", "record": {"bxy": "b:x", "se_xy": "se:x"}}],
+        "reps": reps,
+        "seed": seed,
+    }
 
 
 def mixed_template(n, reps=5, seed=31):
@@ -122,16 +143,15 @@ class TestValidation:
     def test_bound_spec_equals_a_validated_one(self, bound):
         spec = small_template().scm
         got = bind_spec(spec, bound, 40)
-        again = ScmSpec.from_json_dict(got.to_json_dict())
+        again = ScmSpec(n=got.n, sources=got.sources, equations=got.equations)
         assert got == again
         assert got.placeholders() == again.placeholders()
         assert got.is_concrete() == again.is_concrete() == (len(bound) == 3)
 
     def test_json_round_trip(self):
-        t = small_template()
-        again = McTemplate.from_json_dict(t.to_json_dict())
-        assert again.to_json_dict() == t.to_json_dict()
-        assert again.hash() == t.hash()
+        t = McTemplate.from_json_dict(small_doc())
+        assert t == small_template()
+        assert t.hash() == small_template().hash()
 
     @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (0.0, math.inf), (-math.inf, 0.0),
                                         (math.nan, 1.0)])
@@ -142,26 +162,43 @@ class TestValidation:
             McTemplate(scm=t.scm, n=t.n, bindings=bindings, analysis=t.analysis, reps=2,
                        master_seed=1)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
     def test_master_seed_out_of_range_rejected_at_construction(self, seed):
+        # the readers pass the seed through as it is, so 1.5 and True are not truncated to 1
         with pytest.raises(ValidationError, match="master_seed"):
             McTemplate.from_json_dict({**collider_template(reps=2), "seed": seed})
         with pytest.raises(ValidationError, match="master_seed"):
+            SamplingPlan.from_json_dict({"k": 5, "reps": 2, "analysis": [], "seed": seed})
+        with pytest.raises(ValidationError, match="master_seed"):
             SamplingPlan(k=5, reps=2, analysis=(), master_seed=seed)
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("reps", 2.5, "reps"), ("reps", True, "reps"), ("reps", "3", "reps"), ("n", 150.7, "n"),
+        ("n", {"lo": 100.5, "hi": 120.9}, "n.lo"), ("n", {"lo": 100, "hi": 120.9}, "n.hi"),
+    ])
+    def test_non_integer_reps_or_n_rejected(self, field, value, named):
+        with pytest.raises(ValidationError, match=rf"^mc: {named} must be an integer"):
+            McTemplate.from_json_dict({**collider_template(reps=2), field: value})
+
+    @pytest.mark.parametrize("field, value", [("k", 10.5), ("k", True), ("reps", 2.5), ("reps", "3")])
+    def test_non_integer_sample_size_or_reps_rejected(self, field, value):
+        doc = {"k": 5, "reps": 2, "analysis": [], "seed": 1, field: value}
+        with pytest.raises(ValidationError, match=rf"^sampling: {field} must be an integer"):
+            SamplingPlan.from_json_dict(doc)
+
     @pytest.mark.parametrize("step", [
-        FitStep("y ~ x + colx", (("b", "b:x"),)),
-        IvStep("y", "x", "colx", (("r", "ratio"),)),
-        BalanceStep("x", ("colx",), (("d", "delta_mean:colx"),)),
+        {"kind": "fit", "formula": "y ~ x + colx", "record": {"b": "b:x"}},
+        {"kind": "iv", "y": "y", "x": "x", "instrument": "colx", "record": {"r": "ratio"}},
+        {"kind": "balance", "group": "x", "covariates": ["colx"], "record": {"d": "delta_mean:colx"}},
     ])
     def test_step_reading_an_undefined_column_rejected(self, step):
         t = collider_template(reps=2)
         with pytest.raises(ValidationError, match=r"analysis\[1\]: unknown column 'colx'"):
-            McTemplate.from_json_dict({**t, "analysis": [*t["analysis"], step_to_json(step)]})
+            McTemplate.from_json_dict({**t, "analysis": [*t["analysis"], step]})
         pop = Dataset({"x": np.arange(20.0), "y": np.arange(20.0) % 2})
         plan = SamplingPlan(k=5, reps=2, analysis=(FitStep("y ~ x", (("s", "b:x"),)),),
                             master_seed=1, row_filter=RowFilter((Condition("colx", ">", 0),)))
-        for bad in (SamplingPlan(k=5, reps=2, analysis=(step,), master_seed=1), plan):
+        for bad in (SamplingPlan(k=5, reps=2, analysis=(step_from_json(step),), master_seed=1), plan):
             with pytest.raises(ValidationError, match="unknown column 'colx'"):
                 repeated_samples(pop, bad)
 
@@ -182,6 +219,64 @@ class TestValidation:
             state = derive_substream(8, i)
             scalar = {name: r.draw(state) for name, r in t.bindings}
             assert repr(t.draw_bindings(derive_substream(8, i))) == repr(scalar)
+
+
+def _plan_doc(**changes) -> dict:
+    doc = {"k": 20, "reps": 5, "seed": 6,
+           "analysis": [{"kind": "fit", "formula": "y ~ g", "record": {"slope": "b:g"}}],
+           "filter": [{"var": "g", "op": ">=", "value": 0.0}]}
+    return {**doc, **changes}
+
+
+class TestTemplateHash:
+    """The template hash is the sha256 of a template's or a plan's fields."""
+
+    def test_equal_templates_hash_equal(self):
+        assert small_template().hash() == small_template().hash()
+        assert SamplingPlan.from_json_dict(_plan_doc()).hash() == SamplingPlan.from_json_dict(_plan_doc()).hash()
+
+    def test_params_key_order_keeps_the_hash(self):
+        doc = small_doc()
+        params = doc["scm"]["sources"][0]["params"]
+        doc["scm"]["sources"][0]["params"] = dict(reversed(params.items()))
+        assert list(doc["scm"]["sources"][0]["params"]) != list(params)
+        assert McTemplate.from_json_dict(doc).hash() == small_template().hash()
+
+    @pytest.mark.parametrize("change", [
+        lambda d: d["bindings"]["a"].update(hi=4),
+        lambda d: d["analysis"][0]["record"].update(se_xy="p:x"),
+        lambda d: d.update(reps=21),
+        lambda d: d.update(seed=12),
+    ], ids=["binding", "record", "reps", "seed"])
+    def test_a_changed_template_field_changes_the_hash(self, change):
+        doc = small_doc()
+        change(doc)
+        assert McTemplate.from_json_dict(doc).hash() != small_template().hash()
+
+    @pytest.mark.parametrize("changes", [
+        {"k": 21}, {"reps": 6}, {"seed": 7},
+        {"analysis": [{"kind": "fit", "formula": "y ~ g", "record": {"slope": "se:g"}}]},
+        {"filter": [{"var": "g", "op": ">=", "value": 1.0}]},
+        {"filter": [{"var": "g", "op": ">", "value": 0.0}]},
+    ], ids=["k", "reps", "seed", "record", "filter-value", "filter-op"])
+    def test_a_changed_plan_field_changes_the_hash(self, changes):
+        plain = SamplingPlan.from_json_dict(_plan_doc())
+        assert SamplingPlan.from_json_dict(_plan_doc(**changes)).hash() != plain.hash()
+
+    def test_dropping_the_row_filter_changes_the_hash(self):
+        unfiltered = {k: v for k, v in _plan_doc().items() if k != "filter"}
+        assert SamplingPlan.from_json_dict(unfiltered).hash() != SamplingPlan.from_json_dict(_plan_doc()).hash()
+
+    def test_hash_is_the_same_in_every_process(self):
+        # str hashing is salted per process (PYTHONHASHSEED); the template hash is not
+        code = ("from biaslab.catalog import collider_template; from biaslab.mc import McTemplate; "
+                "print(McTemplate.from_json_dict(collider_template(reps=5, seed=3)).hash())")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        got = {subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": h},
+                              capture_output=True, text=True, check=True).stdout.strip()
+               for h in ("1", "2")}
+        assert got == {McTemplate.from_json_dict(collider_template(reps=5, seed=3)).hash()}
+        assert got == {"89b2c52f2142a678"}
 
 
 class TestRunMc:

@@ -132,6 +132,32 @@ class TestOls:
             fit_ols(d, Formula.parse("y ~ x + z"))
         assert exc.value.term in ("x", "z")
 
+    @pytest.mark.parametrize("scale", [1e10, 1e12, 1e100, 1e-100])
+    def test_rank_test_ignores_the_scale_of_a_column(self, scale):
+        g = np.random.default_rng(1)
+        x, z, e = g.normal(size=30), g.normal(size=30), g.normal(size=30)
+        d = dataset(x=x, z=z, y=x + z + e)
+        want = fit_ols(d, Formula.parse("y ~ x + z"))
+        got = fit_ols(d.with_column("x", x * scale), Formula.parse("y ~ x + z"))
+        assert got.coef("x") * scale == pytest.approx(want.coef("x"), rel=1e-9)
+        assert got.stat_of("x") == pytest.approx(want.stat_of("x"), rel=1e-9)
+        assert got.coef("z") == pytest.approx(want.coef("z"), rel=1e-9)
+        # a column that is a multiple of another is still refused, at either scale
+        for a, b in ((x * scale, 2 * x * scale), (x * scale, 2 * x)):
+            with pytest.raises(SingularDesignError):
+                fit_ols(dataset(x=a, z=b, y=x + e), Formula.parse("y ~ x + z"))
+
+    def test_design_without_columns_fits(self):
+        f = fit_ols(dataset(y=np.arange(5.0)), Formula.parse("y ~ -1"))
+        assert f.terms == () and f.b.size == 0
+
+    def test_zero_column_is_singular(self):
+        d = dataset(x=np.zeros(10), y=np.arange(10.0))
+        for text in ("y ~ x - 1", "y ~ x"):
+            with pytest.raises(SingularDesignError) as exc:
+                fit_ols(d, Formula.parse(text))
+            assert exc.value.term == "x"
+
     def test_listwise_deletion_counted(self):
         d = Dataset(
             {

@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -156,8 +159,34 @@ class TestEvaluate:
                              squares=(("X", -0.025),), error=ErrorTerm(0.025, 5, 1)),
             ),
         )
-        again = ScmSpec.from_json(spec.to_json())
-        assert again == spec
+        doc = {
+            "n": 100,
+            "sources": [{"name": "X", "kind": "normal", "params": {"mean": 5, "sd": 1}},
+                        {"name": "G", "kind": "uniform_int", "params": {"lo": 1, "hi": 5}}],
+            "equations": [{"target": "Y", "intercept": 1.0, "linear": [["X", 0.25]],
+                           "squares": [["X", -0.025]], "error": {"coef": 0.025, "mean": 5, "sd": 1}}],
+        }
+        assert ScmSpec.from_json_dict(json.loads(json.dumps(doc))) == spec
+
+    @pytest.mark.parametrize("n", [100.5, 100.0, True, None])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ValidationError, match="n must be an integer or a placeholder name"):
+            ScmSpec.from_json_dict({"n": n, "sources": [{"name": "X", "kind": "normal",
+                                                         "params": {"mean": 0, "sd": 1}}]})
+
+    def test_overflowing_arithmetic_is_silent(self):
+        # x * 1e10 and x^2 overflow for sd 1e300, and inf - inf is NaN: outcomes, not faults
+        spec = ScmSpec(
+            n=50,
+            sources=(normal("x", 0, 1e300),),
+            equations=(EquationSpec("y", linear=(("x", 1e10),), error=ErrorTerm(1e300, 0, 1e10)),
+                       EquationSpec("q", interactions=(("x", "x", 1.0),), squares=(("x", 1.0),)),
+                       EquationSpec("z", linear=(("q", 1.0), ("q", -1.0)))),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = evaluate_scm(spec, RngState(3))
+        assert np.isinf(d["y"]).any() and np.isinf(d["q"]).all() and np.isnan(d["z"]).all()
 
 
 class TestMvnExact:
