@@ -11,7 +11,7 @@ import numpy as np
 
 from biaslab.catalog import entry3_corr_matrix
 from biaslab.regress import Formula, collinearity_diagnostics, fit_ols
-from biaslab.rng import RngState
+from biaslab.rng import derive_substream
 from biaslab.scm import CorrTarget, mvn_exact
 
 
@@ -20,7 +20,7 @@ def run(rho: float, n: int, seed: int) -> None:
         names=("Y", "X", "Z1", "Z2", "Z3", "Z4"),
         corr=np.asarray(entry3_corr_matrix(rho)),
     )
-    ds = mvn_exact(target, n, RngState(seed))
+    ds = mvn_exact(target, n, derive_substream(seed, 0))
     formula = Formula.parse("Y ~ X + Z1 + Z2 + Z3 + Z4")
     f = fit_ols(ds, formula)
     diag = collinearity_diagnostics(ds, formula)

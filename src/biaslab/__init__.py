@@ -83,7 +83,7 @@ from .regress import (
     square,
     wald_chisq,
 )
-from .rng import RngState, derive_substream, normal_draws, sample_indices, uniform_draw
+from .rng import derive_substream, sample_indices
 from .scm import (
     CorrTarget,
     EquationSpec,

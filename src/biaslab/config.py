@@ -33,8 +33,8 @@ from .causal import (
 from .data import Dataset, balance_diff, pearson, spearman, summarize, write_csv
 from .errors import BiaslabError, ValidationError, expect
 from .measure import AttenuationVariant, apply_rules, attenuation_report, rules_from_json
-from .regress import FitResult, Formula, collinearity_diagnostics, fit, predict
-from .rng import RngState, check_seed, derive_substream
+from .regress import FitResult, Formula, check_family, collinearity_diagnostics, fit, predict
+from .rng import check_seed, derive_substream
 from .scm import CorrTarget, ScmSpec, block_randomize, evaluate_scm, inject_outlier, mvn_exact
 
 _GEN_KINDS = ("scm", "corr", "population", "mc")
@@ -127,7 +127,10 @@ def _build_generator(
             expect(Integral, "corr", n=n)
             return (lambda workers: (mvn_exact(target, n, derive_substream(seed, 0)), None),
                     list(target.names), [])
-        spec = ScmSpec.from_json_dict(gen["scm"] if kind == "population" else gen)
+        try:
+            spec = ScmSpec.from_json_dict(gen["scm"] if kind == "population" else gen)
+        except ValidationError as exc:
+            raise _fail("population.scm" if kind == "population" else "scm", str(exc)) from exc
         if not spec.is_concrete():
             raise _fail(kind, f"placeholders {sorted(spec.placeholders())} are only valid in mc templates")
         columns = spec.column_names()
@@ -156,7 +159,7 @@ def _build_generator(
 # reads, the column it adds (or None), and a runner
 # ``(data, rng) -> (artifact, data seen by later analyses)``.
 
-_Built = tuple[list[str], "str | None", Callable[[Dataset, RngState], tuple[Any, Dataset]]]
+_Built = tuple[list[str], "str | None", Callable[[Dataset, np.random.Generator], tuple[Any, Dataset]]]
 
 
 def _unchanged(fn: Callable[[Dataset], Any]) -> Callable:
@@ -165,7 +168,7 @@ def _unchanged(fn: Callable[[Dataset], Any]) -> Callable:
 
 
 def _fit(a: Mapping) -> _Built:
-    formula, family = Formula.parse(a["formula"]), a.get("family", "gaussian")
+    formula, family = Formula.parse(a["formula"]), check_family(a.get("family", "gaussian"))
     return formula.variables(), None, _unchanged(lambda d: fit(d, formula, family=family))
 
 
@@ -209,7 +212,7 @@ def _balance(a: Mapping) -> _Built:
 def _block_balance(a: Mapping) -> _Built:
     name = a.get("as", "treated")
 
-    def run(data: Dataset, rng: RngState):
+    def run(data: Dataset, rng: np.random.Generator):
         with_assign = data.with_column(name, block_randomize(data, a["strata"], rng))
         return balance_diff(with_assign, name, a["covariates"]), with_assign
 
@@ -241,7 +244,7 @@ def _correlation(a: Mapping) -> _Built:
 
 
 def _outlier_fit(a: Mapping) -> _Built:
-    formula, family = Formula.parse(a["formula"]), a.get("family", "gaussian")
+    formula, family = Formula.parse(a["formula"]), check_family(a.get("family", "gaussian"))
     means = {col: v[5:] for col, v in a["assign"].items()
              if isinstance(v, str) and v.startswith("mean:")}
     fixed = {col: float(v) for col, v in a["assign"].items() if col not in means}
@@ -256,7 +259,7 @@ def _outlier_fit(a: Mapping) -> _Built:
 def _recode(a: Mapping) -> _Built:
     rules = rules_from_json(a["rule"])
 
-    def run(data: Dataset, rng: RngState):
+    def run(data: Dataset, rng: np.random.Generator):
         values = apply_rules(data[a["var"]], rules, a["var"])
         missing = np.isnan(values)
         counts = {str(k): int(c) for k, c in zip(*np.unique(values[~missing], return_counts=True))}

@@ -34,7 +34,7 @@ from .causal import _OPS, _holds, iv_wald, RowFilter
 from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantile_type7
 from .errors import BiaslabError, DataError, ParameterError, ValidationError, expect
 from .regress import Formula, fit, fit_ols, fit_terms
-from .rng import RngState, check_seed, derive_substream, sample_indices
+from .rng import check_seed, derive_substream, sample_indices
 from .scm import EquationSpec, ErrorTerm, GroupError, ScmSpec, SourceSpec, evaluate_scm, prevalidated
 
 
@@ -49,13 +49,13 @@ class RangeSpec:
         if self.lo > self.hi:
             raise ValidationError(f"range reversed: lo={self.lo} > hi={self.hi}")
 
-    def draw(self, rng: RngState) -> float:
+    def draw(self, rng: np.random.Generator) -> float:
         if self.lo == self.hi:
             return float(self.lo)
-        return float(rng.generator.uniform(self.lo, self.hi))
+        return float(rng.uniform(self.lo, self.hi))
 
-    def draw_int(self, rng: RngState) -> int:
-        return int(rng.generator.integers(int(self.lo), int(self.hi) + 1))
+    def draw_int(self, rng: np.random.Generator) -> int:
+        return int(rng.integers(int(self.lo), int(self.hi) + 1))
 
 
 # -- analysis plan steps -----------------------------------------------------
@@ -250,7 +250,7 @@ class McTemplate:
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_width", hi - lo)
 
-    def draw_bindings(self, rng: RngState) -> dict[str, float]:
+    def draw_bindings(self, rng: np.random.Generator) -> dict[str, float]:
         """One value per binding, in declaration order.
 
         The same values, from the same stream positions, as
@@ -259,7 +259,7 @@ class McTemplate:
         """
         values = list(self._fixed_values)
         if self._ranged:
-            u = rng.generator.random(len(self._ranged))
+            u = rng.random(len(self._ranged))
             for j, v in zip(self._ranged, (self._lo + self._width * u).tolist()):
                 values[j] = v
         return dict(zip(self._names, values))
@@ -288,8 +288,11 @@ def _step_names(analysis: Sequence[AnalysisStep]) -> list[str]:
 
 
 def _json_hash(spec: McTemplate | SamplingPlan) -> str:
-    """The first 16 hex digits of the sha256 of the spec's fields as sorted-key JSON."""
-    return hashlib.sha256(json.dumps(asdict(spec), sort_keys=True).encode()).hexdigest()[:16]
+    """The first 16 hex digits of the sha256 of the spec's fields as sorted-key
+    JSON, each integral float written as an int, so that equal specs hash equal."""
+    fields = json.loads(json.dumps(asdict(spec)),
+                        parse_float=lambda t: int(float(t)) if float(t).is_integer() else float(t))
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _spec_placeholders(spec: ScmSpec) -> set[str]:
@@ -364,9 +367,8 @@ class McResult:
         return len(self.columns["i"])
 
 
-def _template_data(template: McTemplate, i: int, record: dict) -> Dataset:
-    """Replicate ``i``'s data: draw n, then the bindings, then evaluate the SCM."""
-    rng = derive_substream(template.master_seed, i)
+def _template_data(template: McTemplate, rng: np.random.Generator, record: dict) -> Dataset:
+    """A replicate's data from its stream: draw n, then the bindings, then evaluate the SCM."""
     n = template.n.draw_int(rng) if isinstance(template.n, RangeSpec) else int(template.n)
     values = template.draw_bindings(rng)
     record.update(N=n, **values)
@@ -409,11 +411,11 @@ class SamplingPlan:
         return _json_hash(self)
 
 
-def _sample_data(population: Dataset, plan: SamplingPlan, i: int, record: dict) -> Dataset:
-    """Replicate ``i``'s data: ``plan.k`` rows drawn without replacement."""
-    rng = derive_substream(plan.master_seed, i)
+def _sample_data(population: Dataset, plan: SamplingPlan, rng: np.random.Generator,
+                 record: dict) -> Dataset:
+    """A replicate's data from its stream: ``plan.k`` rows drawn without replacement."""
     record["N"] = plan.k
-    idx = sample_indices(rng, population.n_rows, plan.k, replace=False)
+    idx = sample_indices(rng, population.n_rows, plan.k)
     return population.select_rows(np.sort(idx))
 
 
@@ -436,7 +438,7 @@ def repeated_samples(
 
 # -- the replicate runner -----------------------------------------------------
 
-# the job (data function, fixed arguments, analysis, series names) a pool worker serves
+# the job (data function, fixed arguments, master seed, analysis, series names)
 _worker_job: tuple | None = None
 
 
@@ -444,11 +446,11 @@ def _run_replicate(job: tuple, i: int) -> tuple[int, list[float], str | None]:
     """Replicate ``i``'s sample size, its value of each series and its error
     tag.  A biaslab or linear-algebra error becomes the tag, and the
     estimates the replicate did not reach stay NaN."""
-    data_fn, fixed, analysis, names = job
+    data_fn, fixed, master_seed, analysis, names = job
     record: dict = {}
     error = None
     try:
-        data = data_fn(*fixed, i, record)
+        data = data_fn(*fixed, derive_substream(master_seed, i), record)
         for step in analysis:
             record.update(step.run(data))
     except (BiaslabError, np.linalg.LinAlgError) as exc:
@@ -466,11 +468,11 @@ def _run_in_worker(i: int) -> tuple[int, list[float], str | None]:
 
 
 def _run_replicates(plan: McTemplate | SamplingPlan, data_fn, fixed: tuple, workers: int) -> McResult:
-    """Run replicates ``0 .. plan.reps - 1`` of ``data_fn(*fixed, i, record)``
-    followed by ``plan.analysis``, in this process or on ``workers`` processes,
-    writing replicate ``i`` into row ``i`` of each series."""
+    """Run replicates ``0 .. plan.reps - 1``: ``data_fn(*fixed, rng, record)`` on
+    replicate ``i``'s stream ``rng``, then ``plan.analysis``, in this process or on
+    ``workers`` processes, writing replicate ``i`` into row ``i`` of each series."""
     names = tuple(plan.series_names())
-    job = (data_fn, fixed, plan.analysis, names)
+    job = (data_fn, fixed, plan.master_seed, plan.analysis, names)
     reps, workers = plan.reps, min(workers, plan.reps)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(job,)) as pool:

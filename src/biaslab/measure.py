@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset, quantile_type7, spearman
 from .errors import BiaslabError, DataError, ParameterError, ValidationError, expect
-from .regress import FitResult, Formula, fit, main
+from .regress import FitResult, Formula, check_family, fit, main
 
 _DICHOTOMIZE_KINDS = {"dichotomize_median", "dichotomize_quantile", "dichotomize_threshold"}
 _ORDINALIZE_KINDS = {"ordinalize_quantiles", "ordinalize_cutpoints"}
@@ -256,6 +256,8 @@ class AttenuationVariant:
     def __post_init__(self):
         if self.target not in ("x", "y"):
             raise ValidationError(f"variant target must be 'x' or 'y', got {self.target!r}")
+        if self.family is not None:
+            check_family(self.family)
         if isinstance(self.rule, (list, tuple)):
             object.__setattr__(self, "rule", tuple(self.rule))
 

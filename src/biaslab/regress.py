@@ -289,8 +289,8 @@ def _check_rank(x: np.ndarray, labels: Sequence[str], r: np.ndarray) -> None:
         import scipy.linalg
 
         _, rp, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
-        dp = np.abs(np.diag(rp))
-        bad = np.nonzero(dp < _RANK_TOL * dp.max())[0]
+        ap = np.abs(rp)
+        bad = np.nonzero(ap.diagonal() <= _RANK_TOL * ap.max(axis=0))[0]
         term = labels[piv[bad[0]]] if bad.size else labels[-1]
         raise SingularDesignError(f"design matrix is singular at term {term!r}", term=term)
 
@@ -687,23 +687,32 @@ def fit_ordered_logit(data: Dataset, formula: Formula) -> FitResult:
     )
 
 
-_ORDERED = ("ordered", "ordered-logit")
+# family name -> the name of its fitter, which ``fit`` looks up in this module
+# per call, so that a wrapper set on the module attribute is the one that runs
+_FITTERS = {"gaussian": "fit_ols", "identity": "fit_ols", "binomial": "fit_logistic",
+            "binomial-logit": "fit_logistic", "logit": "fit_logistic",
+            "ordered": "fit_ordered_logit", "ordered-logit": "fit_ordered_logit"}
+
+
+def check_family(family: object) -> str:
+    """``family``, if ``fit`` knows it; otherwise a ``ValidationError`` naming it."""
+    if not isinstance(family, str) or family not in _FITTERS:
+        raise ValidationError(f"unknown family {family!r}; valid: {tuple(_FITTERS)}")
+    return family
 
 
 def fit(data: Dataset, formula: Formula, family: str = "gaussian") -> FitResult:
     """Dispatch to the family-appropriate fitter."""
-    if family in ("gaussian", "identity"):
-        return fit_ols(data, formula)
-    if family in ("binomial", "binomial-logit", "logit"):
-        return fit_logistic(data, formula)
-    if family in _ORDERED:
-        return fit_ordered_logit(data, formula)
-    raise ParameterError(f"unknown family {family!r}")
+    if not isinstance(family, str) or family not in _FITTERS:
+        raise ParameterError(f"unknown family {family!r}")
+    return globals()[_FITTERS[family]](data, formula)
 
 
 def fit_terms(formula: Formula, family: str) -> tuple[str, ...]:
-    """The ``terms`` of ``fit(data, formula, family)``; ordered fits have no intercept term."""
-    return tuple(_term_labels(formula.terms, formula.intercept and family not in _ORDERED))
+    """The ``terms`` of ``fit(data, formula, family)``; ordered fits have no
+    intercept term.  An unknown family raises ``ValidationError``."""
+    ordered = _FITTERS[check_family(family)] == "fit_ordered_logit"
+    return tuple(_term_labels(formula.terms, formula.intercept and not ordered))
 
 
 def wald_chisq(fit_result: FitResult, term: str) -> tuple[float, float]:

@@ -21,7 +21,6 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, ParameterError, ValidationError, expect
-from .rng import RngState
 
 Value = float | str  # str = placeholder name, bound by the MC harness
 
@@ -64,10 +63,10 @@ class ErrorTerm:
     def numbers(self) -> list[Value]:
         return [self.scale_coef, self.mean, self.sd]
 
-    def draw(self, rng: RngState, n: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.sd < 0:
             raise ValidationError(f"error term sd must be >= 0, got {self.sd}")
-        e = rng.generator.normal(self.mean, self.sd, n)
+        e = rng.normal(self.mean, self.sd, n)
         e *= self.scale_coef
         return e
 
@@ -94,17 +93,17 @@ class SourceSpec:
     def numbers(self) -> list[Value]:
         return [self.params[k] for k in _NUMERIC_PARAMS[self.kind]]
 
-    def generate(self, rng: RngState, n: int) -> np.ndarray:
+    def generate(self, rng: np.random.Generator, n: int) -> np.ndarray:
         p = self.params
         if self.kind == "normal":
             if p["sd"] < 0:
                 raise ValidationError(f"source {self.name!r}: sd must be >= 0")
-            return rng.generator.normal(p["mean"], p["sd"], n)
+            return rng.normal(p["mean"], p["sd"], n)
         if self.kind == "uniform_int":
             lo, hi = int(p["lo"]), int(p["hi"])
             if lo > hi:
                 raise ValidationError(f"source {self.name!r}: lo > hi")
-            return rng.generator.integers(lo, hi + 1, size=n).astype(float)
+            return rng.integers(lo, hi + 1, size=n).astype(float)
         if self.kind == "pattern":
             return repeat_pattern(p["values"], p["mode"], int(p["k"]), n)
         if self.kind == "clamped_int_normal":
@@ -247,7 +246,7 @@ class ScmSpec:
             raise ValidationError(f"malformed scm spec: {exc}") from exc
 
 
-def evaluate_scm(spec: ScmSpec, rng: RngState) -> Dataset:
+def evaluate_scm(spec: ScmSpec, rng: np.random.Generator) -> Dataset:
     """Materialize a concrete spec into a dataset, consuming ``rng`` in order."""
     if not spec.is_concrete():
         raise ValidationError(f"spec has unbound placeholders: {sorted(spec.placeholders())}")
@@ -329,7 +328,7 @@ class CorrTarget:
                    empirical_exact=bool(d.get("empirical_exact", True)))
 
 
-def mvn_exact(target: CorrTarget, n: int, rng: RngState) -> Dataset:
+def mvn_exact(target: CorrTarget, n: int, rng: np.random.Generator) -> Dataset:
     """Gaussian draws whose *sample* moments hit the target when requested.
 
     With ``empirical_exact`` the draws are re-centered, whitened by the
@@ -343,7 +342,7 @@ def mvn_exact(target: CorrTarget, n: int, rng: RngState) -> Dataset:
         raise DataError(f"correlation matrix is not positive semi-definite (min eig {lam.min():.3g})")
     if n < 1:
         raise ParameterError("n must be >= 1")
-    z = rng.generator.normal(0.0, 1.0, (n, d))
+    z = rng.normal(0.0, 1.0, (n, d))
     if target.empirical_exact:
         if n <= d:
             raise DataError(f"empirical_exact needs n > dimension ({n} <= {d})")
@@ -369,14 +368,14 @@ def clamped_integer_normal(
     sd: float,
     lo: float,
     hi: float,
-    rng: RngState,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Normal draws truncated toward zero to integers, then clamped to [lo, hi]."""
     if lo > hi:
         raise ParameterError(f"clamp range reversed: lo={lo} > hi={hi}")
     if sd < 0:
         raise ParameterError("sd must be >= 0")
-    x = np.trunc(rng.generator.normal(mean, sd, n))
+    x = np.trunc(rng.normal(mean, sd, n))
     x[x <= lo] = lo
     x[x >= hi] = hi
     return x
@@ -401,7 +400,7 @@ def inject_outlier(data: Dataset, assignments: Mapping[str, float]) -> Dataset:
                     for name, v in data.items()})
 
 
-def block_randomize(data: Dataset, strata: str, rng: RngState) -> np.ndarray:
+def block_randomize(data: Dataset, strata: str, rng: np.random.Generator) -> np.ndarray:
     """A 0/1 treatment column that assigns half of each stratum (uniformly at random).
 
     Odd strata get floor or ceil treated counts, decided by one extra coin
@@ -417,8 +416,8 @@ def block_randomize(data: Dataset, strata: str, rng: RngState) -> np.ndarray:
         if m < 2:
             raise DataError(f"stratum {level!r} has fewer than 2 members")
         t = m // 2
-        if m % 2 == 1 and rng.generator.integers(0, 2) == 1:
+        if m % 2 == 1 and rng.integers(0, 2) == 1:
             t += 1
-        chosen = rng.generator.choice(m, size=t, replace=False)
+        chosen = rng.choice(m, size=t, replace=False)
         out[idx[chosen]] = 1.0
     return out

@@ -39,7 +39,7 @@ from biaslab.regress import (
     main,
     wald_chisq,
 )
-from biaslab.rng import RngState, normal_draws
+from biaslab.rng import derive_substream
 from biaslab.scm import (
     CorrTarget,
     EquationSpec,
@@ -88,7 +88,7 @@ def test_criterion_01_exact_moment_collinearity():
             names=("Y", "X", "Z1", "Z2", "Z3", "Z4"),
             corr=np.asarray(entry3_corr_matrix(rho)),
         )
-        ds = mvn_exact(target, 1000, RngState(56))
+        ds = mvn_exact(target, 1000, derive_substream(56, 0))
         f = fit_ols(ds, formula)
         assert abs(f.coef("X") - b_x) < 1e-6
         for z in ("Z1", "Z2", "Z3", "Z4"):
@@ -109,7 +109,7 @@ def test_criterion_01_exact_moment_collinearity():
 
 def test_criterion_02_algebraic_identities():
     # wald = stat^2 exactly, and the quoted magnitude
-    ds = evaluate_scm(ENTRY13_SPEC, RngState(1992))
+    ds = evaluate_scm(ENTRY13_SPEC, derive_substream(1992, 0))
     f = fit_ols(ds, Formula.parse("Y ~ X"))
     chisq, _ = wald_chisq(f, "X")
     assert chisq == f.stat_of("X") * f.stat_of("X")
@@ -128,16 +128,16 @@ def test_criterion_02_algebraic_identities():
             EquationSpec("Y", linear=(("ME", 1.0), ("X", 0.0)), error=ErrorTerm(2.0, 0, 10)),
         ),
     )
-    dm = evaluate_scm(med_spec, RngState(4))
+    dm = evaluate_scm(med_spec, derive_substream(4, 0))
     res = mediation(dm, "Y", "X", "ME")
     assert abs(res.total - (res.direct + res.indirect)) < 1e-12
     biv = fit_ols(dm, Formula.parse("Y ~ X"))
     assert abs(res.total - biv.coef("X")) < 1e-8
 
     # ordered logit with K=2 equals binary logistic to 1e-6
-    s = RngState(20)
-    x = normal_draws(s, 2000, 0, 2)
-    z = (x + normal_draws(s, 2000, 0, 2) > 0).astype(float)
+    s = derive_substream(20, 0)
+    x = s.normal(0, 2, 2000)
+    z = (x + s.normal(0, 2, 2000) > 0).astype(float)
     d2 = Dataset({"x": x, "yb": z, "yo": z + 1})
     fb = fit_logistic(d2, Formula.parse("yb ~ x"))
     fo = fit_ordered_logit(d2, Formula.parse("yo ~ x"))
@@ -146,7 +146,7 @@ def test_criterion_02_algebraic_identities():
     assert abs(fo.cutpoints[0] + fb.coef("(Intercept)")) < 1e-6
 
     # OLS equals the normal-equation oracle to 1e-8 on 100 random instances
-    g = RngState(314).generator
+    g = derive_substream(314, 0)
     for _ in range(100):
         n = int(g.integers(25, 80))
         p = int(g.integers(1, 4))
@@ -164,7 +164,7 @@ def test_criterion_02_algebraic_identities():
 
 
 def test_criterion_03_affine_monotone_invariance():
-    ds = evaluate_scm(ENTRY13_SPEC, RngState(7))
+    ds = evaluate_scm(ENTRY13_SPEC, derive_substream(7, 0))
     base = fit_ols(ds, Formula.parse("Y ~ X"))
     a, c = 3.7, -11.25
     scaled = ds.with_column("Y", a * ds["Y"] + c)
@@ -227,7 +227,7 @@ def test_criterion_04_population_value_recovery():
     )
     biv, adj = [], []
     for seed in seeds:
-        rep = compare_adjustments(evaluate_scm(conf_spec, RngState(seed)), "y", "x", [["c"]])
+        rep = compare_adjustments(evaluate_scm(conf_spec, derive_substream(seed, 0)), "y", "x", [["c"]])
         biv.append(rep.focal_estimate("bivariate").estimate)
         adj.append(rep.focal_estimate("adjusted:c").estimate)
     within_4_mc_se(biv, 0.5, "entry7 confounded")
@@ -242,7 +242,7 @@ def test_criterion_04_population_value_recovery():
     )
     col_adj = []
     for seed in seeds:
-        ds = evaluate_scm(col_spec, RngState(seed))
+        ds = evaluate_scm(col_spec, derive_substream(seed, 0))
         col_adj.append(fit_ols(ds, Formula.parse("y ~ x + col")).coef("x"))
     within_4_mc_se(col_adj, -0.8, "entry8 collider-adjusted")
 
@@ -254,7 +254,7 @@ def test_criterion_04_population_value_recovery():
             EquationSpec("Y", linear=(("C", 1.0), ("X", 1.0)), error=ErrorTerm(1.0, 0, 10)),
         ),
     )
-    ratios = [iv_wald(evaluate_scm(iv_spec, RngState(s)), "Y", "X", "IN").ratio for s in seeds]
+    ratios = [iv_wald(evaluate_scm(iv_spec, derive_substream(s, 0)), "Y", "X", "IN").ratio for s in seeds]
     within_4_mc_se(ratios, 1.0, "entry11 IV ratio")
 
     med_spec = ScmSpec(
@@ -267,7 +267,7 @@ def test_criterion_04_population_value_recovery():
     )
     direct, indirect, total = [], [], []
     for seed in seeds:
-        res = mediation(evaluate_scm(med_spec, RngState(seed)), "Y", "X", "ME")
+        res = mediation(evaluate_scm(med_spec, derive_substream(seed, 0)), "Y", "X", "ME")
         direct.append(res.direct)
         indirect.append(res.indirect)
         total.append(res.total)
@@ -284,7 +284,7 @@ def test_criterion_04_population_value_recovery():
         ),
     )
     inter = [
-        moderated_fit(evaluate_scm(mod_spec, RngState(s)), "Y", "X", "Mod").coef("X:Mod")
+        moderated_fit(evaluate_scm(mod_spec, derive_substream(s, 0)), "Y", "X", "Mod").coef("X:Mod")
         for s in seeds
     ]
     within_4_mc_se(inter, 4.0, "entry15 interaction")
@@ -327,7 +327,7 @@ def test_criterion_06_attenuation_ordering():
     seeds = range(100)
     pass_y = pass_x = 0
     for seed in seeds:
-        ds = evaluate_scm(ENTRY13_SPEC, RngState(seed))
+        ds = evaluate_scm(ENTRY13_SPEC, derive_substream(seed, 0))
         rep = attenuation_report(ds, "Y", "X", [
             AttenuationVariant("quartiles", "y",
                                RecodeRule("ordinalize_quantiles", probs=(0.25, 0.5, 0.75))),
@@ -405,7 +405,7 @@ def test_criterion_08_outlier_determinism():
         sources=(normal("X", 10, 1),),
         equations=(EquationSpec("Y", linear=(("X", 0.6),), error=ErrorTerm(0.5, 10, 1)),),
     )
-    ds = evaluate_scm(spec, RngState(32))
+    ds = evaluate_scm(spec, derive_substream(32, 0))
     formula = Formula.parse("Y ~ X")
     base = fit_ols(ds, formula)
     xbar = float(ds["X"].mean())
@@ -484,7 +484,7 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
         assert parse_config(c.to_json()) == c
     from biaslab.data import read_csv, write_csv
 
-    ds = evaluate_scm(ENTRY13_SPEC, RngState(3))
+    ds = evaluate_scm(ENTRY13_SPEC, derive_substream(3, 0))
     ds = ds.with_column("W", np.where(ds["X"] > 5, np.nan, 1.5))
     p = tmp_path / "ds.csv"
     write_csv(ds, str(p))

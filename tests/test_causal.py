@@ -17,7 +17,7 @@ from biaslab.causal import (
 from biaslab.data import Dataset
 from biaslab.errors import BiaslabError, DataError, ValidationError, WeakInstrumentError
 from biaslab.regress import Formula, fit_ols, main
-from biaslab.rng import RngState, normal_draws
+from biaslab.rng import derive_substream
 from biaslab.scm import (
     CorrTarget,
     EquationSpec,
@@ -44,7 +44,7 @@ def entry7_data(n=100_000, seed=0):
             EquationSpec("y", linear=(("c", 2.0),), error=ErrorTerm(2.0, 0, 2.5)),
         ),
     )
-    return evaluate_scm(spec, RngState(seed))
+    return evaluate_scm(spec, derive_substream(seed, 0))
 
 
 def entry8_data(n=100_000, seed=0):
@@ -55,7 +55,7 @@ def entry8_data(n=100_000, seed=0):
             EquationSpec("col", linear=(("x", 2.0), ("y", 2.0)), error=ErrorTerm(1.0, 0, 2.5)),
         ),
     )
-    return evaluate_scm(spec, RngState(seed))
+    return evaluate_scm(spec, derive_substream(seed, 0))
 
 
 class TestCompareAdjustments:
@@ -89,7 +89,7 @@ class TestCompareAdjustments:
         corr = np.eye(3)
         corr[0, 1] = corr[1, 0] = 0.4  # y-x association only
         t = CorrTarget(names=("y", "x", "z"), corr=corr)
-        d = mvn_exact(t, 500, RngState(44))
+        d = mvn_exact(t, 500, derive_substream(44, 0))
         rep = compare_adjustments(d, "y", "x", [["z"]])
         assert abs(
             rep.focal_estimate("adjusted:z").estimate
@@ -97,10 +97,10 @@ class TestCompareAdjustments:
         ) < 1e-8
 
     def test_independent_covariate_changes_little(self):
-        s = RngState(12)
-        x = normal_draws(s, 10_000, 0, 10)
-        y = x + normal_draws(s, 10_000, 0, 10)
-        z = normal_draws(s, 10_000, 0, 10)
+        s = derive_substream(12, 0)
+        x = s.normal(0, 10, 10_000)
+        y = x + s.normal(0, 10, 10_000)
+        z = s.normal(0, 10, 10_000)
         d = Dataset({"x": x, "y": y, "z": z})
         rep = compare_adjustments(d, "y", "x", [["z"]])
         biv = rep.focal_estimate("bivariate")
@@ -108,9 +108,9 @@ class TestCompareAdjustments:
         assert abs(adj.estimate - biv.estimate) < 2 * biv.se
 
     def test_failing_set_recorded_not_fatal(self):
-        s = RngState(13)
-        x = normal_draws(s, 200, 0, 1)
-        d = Dataset({"x": x, "y": x + normal_draws(s, 200, 0, 1), "dup": 2 * x})
+        s = derive_substream(13, 0)
+        x = s.normal(0, 1, 200)
+        d = Dataset({"x": x, "y": x + s.normal(0, 1, 200), "dup": 2 * x})
         rep = compare_adjustments(d, "y", "x", [["dup"], []])
         assert any(lab == "adjusted:dup" for lab, _ in rep.errors)
         assert rep.focal_estimate("bivariate") is not None
@@ -126,7 +126,7 @@ class TestIv:
                 EquationSpec("Y", linear=(("C", 1.0), ("X", 1.0)), error=ErrorTerm(1.0, 0, 10)),
             ),
         )
-        return evaluate_scm(spec, RngState(seed))
+        return evaluate_scm(spec, derive_substream(seed, 0))
 
     @pytest.mark.parametrize("column", ["IN", "X", "Y"])
     def test_infinite_cell_is_refused_and_named(self, column):
@@ -156,12 +156,12 @@ class TestIv:
         assert est2.ratio == pytest.approx(est1.ratio, rel=1e-12)
 
     def test_weak_instrument_error_and_override(self):
-        s = RngState(6)
+        s = derive_substream(6, 0)
         d = Dataset(
             {
-                "IN": normal_draws(s, 1000, 0, 1),
-                "X": normal_draws(s, 1000, 0, 1),
-                "Y": normal_draws(s, 1000, 0, 1),
+                "IN": s.normal(0, 1, 1000),
+                "X": s.normal(0, 1, 1000),
+                "Y": s.normal(0, 1, 1000),
             }
         )
         with pytest.raises(WeakInstrumentError):
@@ -232,7 +232,7 @@ class TestMediation:
                 EquationSpec("Y", linear=(("ME", 1.0), ("X", 0.0)), error=ErrorTerm(2.0, 0, 10)),
             ),
         )
-        return evaluate_scm(spec, RngState(seed))
+        return evaluate_scm(spec, derive_substream(seed, 0))
 
     def test_sobel_formula_worked_example(self):
         # worked example: a=1.036 (SE .020), b=0.990 (SE .010)
@@ -257,10 +257,10 @@ class TestMediation:
         assert res.ci_low < res.indirect < res.ci_high
 
     def test_unrelated_mediator(self):
-        s = RngState(5)
-        x = normal_draws(s, 20_000, 0, 1)
-        m = normal_draws(s, 20_000, 0, 1)
-        y = x + normal_draws(s, 20_000, 0, 1)
+        s = derive_substream(5, 0)
+        x = s.normal(0, 1, 20_000)
+        m = s.normal(0, 1, 20_000)
+        y = x + s.normal(0, 1, 20_000)
         d = Dataset({"x": x, "m": m, "y": y})
         res = mediation(d, "y", "x", "m")
         assert res.indirect == pytest.approx(0.0, abs=0.01)
@@ -269,9 +269,9 @@ class TestMediation:
 
 class TestModeration:
     def test_pure_interaction_model(self):
-        s = RngState(7)
-        x = normal_draws(s, 2000, 0, 1)
-        mo = normal_draws(s, 2000, 0, 1)
+        s = derive_substream(7, 0)
+        x = s.normal(0, 1, 2000)
+        mo = s.normal(0, 1, 2000)
         d = Dataset({"x": x, "mo": mo, "y": x * mo})
         f = moderated_fit(d, "y", "x", "mo")
         assert f.coef("x:mo") == pytest.approx(1.0, abs=1e-10)
@@ -287,21 +287,21 @@ class TestModeration:
                              error=ErrorTerm(1.0, 0, 30)),
             ),
         )
-        d = evaluate_scm(spec, RngState(1992))
+        d = evaluate_scm(spec, derive_substream(1992, 0))
         f = moderated_fit(d, "Y", "X", "Mod")
         assert f.coef("X:Mod") == pytest.approx(4.0, abs=0.02)
 
     def test_constant_moderator_singular(self):
-        s = RngState(8)
-        x = normal_draws(s, 100, 0, 1)
+        s = derive_substream(8, 0)
+        x = s.normal(0, 1, 100)
         d = Dataset({"x": x, "mo": np.ones(100), "y": x})
         with pytest.raises(DataError):
             moderated_fit(d, "y", "x", "mo")
 
     def test_conditional_slope(self):
-        s = RngState(9)
-        x = normal_draws(s, 3000, 0, 1)
-        mo = normal_draws(s, 3000, 0, 1)
+        s = derive_substream(9, 0)
+        x = s.normal(0, 1, 3000)
+        mo = s.normal(0, 1, 3000)
         d = Dataset({"x": x, "mo": mo, "y": x * mo})
         f = moderated_fit(d, "y", "x", "mo")
         assert conditional_slope(f, "x", "mo", 0.0) == pytest.approx(f.coef("x"))
@@ -329,12 +329,12 @@ class TestSubgroup:
                              interactions=(("PEA", "EP", -0.50),), error=ErrorTerm(1.0, 5, 0.25)),
             ),
         )
-        return evaluate_scm(spec, RngState(7))
+        return evaluate_scm(spec, derive_substream(7, 0))
 
     def test_always_true_predicate_identical(self):
-        s = RngState(10)
-        x = normal_draws(s, 500, 0, 1)
-        y = x + normal_draws(s, 500, 0, 1)
+        s = derive_substream(10, 0)
+        x = s.normal(0, 1, 500)
+        y = x + s.normal(0, 1, 500)
         d = Dataset({"x": x, "y": y})
         full = fit_ols(d, Formula("y", (main("x"),)))
         sub = subgroup_effect(d, "y", "x", RowFilter((Condition("x", ">=", -1e9),)))

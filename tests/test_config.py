@@ -243,7 +243,10 @@ _NOT_INTEGER = {
         **catalog_config("entry5-sampling-random")["population"]["sampling"], "k": 10.5, "reps": 2}),
         "sampling: k"),
     "corr.n": (_catalog_with("entry3-collinearity-none", "corr", n=999.9), "corr: n"),
-    "scm.n": (_catalog_with("entry1-linearity", "scm", n=100.5), "n"),
+    "scm.n": (_catalog_with("entry1-linearity", "scm", n=100.5), "scm: n"),
+    "population.scm.n": (_catalog_with("entry5-sampling-random", "population", scm={
+        **catalog_config("entry5-sampling-random")["population"]["scm"], "n": 100.5}),
+        "population.scm: n"),
 }
 
 
@@ -255,4 +258,33 @@ def test_integer_field_that_is_not_an_integer_exits_2(tmp_path, capsys, case):
     assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"validation error: {named} must be an integer" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _with_family(ident: str, *path) -> dict:
+    """Catalog scenario ``ident`` with ``family: poisson`` in its document at ``path``."""
+    doc = catalog_config(ident)
+    target = doc
+    for key in path:
+        target = target[key]
+    target["family"] = "poisson"
+    return doc
+
+
+# every place a config names a family, given one that no fitter serves
+_UNKNOWN_FAMILY = {
+    "fit": _with_family("entry1-linearity", "analyses", 0),
+    "outlier_fit": _with_family("entry4-outliers", "analyses", 1),
+    "mc-fit-step": _with_family("entry8-collider-pp-mc", "mc", "analysis", 0),
+    "sampling-fit-step": _with_family("entry5-sampling-random", "population", "sampling", "analysis", 0),
+    "attenuation": _with_family("entry13-response-measurement", "analyses", 0, "variants", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNKNOWN_FAMILY))
+def test_unknown_family_exits_2_before_anything_runs(tmp_path, capsys, case):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_UNKNOWN_FAMILY[case]))
+    assert cli_main(["run", "--config", str(p), "--reps", "2", "--out", str(tmp_path / "out")]) == 2
+    assert "unknown family 'poisson'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -18,7 +18,7 @@ from biaslab.data import (
     write_csv,
 )
 from biaslab.errors import DataError, ParameterError, ValidationError
-from biaslab.rng import RngState, normal_draws
+from biaslab.rng import derive_substream
 
 from _oracles import moments_oracle, quantile7_oracle, ranks_average_ties_oracle
 
@@ -49,7 +49,7 @@ class TestSummarize:
 
     def test_random_vectors_match_oracle(self):
         for seed in range(5):
-            x = normal_draws(RngState(seed), 100, 3.0, 2.0)
+            x = derive_substream(seed, 0).normal(3.0, 2.0, 100)
             s = summarize(col(x))
             mean, sd, skew, kurt = moments_oracle(x)
             assert abs(s.mean - mean) < 1e-12
@@ -119,7 +119,7 @@ class TestRanks:
 
 class TestCorrelation:
     def test_self_correlation(self):
-        x = col(normal_draws(RngState(3), 50, 0, 1))
+        x = col(derive_substream(3, 0).normal(0, 1, 50))
         assert pearson(x, x) == pytest.approx(1.0)
         y = -x
         assert pearson(x, y) == pytest.approx(-1.0)
@@ -127,28 +127,28 @@ class TestCorrelation:
     def test_population_r_one_over_sqrt10(self):
         # X ~ N(0,10), Y = X + N(0,30): r = 10^2 / (10 * sqrt(10^2+30^2)) = 1/sqrt(10)
         n = 100_000
-        s = RngState(42)
-        x = normal_draws(s, n, 0, 10)
-        y = x + normal_draws(s, n, 0, 30)
+        s = derive_substream(42, 0)
+        x = s.normal(0, 10, n)
+        y = x + s.normal(0, 30, n)
         assert pearson(x, y) == pytest.approx(1 / math.sqrt(10), abs=0.01)
 
     def test_spearman_monotone_invariance_exact(self):
-        s = RngState(5)
-        x = col(normal_draws(s, 200, 0, 1))
+        s = derive_substream(5, 0)
+        x = col(s.normal(0, 1, 200))
         y = np.exp(x)
         assert spearman(x, y) == spearman(x, x) == 1.0
 
     def test_spearman_entry13_value(self):
         n = 10_000
-        s = RngState(1992)
-        x = normal_draws(s, n, 0, 10)
-        y = x + normal_draws(s, n, 0, 30)
+        s = derive_substream(1992, 0)
+        x = s.normal(0, 10, n)
+        y = x + s.normal(0, 30, n)
         assert spearman(x, y) == pytest.approx(0.31, abs=0.02)
 
     def test_spearman_null_bound(self):
-        s = RngState(17)
-        x = normal_draws(s, 10_000, 0, 1)
-        shuffled = x[s.generator.permutation(10_000)]
+        s = derive_substream(17, 0)
+        x = s.normal(0, 1, 10_000)
+        shuffled = x[s.permutation(10_000)]
         assert abs(spearman(x, shuffled)) < 0.03
 
     def test_zero_variance_degenerate(self):
@@ -179,9 +179,9 @@ class TestBalance:
         assert row.delta_sd == pytest.approx(np.std([0, 10], ddof=1))
 
     def test_antisymmetric_under_group_swap(self):
-        s = RngState(8)
-        g = (normal_draws(s, 40, 0, 1) > 0).astype(float)
-        v = normal_draws(s, 40, 5, 2)
+        s = derive_substream(8, 0)
+        g = (s.normal(0, 1, 40) > 0).astype(float)
+        v = s.normal(5, 2, 40)
         d = Dataset({"g": g, "v": v})
         swapped = Dataset({"g": 1 - g, "v": v})
         a = balance_diff(d, "g", ["v"]).row("v")
@@ -230,12 +230,12 @@ def test_select_rows_gathers_values_and_missing_flags(index):
 
 class TestCsv:
     def test_round_trip_identity(self, tmp_path):
-        s = RngState(21)
+        s = derive_substream(21, 0)
         d = Dataset(
             {
-                "x": normal_draws(s, 50, 0, 1),
-                "y": normal_draws(s, 50, 1e6, 123.456),
-                "z": np.where(normal_draws(s, 50, 0, 1) > 0, np.nan, 1.25),
+                "x": s.normal(0, 1, 50),
+                "y": s.normal(1e6, 123.456, 50),
+                "z": np.where(s.normal(0, 1, 50) > 0, np.nan, 1.25),
             }
         )
         p = tmp_path / "d.csv"

@@ -31,7 +31,7 @@ from biaslab.mc import (
     write_mc_csv,
 )
 from biaslab.regress import Formula, fit_ols, main
-from biaslab.rng import RngState, derive_substream
+from biaslab.rng import derive_substream
 from biaslab.scm import EquationSpec, ErrorTerm, ScmSpec, SourceSpec, evaluate_scm
 
 from _oracles import quantile7_oracle
@@ -235,6 +235,15 @@ class TestTemplateHash:
         assert small_template().hash() == small_template().hash()
         assert SamplingPlan.from_json_dict(_plan_doc()).hash() == SamplingPlan.from_json_dict(_plan_doc()).hash()
 
+    def test_integral_float_and_int_hash_equal(self):
+        ints, floats = collider_template(reps=5, seed=3), collider_template(reps=5, seed=3)
+        ints["scm"]["equations"][0]["intercept"] = 0
+        assert floats["scm"]["equations"][0]["intercept"] == 0.0
+        assert McTemplate.from_json_dict(ints) == McTemplate.from_json_dict(floats)
+        assert McTemplate.from_json_dict(ints).hash() == McTemplate.from_json_dict(floats).hash()
+        ints["scm"]["equations"][0]["intercept"] = 0.5
+        assert McTemplate.from_json_dict(ints).hash() != McTemplate.from_json_dict(floats).hash()
+
     def test_params_key_order_keeps_the_hash(self):
         doc = small_doc()
         params = doc["scm"]["sources"][0]["params"]
@@ -276,7 +285,7 @@ class TestTemplateHash:
                               capture_output=True, text=True, check=True).stdout.strip()
                for h in ("1", "2")}
         assert got == {McTemplate.from_json_dict(collider_template(reps=5, seed=3)).hash()}
-        assert got == {"89b2c52f2142a678"}
+        assert got == {"214dc48de3c3b289"}
 
 
 class TestRunMc:
@@ -362,7 +371,7 @@ class TestRepeatedSamples:
                      SourceSpec("e", "normal", {"mean": 0, "sd": 1})),
             equations=(EquationSpec("y", linear=(("g", 2.0), ("e", 1.0))),),
         )
-        return evaluate_scm(spec, RngState(50))
+        return evaluate_scm(spec, derive_substream(50, 0))
 
     def test_sampling_recovers_population_slope(self):
         pop = self._population()

@@ -14,7 +14,7 @@ from biaslab.measure import (
     ordinalize,
     transform,
 )
-from biaslab.rng import RngState
+from biaslab.rng import derive_substream
 from biaslab.scm import EquationSpec, ErrorTerm, ScmSpec, SourceSpec, evaluate_scm
 
 
@@ -36,7 +36,7 @@ def entry13_data(seed=1992, n=10_000):
         sources=(SourceSpec("X", "normal", {"mean": 0, "sd": 10}),),
         equations=(EquationSpec("Y", linear=(("X", 1.0),), error=ErrorTerm(1.0, 0, 30)),),
     )
-    return evaluate_scm(spec, RngState(seed))
+    return evaluate_scm(spec, derive_substream(seed, 0))
 
 
 class TestDichotomize:
@@ -192,7 +192,7 @@ class TestInvariances:
         y = entry13_data(seed=8, n=400)["Y"]
         rule = RecodeRule("ordinalize_quantiles", probs=(0.3, 0.7))
         a = ordinalize(y, rule)
-        perm = RngState(1).generator.permutation(400)
+        perm = derive_substream(1, 0).permutation(400)
         b = ordinalize(y[perm], rule)
         assert np.array_equal(a[perm], b)
 

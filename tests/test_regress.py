@@ -11,6 +11,7 @@ from biaslab.data import Dataset, pearson
 from biaslab.errors import (
     BiaslabError,
     DataError,
+    ParameterError,
     SeparationWarning,
     SingularDesignError,
     ValidationError,
@@ -18,15 +19,17 @@ from biaslab.errors import (
 from biaslab.regress import (
     Formula,
     collinearity_diagnostics,
+    fit,
     fit_logistic,
     fit_ols,
     fit_ordered_logit,
+    fit_terms,
     main,
     predict,
     residuals,
     wald_chisq,
 )
-from biaslab.rng import RngState, normal_draws
+from biaslab.rng import derive_substream
 from biaslab.scm import CorrTarget, mvn_exact
 
 from _oracles import (
@@ -78,8 +81,7 @@ class TestOls:
         assert f.residual_se == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_normal_equations_on_100_random_instances(self):
-        s = RngState(314)
-        g = s.generator
+        g = derive_substream(314, 0)
         for _ in range(100):
             n = int(g.integers(20, 60))
             p = int(g.integers(1, 4))
@@ -94,9 +96,9 @@ class TestOls:
             assert np.allclose(f.se, se_or, atol=1e-8)
 
     def test_bivariate_beta_equals_pearson(self):
-        s = RngState(7)
-        x = normal_draws(s, 500, 3, 2)
-        y = 1.5 * x + normal_draws(s, 500, 0, 4)
+        s = derive_substream(7, 0)
+        x = s.normal(3, 2, 500)
+        y = 1.5 * x + s.normal(0, 4, 500)
         d = dataset(x=x, y=y)
         f = fit_ols(d, Formula.parse("y ~ x"))
         r = pearson(d["x"], d["y"])
@@ -104,15 +106,15 @@ class TestOls:
         assert abs(f.r_squared - r * r) < 1e-10
 
     def test_stat_is_b_over_se(self):
-        s = RngState(8)
-        d = dataset(x=normal_draws(s, 60, 0, 1), y=normal_draws(s, 60, 0, 1))
+        s = derive_substream(8, 0)
+        d = dataset(x=s.normal(0, 1, 60), y=s.normal(0, 1, 60))
         f = fit_ols(d, Formula.parse("y ~ x"))
         assert np.allclose(f.stat, f.b / f.se)
 
     def test_scale_equivariance(self):
-        s = RngState(9)
-        x = normal_draws(s, 200, 0, 1)
-        y = 2 * x + normal_draws(s, 200, 0, 1)
+        s = derive_substream(9, 0)
+        x = s.normal(0, 1, 200)
+        y = 2 * x + s.normal(0, 1, 200)
         d1 = dataset(x=x, y=y)
         d2 = dataset(x=x, y=3.5 * y + 11.0)
         f1 = fit_ols(d1, Formula.parse("y ~ x"))
@@ -125,9 +127,19 @@ class TestOls:
         assert f2.beta[1] == pytest.approx(f1.beta[1], abs=1e-10)
 
     def test_singular_design_names_term(self):
-        s = RngState(10)
-        x = normal_draws(s, 50, 0, 1)
-        d = dataset(x=x, z=2 * x, y=normal_draws(s, 50, 0, 1))
+        s = derive_substream(10, 0)
+        x = s.normal(0, 1, 50)
+        d = dataset(x=x, z=2 * x, y=s.normal(0, 1, 50))
+        with pytest.raises(SingularDesignError) as exc:
+            fit_ols(d, Formula.parse("y ~ x + z"))
+        assert exc.value.term in ("x", "z")
+
+    @pytest.mark.parametrize("scale", [1, 1e12, 1e100, 1e-100])
+    def test_singular_design_names_a_dependent_term_at_any_scale(self, scale):
+        # the pivoted pass once compared each |R_jj| with the largest diagonal
+        # entry, so at 1e12 it named the intercept
+        x = np.random.default_rng(1).normal(size=30) * scale
+        d = dataset(x=x, z=2 * x, y=np.random.default_rng(2).normal(size=30))
         with pytest.raises(SingularDesignError) as exc:
             fit_ols(d, Formula.parse("y ~ x + z"))
         assert exc.value.term in ("x", "z")
@@ -267,9 +279,9 @@ class TestResidualsPredict:
         assert np.abs(r).max() < 1e-12
 
     def test_residuals_orthogonal_to_design(self):
-        s = RngState(11)
-        x = normal_draws(s, 300, 0, 2)
-        y = x + normal_draws(s, 300, 0, 1)
+        s = derive_substream(11, 0)
+        x = s.normal(0, 2, 300)
+        y = x + s.normal(0, 1, 300)
         d = dataset(x=x, y=y)
         f = fit_ols(d, Formula.parse("y ~ x"))
         e = residuals(f, d)
@@ -298,8 +310,7 @@ class TestLogistic:
         assert f.coef("(Intercept)") == pytest.approx(math.log(0.25 / 0.75), abs=1e-8)
 
     def test_matches_brute_force_newton_on_small_data(self):
-        s = RngState(13)
-        g = s.generator
+        g = derive_substream(13, 0)
         for _ in range(10):
             n = 8
             x = g.normal(0, 1, n)
@@ -335,10 +346,10 @@ class TestLogistic:
         assert not f.converged
 
     def test_deviance_and_aic(self):
-        s = RngState(14)
-        x = normal_draws(s, 400, 0, 1)
+        s = derive_substream(14, 0)
+        x = s.normal(0, 1, 400)
         p = 1 / (1 + np.exp(-x))
-        y = (s.generator.uniform(0, 1, 400) < p).astype(float)
+        y = (s.uniform(0, 1, 400) < p).astype(float)
         f = fit_logistic(dataset(x=x, y=y), Formula.parse("y ~ x"))
         assert f.aic == pytest.approx(f.deviance + 4)
         assert f.null_deviance > f.deviance
@@ -346,17 +357,17 @@ class TestLogistic:
 
 class TestOrderedLogit:
     def _quartile_data(self, n=2000, seed=21):
-        s = RngState(seed)
-        x = normal_draws(s, n, 0, 10)
-        latent = x + normal_draws(s, n, 0, 30)
+        s = derive_substream(seed, 0)
+        x = s.normal(0, 10, n)
+        latent = x + s.normal(0, 30, n)
         cuts = np.quantile(latent, [0.25, 0.5, 0.75])
         y = 1.0 + (latent >= cuts[0]) + (latent >= cuts[1]) + (latent >= cuts[2])
         return dataset(x=x, y=y)
 
     def test_k2_equals_binary_logistic(self):
-        s = RngState(20)
-        x = normal_draws(s, 500, 0, 2)
-        z = (x + normal_draws(s, 500, 0, 2) > 0).astype(float)
+        s = derive_substream(20, 0)
+        x = s.normal(0, 2, 500)
+        z = (x + s.normal(0, 2, 500) > 0).astype(float)
         d = dataset(x=x, yb=z, yo=z + 1)
         fb = fit_logistic(d, Formula.parse("yb ~ x"))
         fo = fit_ordered_logit(d, Formula.parse("yo ~ x"))
@@ -435,7 +446,7 @@ class TestOrderedLogit:
     def test_constant_predictor_is_unidentified(self, value):
         # the cutpoints absorb any constant, as an intercept would
         y = np.tile([1.0, 2.0, 3.0], 100)
-        x = normal_draws(RngState(24), 300, 0, 1)
+        x = derive_substream(24, 0).normal(0, 1, 300)
         d = dataset(y=y, x=x, c=np.full(300, value))
         for text in ("y ~ c", "y ~ x + c"):
             with pytest.raises(SingularDesignError) as info:
@@ -443,7 +454,7 @@ class TestOrderedLogit:
             assert info.value.term == "c"
 
     def test_collinear_predictors_are_unidentified(self):
-        x = normal_draws(RngState(25), 300, 0, 1)
+        x = derive_substream(25, 0).normal(0, 1, 300)
         d = dataset(y=np.tile([1.0, 2.0, 3.0], 100), x=x, z=3.0 - 2.0 * x)
         with pytest.raises(SingularDesignError):
             fit_ordered_logit(d, Formula.parse("y ~ x + z"))
@@ -462,6 +473,25 @@ class TestOrderedLogit:
             fit_ordered_logit(
                 dataset(y=[1.0, 1, 3, 3], x=[1, 2, 3, 4]), Formula.parse("y ~ x")
             )
+
+
+class TestFamilies:
+    def test_an_unknown_family_is_refused(self):
+        d, f = dataset(x=[0, 1, 2, 4], y=[1.0, 2.9, 5.2, 8.8]), Formula.parse("y ~ x")
+        for bad in ("poisson", ["gaussian"], None):
+            with pytest.raises(ParameterError, match="unknown family"):
+                fit(d, f, family=bad)
+            with pytest.raises(ValidationError, match="unknown family"):
+                fit_terms(f, bad)
+
+    def test_family_aliases_pick_the_same_fitter(self):
+        d = dataset(x=[0, 1, 2, 3, 4, 5, 6, 7], y=[0.0, 1, 0, 1, 0, 1, 1, 1])
+        f = Formula.parse("y ~ x")
+        for names in (("gaussian", "identity"), ("binomial", "binomial-logit", "logit"),
+                      ("ordered", "ordered-logit")):
+            fits = [fit(d, f, family=name) for name in names]
+            assert all(np.array_equal(g.b, fits[0].b) and g.family == fits[0].family for g in fits)
+            assert fits[0].terms == fit_terms(f, names[0])
 
 
 class TestWald:
@@ -498,7 +528,7 @@ class TestCollinearity:
         corr[0, 1:] = corr[1:, 0] = 0.3
         corr[1:, 1:] = np.where(np.eye(5) == 1, 1.0, rho)
         t = CorrTarget(names=names, corr=corr)
-        return mvn_exact(t, 1000, RngState(seed))
+        return mvn_exact(t, 1000, derive_substream(seed, 0))
 
     def test_orthogonal_predictors(self):
         ds = self._exact(0.0)

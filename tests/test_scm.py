@@ -7,7 +7,7 @@ import pytest
 from biaslab.data import Dataset
 from biaslab.errors import DataError, ParameterError, ValidationError
 from biaslab.regress import Formula, fit_ols, main
-from biaslab.rng import RngState
+from biaslab.rng import derive_substream
 from biaslab.scm import (
     CorrTarget,
     EquationSpec,
@@ -37,7 +37,7 @@ class TestEvaluate:
             sources=(normal("X", 0, 1),),
             equations=(EquationSpec("Y", linear=(("X", 2.0),)),),
         )
-        ds = evaluate_scm(spec, RngState(1))
+        ds = evaluate_scm(spec, derive_substream(1, 0))
         assert np.allclose(ds["Y"], 2 * ds["X"])
 
     def test_interactions_squares_intercept(self):
@@ -54,7 +54,7 @@ class TestEvaluate:
                 ),
             ),
         )
-        ds = evaluate_scm(spec, RngState(4))
+        ds = evaluate_scm(spec, derive_substream(4, 0))
         a, b, y = (ds[v] for v in "ABY")
         assert np.allclose(y, 3.0 + 1.5 * a - 2.0 * a * b + 0.5 * b**2)
 
@@ -84,7 +84,7 @@ class TestEvaluate:
                 EquationSpec("y", linear=(("c", 2.0),), error=ErrorTerm(2.0, 0, 2.5)),
             ),
         )
-        ds = evaluate_scm(spec, RngState(99))
+        ds = evaluate_scm(spec, derive_substream(99, 0))
         f = fit_ols(ds, Formula("y", (main("x"),)))
         assert f.coef("x") == pytest.approx(0.5, abs=0.02)
 
@@ -104,7 +104,7 @@ class TestEvaluate:
         oracle.add_equation("w", {"u": 1.2, "v": -0.7}, 1.0, 2)
         oracle.add_equation("y", {"u": 0.5, "w": 2.0}, 1.5, 1)
         expected = oracle.population_slopes("y", ["u", "v", "w"])
-        ds = evaluate_scm(spec, RngState(5))
+        ds = evaluate_scm(spec, derive_substream(5, 0))
         f = fit_ols(ds, Formula("y", (main("u"), main("v"), main("w"))))
         for term, exp in zip(("u", "v", "w"), expected):
             assert f.coef(term) == pytest.approx(exp, abs=4 * f.se_of(term))
@@ -121,7 +121,7 @@ class TestEvaluate:
                              error=ErrorTerm(2.0, 0, 10)),
             ),
         )
-        ds = evaluate_scm(spec, RngState(1992))
+        ds = evaluate_scm(spec, derive_substream(1992, 0))
         f = fit_ols(ds, Formula.parse("Y ~ X + ME + MO + X:MO + ME:MO"))
         for term, truth in [("X", 1.0), ("ME", 1.0), ("MO", 0.0), ("X:MO", 1.0), ("ME:MO", 1.0)]:
             assert abs(f.coef(term) - truth) < 4 * f.se_of(term)
@@ -134,7 +134,7 @@ class TestEvaluate:
             equations=(EquationSpec("Y", linear=(("X", 2.0),),
                                     group_error=GroupError("X", levels)),),
         )
-        ds = evaluate_scm(spec, RngState(15))
+        ds = evaluate_scm(spec, derive_substream(15, 0))
         x, y = ds["X"], ds["Y"]
         for k in range(1, 6):
             resid = y[x == k] - 2.0 * k
@@ -148,7 +148,7 @@ class TestEvaluate:
             equations=(EquationSpec("Y", group_error=GroupError("g", {1: ErrorTerm()})),),
         )
         with pytest.raises(ValidationError):
-            evaluate_scm(spec, RngState(0))
+            evaluate_scm(spec, derive_substream(0, 0))
 
     def test_json_round_trip(self):
         spec = ScmSpec(
@@ -185,14 +185,14 @@ class TestEvaluate:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d = evaluate_scm(spec, RngState(3))
+            d = evaluate_scm(spec, derive_substream(3, 0))
         assert np.isinf(d["y"]).any() and np.isinf(d["q"]).all() and np.isnan(d["z"]).all()
 
 
 class TestMvnExact:
     def test_identity_corr_off_diagonals_vanish(self):
         t = CorrTarget(names=("a", "b", "c"), corr=np.eye(3))
-        ds = mvn_exact(t, 200, RngState(3))
+        ds = mvn_exact(t, 200, derive_substream(3, 0))
         m = np.corrcoef(np.column_stack([ds[n] for n in ("a", "b", "c")]).T)
         assert np.abs(m - np.eye(3)).max() < 1e-10
 
@@ -200,7 +200,7 @@ class TestMvnExact:
         corr = np.array([[1, 0.3], [0.3, 1]])
         t = CorrTarget(names=("a", "b"), corr=corr, means=np.array([5.0, -2.0]),
                        sds=np.array([2.0, 7.0]))
-        ds = mvn_exact(t, 500, RngState(9))
+        ds = mvn_exact(t, 500, derive_substream(9, 0))
         a, b = ds["a"], ds["b"]
         assert abs(a.mean() - 5) < 1e-10 and abs(b.mean() + 2) < 1e-10
         assert abs(a.std(ddof=1) - 2) < 1e-10 and abs(b.std(ddof=1) - 7) < 1e-10
@@ -209,16 +209,16 @@ class TestMvnExact:
     def test_non_psd_rejected(self):
         bad = np.array([[1, 0.9, -0.9], [0.9, 1, 0.9], [-0.9, 0.9, 1]])
         with pytest.raises(DataError):
-            mvn_exact(CorrTarget(names=("a", "b", "c"), corr=bad), 100, RngState(1))
+            mvn_exact(CorrTarget(names=("a", "b", "c"), corr=bad), 100, derive_substream(1, 0))
 
     def test_rank_error_when_n_too_small(self):
         with pytest.raises(DataError):
-            mvn_exact(CorrTarget(names=("a", "b", "c"), corr=np.eye(3)), 3, RngState(1))
+            mvn_exact(CorrTarget(names=("a", "b", "c"), corr=np.eye(3)), 3, derive_substream(1, 0))
 
     def test_non_exact_mode_is_statistical(self):
         t = CorrTarget(names=("a", "b"), corr=np.array([[1, 0.5], [0.5, 1]]),
                        empirical_exact=False)
-        ds = mvn_exact(t, 50_000, RngState(10))
+        ds = mvn_exact(t, 50_000, derive_substream(10, 0))
         r = np.corrcoef(ds["a"], ds["b"])[0, 1]
         assert r == pytest.approx(0.5, abs=0.02)
         assert abs(r - 0.5) > 1e-10  # genuinely sampled, not forced
@@ -229,7 +229,7 @@ class TestGenerators:
         assert float(np.trunc(2.9)) == 2.0 and float(np.trunc(-0.7)) == -0.0
 
     def test_clamped_integer_normal_shape(self):
-        c = clamped_integer_normal(500_000, 12, 2.5, 4, 19, RngState(1121))
+        c = clamped_integer_normal(500_000, 12, 2.5, 4, 19, derive_substream(1121, 0))
         v = c
         assert v.min() == 4 and v.max() == 19
         assert np.all(v == np.round(v))
@@ -238,12 +238,12 @@ class TestGenerators:
         assert mode in (11, 12)
 
     def test_clamped_zero_sd(self):
-        c = clamped_integer_normal(10, 7, 0, 0, 100, RngState(2))
+        c = clamped_integer_normal(10, 7, 0, 0, 100, derive_substream(2, 0))
         assert np.all(c == 7)
 
     def test_clamp_range_validated(self):
         with pytest.raises(ParameterError):
-            clamped_integer_normal(10, 0, 1, 5, 4, RngState(2))
+            clamped_integer_normal(10, 0, 1, 5, 4, derive_substream(2, 0))
 
     def test_repeat_pattern(self):
         assert repeat_pattern([1, 2], "each", 2, 4).tolist() == [1, 1, 2, 2]
@@ -261,7 +261,7 @@ class TestInjectOutlier:
             sources=(normal("X", 10, 1),),
             equations=(EquationSpec("Y", linear=(("X", 0.6),), error=ErrorTerm(0.5, 10, 1)),),
         )
-        return evaluate_scm(spec, RngState(32))
+        return evaluate_scm(spec, derive_substream(32, 0))
 
     def test_appends_one_row_with_missing_elsewhere(self):
         ds = self._base().with_column("Z", np.zeros(100))
@@ -309,21 +309,21 @@ class TestBlockRandomize:
     def test_even_strata_split_exactly(self):
         strata = np.repeat([1.0, 2.0], 6)
         ds = Dataset({"s": strata, "v": np.arange(12.0)})
-        assigned = block_randomize(ds, "s", RngState(6))
+        assigned = block_randomize(ds, "s", derive_substream(6, 0))
         for level in (1.0, 2.0):
             assert assigned[strata == level].sum() == 3
 
     def test_single_even_stratum(self):
         ds = Dataset({"s": np.ones(4), "v": np.arange(4.0)})
-        assigned = block_randomize(ds, "s", RngState(6))
+        assigned = block_randomize(ds, "s", derive_substream(6, 0))
         assert assigned.sum() == 2
 
     def test_odd_stratum_floor_or_ceil(self):
         ds = Dataset({"s": np.ones(5)})
-        totals = {block_randomize(ds, "s", RngState(seed)).sum() for seed in range(30)}
+        totals = {block_randomize(ds, "s", derive_substream(seed, 0)).sum() for seed in range(30)}
         assert totals == {2.0, 3.0}
 
     def test_tiny_stratum_rejected(self):
         ds = Dataset({"s": np.array([1.0, 2.0, 2.0])})
         with pytest.raises(DataError):
-            block_randomize(ds, "s", RngState(1))
+            block_randomize(ds, "s", derive_substream(1, 0))
