@@ -35,7 +35,7 @@ from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantile_type
 from .errors import BiaslabError, DataError, ParameterError, ValidationError, expect
 from .regress import Formula, fit, fit_ols, fit_terms
 from .rng import check_seed, derive_substream, sample_indices
-from .scm import EquationSpec, ErrorTerm, GroupError, ScmSpec, SourceSpec, evaluate_scm, prevalidated
+from .scm import ScmSpec, bind_spec, evaluate_scm
 
 
 @dataclass(frozen=True)
@@ -190,6 +190,36 @@ def step_from_json(d: Mapping) -> AnalysisStep:
     raise ValidationError(f"unknown analysis step kind {kind!r}")
 
 
+def _steps_from_json(docs: Sequence[Mapping], path: str) -> tuple[AnalysisStep, ...]:
+    """The steps of an ``analysis`` list; the error of step ``k`` names ``path[k]``."""
+    steps = []
+    for k, d in enumerate(docs):
+        try:
+            steps.append(step_from_json(d))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}[{k}]: {exc}") from exc
+    return tuple(steps)
+
+
+def _step_names(analysis: Sequence[AnalysisStep]) -> list[str]:
+    return [name for step in analysis for name, _ in step.record]
+
+
+def _check_loop(owner: str, analysis: Sequence[AnalysisStep], taken: Sequence[str], **counts) -> None:
+    """Refuse a replicate loop that cannot run or whose series would clash: each
+    of ``counts`` must be an integer >= 1, and each recorded series name must be
+    new, neither ``i``, ``N`` nor one of ``taken``."""
+    expect(Integral, owner, **counts)
+    for name, v in counts.items():
+        if v < 1:
+            raise ValidationError(f"{owner}: {name} must be >= 1, got {v}")
+    reserved = {"i", "N", *taken}
+    for name in _step_names(analysis):
+        if name in reserved:
+            raise ValidationError(f"{owner}: recorded series name {name!r} collides")
+        reserved.add(name)
+
+
 # -- templates and results ---------------------------------------------------
 
 
@@ -214,12 +244,11 @@ class McTemplate:
         object.__setattr__(self, "bindings", tuple(self.bindings))
         object.__setattr__(self, "analysis", tuple(self.analysis))
         sizes = {"n.lo": self.n.lo, "n.hi": self.n.hi} if isinstance(self.n, RangeSpec) else {"n": self.n}
-        expect(Integral, "mc", reps=self.reps, **sizes)
-        if self.reps < 1:
-            raise ValidationError("reps must be >= 1")
+        bound = [name for name, _ in self.bindings]
+        _check_loop("mc", self.analysis, bound, reps=self.reps)
+        expect(Integral, "mc", **sizes)
         check_seed("master_seed", self.master_seed)
         check_reads("mc template", self.analysis, self.scm.column_names())
-        bound = [name for name, _ in self.bindings]
         if len(set(bound)) != len(bound):
             raise ValidationError(f"placeholder bound more than once: {bound}")
         needed = _spec_placeholders(self.scm)
@@ -229,12 +258,6 @@ class McTemplate:
             raise ValidationError(f"bindings for unused placeholders: {sorted(extra)}")
         if missing:
             raise ValidationError(f"unbound placeholders: {sorted(missing)}")
-        reserved = {"i", "N"} | set(bound)
-        for step in self.analysis:
-            for name, _ in step.record:
-                if name in reserved:
-                    raise ValidationError(f"recorded series name {name!r} collides")
-                reserved.add(name)
         # binding draws, compiled once: a lo == hi binding is its value and
         # consumes no draw; the ranged ones are drawn by one vector uniform
         ranged = [j for j, (_, r) in enumerate(self.bindings) if r.lo != r.hi]
@@ -274,17 +297,13 @@ class McTemplate:
             scm=ScmSpec.from_json_dict(d["scm"]),
             n=RangeSpec(n["lo"], n["hi"]) if isinstance(n, Mapping) else n,
             bindings=tuple((k, RangeSpec(v["lo"], v["hi"])) for k, v in d.get("bindings", {}).items()),
-            analysis=tuple(step_from_json(s) for s in d["analysis"]),
+            analysis=_steps_from_json(d["analysis"], "mc.analysis"),
             reps=d["reps"],
             master_seed=d["seed"],
         )
 
     def hash(self) -> str:
         return _json_hash(self)
-
-
-def _step_names(analysis: Sequence[AnalysisStep]) -> list[str]:
-    return [name for step in analysis for name, _ in step.record]
 
 
 def _json_hash(spec: McTemplate | SamplingPlan) -> str:
@@ -299,47 +318,6 @@ def _spec_placeholders(spec: ScmSpec) -> set[str]:
     out = spec.placeholders()
     out.discard("n")  # the sample size is drawn by the template, not a binding
     return out
-
-
-def _subst(v, values: Mapping[str, float]):
-    return values[v] if isinstance(v, str) and v in values else v
-
-
-def bind_spec(spec: ScmSpec, values: Mapping[str, float], n: int) -> ScmSpec:
-    """Substitute placeholder draws (and the sample size) into a template spec.
-
-    Binding changes numbers only, so the bound spec is built without
-    validating again the names and references that ``spec`` already passed.
-    """
-
-    def bind_err(e: ErrorTerm | None) -> ErrorTerm | None:
-        if e is None:
-            return None
-        return prevalidated(ErrorTerm, scale_coef=_subst(e.scale_coef, values),
-                            mean=_subst(e.mean, values), sd=_subst(e.sd, values))
-
-    sources = tuple(
-        prevalidated(SourceSpec, name=s.name, kind=s.kind,
-                     params={k: _subst(v, values) for k, v in s.params.items()})
-        for s in spec.sources
-    )
-    equations = tuple(
-        prevalidated(
-            EquationSpec,
-            target=eq.target,
-            intercept=_subst(eq.intercept, values),
-            linear=tuple((s, _subst(c, values)) for s, c in eq.linear),
-            interactions=tuple((a, b, _subst(c, values)) for a, b, c in eq.interactions),
-            squares=tuple((s, _subst(c, values)) for s, c in eq.squares),
-            error=bind_err(eq.error),
-            group_error=None if eq.group_error is None else prevalidated(
-                GroupError, by=eq.group_error.by,
-                levels={k: bind_err(t) for k, t in eq.group_error.levels.items()}),
-        )
-        for eq in spec.equations
-    )
-    return prevalidated(ScmSpec, n=n, sources=sources, equations=equations,
-                        _placeholders=frozenset(p for p in spec._placeholders if p not in values))
 
 
 @dataclass
@@ -391,15 +369,16 @@ class SamplingPlan:
     row_filter: RowFilter | None = None
 
     def __post_init__(self):
-        expect(Integral, "sampling", k=self.k, reps=self.reps)
+        _check_loop("sampling", self.analysis, (), k=self.k, reps=self.reps)
         check_seed("master_seed", self.master_seed)
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "SamplingPlan":
+        """The plan of a config's ``population.sampling`` document."""
         return cls(
             k=d["k"],
             reps=d["reps"],
-            analysis=tuple(step_from_json(s) for s in d["analysis"]),
+            analysis=_steps_from_json(d["analysis"], "population.sampling.analysis"),
             master_seed=d["seed"],
             row_filter=RowFilter.from_json_list(d["filter"]) if "filter" in d else None,
         )

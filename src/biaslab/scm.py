@@ -4,7 +4,7 @@ A :class:`ScmSpec` lists exogenous sources and directed equations in
 declaration order; evaluation follows that order, so any reference to a
 not-yet-defined column is a hard validation error (cycles are impossible by
 construction).  Numeric fields may also hold placeholder names (strings),
-which the Monte Carlo harness binds to drawn values before evaluation.
+which :func:`bind_spec` binds to values before evaluation.
 
 Also here: the exact-correlation multivariate normal generator, clamped
 integer populations, deterministic pattern repetition, outlier injection,
@@ -13,6 +13,7 @@ and blocked randomization.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Mapping, Sequence
@@ -22,7 +23,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, ParameterError, ValidationError, expect
 
-Value = float | str  # str = placeholder name, bound by the MC harness
+Value = float | str  # str = placeholder name, bound by bind_spec
 
 _SOURCE_KINDS = {
     "normal": ("mean", "sd"),
@@ -40,16 +41,9 @@ _NUMERIC_PARAMS = {
 }
 
 
-def prevalidated(cls, **fields):
-    """An instance of the frozen spec class ``cls`` built without ``__post_init__``.
-
-    Only for copies of a validated spec that change numeric values and keep
-    its names, kinds and structure, which is all that validation checks.
-    A :class:`ScmSpec` also needs its ``_placeholders`` field.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+def _number(v: Value, values: Mapping[str, float]):
+    """A numeric field's number: ``v`` itself, or the value bound to the placeholder ``v``."""
+    return values[v] if isinstance(v, str) else v
 
 
 @dataclass(frozen=True)
@@ -63,11 +57,12 @@ class ErrorTerm:
     def numbers(self) -> list[Value]:
         return [self.scale_coef, self.mean, self.sd]
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.sd < 0:
-            raise ValidationError(f"error term sd must be >= 0, got {self.sd}")
-        e = rng.normal(self.mean, self.sd, n)
-        e *= self.scale_coef
+    def draw(self, rng: np.random.Generator, n: int, values: Mapping[str, float]) -> np.ndarray:
+        coef, mean, sd = [_number(v, values) for v in self.numbers()]
+        if sd < 0:
+            raise ValidationError(f"error term sd must be >= 0, got {sd}")
+        e = rng.normal(mean, sd, n)
+        e *= coef
         return e
 
 
@@ -93,8 +88,8 @@ class SourceSpec:
     def numbers(self) -> list[Value]:
         return [self.params[k] for k in _NUMERIC_PARAMS[self.kind]]
 
-    def generate(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        p = self.params
+    def generate(self, rng: np.random.Generator, n: int, values: Mapping[str, float]) -> np.ndarray:
+        p = {**self.params, **{k: _number(self.params[k], values) for k in _NUMERIC_PARAMS[self.kind]}}
         if self.kind == "normal":
             if p["sd"] < 0:
                 raise ValidationError(f"source {self.name!r}: sd must be >= 0")
@@ -185,6 +180,7 @@ class ScmSpec:
                     owner = part.name if isinstance(part, SourceSpec) else part.target
                     raise ValidationError(f"{owner!r}: {v!r} is neither a number nor a placeholder name")
         object.__setattr__(self, "_placeholders", frozenset(found))
+        object.__setattr__(self, "_values", {})  # placeholder name -> bound value, see bind_spec
 
     def validate(self) -> None:
         defined: set[str] = set()
@@ -246,30 +242,49 @@ class ScmSpec:
             raise ValidationError(f"malformed scm spec: {exc}") from exc
 
 
+def bind_spec(spec: ScmSpec, values: Mapping[str, float], n: int) -> ScmSpec:
+    """``spec`` with ``n`` rows and its placeholders bound to ``values``.
+
+    A shallow copy that shares the sources and equations of ``spec`` and
+    carries the values beside them, for :func:`evaluate_scm` to read.  A
+    placeholder missing from ``values`` stays unbound.  Only fields are
+    compared, so two bindings of one spec with the same ``n`` compare equal.
+    """
+    bound = copy.copy(spec)
+    object.__setattr__(bound, "n", n)
+    object.__setattr__(bound, "_values", {**spec._values, **values})
+    object.__setattr__(bound, "_placeholders", spec._placeholders.difference(values))
+    return bound
+
+
 def evaluate_scm(spec: ScmSpec, rng: np.random.Generator) -> Dataset:
-    """Materialize a concrete spec into a dataset, consuming ``rng`` in order."""
+    """Materialize a concrete spec into a dataset, consuming ``rng`` in order.
+
+    A placeholder field of a spec from :func:`bind_spec` reads its bound value.
+    """
     if not spec.is_concrete():
         raise ValidationError(f"spec has unbound placeholders: {sorted(spec.placeholders())}")
     n = int(spec.n)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {spec.n}")
+    values = spec._values
     cols: dict[str, np.ndarray] = {}
     for src in spec.sources:
-        cols[src.name] = src.generate(rng, n)
+        cols[src.name] = src.generate(rng, n, values)
     # arithmetic that overflows leaves ±inf or NaN (missing) cells, which is an
     # outcome of the spec, not a fault, so numpy is not asked to warn about it
     with np.errstate(over="ignore", invalid="ignore"):
         for eq in spec.equations:
             y = np.empty(n)
-            y.fill(float(eq.intercept))
+            y.fill(float(_number(eq.intercept, values)))
             for s, c in eq.linear:
-                y += c * cols[s]
+                y += _number(c, values) * cols[s]
             for a, b, c in eq.interactions:
-                y += c * cols[a] * cols[b]
+                y += _number(c, values) * cols[a] * cols[b]
             for s, c in eq.squares:
-                y += c * cols[s] ** 2
+                y += _number(c, values) * cols[s] ** 2
             if eq.error is not None:
-                y += eq.error.draw(rng, n)
+                y += eq.error.draw(rng, n, values)
             elif eq.group_error is not None:
                 g = cols[eq.group_error.by]
                 if not np.all(g == np.round(g)):
@@ -286,7 +301,7 @@ def evaluate_scm(spec: ScmSpec, rng: np.random.Generator) -> Dataset:
                 for level in sorted(levels):
                     idx = np.flatnonzero(g == level)
                     if idx.size:
-                        y[idx] += levels[level].draw(rng, idx.size)
+                        y[idx] += levels[level].draw(rng, idx.size, values)
             cols[eq.target] = y
     return Dataset._trusted(n, cols)
 

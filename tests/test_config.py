@@ -281,10 +281,50 @@ _UNKNOWN_FAMILY = {
 }
 
 
+# the path that the error of an MC loop's step names
+_STEP_PATH = {"mc-fit-step": "mc.analysis[0]: ",
+              "sampling-fit-step": "population.sampling.analysis[0]: "}
+
+
 @pytest.mark.parametrize("case", sorted(_UNKNOWN_FAMILY))
 def test_unknown_family_exits_2_before_anything_runs(tmp_path, capsys, case):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(_UNKNOWN_FAMILY[case]))
     assert cli_main(["run", "--config", str(p), "--reps", "2", "--out", str(tmp_path / "out")]) == 2
-    assert "unknown family 'poisson'" in capsys.readouterr().err
+    assert f"{_STEP_PATH.get(case, '')}unknown family 'poisson'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _with_sampling(**fields) -> dict:
+    """entry5-sampling-random at 2 replicates, with ``fields`` set in its sampling document."""
+    sampling = catalog_config("entry5-sampling-random")["population"]["sampling"]
+    return _catalog_with("entry5-sampling-random", "population",
+                         sampling={**sampling, "reps": 2, **fields})
+
+
+def _fit_steps(*records) -> list[dict]:
+    return [{"kind": "fit", "formula": "SIEM ~ EP", "record": r} for r in records]
+
+
+# a sampling loop that cannot run, or whose recorded series clash, and its error
+_BAD_SAMPLING_LOOP = {
+    "reps-0": (_with_sampling(reps=0), "sampling: reps must be >= 1"),
+    "k-0": (_with_sampling(k=0), "sampling: k must be >= 1"),
+    "k-negative": (_with_sampling(k=-5), "sampling: k must be >= 1"),
+    "record-N": (_with_sampling(analysis=_fit_steps({"slope": "b:EP", "N": "se:EP"})),
+                 "sampling: recorded series name 'N' collides"),
+    "record-i": (_with_sampling(analysis=_fit_steps({"slope": "b:EP", "i": "se:EP"})),
+                 "sampling: recorded series name 'i' collides"),
+    "record-twice": (_with_sampling(analysis=_fit_steps({"slope": "b:EP"}, {"slope": "se:EP"})),
+                     "sampling: recorded series name 'slope' collides"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SAMPLING_LOOP))
+def test_sampling_loop_that_cannot_run_or_clashes_exits_2(tmp_path, capsys, case):
+    doc, message = _BAD_SAMPLING_LOOP[case]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert f"validation error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -20,7 +20,6 @@ from biaslab.mc import (
     McTemplate,
     RangeSpec,
     SamplingPlan,
-    bind_spec,
     filter_replicates,
     histogram,
     repeated_samples,
@@ -32,7 +31,8 @@ from biaslab.mc import (
 )
 from biaslab.regress import Formula, fit_ols, main
 from biaslab.rng import derive_substream
-from biaslab.scm import EquationSpec, ErrorTerm, ScmSpec, SourceSpec, evaluate_scm
+from biaslab.scm import (EquationSpec, ErrorTerm, GroupError, ScmSpec, SourceSpec, bind_spec,
+                         evaluate_scm)
 
 from _oracles import quantile7_oracle
 
@@ -107,6 +107,34 @@ def mixed_template(n, reps=5, seed=31):
     )
 
 
+# a value for each number site of every_number_site, by placeholder name
+EVERY_SITE = {"mz": 1.5, "sz": 2.0, "lo": -3.0, "hi": 4.0, "mc": 5.0, "sc": 2.5, "lc": 2.0, "hc": 8.0,
+              "k": 20.0, "b0": 0.5, "bz": -1.25, "bzu": 0.75, "bc2": 0.1, "ec": 2.0, "em": 0.3,
+              "es": 1.5, "bx": 2.0, "g0c": 3.0, "g0m": -1.0, "g0s": 0.5, "g1s": 2.5}
+
+
+def every_number_site(num, n="n") -> ScmSpec:
+    """A spec that puts ``num(name)`` at every field that may hold a placeholder: the
+    params of each source kind, each coefficient kind, an error term and a group error level."""
+    return ScmSpec(
+        n=n,
+        sources=(
+            SourceSpec("z", "normal", {"mean": num("mz"), "sd": num("sz")}),
+            SourceSpec("u", "uniform_int", {"lo": num("lo"), "hi": num("hi")}),
+            SourceSpec("c", "clamped_int_normal",
+                       {"mean": num("mc"), "sd": num("sc"), "lo": num("lc"), "hi": num("hc")}),
+            SourceSpec("g", "pattern", {"values": [0, 1], "mode": "each", "k": num("k")}),
+        ),
+        equations=(
+            EquationSpec("x", intercept=num("b0"), linear=(("z", num("bz")),),
+                         interactions=(("z", "u", num("bzu")),), squares=(("c", num("bc2")),),
+                         error=ErrorTerm(num("ec"), num("em"), num("es"))),
+            EquationSpec("y", linear=(("x", num("bx")),), group_error=GroupError(
+                "g", {0: ErrorTerm(num("g0c"), num("g0m"), num("g0s")), 1: ErrorTerm(1.0, 0.0, num("g1s"))})),
+        ),
+    )
+
+
 class TestValidation:
     def test_unbound_placeholder_rejected(self):
         scm = ScmSpec(
@@ -139,14 +167,28 @@ class TestValidation:
         with pytest.raises(ValidationError):
             FitStep("y ~ x", (("r", "r2:x"),))
 
-    @pytest.mark.parametrize("bound", [{"a": 2.0, "b": -1.0, "sd_c": 1.5}, {"a": 2.0}])
-    def test_bound_spec_equals_a_validated_one(self, bound):
-        spec = small_template().scm
-        got = bind_spec(spec, bound, 40)
-        again = ScmSpec(n=got.n, sources=got.sources, equations=got.equations)
-        assert got == again
-        assert got.placeholders() == again.placeholders()
-        assert got.is_concrete() == again.is_concrete() == (len(bound) == 3)
+    def test_bound_template_evaluates_as_the_spec_with_its_numbers_written_in(self):
+        template = every_number_site(str)
+        bound = bind_spec(template, EVERY_SITE, 40)
+        assert bound.placeholders() == set() and bound.is_concrete()
+        written = evaluate_scm(every_number_site(EVERY_SITE.__getitem__, n=40), derive_substream(5, 0))
+        got = evaluate_scm(bound, derive_substream(5, 0))
+        assert same_columns(dict(got.items()), dict(written.items()))
+        # binding leaves the template as it was
+        assert template.placeholders() == {*EVERY_SITE, "n"} and not template.is_concrete()
+
+    def test_partly_bound_template_reports_its_unbound_placeholders(self):
+        unbound = {"bzu", "g1s", "k"}
+        bound = bind_spec(every_number_site(str),
+                          {k: v for k, v in EVERY_SITE.items() if k not in unbound}, 40)
+        assert bound.placeholders() == unbound and not bound.is_concrete()
+        with pytest.raises(ValidationError, match="unbound placeholders"):
+            evaluate_scm(bound, derive_substream(5, 0))
+        again = bind_spec(bound, {k: EVERY_SITE[k] for k in unbound}, 40)
+        assert again.is_concrete()
+        assert same_columns(dict(evaluate_scm(again, derive_substream(5, 0)).items()),
+                            dict(evaluate_scm(bind_spec(every_number_site(str), EVERY_SITE, 40),
+                                              derive_substream(5, 0)).items()))
 
     def test_json_round_trip(self):
         t = McTemplate.from_json_dict(small_doc())
