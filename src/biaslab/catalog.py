@@ -8,6 +8,7 @@ sign quadrants and sample sizes without copying dictionaries.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable
 
 from .errors import ValidationError
@@ -596,7 +597,7 @@ def iv_template(variant: str, reps: int = 10000, seed: int = 1992,
     variant: "valid" | "causes-confounder" | "correlated-confounder" |
              "direct" | "indirect".
     """
-    bindings = dict(_IV_BINDINGS_COMMON)
+    bindings = copy.deepcopy(_IV_BINDINGS_COMMON)
     x_eq = equation("X", linear=[["Con", "a_con"], ["IN", "a_in"]],
                     error=err("a_e", "mu_ex", "sd_ex"))
     y_lin = [["Con", "b_con"], ["X", "b_x"]]
@@ -660,7 +661,7 @@ def iv_template(variant: str, reps: int = 10000, seed: int = 1992,
         "scm": {"n": "n", "sources": sources, "equations": equations},
         "n": {"lo": n[0], "hi": n[1]},
         "bindings": bindings,
-        "analysis": _IV_RECORD,
+        "analysis": copy.deepcopy(_IV_RECORD),
         "reps": reps,
         "seed": seed,
     }

@@ -23,7 +23,6 @@ import csv
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from numbers import Integral
 from typing import Mapping, Sequence
@@ -33,7 +32,7 @@ import numpy as np
 from .causal import _OPS, _holds, iv_wald, RowFilter
 from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantile_type7
 from .errors import BiaslabError, DataError, ParameterError, ValidationError, expect
-from .regress import Formula, fit, fit_ols, fit_terms
+from .regress import Formula, _special, fit, fit_ols, fit_terms
 from .rng import check_seed, derive_substream, sample_indices
 from .scm import ScmSpec, bind_spec, evaluate_scm
 
@@ -198,6 +197,8 @@ def _steps_from_json(docs: Sequence[Mapping], path: str) -> tuple[AnalysisStep, 
             steps.append(step_from_json(d))
         except ValidationError as exc:
             raise ValidationError(f"{path}[{k}]: {exc}") from exc
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ValidationError(f"{path}[{k}]: malformed ({type(exc).__name__}: {exc})") from exc
     return tuple(steps)
 
 
@@ -245,8 +246,7 @@ class McTemplate:
         object.__setattr__(self, "analysis", tuple(self.analysis))
         sizes = {"n.lo": self.n.lo, "n.hi": self.n.hi} if isinstance(self.n, RangeSpec) else {"n": self.n}
         bound = [name for name, _ in self.bindings]
-        _check_loop("mc", self.analysis, bound, reps=self.reps)
-        expect(Integral, "mc", **sizes)
+        _check_loop("mc", self.analysis, bound, reps=self.reps, **sizes)
         check_seed("master_seed", self.master_seed)
         check_reads("mc template", self.analysis, self.scm.column_names())
         if len(set(bound)) != len(bound):
@@ -454,6 +454,9 @@ def _run_replicates(plan: McTemplate | SamplingPlan, data_fn, fixed: tuple, work
     job = (data_fn, fixed, plan.master_seed, plan.analysis, names)
     reps, workers = plan.reps, min(workers, plan.reps)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        _special()  # loaded once here, so that the forked workers inherit it
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(job,)) as pool:
             chunk = max(1, reps // (workers * 8))
             rows = list(pool.map(_run_in_worker, range(reps), chunksize=chunk))

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import chdtrc, expit, ndtr, stdtr
 
 from .data import Dataset, listwise_complete
 from .errors import (
@@ -30,6 +29,13 @@ from .errors import (
 )
 
 _RANK_TOL = 1e-10  # relative to the largest |R| entry of the same column
+
+
+def _special():
+    # imported at the first p-value or logit: it is half of the CLI's cold start
+    import scipy.special
+
+    return scipy.special
 
 
 @dataclass(frozen=True)
@@ -360,7 +366,8 @@ def _wald(b: np.ndarray, se: np.ndarray, df: int | None = None) -> tuple[np.ndar
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             stat = np.where(se > 0, b / se, np.nan)
-    tail = ndtr(-np.abs(stat)) if df is None else stdtr(df, -np.abs(stat))
+    special = _special()
+    tail = special.ndtr(-np.abs(stat)) if df is None else special.stdtr(df, -np.abs(stat))
     return stat, 2.0 * tail
 
 
@@ -419,6 +426,7 @@ def fit_logistic(data: Dataset, formula: Formula) -> FitResult:
     if n <= p:
         raise DataError(f"need more rows ({n}) than parameters ({p})")
 
+    expit = _special().expit
     b = np.zeros(p)
     eta = x @ b
     dev = _binomial_deviance(y, eta)
@@ -521,12 +529,14 @@ class _OrderedNll:
 
     def value(self, beta: np.ndarray, zeta: np.ndarray) -> float:
         _, lo, hi = self._bounds(beta, zeta)
+        expit = _special().expit
         prob = np.clip(expit(hi) - expit(lo), 1e-300, None)
         return float(-np.sum(np.log(prob)))
 
     def derivs(self, beta: np.ndarray, zeta: np.ndarray):
         """Gradient and Hessian w.r.t. the natural parameters (beta, zeta)."""
         _, lo, hi = self._bounds(beta, zeta)
+        expit = _special().expit
         fu_ = expit(hi)
         fv_ = expit(lo)
         prob = np.clip(fu_ - fv_, 1e-300, None)
@@ -719,7 +729,7 @@ def wald_chisq(fit_result: FitResult, term: str) -> tuple[float, float]:
     """Single-restriction Wald test of ``b = 0``: ((b/SE)^2, 1-df p-value)."""
     stat = fit_result.stat_of(term)
     chisq = stat * stat
-    return chisq, float(chdtrc(1, chisq))
+    return chisq, float(_special().chdtrc(1, chisq))
 
 
 @dataclass(frozen=True)
@@ -800,7 +810,7 @@ def predict(fit_result: FitResult, data: Dataset) -> np.ndarray:
         cols.append(term.build(data))
     x = np.column_stack(cols) if cols else np.empty((data.n_rows, 0))
     eta = x @ fit_result.b
-    return np.where(ok, expit(eta) if fit_result.family == "binomial" else eta, np.nan)
+    return np.where(ok, _special().expit(eta) if fit_result.family == "binomial" else eta, np.nan)
 
 
 def residuals(fit_result: FitResult, data: Dataset) -> np.ndarray:

@@ -261,13 +261,63 @@ def test_integer_field_that_is_not_an_integer_exits_2(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+# an MC loop whose sample size is below 1, and its error
+_MC_SIZE_BELOW_1 = {
+    "n-range-0": ({"lo": 0, "hi": 0}, "mc: n.lo must be >= 1, got 0"),
+    "n-range-from-0": ({"lo": 0, "hi": 5}, "mc: n.lo must be >= 1, got 0"),
+    "n-negative": (-3, "mc: n must be >= 1, got -3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MC_SIZE_BELOW_1))
+def test_mc_sample_size_below_1_exits_2_before_anything_runs(tmp_path, capsys, case):
+    n, message = _MC_SIZE_BELOW_1[case]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_catalog_with("entry8-collider-pp-mc", "mc", reps=3, n=n)))
+    assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert f"validation error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _node(doc: dict, *path):
+    """The document at ``path`` inside ``doc``."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _without(ident: str, key: str, *path) -> dict:
+    """Catalog scenario ``ident`` without ``key`` in its document at ``path``."""
+    doc = catalog_config(ident)
+    del _node(doc, *path)[key]
+    return doc
+
+
+# an MC loop's step that lacks a required key, the path its error names, and the key
+_STEP_WITHOUT_KEY = {
+    "mc-fit-formula": (_without("entry8-collider-pp-mc", "formula", "mc", "analysis", 0),
+                       "mc.analysis[0]", "formula"),
+    "sampling-fit-formula": (_without("entry5-sampling-random", "formula",
+                                      "population", "sampling", "analysis", 0),
+                             "population.sampling.analysis[0]", "formula"),
+    "mc-iv-x": (_without("entry11-iv-valid-mc", "x", "mc", "analysis", 1), "mc.analysis[1]", "x"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STEP_WITHOUT_KEY))
+def test_step_without_a_required_key_exits_2_naming_its_path(tmp_path, capsys, case):
+    doc, path, key = _STEP_WITHOUT_KEY[case]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(p), "--reps", "2", "--out", str(tmp_path / "out")]) == 2
+    assert f"validation error: {path}: malformed (KeyError: '{key}')" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _with_family(ident: str, *path) -> dict:
     """Catalog scenario ``ident`` with ``family: poisson`` in its document at ``path``."""
     doc = catalog_config(ident)
-    target = doc
-    for key in path:
-        target = target[key]
-    target["family"] = "poisson"
+    _node(doc, *path)["family"] = "poisson"
     return doc
 
 

@@ -530,6 +530,48 @@ class TestReplicateRunner:
         assert pooled.errors == serial.errors
         assert pooled.template_hash == serial.template_hash
 
+    def test_pool_workers_inherit_scipy_special_from_the_parent(self):
+        # the parent loads scipy.special before the workers fork, so that
+        # neither worker imports it again; the pooled columns stay the serial ones
+        code = """
+import sys
+from biaslab.catalog import catalog_config
+from biaslab.mc import McTemplate, run_mc
+template = McTemplate.from_json_dict({**catalog_config('entry8-collider-pp-mc')['mc'], 'reps': 12})
+before = 'scipy.special' in sys.modules
+pooled = run_mc(template, workers=2)
+after = 'scipy.special' in sys.modules
+serial = run_mc(template)
+same = list(pooled.columns) == list(serial.columns) and all(
+    pooled.columns[k].dtype == v.dtype and pooled.columns[k].tobytes() == v.tobytes()
+    for k, v in serial.columns.items())
+print(before, after, same)
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True", "True"]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="sets glibc's malloc thresholds")
+    def test_a_repeated_loop_reuses_its_freed_heap(self):
+        # each replicate at n in [5000, 10000] frees a few MB of arrays; the
+        # second run of the loop finds them in the heap instead of faulting
+        # them in again (thousands of minor page faults under glibc's defaults)
+        code = """
+import resource
+from biaslab.catalog import iv_template
+from biaslab.mc import McTemplate, run_mc
+template = McTemplate.from_json_dict(iv_template('valid', reps=20, seed=5, n=(5000, 10000)))
+run_mc(template)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_mc(template)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 500
+
     def test_failed_replicate_keeps_draws_and_nan_fills(self):
         res = run_mc(failing_template(30, seed=8))
         for i, msg in res.errors.items():
