@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .data import Dataset, listwise_complete
-from .errors import BiaslabError, DataError, ValidationError, WeakInstrumentError, expect
+from .errors import BiaslabError, DataError, Doc, ValidationError, WeakInstrumentError, expect
 from .regress import FitResult, Formula, _least_squares, fit_ols, interaction, main
 
 _OPS = {
@@ -41,7 +42,7 @@ class Condition:
 
     def __post_init__(self):
         expect(str, "condition", var=self.var)
-        if self.op not in _OPS:
+        if not isinstance(self.op, str) or self.op not in _OPS:
             raise ValidationError(f"unknown comparison op {self.op!r}")
 
 
@@ -61,8 +62,10 @@ class RowFilter:
         return keep
 
     @classmethod
-    def from_json_list(cls, items: Sequence[Mapping]) -> "RowFilter":
-        return cls(tuple(Condition(i["var"], i["op"], float(i["value"])) for i in items))
+    def from_json_list(cls, items: Doc | Sequence[Mapping]) -> "RowFilter":
+        """The filter of a list of ``{var, op, value}`` conditions."""
+        items = Doc.of(items, "filter")
+        return cls(tuple(c.read(Condition, value=float(c["value"].want(Real))) for c in items))
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,10 @@ def _print_artifacts(run) -> None:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    """The scenario of ``--config`` or ``--catalog``, with ``--reps`` applied."""
+    """The scenario of ``--config`` or ``--catalog``, with ``--reps`` applied;
+    ``--threads`` must be at least 1."""
+    if args.threads < 1:
+        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
     if args.catalog and args.config:
         raise ValidationError("pass --config or --catalog, not both")
     if args.catalog:
@@ -147,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed (64-bit unsigned)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="json",
-                       help="default format for declared outputs")
-        p.add_argument("--threads", type=int, default=1, help="worker processes for MC loops")
+                       help="default format of the analysis: outputs")
+        p.add_argument("--threads", type=int, default=1, help="worker processes for MC loops (>= 1)")
         p.add_argument("--reps", type=int, default=None, help="override replicate count")
 
     p_run = sub.add_parser("run", help="run a scenario config")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from numbers import Integral, Real
 from typing import Any, Callable, Mapping
 
@@ -31,7 +31,7 @@ from .causal import (
     subgroup_effect,
 )
 from .data import Dataset, balance_diff, pearson, spearman, summarize, write_csv
-from .errors import BiaslabError, ValidationError, expect
+from .errors import BiaslabError, Doc, ValidationError, expect
 from .measure import AttenuationVariant, apply_rules, attenuation_report, rules_from_json
 from .regress import FitResult, Formula, check_family, collinearity_diagnostics, fit, predict
 from .rng import check_seed, derive_substream
@@ -41,7 +41,13 @@ _GEN_KINDS = ("scm", "corr", "population", "mc")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A validated scenario: id, seed, one generator, analyses, outputs."""
+    """A validated scenario: id, seed, one generator, analyses, outputs.
+
+    ``generate`` and ``runners`` are the generator and the analyses, built
+    once by :func:`parse_config`: ``generate(flag, workers) -> (dataset, mc
+    result)`` resolves its seeds at each call, and runner ``k`` maps ``(data,
+    rng)`` to ``(artifact, data seen by later analyses)``.
+    """
 
     id: str
     seed: int | None
@@ -49,6 +55,8 @@ class ScenarioConfig:
     generator: dict
     analyses: tuple[dict, ...]
     outputs: tuple[dict, ...]
+    generate: Callable = field(compare=False, repr=False)
+    runners: tuple[Callable, ...] = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         d: dict = {"id": self.id}
@@ -63,23 +71,13 @@ class ScenarioConfig:
         return json.dumps(self.to_json_dict(), indent=2)
 
     def with_reps(self, reps: int) -> "ScenarioConfig":
-        gen = json.loads(json.dumps(self.generator))
+        """The scenario parsed again with ``reps`` replicates, if it has a loop."""
+        doc = json.loads(self.to_json())
         if self.generator_kind == "mc":
-            gen["reps"] = reps
+            doc["mc"]["reps"] = reps
         elif self.generator_kind == "population":
-            gen["sampling"]["reps"] = reps
-        return replace(self, generator=gen)
-
-
-def _fail(path: str, message: str) -> ValidationError:
-    return ValidationError(f"{path}: {message}")
-
-
-_MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
-
-
-def _malformed(path: str, exc: Exception) -> ValidationError:
-    return _fail(path, f"malformed ({type(exc).__name__}: {exc})")
+            doc["population"]["sampling"]["reps"] = reps
+        return parse_config(doc)
 
 
 def resolve_seed(flag: int | None, *fallbacks: tuple[str, Any]) -> tuple[int, str]:
@@ -102,60 +100,71 @@ def resolve_seed(flag: int | None, *fallbacks: tuple[str, Any]) -> tuple[int, st
 
 
 def _build_generator(
-    kind: str, gen: Mapping, flag: int | None, config_seed: int | None
+    kind: str, gen: Doc, config_seed: int | None
 ) -> tuple[Callable, list[str], list[str]]:
-    """Parse a generator payload once.
+    """Build a generator document once.
 
-    Returns ``generate(workers) -> (dataset, mc_result)``, the columns the
-    generator defines (none for ``mc``, whose scenarios analyse series) and
-    the series of its MC result, ``i`` and ``N`` included (none for ``scm``
-    and ``corr``).  Its seeds come from :func:`resolve_seed`, an embedded
-    seed going between ``flag`` and ``config_seed``.
+    Returns ``generate(flag, workers) -> (dataset, mc_result)``, the columns
+    the generator defines (none for ``mc``, whose scenarios analyse series)
+    and the series of its MC result, ``i`` and ``N`` included (none for
+    ``scm`` and ``corr``).  ``generate`` resolves its seeds through
+    :func:`resolve_seed`, an embedded seed going between the ``flag`` and
+    ``config_seed``.  An embedded seed is checked here, with a stand-in for
+    a missing ``config_seed``.
     """
-    def seed_of(*embedded):
-        return resolve_seed(flag, *embedded, ("seed", config_seed))
+    stand_in = 0 if config_seed is None else config_seed
 
-    try:
-        if kind == "mc":
-            master, _ = seed_of(("mc.seed", gen.get("seed")))
-            template = mc_mod.McTemplate.from_json_dict({**gen, "seed": master})
-            return (lambda workers: (None, mc_mod.run_mc(template, workers=workers)), [],
-                    ["i", "N", *template.series_names()])
-        seed, _ = seed_of()
-        if kind == "corr":
-            target, n = CorrTarget.from_json_dict(gen), gen["n"]
-            expect(Integral, "corr", n=n)
-            return (lambda workers: (mvn_exact(target, n, derive_substream(seed, 0)), None),
-                    list(target.names), [])
-        try:
-            spec = ScmSpec.from_json_dict(gen["scm"] if kind == "population" else gen)
-        except ValidationError as exc:
-            raise _fail("population.scm" if kind == "population" else "scm", str(exc)) from exc
-        if not spec.is_concrete():
-            raise _fail(kind, f"placeholders {sorted(spec.placeholders())} are only valid in mc templates")
-        columns = spec.column_names()
-        if kind == "scm":
-            return lambda workers: (evaluate_scm(spec, derive_substream(seed, 0)), None), columns, []
+    def data_seed(flag):
+        return resolve_seed(flag, ("seed", config_seed))[0]
+
+    if kind == "mc":
+        def master(flag, seed):
+            return resolve_seed(flag, ("mc.seed", gen.get("seed").value), ("seed", seed))[0]
+
+        template = mc_mod.McTemplate.from_json_dict(
+            Doc({**gen.want(dict), "seed": master(None, stand_in)}, gen.path))
+
+        def run(flag, workers):
+            bound = replace(template, master_seed=master(flag, config_seed))
+            return None, mc_mod.run_mc(bound, workers=workers)
+
+        return run, [], ["i", "N", *template.series_names()]
+    if kind == "corr":
+        target, n = CorrTarget.from_json_dict(gen), gen["n"].value
+        expect(Integral, "corr", n=n)
+        return (lambda flag, workers: (mvn_exact(target, n, derive_substream(data_seed(flag), 0)), None),
+                list(target.names), [])
+    spec = ScmSpec.from_json_dict(gen["scm"] if kind == "population" else gen)
+    if not spec.is_concrete():
+        raise gen.error(f"placeholders {sorted(spec.placeholders())} are only valid in mc templates")
+    columns = spec.column_names()
+    if kind == "scm":
+        return (lambda flag, workers: (evaluate_scm(spec, derive_substream(data_seed(flag), 0)), None),
+                columns, [])
+    sampling = gen["sampling"]
+
+    def master(flag, seed):
         # the flag and the config's seed key the population itself, so the
         # sampling stream takes them + 1 (an embedded sampling.seed as is)
-        master, source = seed_of(("population.sampling.seed", gen["sampling"].get("seed")))
-        if source != "population.sampling.seed":
-            master = (master + 1) % 2**64
-        plan = mc_mod.SamplingPlan.from_json_dict({**gen["sampling"], "seed": master})
-        mc_mod.check_reads("population.sampling", plan.analysis, columns, plan.row_filter)
-    except _MALFORMED as exc:
-        raise _malformed(kind, exc) from exc
+        embedded = ("population.sampling.seed", sampling.get("seed").value)
+        value, source = resolve_seed(flag, embedded, ("seed", seed))
+        return value if source == embedded[0] else (value + 1) % 2**64
 
-    def sample(workers: int):
-        pop = evaluate_scm(spec, derive_substream(seed, 0))
-        return pop, mc_mod.repeated_samples(pop, plan, workers=workers)
+    plan = mc_mod.SamplingPlan.from_json_dict(
+        Doc({**sampling.want(dict), "seed": master(None, stand_in)}, sampling.path))
+    mc_mod.check_reads("population.sampling", plan.analysis, columns, plan.row_filter)
+
+    def sample(flag, workers):
+        pop = evaluate_scm(spec, derive_substream(data_seed(flag), 0))
+        bound = replace(plan, master_seed=master(flag, config_seed))
+        return pop, mc_mod.repeated_samples(pop, bound, workers=workers)
 
     return sample, columns, ["i", "N", *plan.series_names()]
 
 
 # -- analysis kinds ------------------------------------------------------------
 #
-# A builder parses one analysis document and returns the columns the analysis
+# A builder reads one analysis document and returns the columns the analysis
 # reads, the column it adds (or None), and a runner
 # ``(data, rng) -> (artifact, data seen by later analyses)``.
 
@@ -167,110 +176,121 @@ def _unchanged(fn: Callable[[Dataset], Any]) -> Callable:
     return lambda data, rng: (fn(data), data)
 
 
-def _fit(a: Mapping) -> _Built:
-    formula, family = Formula.parse(a["formula"]), check_family(a.get("family", "gaussian"))
+def _fields(a: Doc, *keys: str) -> list:
+    return [a[k].value for k in keys]
+
+
+def _fit(a: Doc) -> _Built:
+    formula, family = Formula.parse(a["formula"].value), check_family(a.get("family", "gaussian").value)
     return formula.variables(), None, _unchanged(lambda d: fit(d, formula, family=family))
 
 
-def _collinearity(a: Mapping) -> _Built:
-    formula = Formula.parse(a["formula"])
+def _collinearity(a: Doc) -> _Built:
+    formula = Formula.parse(a["formula"].value)
     return formula.variables(), None, _unchanged(lambda d: collinearity_diagnostics(d, formula))
 
 
-def _compare_adjustments(a: Mapping) -> _Built:
-    expect(Real, "compare_adjustments", optional=True, truth=a.get("truth"))
-    reads = [a["y"], a["x"], *(v for s in a["covariate_sets"] for v in s)]
-    return reads, None, _unchanged(lambda d: compare_adjustments(
-        d, a["y"], a["x"], a["covariate_sets"], truth=a.get("truth"), scenario_id=a["name"]))
+def _compare_adjustments(a: Doc) -> _Built:
+    y, x, name = _fields(a, "y", "x", "name")
+    sets, truth = [s.want(list) for s in a["covariate_sets"]], a.get("truth").value
+    expect(Real, "compare_adjustments", optional=True, truth=truth)
+    return [y, x, *(v for s in sets for v in s)], None, _unchanged(
+        lambda d: compare_adjustments(d, y, x, sets, truth=truth, scenario_id=name))
 
 
-def _iv(a: Mapping) -> _Built:
-    return [a["y"], a["x"], a["instrument"]], None, _unchanged(
-        lambda d: iv_wald(d, a["y"], a["x"], a["instrument"], allow_weak=a.get("allow_weak", False)))
+def _iv(a: Doc) -> _Built:
+    y, x, z = reads = _fields(a, "y", "x", "instrument")
+    allow_weak = a.get("allow_weak", False).want(bool)
+    return reads, None, _unchanged(lambda d: iv_wald(d, y, x, z, allow_weak=allow_weak))
 
 
-def _mediation(a: Mapping) -> _Built:
-    return [a["y"], a["x"], a["m"]], None, _unchanged(lambda d: mediation(d, a["y"], a["x"], a["m"]))
+def _mediation(a: Doc) -> _Built:
+    y, x, m = reads = _fields(a, "y", "x", "m")
+    return reads, None, _unchanged(lambda d: mediation(d, y, x, m))
 
 
-def _moderated_fit(a: Mapping) -> _Built:
-    return [a["y"], a["x"], a["mo"]], None, _unchanged(
-        lambda d: moderated_fit(d, a["y"], a["x"], a["mo"]))
+def _moderated_fit(a: Doc) -> _Built:
+    y, x, mo = reads = _fields(a, "y", "x", "mo")
+    return reads, None, _unchanged(lambda d: moderated_fit(d, y, x, mo))
 
 
-def _subgroup(a: Mapping) -> _Built:
-    where = RowFilter.from_json_list(a["where"])
-    reads = [a["y"], a["x"], *(c.var for c in where.conditions)]
-    return reads, None, _unchanged(lambda d: subgroup_effect(d, a["y"], a["x"], where))
+def _subgroup(a: Doc) -> _Built:
+    (y, x), where = _fields(a, "y", "x"), RowFilter.from_json_list(a["where"])
+    return [y, x, *(c.var for c in where.conditions)], None, _unchanged(
+        lambda d: subgroup_effect(d, y, x, where))
 
 
-def _balance(a: Mapping) -> _Built:
-    return [a["group"], *a["covariates"]], None, _unchanged(
-        lambda d: balance_diff(d, a["group"], a["covariates"]))
+def _balance(a: Doc) -> _Built:
+    group, covariates = a["group"].value, a["covariates"].want(list)
+    return [group, *covariates], None, _unchanged(lambda d: balance_diff(d, group, covariates))
 
 
-def _block_balance(a: Mapping) -> _Built:
-    name = a.get("as", "treated")
+def _block_balance(a: Doc) -> _Built:
+    strata, covariates = a["strata"].value, a["covariates"].want(list)
+    name = a.get("as", "treated").want(str)
 
     def run(data: Dataset, rng: np.random.Generator):
-        with_assign = data.with_column(name, block_randomize(data, a["strata"], rng))
-        return balance_diff(with_assign, name, a["covariates"]), with_assign
+        with_assign = data.with_column(name, block_randomize(data, strata, rng))
+        return balance_diff(with_assign, name, covariates), with_assign
 
-    return [a["strata"], *a["covariates"]], name, run
+    return [strata, *covariates], name, run
 
 
-def _attenuation(a: Mapping) -> _Built:
+def _attenuation(a: Doc) -> _Built:
+    y, x = _fields(a, "y", "x")
     variants = [AttenuationVariant.from_json_dict(v) for v in a["variants"]]
-    return [a["y"], a["x"]], None, _unchanged(
-        lambda d: attenuation_report(d, a["y"], a["x"], variants))
+    return [y, x], None, _unchanged(lambda d: attenuation_report(d, y, x, variants))
 
 
-def _summary(a: Mapping) -> _Built:
-    return [a["var"]], None, _unchanged(lambda d: summarize(d[a["var"]], a["var"]))
+def _summary(a: Doc) -> _Built:
+    var = a["var"].value
+    return [var], None, _unchanged(lambda d: summarize(d[var], var))
 
 
-def _correlation(a: Mapping) -> _Built:
-    method = a.get("method", "pearson")
+def _correlation(a: Doc) -> _Built:
+    x, y = _fields(a, "x", "y")
+    method = a.get("method", "pearson").want(str)
     corr = {"pearson": pearson, "spearman": spearman}.get(method)
     if corr is None:
         raise ValidationError(f"method must be pearson or spearman, got {method!r}")
 
     def run(data: Dataset) -> dict:
-        x, y = data[a["x"]], data[a["y"]]
-        n_used = int((~(np.isnan(x) | np.isnan(y))).sum())
-        return {"method": method, "x": a["x"], "y": a["y"], "r": corr(x, y), "n_used": n_used}
+        xs, ys = data[x], data[y]
+        n_used = int((~(np.isnan(xs) | np.isnan(ys))).sum())
+        return {"method": method, "x": x, "y": y, "r": corr(xs, ys), "n_used": n_used}
 
-    return [a["x"], a["y"]], None, _unchanged(run)
+    return [x, y], None, _unchanged(run)
 
 
-def _outlier_fit(a: Mapping) -> _Built:
-    formula, family = Formula.parse(a["formula"]), check_family(a.get("family", "gaussian"))
-    means = {col: v[5:] for col, v in a["assign"].items()
-             if isinstance(v, str) and v.startswith("mean:")}
-    fixed = {col: float(v) for col, v in a["assign"].items() if col not in means}
+def _outlier_fit(a: Doc) -> _Built:
+    formula, family = Formula.parse(a["formula"].value), check_family(a.get("family", "gaussian").value)
+    assign = a["assign"].items()
+    means = {col: v.value[5:] for col, v in assign
+             if isinstance(v.value, str) and v.value.startswith("mean:")}
+    fixed = {col: float(v.want(Real)) for col, v in assign if col not in means}
 
     def run(data: Dataset) -> FitResult:
         at_means = {col: float(np.nanmean(data[v])) for col, v in means.items()}
         return fit(inject_outlier(data, {**fixed, **at_means}), formula, family=family)
 
-    return [*formula.variables(), *a["assign"], *means.values()], None, _unchanged(run)
+    return [*formula.variables(), *(col for col, _ in assign), *means.values()], None, _unchanged(run)
 
 
-def _recode(a: Mapping) -> _Built:
-    rules = rules_from_json(a["rule"])
+def _recode(a: Doc) -> _Built:
+    var, name, rules = a["var"].value, a["as"].want(str), rules_from_json(a["rule"])
 
     def run(data: Dataset, rng: np.random.Generator):
-        values = apply_rules(data[a["var"]], rules, a["var"])
+        values = apply_rules(data[var], rules, var)
         missing = np.isnan(values)
         counts = {str(k): int(c) for k, c in zip(*np.unique(values[~missing], return_counts=True))}
-        artifact = {"column": a["as"], "levels": counts, "n_missing": int(np.count_nonzero(missing))}
-        return artifact, data.with_column(a["as"], values)
+        artifact = {"column": name, "levels": counts, "n_missing": int(np.count_nonzero(missing))}
+        return artifact, data.with_column(name, values)
 
-    return [a["var"]], a["as"], run
+    return [var], name, run
 
 
 # kind -> (required fields, builder)
-_ANALYSES: dict[str, tuple[tuple[str, ...], Callable[[Mapping], _Built]]] = {
+_ANALYSES: dict[str, tuple[tuple[str, ...], Callable[[Doc], _Built]]] = {
     "fit": (("formula",), _fit),
     "collinearity": (("formula",), _collinearity),
     "compare_adjustments": (("y", "x", "covariate_sets"), _compare_adjustments),
@@ -289,85 +309,70 @@ _ANALYSES: dict[str, tuple[tuple[str, ...], Callable[[Mapping], _Built]]] = {
 
 
 def parse_config(doc: Mapping | str) -> ScenarioConfig:
-    """Validate a scenario JSON document; errors carry field paths."""
+    """Validate a scenario JSON document and build its generator and
+    analyses; each error begins with the JSON path of its field."""
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, Mapping):
-        raise ValidationError("config must be a JSON object")
-    ident = doc.get("id")
-    if not isinstance(ident, str) or not ident:
-        raise _fail("id", "required non-empty string")
-    seed = doc.get("seed")
+    root = Doc(doc)
+    ident = root.get("id")
+    if not isinstance(ident.value, str) or not ident.value:
+        raise ident.error("required non-empty string")
+    seed = root.get("seed").value
     if seed is not None:
         resolve_seed(None, ("seed", seed))
-    gens = [k for k in _GEN_KINDS if k in doc]
+    gens = [k for k in _GEN_KINDS if k in root]
     if len(gens) != 1:
-        raise _fail("config", f"exactly one of {_GEN_KINDS} required, found {gens}")
+        raise root.error(f"exactly one of {_GEN_KINDS} required, found {gens}")
     kind = gens[0]
-    gen = doc[kind]
-    if not isinstance(gen, Mapping):
-        raise _fail(kind, "must be an object")
-    # checks every embedded seed; a config without a seed leaves it to the run
-    _, columns, series = _build_generator(kind, gen, None, 0 if seed is None else seed)
+    generate, columns, series = _build_generator(kind, root[kind], seed)
     defined = set(columns)
 
-    analyses = []
-    for idx, a in enumerate(_json_list(doc, "analyses")):
-        path = f"analyses[{idx}]"
+    analyses, runners = [], []
+    for idx, a in enumerate(root.get("analyses", [])):
         if kind == "mc":  # its replicates run the template's own analysis steps
-            raise _fail(path, "mc scenarios do not support dataset analyses")
-        if not isinstance(a, Mapping):
-            raise _fail(path, "must be an object")
+            raise a.error("mc scenarios do not support dataset analyses")
         akind = a.get("kind")
-        if not isinstance(akind, str) or akind not in _ANALYSES:
-            raise _fail(f"{path}.kind", f"unknown kind {akind!r}; valid: {tuple(_ANALYSES)}")
-        a = {**a, "name": a.get("name", f"{akind}_{idx}")}
-        expect(str, path, name=a["name"])
-        if a["name"] in (prev["name"] for prev in analyses):
-            raise _fail(f"{path}.name", f"duplicate analysis name {a['name']!r}")
-        required, build = _ANALYSES[akind]
+        if not isinstance(akind.value, str) or akind.value not in _ANALYSES:
+            raise akind.error(f"unknown kind {akind.value!r}; valid: {tuple(_ANALYSES)}")
+        a = Doc({**a.value, "name": a.get("name", f"{akind.value}_{idx}").value}, a.path)
+        name = a["name"].want(str)
+        if name in (prev["name"] for prev in analyses):
+            raise a["name"].error(f"duplicate analysis name {name!r}")
+        required, build = _ANALYSES[akind.value]
         for f in required:
-            if f not in a:
-                raise _fail(f"{path}.{f}", "required")
-        try:
-            reads, adds, _ = build(a)
-            unknown = [nm for nm in reads if nm not in defined]
-            if adds is not None:
-                defined.add(adds)
-        except ValidationError as exc:
-            raise _fail(path, str(exc)) from exc
-        except _MALFORMED as exc:
-            raise _malformed(path, exc) from exc
+            a[f]  # a missing field raises "<path>.<field>: required"
+        reads, adds, run = a.build(build, a)
+        unknown = [nm for nm in reads if not isinstance(nm, str) or nm not in defined]
         if unknown:
-            raise _fail(path, f"unknown column {unknown[0]!r}; generator defines {columns}")
-        analyses.append(a)
+            raise a.error(f"unknown column {unknown[0]!r}; generator defines {columns}")
+        if adds is not None:
+            defined.add(adds)
+        analyses.append(a.value)
+        runners.append(run)
 
     outputs = []
     seen_paths: set[str] = set()
     analysis_kinds = {a["name"]: a["kind"] for a in analyses}
-    for idx, o in enumerate(_json_list(doc, "outputs")):
-        path = f"outputs[{idx}]"
-        if not isinstance(o, Mapping) or not all(isinstance(o.get(f), str) for f in ("what", "path")):
-            raise _fail(path, "needs string 'what' and 'path'")
-        if o["path"] in seen_paths:
-            raise _fail(f"{path}.path", f"duplicate output path {o['path']!r}")
-        seen_paths.add(o["path"])
-        fmt = o.get("format")
-        if fmt is not None and fmt not in ("csv", "json"):
-            raise _fail(f"{path}.format", f"must be csv or json, got {fmt!r}")
-        _check_output(f"{path}.what", o["what"], kind, analysis_kinds, defined, series)
-        outputs.append(dict(o))
+    for o in root.get("outputs", []):
+        path = o["path"].want(str)
+        if path in seen_paths:
+            raise o["path"].error(f"duplicate output path {path!r}")
+        seen_paths.add(path)
+        _check_output(o, kind, analysis_kinds, defined, series)
+        outputs.append(dict(o.value))
 
     return ScenarioConfig(
-        id=ident,
+        id=ident.value,
         seed=seed,
         generator_kind=kind,
-        generator=json.loads(json.dumps(gen)),
+        generator=json.loads(json.dumps(root[kind].value)),
         analyses=tuple(analyses),
         outputs=tuple(outputs),
+        generate=generate,
+        runners=tuple(runners),
     )
 
 
@@ -376,38 +381,39 @@ _FIT_KINDS = ("fit", "moderated_fit", "subgroup", "outlier_fit")
 
 
 def _check_output(
-    path: str, what: str, gen_kind: str, analyses: Mapping[str, str], columns: set[str], series: list[str]
+    o: Doc, gen_kind: str, analyses: Mapping[str, str], columns: set[str], series: list[str]
 ) -> None:
     """Reject an output that could not be written, before anything runs.
 
     ``columns`` are the dataset's columns after every analysis has run, and
     ``series`` the names an MC result answers to."""
-    head, _, rest = what.partition(":")
+    what = o["what"]
+    head, _, rest = what.want(str).partition(":")
     if head not in ("dataset", "analysis", "mc", "mc_summary", "histogram", "scatter", "fitted_line"):
-        raise _fail(path, f"unknown output kind {what!r}")
+        raise what.error(f"unknown output kind {what.value!r}")
     if head == "analysis" and rest not in analyses:
-        raise _fail(path, f"output references unknown analysis {rest!r}")
+        raise what.error(f"output references unknown analysis {rest!r}")
     fit_name = rest.partition(":")[0]
     if head == "fitted_line" and analyses.get(fit_name) not in _FIT_KINDS:
-        raise _fail(path, f"fitted_line needs a declared fit, got {fit_name!r}")
+        raise what.error(f"fitted_line needs a declared fit, got {fit_name!r}")
     if head in ("mc", "mc_summary") and gen_kind not in ("mc", "population"):
-        raise _fail(path, f"output {head!r} requires an mc or population scenario")
+        raise what.error(f"output {head!r} requires an mc or population scenario")
     if head in ("dataset", "scatter", "fitted_line") and gen_kind == "mc":
-        raise _fail(path, f"output {head!r} requires a dataset scenario")
+        raise what.error(f"output {head!r} requires a dataset scenario")
     if head == "histogram":
         name, _, bins = rest.partition(":")
         try:
             nbins = int(bins)
         except ValueError:
-            raise _fail(path, f"histogram bins must be an integer, got {bins!r}") from None
+            raise what.error(f"histogram bins must be an integer, got {bins!r}") from None
         if nbins < 1:
-            raise _fail(path, f"histogram bins must be >= 1, got {nbins}")
+            raise what.error(f"histogram bins must be >= 1, got {nbins}")
         reads = [name]
     else:
         first, _, second = rest.partition(":")
         reads = {"scatter": [first, second], "fitted_line": [second], "mc_summary": [rest]}.get(head, [])
         if head == "scatter" and first == second:  # a dataset holds one column per name
-            raise _fail(path, f"scatter needs two different columns, got {what!r}")
+            raise what.error(f"scatter needs two different columns, got {what.value!r}")
     # a histogram of an mc or population scenario, like a summary, reads a series
     if head == "mc_summary" or (head == "histogram" and gen_kind in ("mc", "population")):
         known, noun = series, "series"
@@ -415,14 +421,13 @@ def _check_output(
         known, noun = columns, "column"
     for name in reads:
         if name not in known:
-            raise _fail(path, f"unknown {noun} {name!r}; have {sorted(known)}")
-
-
-def _json_list(doc: Mapping, field: str) -> list:
-    items = doc.get(field, [])
-    if not isinstance(items, list):
-        raise _fail(field, "must be a list")
-    return items
+            raise what.error(f"unknown {noun} {name!r}; have {sorted(known)}")
+    fmt = o.get("format")
+    if fmt.value is not None and head != "analysis":
+        raise fmt.error(f"only analysis outputs take a format; {head!r} is always "
+                        f"{'json' if head == 'mc_summary' else 'csv'}")
+    if fmt.value not in (None, "csv", "json"):
+        raise fmt.error(f"must be csv or json, got {fmt.value!r}")
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -458,14 +463,12 @@ def run_scenario(
     ``skipped_outputs``; every other output is written.  Callers decide the
     exit status from ``analysis_errors`` and ``skipped_outputs``.
     """
-    generate, _, _ = _build_generator(cfg.generator_kind, cfg.generator, seed, cfg.seed)
-    data, mc_result = generate(workers)
+    data, mc_result = cfg.generate(seed, workers)
     artifacts: dict[str, Any] = {}
     errors: dict[str, str] = {}
     working = data
-    for k, a in enumerate(cfg.analyses):
+    for k, (a, run) in enumerate(zip(cfg.analyses, cfg.runners)):
         try:
-            _, _, run = _ANALYSES[a["kind"]][1](a)
             rng = derive_substream(resolve_seed(seed, ("seed", cfg.seed))[0], k + 1)
             artifact, working = run(working, rng)
             artifacts[a["name"]] = artifact
@@ -482,7 +485,7 @@ def run_scenario(
             if head in ("analysis", "fitted_line") and source in errors:
                 skipped[path] = source
                 continue
-            _write_output(o, path, working, mc_result, artifacts, o.get("format", None), default_format)
+            _write_output(o, path, working, mc_result, artifacts, default_format)
             files.append(path)
     return ScenarioRun(
         config=cfg,
@@ -531,7 +534,6 @@ def _write_output(
     data: Dataset | None,
     mc_result: "mc_mod.McResult | None",
     artifacts: dict[str, Any],
-    fmt: str | None,
     default_format: str,
 ) -> None:
     what = o["what"]
@@ -573,7 +575,7 @@ def _write_output(
     if head == "mc_summary":
         artifact, chosen = mc_mod.summarize_series(mc_result, rest), "json"
     else:
-        artifact, chosen = artifacts[rest], fmt or default_format
+        artifact, chosen = artifacts[rest], o.get("format") or default_format
     if chosen == "csv":
         header, rows = _artifact_csv_rows(artifact)
         with open(path, "w", newline="") as fh:

@@ -24,14 +24,14 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .causal import _OPS, _holds, iv_wald, RowFilter
 from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantile_type7
-from .errors import BiaslabError, DataError, ParameterError, ValidationError, expect
+from .errors import BiaslabError, DataError, Doc, ParameterError, ValidationError, expect
 from .regress import Formula, _special, fit, fit_ols, fit_terms
 from .rng import check_seed, derive_substream, sample_indices
 from .scm import ScmSpec, bind_spec, evaluate_scm
@@ -45,6 +45,7 @@ class RangeSpec:
     hi: float
 
     def __post_init__(self):
+        expect(Real, "range", lo=self.lo, hi=self.hi)
         if self.lo > self.hi:
             raise ValidationError(f"range reversed: lo={self.lo} > hi={self.hi}")
 
@@ -163,43 +164,29 @@ AnalysisStep = FitStep | IvStep | BalanceStep
 
 def check_reads(owner: str, analysis: Sequence[AnalysisStep], columns: Sequence[str],
                 row_filter: RowFilter | None = None) -> None:
-    """Refuse, before anything runs, an analysis step or a row filter of
-    ``owner`` that reads a column outside ``columns``."""
-    readers = [(f"{owner} analysis[{k}]", step.reads()) for k, step in enumerate(analysis)]
+    """Refuse, before anything runs, an analysis step or a row filter of the
+    loop at path ``owner`` that reads a column outside ``columns``."""
+    readers = [(f"{owner}.analysis[{k}]", step.reads()) for k, step in enumerate(analysis)]
     if row_filter is not None:
-        readers.append((f"{owner} filter", [c.var for c in row_filter.conditions]))
+        readers.append((f"{owner}.filter", [c.var for c in row_filter.conditions]))
     for where, reads in readers:
         for name in reads:
             if name not in columns:
                 raise ValidationError(f"{where}: unknown column {name!r}; have {sorted(columns)}")
 
 
-def step_from_json(d: Mapping) -> AnalysisStep:
-    kind = d.get("kind")
-    rec = tuple((n, s) for n, s in d.get("record", {}).items())
+def step_from_json(d: Doc | Mapping) -> AnalysisStep:
+    """A step of an ``analysis`` list; its errors name the step's path."""
+    d = Doc.of(d, "step")
+    kind = d.get("kind").value
+    if kind not in ("fit", "iv", "balance"):
+        raise d.error(f"unknown analysis step kind {kind!r}")
+    record = tuple(d.get("record", {}).want(dict).items())
     if kind == "fit":
-        return FitStep(formula=d["formula"], family=d.get("family", "gaussian"), record=rec)
+        return d.read(FitStep, record=record)
     if kind == "iv":
-        return IvStep(
-            y=d["y"], x=d["x"], instrument=d["instrument"],
-            allow_weak=d.get("allow_weak", True), record=rec,
-        )
-    if kind == "balance":
-        return BalanceStep(group=d["group"], covariates=tuple(d["covariates"]), record=rec)
-    raise ValidationError(f"unknown analysis step kind {kind!r}")
-
-
-def _steps_from_json(docs: Sequence[Mapping], path: str) -> tuple[AnalysisStep, ...]:
-    """The steps of an ``analysis`` list; the error of step ``k`` names ``path[k]``."""
-    steps = []
-    for k, d in enumerate(docs):
-        try:
-            steps.append(step_from_json(d))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}[{k}]: {exc}") from exc
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ValidationError(f"{path}[{k}]: malformed ({type(exc).__name__}: {exc})") from exc
-    return tuple(steps)
+        return d.read(IvStep, record=record, allow_weak=d.get("allow_weak", True).want(bool))
+    return d.read(BalanceStep, record=record, covariates=tuple(d["covariates"].want(list)))
 
 
 def _step_names(analysis: Sequence[AnalysisStep]) -> list[str]:
@@ -248,7 +235,7 @@ class McTemplate:
         bound = [name for name, _ in self.bindings]
         _check_loop("mc", self.analysis, bound, reps=self.reps, **sizes)
         check_seed("master_seed", self.master_seed)
-        check_reads("mc template", self.analysis, self.scm.column_names())
+        check_reads("mc", self.analysis, self.scm.column_names())
         if len(set(bound)) != len(bound):
             raise ValidationError(f"placeholder bound more than once: {bound}")
         needed = _spec_placeholders(self.scm)
@@ -291,15 +278,17 @@ class McTemplate:
         return [name for name, _ in self.bindings] + _step_names(self.analysis)
 
     @classmethod
-    def from_json_dict(cls, d: Mapping) -> "McTemplate":
+    def from_json_dict(cls, d: Doc | Mapping) -> "McTemplate":
+        """The template of a config's ``mc`` document."""
+        d = Doc.of(d, "mc")
         n = d["n"]
-        return cls(
+        return d.read(
+            cls,
             scm=ScmSpec.from_json_dict(d["scm"]),
-            n=RangeSpec(n["lo"], n["hi"]) if isinstance(n, Mapping) else n,
-            bindings=tuple((k, RangeSpec(v["lo"], v["hi"])) for k, v in d.get("bindings", {}).items()),
-            analysis=_steps_from_json(d["analysis"], "mc.analysis"),
-            reps=d["reps"],
-            master_seed=d["seed"],
+            n=n.read(RangeSpec) if isinstance(n.value, dict) else n.value,
+            bindings=tuple((k, v.read(RangeSpec)) for k, v in d.get("bindings", {}).items()),
+            analysis=tuple(map(step_from_json, d["analysis"])),
+            master_seed=d["seed"].value,
         )
 
     def hash(self) -> str:
@@ -373,13 +362,14 @@ class SamplingPlan:
         check_seed("master_seed", self.master_seed)
 
     @classmethod
-    def from_json_dict(cls, d: Mapping) -> "SamplingPlan":
+    def from_json_dict(cls, d: Doc | Mapping) -> "SamplingPlan":
         """The plan of a config's ``population.sampling`` document."""
+        d = Doc.of(d, "sampling")
         return cls(
-            k=d["k"],
-            reps=d["reps"],
-            analysis=_steps_from_json(d["analysis"], "population.sampling.analysis"),
-            master_seed=d["seed"],
+            k=d["k"].value,
+            reps=d["reps"].value,
+            analysis=tuple(map(step_from_json, d["analysis"])),
+            master_seed=d["seed"].value,
             row_filter=RowFilter.from_json_list(d["filter"]) if "filter" in d else None,
         )
 
@@ -450,6 +440,8 @@ def _run_replicates(plan: McTemplate | SamplingPlan, data_fn, fixed: tuple, work
     """Run replicates ``0 .. plan.reps - 1``: ``data_fn(*fixed, rng, record)`` on
     replicate ``i``'s stream ``rng``, then ``plan.analysis``, in this process or on
     ``workers`` processes, writing replicate ``i`` into row ``i`` of each series."""
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     names = tuple(plan.series_names())
     job = (data_fn, fixed, plan.master_seed, plan.analysis, names)
     reps, workers = plan.reps, min(workers, plan.reps)

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, quantile_type7, spearman
-from .errors import BiaslabError, DataError, ParameterError, ValidationError, expect
+from .errors import BiaslabError, DataError, Doc, ParameterError, ValidationError, expect
 from .regress import FitResult, Formula, check_family, fit, main
 
 _DICHOTOMIZE_KINDS = {"dichotomize_median", "dichotomize_quantile", "dichotomize_threshold"}
@@ -38,6 +38,8 @@ class RecodeRule:
         if self.kind not in _DICHOTOMIZE_KINDS | _ORDINALIZE_KINDS:
             raise ValidationError(f"unknown recode kind {self.kind!r}")
         expect(Real, self.kind, optional=True, p=self.p, threshold=self.threshold)
+        expect(Real, self.kind, **{f"probs[{i}]": q for i, q in enumerate(self.probs)},
+               **{f"cutpoints[{i}]": c for i, c in enumerate(self.cutpoints)})
         if self.kind == "dichotomize_quantile":
             if self.p is None or not (0.0 < self.p < 1.0):
                 raise ValidationError(f"dichotomize_quantile needs p in (0,1), got {self.p}")
@@ -63,16 +65,6 @@ class RecodeRule:
     @property
     def is_dichotomize(self) -> bool:
         return self.kind in _DICHOTOMIZE_KINDS
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "RecodeRule":
-        return cls(
-            kind=d["kind"],
-            p=d.get("p"),
-            threshold=d.get("threshold"),
-            probs=tuple(d.get("probs", ())),
-            cutpoints=tuple(d.get("cutpoints", ())),
-        )
 
 
 _TRANSFORM_KINDS = {
@@ -115,28 +107,20 @@ class TransformRule:
             if self.lo is None or self.hi is None or not (self.lo < self.hi):
                 raise ValidationError(f"window needs lo < hi, got ({self.lo}, {self.hi})")
 
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "TransformRule":
-        return cls(
-            kind=d["kind"],
-            c=d.get("c"),
-            exponent=d.get("exponent"),
-            pad_lo=d.get("pad_lo", 0.0),
-            pad_hi=d.get("pad_hi", 0.0),
-            lo=d.get("lo"),
-            hi=d.get("hi"),
-        )
+
+def rule_from_json(d: Doc | Mapping) -> "RecodeRule | TransformRule":
+    """A transformation or recode rule document."""
+    d = Doc.of(d, "rule")
+    if d["kind"].want(str) in _TRANSFORM_KINDS:
+        return d.read(TransformRule)
+    return d.read(RecodeRule, probs=tuple(d.get("probs", []).want(list)),
+                  cutpoints=tuple(d.get("cutpoints", []).want(list)))
 
 
-def rule_from_json(d: Mapping) -> "RecodeRule | TransformRule":
-    if d.get("kind") in _TRANSFORM_KINDS:
-        return TransformRule.from_json_dict(d)
-    return RecodeRule.from_json_dict(d)
-
-
-def rules_from_json(spec: "Mapping | Sequence[Mapping]") -> tuple:
+def rules_from_json(spec: "Doc | Mapping | Sequence[Mapping]") -> tuple:
     """One rule document, or a list of them applied left to right."""
-    return tuple(rule_from_json(r) for r in (spec if isinstance(spec, list) else [spec]))
+    spec = Doc.of(spec, "rule")
+    return tuple(map(rule_from_json, spec if isinstance(spec.value, list) else [spec]))
 
 
 def dichotomize(values: np.ndarray, rule: RecodeRule, name: str = "values") -> np.ndarray:
@@ -265,9 +249,9 @@ class AttenuationVariant:
         return self.rule if isinstance(self.rule, tuple) else (self.rule,)
 
     @classmethod
-    def from_json_dict(cls, d: Mapping) -> "AttenuationVariant":
-        return cls(label=d["label"], target=d["target"], rule=rules_from_json(d["rule"]),
-                   family=d.get("family"))
+    def from_json_dict(cls, d: Doc | Mapping) -> "AttenuationVariant":
+        d = Doc.of(d, "variant")
+        return d.read(cls, rule=rules_from_json(d["rule"]))
 
 
 @dataclass(frozen=True)

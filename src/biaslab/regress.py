@@ -117,8 +117,8 @@ class Formula:
     @classmethod
     def parse(cls, text: str) -> "Formula":
         """Parse ``Y ~ X + Z + X:Z + X^2``; ``Y ~ 1`` is intercept-only."""
-        if "~" not in text:
-            raise ValidationError(f"formula needs '~': {text!r}")
+        if not isinstance(text, str) or "~" not in text:
+            raise ValidationError(f"formula must be a string with '~', got {text!r}")
         lhs, rhs = text.split("~", 1)
         response = lhs.strip()
         if not response.isidentifier():

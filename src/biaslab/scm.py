@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, ParameterError, ValidationError, expect
+from .errors import DataError, Doc, ParameterError, ValidationError, expect
 
 Value = float | str  # str = placeholder name, bound by bind_spec
 
@@ -75,6 +75,8 @@ class SourceSpec:
     params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
+        expect(str, "source", name=self.name, kind=self.kind)
+        expect(dict, f"source {self.name!r}", params=self.params)
         if self.kind not in _SOURCE_KINDS:
             raise ValidationError(f"unknown source kind {self.kind!r}")
         missing = [k for k in _SOURCE_KINDS[self.kind] if k not in self.params]
@@ -82,6 +84,8 @@ class SourceSpec:
             raise ValidationError(f"source {self.name!r} ({self.kind}) missing params {missing}")
         if self.kind == "pattern":
             values = self.params["values"]
+            if not isinstance(values, (list, tuple)):
+                raise ValidationError(f"source {self.name!r}: values must be a list, got {values!r}")
             expect(Real, f"source {self.name!r}", **{f"values[{i}]": v for i, v in enumerate(values)})
         object.__setattr__(self, "params", dict(self.params))
 
@@ -133,6 +137,7 @@ class EquationSpec:
     group_error: GroupError | None = None
 
     def __post_init__(self):
+        expect(str, "equation", target=self.target)
         object.__setattr__(self, "linear", tuple((s, c) for s, c in self.linear))
         object.__setattr__(self, "interactions", tuple((a, b, c) for a, b, c in self.interactions))
         object.__setattr__(self, "squares", tuple((s, c) for s, c in self.squares))
@@ -192,7 +197,7 @@ class ScmSpec:
             if eq.target in defined:
                 raise ValidationError(f"duplicate column {eq.target!r}")
             for ref in eq.references():
-                if ref not in defined:
+                if not isinstance(ref, str) or ref not in defined:
                     raise ValidationError(
                         f"equation {eq.target!r} references {ref!r} before it is defined "
                         "(cyclic or unknown name)"
@@ -209,37 +214,36 @@ class ScmSpec:
         return not (self._placeholders or isinstance(self.n, str))
 
     @classmethod
-    def from_json_dict(cls, d: Mapping) -> "ScmSpec":
-        def err(e: Mapping) -> ErrorTerm:
-            return ErrorTerm(e.get("coef", 1.0), e.get("mean", 0.0), e.get("sd", 1.0))
+    def from_json_dict(cls, d: Doc | Mapping) -> "ScmSpec":
+        """The spec of a config's ``scm`` document; each error names its path."""
+        d = Doc.of(d, "scm")
 
-        try:
-            sources = tuple(
-                SourceSpec(s["name"], s["kind"], s.get("params", {})) for s in d["sources"]
-            )
-            equations = []
-            for e in d.get("equations", []):
-                equations.append(
-                    EquationSpec(
-                        target=e["target"],
-                        intercept=e.get("intercept", 0.0),
-                        linear=tuple((s, c) for s, c in e.get("linear", [])),
-                        interactions=tuple((a, b, c) for a, b, c in e.get("interactions", [])),
-                        squares=tuple((s, c) for s, c in e.get("squares", [])),
-                        error=err(e["error"]) if "error" in e else None,
-                        group_error=(
-                            GroupError(
-                                e["group_error"]["by"],
-                                {int(k): err(v) for k, v in e["group_error"]["levels"].items()},
-                            )
-                            if "group_error" in e
-                            else None
-                        ),
-                    )
-                )
-            return cls(n=d["n"], sources=sources, equations=tuple(equations))
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed scm spec: {exc}") from exc
+        def err(e: Doc) -> ErrorTerm:
+            return e.read(ErrorTerm, scale_coef=e.get("coef", 1.0).value)
+
+        def terms(e: Doc, key: str, width: int) -> tuple:
+            """The lists in ``e[key]``, each of ``width`` items: column names, then a coefficient."""
+            items = e.get(key, [])
+            for t in items:
+                if len(t.want(list)) != width:
+                    raise t.error(f"must list {width - 1} column name(s) and a coefficient, "
+                                  f"got {t.value!r}")
+            return tuple(map(tuple, items.value))
+
+        def group_error(g: Doc) -> GroupError:
+            for k, v in g["levels"].items():
+                if not str(k).removeprefix("-").isdecimal():
+                    raise v.error(f"level {k!r} must be an integer")
+            return g.read(GroupError, levels={int(k): err(v) for k, v in g["levels"].items()})
+
+        sources = [s.read(SourceSpec) for s in d["sources"]]
+        equations = [
+            e.read(EquationSpec, linear=terms(e, "linear", 2), interactions=terms(e, "interactions", 3),
+                   squares=terms(e, "squares", 2), error=err(e["error"]) if "error" in e else None,
+                   group_error=group_error(e["group_error"]) if "group_error" in e else None)
+            for e in d.get("equations", [])
+        ]
+        return d.read(cls, sources=sources, equations=equations)
 
 
 def bind_spec(spec: ScmSpec, values: Mapping[str, float], n: int) -> ScmSpec:
@@ -338,9 +342,21 @@ class CorrTarget:
         object.__setattr__(self, "sds", sds)
 
     @classmethod
-    def from_json_dict(cls, d: Mapping) -> "CorrTarget":
-        return cls(names=d["names"], corr=d["corr"], means=d.get("means"), sds=d.get("sds"),
-                   empirical_exact=bool(d.get("empirical_exact", True)))
+    def from_json_dict(cls, d: Doc | Mapping) -> "CorrTarget":
+        """The target of a config's ``corr`` document; each error names its path."""
+        d = Doc.of(d, "corr")
+        names = d["names"].want(list)
+
+        def numbers(v: Doc) -> list:
+            if len(v.want(list)) != len(names):
+                raise v.error(f"must hold {len(names)} numbers, one per name, got {v.value!r}")
+            return [x.want(Real) for x in v]
+
+        means, sds = d.get("means"), d.get("sds")
+        return d.build(cls, names=names, corr=[numbers(r) for r in d["corr"]],
+                       means=None if means.value is None else numbers(means),
+                       sds=None if sds.value is None else numbers(sds),
+                       empirical_exact=d.get("empirical_exact", True).want(bool))
 
 
 def mvn_exact(target: CorrTarget, n: int, rng: np.random.Generator) -> Dataset:

@@ -534,14 +534,29 @@ def _mutated(draw):
 @settings(max_examples=300, deadline=None)
 @given(doc=_mutated(), command=st.sampled_from(("run", "mc")), flag=st.sampled_from(([], ["--seed", "3"])))
 def test_mutated_catalog_configs_exit_cleanly(doc, command, flag):
+    err = io.StringIO()
     with tempfile.TemporaryDirectory() as root:
         path = os.path.join(root, "cfg.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 rc = cli_main([command, "--config", path, "--reps", "2", *flag,
                                "--out", os.path.join(root, "out")])
     event(f"exit {rc}")
     assert rc in (0, 2, 3, 4)
+    # a refusal comes from an explicit check, never from a leaked Python error
+    leaked = re.search(r"malformed|KeyError|TypeError|ValueError|AttributeError", err.getvalue())
+    assert rc != 2 or not leaked, err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["run", "mc"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_fewer_than_one_thread_exits_2(tmp_path, capsys, command, threads):
+    out = tmp_path / "out"
+    rc = cli_main([command, "--catalog", "entry8-collider-pp-mc", "--reps", "2", "--threads", threads,
+                   "--out", str(out)])
+    assert rc == 2
+    assert f"validation error: --threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from biaslab.catalog import catalog_config
 from biaslab.cli import main as cli_main
 from biaslab.config import parse_config, run_scenario
 from biaslab.errors import ValidationError
+from biaslab.regress import Formula
+from biaslab.scm import ScmSpec
 
 _ERR = {"coef": 1.0, "mean": 0.0, "sd": 1.0}
 _SCM = {
@@ -310,7 +313,7 @@ def test_step_without_a_required_key_exits_2_naming_its_path(tmp_path, capsys, c
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(doc))
     assert cli_main(["run", "--config", str(p), "--reps", "2", "--out", str(tmp_path / "out")]) == 2
-    assert f"validation error: {path}: malformed (KeyError: '{key}')" in capsys.readouterr().err
+    assert f"validation error: {path}.{key}: required" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -378,3 +381,117 @@ def test_sampling_loop_that_cannot_run_or_clashes_exits_2(tmp_path, capsys, case
     assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
     assert f"validation error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _edited(ident: str, edit) -> dict:
+    """Catalog scenario ``ident`` after ``edit(doc)``."""
+    doc = catalog_config(ident)
+    edit(doc)
+    return doc
+
+
+def _refusal(tmp_path, capsys, doc) -> str:
+    """The stderr of ``biaslab run`` on ``doc``, which exits 2 before it writes anything."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(p), "--reps", "2", "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    return capsys.readouterr().err
+
+
+_LEAKED = re.compile(r"malformed|KeyError|TypeError|ValueError|AttributeError")
+_POP = "entry5-sampling-high-pea"
+
+
+def _filter(doc: dict) -> dict:
+    return doc["population"]["sampling"]["filter"][0]
+
+
+# a field whose error named no path, or only Python's own error, and the path it now names
+_COLLIDER = "entry8-collider-pp-mc"
+_UNNAMED = {
+    "binding-without-hi": (_edited(_COLLIDER, lambda d: d["mc"]["bindings"].update(b_xc={"lo": 1})),
+                           "mc.bindings.b_xc.hi: required"),
+    "n-range-string": (_edited(_COLLIDER, lambda d: d["mc"].update(n={"lo": 5, "hi": "x"})), "mc.n: "),
+    "bindings-list": (_edited(_COLLIDER, lambda d: d["mc"].update(bindings=[])), "mc.bindings: "),
+    "source-param-list": (_edited(_COLLIDER, lambda d: d["mc"]["scm"]["sources"][0]["params"].update(sd=[])),
+                          "mc.scm: "),
+    "filter-without-op": (_edited(_POP, lambda d: _filter(d).pop("op")),
+                          "population.sampling.filter[0].op: required"),
+    "mc-not-an-object": (_edited(_COLLIDER, lambda d: d.update(mc=True)), "mc: must be an object, got True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNNAMED))
+def test_malformed_field_exits_2_naming_its_path(tmp_path, capsys, case):
+    doc, path = _UNNAMED[case]
+    err = _refusal(tmp_path, capsys, doc)
+    assert f"validation error: {path}" in err
+    assert not _LEAKED.search(err), err
+
+
+# a value that used to be coerced and run, and the error that now refuses it
+_COERCED = {
+    "corr-empirical-exact-string": (
+        _edited("entry3-collinearity-none", lambda d: d["corr"].update(empirical_exact="false")),
+        "corr.empirical_exact: must be true or false, got 'false'"),
+    "where-value-bool": (
+        _edited("entry9-moderated", lambda d: d["analyses"][2]["where"][0].update(value=True)),
+        "analyses[2].where[0].value: must be a number, got True"),
+    "where-value-string": (
+        _edited("entry9-moderated", lambda d: d["analyses"][2]["where"][0].update(value="0.5")),
+        "analyses[2].where[0].value: must be a number, got '0.5'"),
+    "filter-value-bool": (_edited(_POP, lambda d: _filter(d).update(value=True)),
+                          "population.sampling.filter[0].value: must be a number, got True"),
+    "iv-allow-weak-string": (
+        _edited("entry11-iv-valid", lambda d: d["analyses"][0].update(allow_weak="no")),
+        "analyses[0].allow_weak: must be true or false, got 'no'"),
+    "iv-step-allow-weak-number": (
+        _edited("entry11-iv-valid-mc", lambda d: d["mc"]["analysis"][1].update(allow_weak=1)),
+        "mc.analysis[1].allow_weak: must be true or false, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COERCED))
+def test_value_of_the_wrong_type_is_refused_not_coerced(tmp_path, capsys, case):
+    doc, message = _COERCED[case]
+    assert f"validation error: {message}" in _refusal(tmp_path, capsys, doc)
+
+
+# an output that takes no format (each always writes one), given a format
+_FIXED_FORMAT = {
+    "mc_summary-csv": ("entry8-collider-pp-mc", {"what": "mc_summary:bxy_adj", "format": "csv"}, "json"),
+    "mc-json": ("entry8-collider-pp-mc", {"what": "mc", "format": "json"}, "csv"),
+    "dataset-json": ("entry1-linearity", {"what": "dataset", "format": "json"}, "csv"),
+    "histogram-json": ("entry1-linearity", {"what": "histogram:Y:5", "format": "json"}, "csv"),
+    "scatter-csv": ("entry1-linearity", {"what": "scatter:X:Y", "format": "csv"}, "csv"),
+    "fitted_line-json": ("entry1-linearity", {"what": "fitted_line:linear:X", "format": "json"}, "csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FIXED_FORMAT))
+def test_format_on_an_output_that_takes_none_exits_2(tmp_path, capsys, case):
+    ident, output, always = _FIXED_FORMAT[case]
+    doc = catalog_config(ident)
+    doc["outputs"].append({**output, "path": "extra"})
+    k = len(doc["outputs"]) - 1
+    head = output["what"].partition(":")[0]
+    err = _refusal(tmp_path, capsys, doc)
+    assert (f"validation error: outputs[{k}].format: only analysis outputs take a format; "
+            f"{head!r} is always {always}") in err
+
+
+@pytest.mark.parametrize("ident", ["entry1-linearity", "entry4-outliers", "entry8-collider-pp-mc",
+                                   "entry11-iv-valid-mc", "entry13-response-measurement"])
+def test_parse_then_run_builds_each_scenario_once(monkeypatch, ident):
+    calls = Counter()
+    for cls, name in ((ScmSpec, "from_json_dict"), (Formula, "parse")):
+        def counted(*args, _fn=getattr(cls, name), _key=f"{cls.__name__}.{name}", **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    cfg = parse_config(_edited(ident, lambda d: d.get("mc", {}).update(reps=2)))
+    built = Counter(calls)
+    assert built["ScmSpec.from_json_dict"] == 1
+    run_scenario(cfg)
+    assert calls == built

@@ -12,7 +12,7 @@ from biaslab import causal, rng, scm
 from biaslab.catalog import collider_template, iv_template
 from biaslab.causal import Condition, RowFilter
 from biaslab.data import Dataset
-from biaslab.errors import DataError, ValidationError
+from biaslab.errors import DataError, ParameterError, ValidationError
 from biaslab.mc import (
     BalanceStep,
     FitStep,
@@ -366,6 +366,11 @@ class TestRunMc:
         b = run_mc(small_template(), workers=2)
         assert same_columns(a.columns, b.columns)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_refused(self, workers):
+        with pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
+            run_mc(small_template(), workers=workers)
+
     def test_adding_reps_preserves_earlier_replicates(self):
         short = run_mc(small_template(reps=10))
         long = run_mc(small_template(reps=20))
@@ -453,6 +458,12 @@ class TestRepeatedSamples:
         a = repeated_samples(pop, plan)
         b = repeated_samples(pop, plan, workers=2)
         assert same_columns(a.columns, b.columns)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_refused(self, workers):
+        plan = SamplingPlan(k=50, reps=3, analysis=(), master_seed=9)
+        with pytest.raises(ParameterError, match=f"workers must be >= 1, got {workers}"):
+            repeated_samples(self._population(), plan, workers=workers)
 
 
 def pickled_bytes(monkeypatch) -> list[int]:
