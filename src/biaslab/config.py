@@ -16,7 +16,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from numbers import Integral, Real
+from numbers import Real
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -31,7 +31,7 @@ from .causal import (
     subgroup_effect,
 )
 from .data import Dataset, balance_diff, pearson, spearman, summarize, write_csv
-from .errors import BiaslabError, Doc, ValidationError, expect
+from .errors import BiaslabError, Doc, ValidationError, expect, expect_count
 from .measure import AttenuationVariant, apply_rules, attenuation_report, rules_from_json
 from .regress import FitResult, Formula, check_family, collinearity_diagnostics, fit, predict
 from .rng import check_seed, derive_substream
@@ -43,10 +43,11 @@ _GEN_KINDS = ("scm", "corr", "population", "mc")
 class ScenarioConfig:
     """A validated scenario: id, seed, one generator, analyses, outputs.
 
-    ``generate`` and ``runners`` are the generator and the analyses, built
-    once by :func:`parse_config`: ``generate(flag, workers) -> (dataset, mc
-    result)`` resolves its seeds at each call, and runner ``k`` maps ``(data,
-    rng)`` to ``(artifact, data seen by later analyses)``.
+    ``generate``, ``runners`` and ``writers`` are built once by
+    :func:`parse_config`: ``generate(flag, workers) -> (dataset, mc result)``
+    resolves its seeds at each call, runner ``k`` maps ``(data, rng)`` to
+    ``(artifact, data seen by later analyses)``, and writer ``k`` is output
+    ``k``'s ``(path, source, write)``, the last two from :func:`_output`.
     """
 
     id: str
@@ -57,6 +58,7 @@ class ScenarioConfig:
     outputs: tuple[dict, ...]
     generate: Callable = field(compare=False, repr=False)
     runners: tuple[Callable, ...] = field(compare=False, repr=False)
+    writers: tuple[tuple[str, "str | None", Callable], ...] = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         d: dict = {"id": self.id}
@@ -131,7 +133,7 @@ def _build_generator(
         return run, [], ["i", "N", *template.series_names()]
     if kind == "corr":
         target, n = CorrTarget.from_json_dict(gen), gen["n"].value
-        expect(Integral, "corr", n=n)
+        expect_count("corr", n=n)
         return (lambda flag, workers: (mvn_exact(target, n, derive_substream(data_seed(flag), 0)), None),
                 list(target.names), [])
     spec = ScmSpec.from_json_dict(gen["scm"] if kind == "population" else gen)
@@ -353,16 +355,19 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
         analyses.append(a.value)
         runners.append(run)
 
-    outputs = []
-    seen_paths: set[str] = set()
+    outputs, writers, seen = [], [], []
     analysis_kinds = {a["name"]: a["kind"] for a in analyses}
     for o in root.get("outputs", []):
-        path = o["path"].want(str)
-        if path in seen_paths:
-            raise o["path"].error(f"duplicate output path {path!r}")
-        seen_paths.add(path)
-        _check_output(o, kind, analysis_kinds, defined, series)
+        path = o["path"]
+        parts = path.want(str).split("/")
+        if os.path.isabs(path.value) or ".." in parts or parts[-1] in ("", ".") or "\0" in path.value:
+            raise path.error(f"must name a file inside --out, with no '..', got {path.value!r}")
+        seen.append(os.path.normpath(path.value) + "/")
+        clash = [p for p in seen[:-1] if p.startswith(seen[-1]) or seen[-1].startswith(p)]
+        if clash:  # one file written twice, or one name needed as a file and as a directory
+            raise path.error(f"output path {path.value!r} collides with {clash[0][:-1]!r}")
         outputs.append(dict(o.value))
+        writers.append((path.value, *_output(o, kind, analysis_kinds, defined, series)))
 
     return ScenarioConfig(
         id=ident.value,
@@ -373,6 +378,7 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
         outputs=tuple(outputs),
         generate=generate,
         runners=tuple(runners),
+        writers=tuple(writers),
     )
 
 
@@ -380,54 +386,83 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
 _FIT_KINDS = ("fit", "moderated_fit", "subgroup", "outlier_fit")
 
 
-def _check_output(
+def _output(
     o: Doc, gen_kind: str, analyses: Mapping[str, str], columns: set[str], series: list[str]
-) -> None:
-    """Reject an output that could not be written, before anything runs.
+) -> tuple["str | None", Callable]:
+    """Check an output before anything runs, and bind its writer.
 
+    Returns the analysis whose failure skips the output (None if none can)
+    and ``write(path, data, mc_result, artifacts, default_format)``.
     ``columns`` are the dataset's columns after every analysis has run, and
     ``series`` the names an MC result answers to."""
-    what = o["what"]
+    what, fmt = o["what"], o.get("format")
     head, _, rest = what.want(str).partition(":")
+    first, _, second = rest.partition(":")
     if head not in ("dataset", "analysis", "mc", "mc_summary", "histogram", "scatter", "fitted_line"):
         raise what.error(f"unknown output kind {what.value!r}")
     if head == "analysis" and rest not in analyses:
         raise what.error(f"output references unknown analysis {rest!r}")
-    fit_name = rest.partition(":")[0]
-    if head == "fitted_line" and analyses.get(fit_name) not in _FIT_KINDS:
-        raise what.error(f"fitted_line needs a declared fit, got {fit_name!r}")
+    if head == "fitted_line" and analyses.get(first) not in _FIT_KINDS:
+        raise what.error(f"fitted_line needs a declared fit, got {first!r}")
     if head in ("mc", "mc_summary") and gen_kind not in ("mc", "population"):
         raise what.error(f"output {head!r} requires an mc or population scenario")
     if head in ("dataset", "scatter", "fitted_line") and gen_kind == "mc":
         raise what.error(f"output {head!r} requires a dataset scenario")
+    if head in ("dataset", "mc") and what.value != head:
+        raise what.error(f"output {head!r} takes no argument, got {what.value!r}")
     if head == "histogram":
-        name, _, bins = rest.partition(":")
         try:
-            nbins = int(bins)
+            nbins = int(second)
         except ValueError:
-            raise what.error(f"histogram bins must be an integer, got {bins!r}") from None
-        if nbins < 1:
-            raise what.error(f"histogram bins must be >= 1, got {nbins}")
-        reads = [name]
-    else:
-        first, _, second = rest.partition(":")
-        reads = {"scatter": [first, second], "fitted_line": [second], "mc_summary": [rest]}.get(head, [])
-        if head == "scatter" and first == second:  # a dataset holds one column per name
-            raise what.error(f"scatter needs two different columns, got {what.value!r}")
+            raise what.error(f"histogram bins must be an integer, got {second!r}") from None
+        if not 1 <= nbins < 2**63:
+            raise what.error(f"histogram bins must be in [1, 2^63), got {nbins}")
+    if head == "scatter" and first == second:  # a dataset holds one column per name
+        raise what.error(f"scatter needs two different columns, got {what.value!r}")
     # a histogram of an mc or population scenario, like a summary, reads a series
-    if head == "mc_summary" or (head == "histogram" and gen_kind in ("mc", "population")):
-        known, noun = series, "series"
-    else:
-        known, noun = columns, "column"
-    for name in reads:
+    in_series = head == "mc_summary" or (head == "histogram" and gen_kind in ("mc", "population"))
+    known, noun = (series, "series") if in_series else (columns, "column")
+    reads = {"histogram": [first], "scatter": [first, second], "fitted_line": [second], "mc_summary": [rest]}
+    for name in reads.get(head, []):
         if name not in known:
             raise what.error(f"unknown {noun} {name!r}; have {sorted(known)}")
-    fmt = o.get("format")
     if fmt.value is not None and head != "analysis":
         raise fmt.error(f"only analysis outputs take a format; {head!r} is always "
                         f"{'json' if head == 'mc_summary' else 'csv'}")
     if fmt.value not in (None, "csv", "json"):
         raise fmt.error(f"must be csv or json, got {fmt.value!r}")
+
+    # each writer looks up the mc_mod functions it calls when it runs
+    if head == "dataset":
+        return None, lambda path, data, *_: write_csv(data, path)
+    if head == "mc":
+        return None, lambda path, data, mc_result, *_: mc_mod.write_mc_csv(mc_result, path)
+    if head == "scatter":
+        return None, lambda path, data, *_: write_csv(Dataset({n: data[n] for n in (first, second)}), path)
+    if head == "mc_summary":
+        return None, lambda path, data, mc_result, *_: _write_artifact(
+            path, mc_mod.summarize_series(mc_result, rest), "json")
+    if head == "analysis":
+        return rest, lambda path, data, mc_result, artifacts, default_format: _write_artifact(
+            path, artifacts[rest], fmt.value or default_format)
+
+    if head == "histogram":
+        def histogram(path, data, mc_result, *_):
+            bins = (mc_mod.histogram(mc_result, first, nbins) if mc_result is not None
+                    else mc_mod.value_histogram(data[first], first, nbins))
+            _write_rows(path, ["lo", "hi", "count"], bins)
+        return None, histogram
+
+    def fitted_line(path, data, mc_result, artifacts, _):
+        fit_res, x = artifacts[first], data[second]
+        grid = {second: np.linspace(float(np.nanmin(x)), float(np.nanmax(x)), 100)}
+        # other variables in the formula are held at their means
+        for v in fit_res.formula.variables()[1:]:
+            if v != second:
+                grid[v] = np.full(100, float(np.nanmean(data[v])))
+        write_csv(Dataset({second: grid[second], "fitted": predict(fit_res, Dataset(grid))}), path)
+
+    return first, fitted_line
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -478,14 +513,12 @@ def run_scenario(
     skipped: dict[str, str] = {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        for o in cfg.outputs:
-            path = os.path.join(out_dir, o["path"])
-            head, _, rest = o["what"].partition(":")
-            source = rest.partition(":")[0] if head == "fitted_line" else rest
-            if head in ("analysis", "fitted_line") and source in errors:
+        for rel, source, write in cfg.writers:
+            path = os.path.join(out_dir, rel)
+            if source in errors:
                 skipped[path] = source
                 continue
-            _write_output(o, path, working, mc_result, artifacts, default_format)
+            _write_output(write, path, working, mc_result, artifacts, default_format)
             files.append(path)
     return ScenarioRun(
         config=cfg,
@@ -522,68 +555,34 @@ def _json_value(value: Any) -> Any:
     return value
 
 
-def _artifact_csv_rows(artifact: Any) -> tuple[list[str], list[list]]:
-    if hasattr(artifact, "csv_rows"):
-        return artifact.csv_rows()
-    return ["field", "value"], [[k, json.dumps(v)] for k, v in artifact_json(artifact).items()]
+def _write_rows(path: str, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def _write_artifact(path: str, artifact: Any, fmt: str) -> None:
+    """An artifact as CSV rows (its own ``csv_rows``, or one row per JSON
+    field) or, for any ``fmt`` but csv, as JSON."""
+    if fmt != "csv":
+        with open(path, "w") as fh:
+            json.dump(artifact_json(artifact), fh, indent=2)
+            fh.write("\n")
+    elif hasattr(artifact, "csv_rows"):
+        _write_rows(path, *artifact.csv_rows())
+    else:
+        _write_rows(path, ["field", "value"], [[k, json.dumps(v)] for k, v in artifact_json(artifact).items()])
 
 
 def _write_output(
-    o: Mapping,
+    write: Callable,
     path: str,
     data: Dataset | None,
     mc_result: "mc_mod.McResult | None",
     artifacts: dict[str, Any],
     default_format: str,
 ) -> None:
-    what = o["what"]
-    head, _, rest = what.partition(":")
+    """Write one declared output with the writer :func:`_output` bound."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    if head == "dataset":
-        write_csv(data, path)
-        return
-    if head == "mc":
-        mc_mod.write_mc_csv(mc_result, path)
-        return
-    if head == "histogram":
-        series, _, nbins = rest.partition(":")
-        if mc_result is not None:
-            bins = mc_mod.histogram(mc_result, series, int(nbins))
-        else:
-            bins = mc_mod.value_histogram(data[series], series, int(nbins))  # type: ignore[index]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lo", "hi", "count"])
-            w.writerows([[repr(lo), repr(hi), c] for lo, hi, c in bins])
-        return
-    if head == "scatter":
-        xname, _, yname = rest.partition(":")
-        write_csv(Dataset({xname: data[xname], yname: data[yname]}), path)  # type: ignore[index]
-        return
-    if head == "fitted_line":
-        fit_name, _, xname = rest.partition(":")
-        fit_res = artifacts[fit_name]
-        x = data[xname]  # type: ignore[index]
-        grid = {xname: np.linspace(float(np.nanmin(x)), float(np.nanmax(x)), 100)}
-        # other variables in the formula are held at their means
-        for v in fit_res.formula.variables()[1:]:
-            if v != xname:
-                grid[v] = np.full(100, float(np.nanmean(data[v])))  # type: ignore[index]
-        yhat = predict(fit_res, Dataset(grid))
-        write_csv(Dataset({xname: grid[xname], "fitted": yhat}), path)
-        return
-    if head == "mc_summary":
-        artifact, chosen = mc_mod.summarize_series(mc_result, rest), "json"
-    else:
-        artifact, chosen = artifacts[rest], o.get("format") or default_format
-    if chosen == "csv":
-        header, rows = _artifact_csv_rows(artifact)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    else:
-        with open(path, "w") as fh:
-            json.dump(artifact_json(artifact), fh, indent=2)
-            fh.write("\n")
+    write(path, data, mc_result, artifacts, default_format)

@@ -41,6 +41,15 @@ def expect(kind: type, owner: str, /, optional: bool = False, **fields: object) 
             raise ValidationError(f"{owner}: {name} must be {_NOUNS[kind]}, got {value!r}")
 
 
+def expect_count(owner: str, /, **counts: object) -> None:
+    """Raise ``ValidationError`` naming the first of ``counts`` that is not an
+    integer in [1, 2^63), the sizes that numpy can take."""
+    expect(Integral, owner, **counts)
+    for name, v in counts.items():
+        if not 1 <= v < 2**63:  # type: ignore[operator]
+            raise ValidationError(f"{owner}: {name} must be {'>= 1' if v < 1 else '< 2^63'}, got {v}")
+
+
 class Doc:
     """A JSON value and its path in a config document, such as ``mc.bindings``.
 

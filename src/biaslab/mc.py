@@ -24,14 +24,14 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
-from numbers import Integral, Real
+from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .causal import _OPS, _holds, iv_wald, RowFilter
 from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantile_type7
-from .errors import BiaslabError, DataError, Doc, ParameterError, ValidationError, expect
+from .errors import BiaslabError, DataError, Doc, ParameterError, ValidationError, expect, expect_count
 from .regress import Formula, _special, fit, fit_ols, fit_terms
 from .rng import check_seed, derive_substream, sample_indices
 from .scm import ScmSpec, bind_spec, evaluate_scm
@@ -195,12 +195,9 @@ def _step_names(analysis: Sequence[AnalysisStep]) -> list[str]:
 
 def _check_loop(owner: str, analysis: Sequence[AnalysisStep], taken: Sequence[str], **counts) -> None:
     """Refuse a replicate loop that cannot run or whose series would clash: each
-    of ``counts`` must be an integer >= 1, and each recorded series name must be
-    new, neither ``i``, ``N`` nor one of ``taken``."""
-    expect(Integral, owner, **counts)
-    for name, v in counts.items():
-        if v < 1:
-            raise ValidationError(f"{owner}: {name} must be >= 1, got {v}")
+    of ``counts`` must be an integer in [1, 2^63), and each recorded series
+    name must be new, neither ``i``, ``N`` nor one of ``taken``."""
+    expect_count(owner, **counts)
     reserved = {"i", "N", *taken}
     for name in _step_names(analysis):
         if name in reserved:

@@ -305,44 +305,33 @@ def attenuation_report(
     test statistic and its square.  A failing variant is recorded and the
     remaining rows still compute.
     """
-    rows: list[AttenuationRow] = []
+    xbase, ybase = data[x], data[y]
 
-    def run(label: str, xv: np.ndarray, yv: np.ndarray, family: str | None):
+    def row(label: str, family: str | None, v: AttenuationVariant | None = None) -> AttenuationRow:
         try:
+            xv, yv = xbase, ybase
+            if v is not None and v.target == "x":
+                xv = apply_rules(xbase, v.rules(), x)
+            elif v is not None:
+                yv = apply_rules(ybase, v.rules(), y)
             fam = family or choose_family(yv)
             ds = Dataset({"x": xv, "y": yv})
             rho = spearman(xv, yv)
             f: FitResult = fit(ds, Formula("y", (main("x"),)), family=fam)
             stat = f.stat_of("x")
-            rows.append(
-                AttenuationRow(
-                    label=label,
-                    spearman=rho,
-                    slope=f.coef("x"),
-                    se=f.se_of("x"),
-                    stat=stat,
-                    chisq=stat * stat,
-                    n_used=f.n_used,
-                    family=fam,
-                )
+            return AttenuationRow(
+                label=label,
+                spearman=rho,
+                slope=f.coef("x"),
+                se=f.se_of("x"),
+                stat=stat,
+                chisq=stat * stat,
+                n_used=f.n_used,
+                family=fam,
             )
         except BiaslabError as exc:
-            rows.append(
-                AttenuationRow(label, float("nan"), float("nan"), float("nan"), float("nan"),
-                               float("nan"), 0, family or "?", error=str(exc))
-            )
+            return AttenuationRow(label, float("nan"), float("nan"), float("nan"), float("nan"),
+                                  float("nan"), 0, family or "?", error=str(exc))
 
-    xbase, ybase = data[x], data[y]
-    run("baseline", xbase, ybase, None)
-    for v in variants:
-        try:
-            if v.target == "x":
-                run(v.label, apply_rules(xbase, v.rules(), x), ybase, v.family)
-            else:
-                run(v.label, xbase, apply_rules(ybase, v.rules(), y), v.family)
-        except BiaslabError as exc:
-            rows.append(
-                AttenuationRow(v.label, float("nan"), float("nan"), float("nan"), float("nan"),
-                               float("nan"), 0, v.family or "?", error=str(exc))
-            )
+    rows = [row("baseline", None)] + [row(v.label, v.family, v) for v in variants]
     return AttenuationReport(tuple(rows))

@@ -25,19 +25,13 @@ from .errors import DataError, Doc, ParameterError, ValidationError, expect
 
 Value = float | str  # str = placeholder name, bound by bind_spec
 
+# source kind -> (params that hold numbers, and may therefore hold placeholder
+# names; its other params)
 _SOURCE_KINDS = {
-    "normal": ("mean", "sd"),
-    "uniform_int": ("lo", "hi"),
-    "pattern": ("values", "mode", "k"),
-    "clamped_int_normal": ("mean", "sd", "lo", "hi"),
-}
-
-# source params that hold numbers (and may therefore hold placeholder names)
-_NUMERIC_PARAMS = {
-    "normal": ("mean", "sd"),
-    "uniform_int": ("lo", "hi"),
-    "pattern": ("k",),
-    "clamped_int_normal": ("mean", "sd", "lo", "hi"),
+    "normal": (("mean", "sd"), ()),
+    "uniform_int": (("lo", "hi"), ()),
+    "pattern": (("k",), ("values", "mode")),
+    "clamped_int_normal": (("mean", "sd", "lo", "hi"), ()),
 }
 
 
@@ -79,7 +73,7 @@ class SourceSpec:
         expect(dict, f"source {self.name!r}", params=self.params)
         if self.kind not in _SOURCE_KINDS:
             raise ValidationError(f"unknown source kind {self.kind!r}")
-        missing = [k for k in _SOURCE_KINDS[self.kind] if k not in self.params]
+        missing = [k for keys in _SOURCE_KINDS[self.kind] for k in keys if k not in self.params]
         if missing:
             raise ValidationError(f"source {self.name!r} ({self.kind}) missing params {missing}")
         if self.kind == "pattern":
@@ -87,19 +81,29 @@ class SourceSpec:
             if not isinstance(values, (list, tuple)):
                 raise ValidationError(f"source {self.name!r}: values must be a list, got {values!r}")
             expect(Real, f"source {self.name!r}", **{f"values[{i}]": v for i, v in enumerate(values)})
+        if self.kind == "uniform_int":  # a placeholder's value is checked once it is bound
+            for key in ("lo", "hi"):
+                if isinstance(self.params[key], Real):
+                    self._int_bound(key, self.params[key])
         object.__setattr__(self, "params", dict(self.params))
 
+    def _int_bound(self, key: str, v: float) -> int:
+        """``v`` as the ``key`` bound of a uniform_int draw, which numpy takes as an int64."""
+        if not -2**63 <= v < 2**63:
+            raise ValidationError(f"source {self.name!r}: {key} must be in [-2^63, 2^63), got {v!r}")
+        return int(v)
+
     def numbers(self) -> list[Value]:
-        return [self.params[k] for k in _NUMERIC_PARAMS[self.kind]]
+        return [self.params[k] for k in _SOURCE_KINDS[self.kind][0]]
 
     def generate(self, rng: np.random.Generator, n: int, values: Mapping[str, float]) -> np.ndarray:
-        p = {**self.params, **{k: _number(self.params[k], values) for k in _NUMERIC_PARAMS[self.kind]}}
+        p = {**self.params, **{k: _number(self.params[k], values) for k in _SOURCE_KINDS[self.kind][0]}}
         if self.kind == "normal":
             if p["sd"] < 0:
                 raise ValidationError(f"source {self.name!r}: sd must be >= 0")
             return rng.normal(p["mean"], p["sd"], n)
         if self.kind == "uniform_int":
-            lo, hi = int(p["lo"]), int(p["hi"])
+            lo, hi = self._int_bound("lo", p["lo"]), self._int_bound("hi", p["hi"])
             if lo > hi:
                 raise ValidationError(f"source {self.name!r}: lo > hi")
             return rng.integers(lo, hi + 1, size=n).astype(float)
@@ -174,6 +178,8 @@ class ScmSpec:
         object.__setattr__(self, "equations", tuple(self.equations))
         if isinstance(self.n, bool) or not isinstance(self.n, (Integral, str)):
             raise ValidationError(f"n must be an integer or a placeholder name, got {self.n!r}")
+        if not isinstance(self.n, str) and self.n >= 2**63:  # more rows than numpy can hold
+            raise ValidationError(f"n must be < 2^63, got {self.n}")
         self.validate()
         # placeholder names in the sources and equations (``n`` aside), found once
         found: set[str] = set()

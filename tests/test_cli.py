@@ -463,9 +463,10 @@ def test_unrunnable_loop_fails_before_anything_runs(tmp_path, scenario, path, va
 # -- property: a mutated catalog config never escapes as a traceback ----------------
 #
 # Hypothesis (MacIver et al., JOSS 2019) mutates catalog configs and runs each
-# through the command line with --reps 2.  The 500k-row entry5 population is
-# replaced by one population scenario shrunk to 2000 rows, which covers the
-# same population and sampling fields.
+# through the command line with --reps 2: a field dropped or of the wrong type,
+# an unknown column or kind, a bad seed, or a number beyond int64.  The
+# 500k-row entry5 population is replaced by one population scenario shrunk to
+# 2000 rows, which covers the same population and sampling fields.
 
 
 def _small_population() -> dict:
@@ -507,7 +508,7 @@ def _mutated(draw):
     ident = draw(st.sampled_from(sorted(_BASES)))
     doc = json.loads(json.dumps(_BASES[ident]))
     nodes = list(_nodes(doc))
-    how = draw(st.sampled_from(("drop", "wrong_type", "unknown_column", "unknown_kind", "seed")))
+    how = draw(st.sampled_from(("drop", "wrong_type", "unknown_column", "unknown_kind", "seed", "huge")))
     if how == "drop":
         path = draw(st.sampled_from([p for p, _ in nodes if isinstance(p[-1], str)]))
         _set(doc, path, _DROP)
@@ -525,9 +526,12 @@ def _mutated(draw):
     elif how == "unknown_kind":
         path = draw(st.sampled_from([p for p, _ in nodes if p[-1] in ("kind", "what")]))
         _set(doc, path, "nope")
-    else:
+    elif how == "seed":
         slot = draw(st.sampled_from([s for s in _SEED_SLOTS if s[0] in doc]))
         _set(doc, slot, draw(st.sampled_from((-1, 2**64, True, 1.5, "7"))))
+    else:  # a number beyond int64, which numpy refuses as a size or an integer bound
+        path = draw(st.sampled_from([p for p, v in nodes if type(v) in (int, float)]))
+        _set(doc, path, draw(st.sampled_from((2**63, 10**20, -(2**63) - 1))))
     return doc
 
 

@@ -1,13 +1,17 @@
 """Scenario configs: every analysis kind end to end, parse-time validation, docs."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from biaslab import config
 from biaslab.catalog import catalog_config
@@ -481,17 +485,196 @@ def test_format_on_an_output_that_takes_none_exits_2(tmp_path, capsys, case):
             f"{head!r} is always {always}") in err
 
 
+# an integer at or beyond 2^63, which numpy refuses as a size or as an int64
+# bound, and the error that names its field (each escaped as a ValueError)
+_HUGE = 10**20
+_BEYOND_INT64 = {
+    "uniform_int-lo": ({**_scm_config(), "scm": {**_SCM, "sources": [
+        *_SCM["sources"][:2], {"name": "G", "kind": "uniform_int", "params": {"lo": 2**63, "hi": 1}}]}},
+        "scm.sources[2]: source 'G': lo must be in [-2^63, 2^63), got 9223372036854775808"),
+    "uniform_int-hi": ({**_scm_config(), "scm": {**_SCM, "sources": [
+        *_SCM["sources"][:2], {"name": "G", "kind": "uniform_int", "params": {"lo": 0, "hi": 1e20}}]}},
+        "scm.sources[2]: source 'G': hi must be in [-2^63, 2^63), got 1e+20"),
+    "mc.n-range": (_catalog_with(_COLLIDER, "mc", n={"lo": 100, "hi": _HUGE}),
+                   f"mc: n.hi must be < 2^63, got {_HUGE}"),
+    "mc.n": (_catalog_with(_COLLIDER, "mc", n=_HUGE), f"mc: n must be < 2^63, got {_HUGE}"),
+    "scm.n": (_catalog_with("entry1-linearity", "scm", n=_HUGE), f"scm: n must be < 2^63, got {_HUGE}"),
+    "corr.n": (_catalog_with("entry3-collinearity-none", "corr", n=_HUGE),
+               f"corr: n must be < 2^63, got {_HUGE}"),
+    "sampling.k": (_with_sampling(k=2**63), "sampling: k must be < 2^63, got 9223372036854775808"),
+    "histogram-bins": (_edited("entry1-linearity", lambda d: d["outputs"].append(
+        {"what": f"histogram:Y:{_HUGE}", "path": "h.csv"})),
+        f"outputs[4].what: histogram bins must be in [1, 2^63), got {_HUGE}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BEYOND_INT64))
+def test_integer_beyond_int64_exits_2_naming_its_field(tmp_path, capsys, case):
+    doc, message = _BEYOND_INT64[case]
+    err = _refusal(tmp_path, capsys, doc)
+    assert f"validation error: {message}" in err
+    assert not _LEAKED.search(err), err
+
+
+def test_uniform_int_bound_beyond_int64_at_run_time_is_a_replicate_error():
+    doc = _catalog_with(_COLLIDER, "mc", reps=2)
+    doc["mc"]["scm"]["sources"].append({"name": "U", "kind": "uniform_int", "params": {"lo": 0, "hi": "u"}})
+    doc["mc"]["bindings"]["u"] = {"lo": 2**63, "hi": 2**64}
+    result = run_scenario(parse_config(doc)).mc_result
+    assert sorted(result.errors) == [0, 1]
+    for tag in result.errors.values():
+        assert tag.startswith("ValidationError: source 'U': hi must be in [-2^63, 2^63), got "), tag
+
+
+# an output path that would write outside --out, or that names no file or the
+# same file twice (each passed parse time; then some wrote, some ended in exit 4
+# and a NUL byte in a traceback)
+_BAD_PATH = {
+    "absolute": (["fit.json"], "must name a file inside --out"),
+    "parent": (["../x.csv"], "must name a file inside --out, with no '..', got '../x.csv'"),
+    "inner-parent": (["sub/../x.csv"], "must name a file inside --out, with no '..', got 'sub/../x.csv'"),
+    "empty": ([""], "must name a file inside --out, with no '..', got ''"),
+    "directory": (["sub/"], "must name a file inside --out, with no '..', got 'sub/'"),
+    "dot": (["."], "must name a file inside --out, with no '..', got '.'"),
+    "nul": (["a\0.csv"], "must name a file inside --out, with no '..', got 'a\\x00.csv'"),
+    "same-file": (["a.csv", "./a.csv"], "output path './a.csv' collides with 'a.csv'"),
+    "same-file-nested": (["sub/a.csv", "sub//./a.csv"], "output path 'sub//./a.csv' collides with 'sub/a.csv'"),
+    "file-as-directory": (["a", "a/b.csv"], "output path 'a/b.csv' collides with 'a'"),
+    "directory-as-file": (["a/b.csv", "a"], "output path 'a' collides with 'a/b.csv'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_PATH))
+def test_output_path_outside_out_or_twice_exits_2(tmp_path, capsys, case):
+    paths, message = _BAD_PATH[case]
+    if case == "absolute":
+        paths = [str(tmp_path / "elsewhere" / "fit.json")]
+    whats = ["analysis:linear", "dataset"]
+    doc = _edited("entry1-linearity", lambda d: d["outputs"].extend(
+        {"what": w, "path": p} for w, p in zip(whats, paths)))
+    k = 4 + len(paths) - 1
+    err = _refusal(tmp_path, capsys, doc)
+    assert f"validation error: outputs[{k}].path: {message}" in err
+    assert not (tmp_path / "elsewhere").exists() and not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("what", ["dataset:foo", "dataset:", "mc:foo"])
+def test_output_that_takes_no_argument_refuses_one(tmp_path, capsys, what):
+    ident = "entry1-linearity" if what.startswith("dataset") else _COLLIDER
+    doc = _edited(ident, lambda d: d["outputs"].append({"what": what, "path": "extra.csv"}))
+    k = len(doc["outputs"]) - 1
+    head = what.partition(":")[0]
+    err = _refusal(tmp_path, capsys, doc)
+    assert f"validation error: outputs[{k}].what: output {head!r} takes no argument, got {what!r}" in err
+
+
+def test_nested_and_dotted_output_paths_are_joined_as_written(tmp_path, capsys):
+    doc = _edited("entry1-linearity", lambda d: d["outputs"].extend(
+        [{"what": "analysis:linear", "path": "sub/fit.json"}, {"what": "dataset", "path": "./copy.csv"}]))
+    p, out = tmp_path / "cfg.json", tmp_path / "out"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(p), "--out", str(out)]) == 0
+    wrote = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    assert wrote[-2:] == [f"wrote {out}/sub/fit.json", f"wrote {out}/./copy.csv"]
+    assert (out / "sub" / "fit.json").read_text() == (out / "fit_linear.json").read_text()
+    assert (out / "copy.csv").read_text() == (out / "dataset.csv").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+
+
 @pytest.mark.parametrize("ident", ["entry1-linearity", "entry4-outliers", "entry8-collider-pp-mc",
                                    "entry11-iv-valid-mc", "entry13-response-measurement"])
-def test_parse_then_run_builds_each_scenario_once(monkeypatch, ident):
+def test_parse_then_run_builds_each_scenario_once(monkeypatch, tmp_path, ident):
     calls = Counter()
-    for cls, name in ((ScmSpec, "from_json_dict"), (Formula, "parse")):
-        def counted(*args, _fn=getattr(cls, name), _key=f"{cls.__name__}.{name}", **kwargs):
+    for owner, name in ((ScmSpec, "from_json_dict"), (Formula, "parse"), (config, "_output")):
+        def counted(*args, _fn=getattr(owner, name), _key=name, **kwargs):
             calls[_key] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     cfg = parse_config(_edited(ident, lambda d: d.get("mc", {}).update(reps=2)))
     built = Counter(calls)
-    assert built["ScmSpec.from_json_dict"] == 1
-    run_scenario(cfg)
+    assert built["from_json_dict"] == 1
+    assert built["_output"] == len(cfg.outputs) > 0
+    run = run_scenario(cfg, out_dir=str(tmp_path))
     assert calls == built
+    assert len(run.files) == len(cfg.outputs)
+
+
+# -- property: an output that parses is written, and inside --out -------------------
+#
+# Hypothesis draws one to three outputs for a small scm scenario (with an
+# analysis that fails at run time, whose outputs are skipped) or a small mc
+# scenario: a kind, names from the scenario's columns, series and analyses,
+# histogram bins, and a plain, nested or ./ path.  About half the examples
+# then get one fault: another kind, an unknown name, bad bins, an argument for
+# dataset or mc, a format, or an empty, absolute, .., trailing-/ or clashing path.
+
+# base -> (config, {kind: the name pool of each slot of its what})
+_OUT_BASES = {
+    "scm": (_scm_config({"kind": "fit", "name": "f", "formula": "Y ~ X + M"},
+                        {"kind": "summary", "name": "s", "var": "Y"},
+                        {"kind": "fit", "name": "bad", "formula": "Y ~ X", "family": "binomial"}),
+            {"dataset": (), "analysis": (("f", "s", "bad"),), "histogram": (("X", "Y", "M"), "bins"),
+             "scatter": (("X", "Y", "M"),) * 2, "fitted_line": (("f", "bad"), ("X", "M"))}),
+    "mc": (_catalog_with(_COLLIDER, "mc", reps=3, n={"lo": 50, "hi": 60}),
+           {"mc": (), "mc_summary": (("i", "N", "b_xc", "bxy_adj"),),
+            "histogram": (("i", "N", "b_xc", "bxy_adj"), "bins")}),
+}
+_OUT_NAMES = ("X", "Y", "M", "f", "s", "bad", "i", "N", "b_xc", "bxy_adj", "nope")
+_OUT_KINDS = ("dataset", "mc", "analysis", "mc_summary", "histogram", "scatter", "fitted_line", "nope")
+_FAULTS = ("kind", "name", "bins", "argument", "format", "path")
+
+
+@st.composite
+def _outputs(draw, base: str):
+    kinds = _OUT_BASES[base][1]
+
+    def what(kind: str, pools) -> str:
+        args = [draw(st.sampled_from((1, 3, 10) if pool == "bins" else pool)) for pool in pools]
+        return ":".join(map(str, [kind, *args]))
+
+    outputs = []
+    for k in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(sorted(kinds)))
+        form = draw(st.sampled_from(("{}", "sub/{}", "./{}")))
+        outputs.append({"what": what(kind, kinds[kind]), "path": form.format(f"o{k}.csv")})
+    fault = draw(st.sampled_from((None,) * 6 + _FAULTS))
+    o = outputs[draw(st.integers(0, len(outputs) - 1))]
+    other = outputs[0]["path"]
+    if fault == "kind":
+        o["what"] = ":".join([draw(st.sampled_from(_OUT_KINDS)),
+                              *draw(st.lists(st.sampled_from(_OUT_NAMES), max_size=2))])
+    elif fault == "name":
+        o["what"] = o["what"].partition(":")[0] + ":" + draw(st.sampled_from(_OUT_NAMES))
+    elif fault == "bins" and o["what"].startswith("histogram:"):
+        o["what"] = o["what"].rpartition(":")[0] + ":" + str(draw(st.sampled_from((0, -1, "x", 2**63))))
+    elif fault == "argument":
+        o["what"] += ":" + draw(st.sampled_from(_OUT_NAMES))
+    elif fault == "format":
+        o["format"] = draw(st.sampled_from(("csv", "json", "xml")))
+    elif fault == "path":
+        o["path"] = draw(st.sampled_from(("", "{root}/elsewhere/x.csv", "../x.csv", "sub/", "x.csv/",
+                                          "./" + other, other + "/x.csv")))
+    return outputs
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), base=st.sampled_from(sorted(_OUT_BASES)))
+def test_every_output_that_parses_is_written_inside_out(data, base):
+    outputs = data.draw(_outputs(base))
+    with tempfile.TemporaryDirectory() as root:
+        out = os.path.join(root, "out")
+        doc = {**_OUT_BASES[base][0],
+               "outputs": [{**o, "path": o["path"].replace("{root}", root)} for o in outputs]}
+        try:
+            cfg = parse_config(doc)
+        except ValidationError as exc:
+            event("refused")
+            assert re.match(r"outputs\[\d+\]\.(what|path|format): ", str(exc)), exc
+            return
+        event(f"{base}: parsed")
+        run = run_scenario(cfg, out_dir=out)
+        written = {os.path.join(d, f) for d, _, files in os.walk(root) for f in files}
+        assert written == {os.path.normpath(p) for p in run.files}
+        assert all(p.startswith(out + os.sep) for p in written)
+        assert len(run.files) + len(run.skipped_outputs) == len(outputs)
+        assert set(run.skipped_outputs.values()) <= {"bad"}
