@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, listwise_complete
 from .errors import BiaslabError, DataError, Doc, ValidationError, WeakInstrumentError, expect
-from .regress import FitResult, Formula, _least_squares, fit_ols, interaction, main
+from .regress import FitResult, Formula, _design, _least_squares, fit_ols, interaction, main
 
 _OPS = {
     "<": np.less,
@@ -193,10 +193,12 @@ def iv_wald(
         own = [(listwise_complete(data, [v, instrument]).data, (v,)) for v in (y, x)]
         if any(rows.n_rows != complete.n_rows for rows, _ in own):
             groups = own
+    labels = ("(Intercept)", instrument)
     slopes = []
     for rows, responses in groups:
-        _, fits = _least_squares(rows, responses, (main(instrument),), ("(Intercept)", instrument))
-        slopes += [(float(b[1]), float(se[1])) for _, b, _, se in fits]
+        fits = _least_squares(_design(rows, (main(instrument),), labels), labels,
+                              {v: rows[v] for v in responses})
+        slopes += [(float(b[1]), float(se[1])) for b, _, se in fits]
     (b_yin, se_yin), (b_xin, se_xin) = slopes
     weak = abs(b_xin) <= 10.0 * se_xin
     if weak and not allow_weak:

@@ -13,9 +13,10 @@ import os
 import sys
 
 from .catalog import catalog_config, catalog_ids
-from .config import ScenarioConfig, artifact_json, load_config, parse_config, run_scenario
+from .config import (ScenarioConfig, artifact_json, check_out_path, load_config, parse_config,
+                     run_scenario)
 from .data import read_csv
-from .errors import BiaslabError, ValidationError
+from .errors import BiaslabError, Doc, ValidationError
 from .mc import summarize_series, write_mc_csv
 from .regress import FitResult, Formula, fit
 
@@ -122,6 +123,8 @@ def cmd_mc(args) -> int:
     cfg = _load_scenario(args)
     if cfg.generator_kind != "mc":
         raise ValidationError(f"scenario {cfg.id!r} is not an mc template")
+    if args.out:  # the loop is written to <--out>/<id>.csv
+        check_out_path(Doc(f"{cfg.id}.csv", "id"))
     result = run_scenario(cfg, seed=args.seed, workers=args.threads).mc_result
     for series in result.series_names:
         try:

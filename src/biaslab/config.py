@@ -310,6 +310,14 @@ _ANALYSES: dict[str, tuple[tuple[str, ...], Callable[[Doc], _Built]]] = {
 }
 
 
+def check_out_path(path: Doc) -> None:
+    """Refuse a ``path`` that names no file inside the output directory: an
+    absolute one, one with a ``..`` part, an empty or ``.`` last part, or a NUL byte."""
+    parts = path.want(str).split("/")
+    if os.path.isabs(path.value) or ".." in parts or parts[-1] in ("", ".") or "\0" in path.value:
+        raise path.error(f"must name a file inside --out, with no '..', got {path.value!r}")
+
+
 def parse_config(doc: Mapping | str) -> ScenarioConfig:
     """Validate a scenario JSON document and build its generator and
     analyses; each error begins with the JSON path of its field."""
@@ -359,9 +367,7 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
     analysis_kinds = {a["name"]: a["kind"] for a in analyses}
     for o in root.get("outputs", []):
         path = o["path"]
-        parts = path.want(str).split("/")
-        if os.path.isabs(path.value) or ".." in parts or parts[-1] in ("", ".") or "\0" in path.value:
-            raise path.error(f"must name a file inside --out, with no '..', got {path.value!r}")
+        check_out_path(path)
         seen.append(os.path.normpath(path.value) + "/")
         clash = [p for p in seen[:-1] if p.startswith(seen[-1]) or seen[-1].startswith(p)]
         if clash:  # one file written twice, or one name needed as a file and as a directory

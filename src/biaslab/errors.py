@@ -26,9 +26,13 @@ _NOUNS = {str: "a string", Integral: "an integer", Real: "a number", bool: "true
 # check against the kind's abstract class
 _PLAIN = {str: (str,), Integral: (int,), Real: (int, float), bool: (bool,), list: (list,),
           dict: (dict,)}
+# the least int that ``float()`` refuses, as it rounds to 2^1024
+_FLOAT_INT_LIMIT = 2**1024 - 2**970
 
 
 def _is(kind: type, value: object) -> bool:
+    if kind is Real and type(value) is int:  # a number is one that float() takes
+        return abs(value) < _FLOAT_INT_LIMIT
     return type(value) in _PLAIN[kind] or (
         isinstance(value, kind) and (kind is bool or not isinstance(value, bool)))
 

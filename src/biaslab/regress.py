@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class Formula:
         # found once: the variables listwise deletion reads and the labels of
         # the design ``[1 |] terms``
         object.__setattr__(self, "_variables", tuple(seen))
-        object.__setattr__(self, "_labels", tuple(_term_labels(self.terms, self.intercept)))
+        object.__setattr__(self, "_labels", _term_labels(self.terms, self.intercept))
 
     def variables(self) -> list[str]:
         return list(self._variables)
@@ -234,16 +234,8 @@ class FitResult:
         }
 
 
-def _complete_rows(data: Dataset, variables: Sequence[str]) -> tuple[Dataset, int]:
-    """Listwise-delete over ``variables``; returns the complete rows and the dropped count."""
-    complete, n_dropped = listwise_complete(data, variables)
-    if complete.n_rows == 0:
-        raise DataError("no complete rows after listwise deletion")
-    return complete, n_dropped
-
-
-def _term_labels(terms: Sequence[Term], with_intercept: bool) -> list[str]:
-    return ["(Intercept)"] * with_intercept + [t.label for t in terms]
+def _term_labels(terms: Sequence[Term], with_intercept: bool) -> tuple[str, ...]:
+    return ("(Intercept)",) * with_intercept + tuple(t.label for t in terms)
 
 
 def _design(complete: Dataset, terms: Sequence[Term], labels: Sequence[str]) -> np.ndarray:
@@ -269,12 +261,14 @@ def _design(complete: Dataset, terms: Sequence[Term], labels: Sequence[str]) -> 
 
 def _build_design(
     data: Dataset, formula: Formula, with_intercept: bool
-) -> tuple[np.ndarray, np.ndarray, list[str], int]:
-    """Listwise-delete over formula variables, then build (y, X, labels)."""
-    complete, n_dropped = _complete_rows(data, formula._variables)
-    labels = _term_labels(formula.terms, with_intercept)
-    x = _design(complete, formula.terms, labels)
-    return complete[formula.response], x, labels, n_dropped
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], int]:
+    """Listwise-delete over formula variables, then build (y, X, labels, n_dropped)."""
+    complete, n_dropped = listwise_complete(data, formula._variables)
+    if complete.n_rows == 0:
+        raise DataError("no complete rows after listwise deletion")
+    labels = (formula._labels if with_intercept == formula.intercept
+              else _term_labels(formula.terms, with_intercept))
+    return complete[formula.response], _design(complete, formula.terms, labels), labels, n_dropped
 
 
 def _check_rank(x: np.ndarray, labels: Sequence[str], r: np.ndarray) -> None:
@@ -301,41 +295,33 @@ def _check_rank(x: np.ndarray, labels: Sequence[str], r: np.ndarray) -> None:
         raise SingularDesignError(f"design matrix is singular at term {term!r}", term=term)
 
 
-def _qr_factor(x: np.ndarray, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """QR-factor ``x`` once; returns (Q', R^-1), so ``b = R^-1 (Q'y)`` for any response y.
-
-    Raises ``SingularDesignError`` on rank deficiency."""
-    q, r = np.linalg.qr(x)
-    _check_rank(x, labels, r)
-    return q.T, np.linalg.inv(r)
-
-
 def _least_squares(
-    complete: Dataset, responses: Sequence[str], terms: Sequence[Term], labels: Sequence[str]
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, float, np.ndarray]]]:
-    """Gaussian least squares of each response on one design, factored once.
+    x: np.ndarray, labels: Sequence[str], responses: Mapping[str, np.ndarray]
+) -> list[tuple[np.ndarray, float, np.ndarray]]:
+    """Least squares of each response in ``responses`` (name -> y) on the
+    design ``x`` (columns ``labels``), which is QR-factored once.
 
-    ``complete`` holds only complete rows; the design is ``[1 |] terms`` with
-    columns ``labels`` (see :func:`_design`).  Returns the design and, per
-    response, ``(y, b, rss, se)`` with classical standard errors.
+    Returns ``(b, rss, se)`` per response, with classical standard errors.
+    Raises ``SingularDesignError`` on rank deficiency and ``DataError`` when
+    there are no more rows than columns or a response's squares overflow.
     """
-    x = _design(complete, terms, labels)
     n, p = x.shape
     if n <= p:
         raise DataError(f"need more rows ({n}) than parameters ({p})")
-    qt, rinv = _qr_factor(x, labels)
+    q, r = np.linalg.qr(x)
+    _check_rank(x, labels, r)
+    rinv = np.linalg.inv(r)
     unscaled_var = np.add.reduce(rinv**2, axis=1)
     fits = []
-    for name in responses:
-        y = complete[name]
+    for name, y in responses.items():
         with np.errstate(over="ignore"):
             if not math.isfinite(y @ y):
                 raise DataError(f"response {name!r} is too large: its squares overflow float64")
-        b = rinv @ (qt @ y)
+        b = rinv @ (q.T @ y)
         resid = y - x @ b
         rss = float(resid @ resid)
-        fits.append((y, b, rss, np.sqrt(unscaled_var * (rss / (n - p)))))
-    return x, fits
+        fits.append((b, rss, np.sqrt(unscaled_var * (rss / (n - p)))))
+    return fits
 
 
 def _standardized(
@@ -373,9 +359,8 @@ def _wald(b: np.ndarray, se: np.ndarray, df: int | None = None) -> tuple[np.ndar
 
 def fit_ols(data: Dataset, formula: Formula, standardized: bool = True) -> FitResult:
     """Gaussian least squares with classical (t-based) inference."""
-    complete, n_dropped = _complete_rows(data, formula._variables)
-    labels = formula._labels
-    x, [(y, b, rss, se)] = _least_squares(complete, (formula.response,), formula.terms, labels)
+    y, x, labels, n_dropped = _build_design(data, formula, formula.intercept)
+    [(b, rss, se)] = _least_squares(x, labels, {formula.response: y})
     n, p = x.shape
     df = n - p
     sigma2 = rss / df
@@ -423,8 +408,6 @@ def fit_logistic(data: Dataset, formula: Formula) -> FitResult:
         raise DataError(f"binomial response must be 0/1, saw values {classes[:5]}")
     if classes.size < 2:
         raise DataError("response has a single class; logistic fit is degenerate")
-    if n <= p:
-        raise DataError(f"need more rows ({n}) than parameters ({p})")
 
     expit = _special().expit
     b = np.zeros(p)
@@ -439,8 +422,7 @@ def fit_logistic(data: Dataset, formula: Formula) -> FitResult:
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
         z = eta + (y - mu) / w
         sw = np.sqrt(w)
-        qt, rinv = _qr_factor(x * sw[:, None], labels)
-        b = rinv @ (qt @ (z * sw))
+        [(b, _, _)] = _least_squares(x * sw[:, None], labels, {formula.response: z * sw})
         eta = x @ b
         new_dev = _binomial_deviance(y, eta)
         mu_new = expit(eta)
@@ -475,7 +457,7 @@ def fit_logistic(data: Dataset, formula: Formula) -> FitResult:
     return FitResult(
         family="binomial",
         formula=formula,
-        terms=tuple(labels),
+        terms=labels,
         b=b,
         se=se,
         stat=stat,
@@ -677,7 +659,7 @@ def fit_ordered_logit(data: Dataset, formula: Formula) -> FitResult:
     return FitResult(
         family="ordered",
         formula=formula,
-        terms=tuple(labels),
+        terms=labels,
         b=beta,
         se=se,
         stat=stat,
@@ -722,7 +704,7 @@ def fit_terms(formula: Formula, family: str) -> tuple[str, ...]:
     """The ``terms`` of ``fit(data, formula, family)``; ordered fits have no
     intercept term.  An unknown family raises ``ValidationError``."""
     ordered = _FITTERS[check_family(family)] == "fit_ordered_logit"
-    return tuple(_term_labels(formula.terms, formula.intercept and not ordered))
+    return _term_labels(formula.terms, formula.intercept and not ordered)
 
 
 def wald_chisq(fit_result: FitResult, term: str) -> tuple[float, float]:
@@ -764,21 +746,22 @@ def collinearity_diagnostics(data: Dataset, formula: Formula) -> CollinearityRep
     """
     if len(formula.terms) < 2:
         raise ParameterError("collinearity diagnostics need at least 2 predictors")
-    _, x, labels, _ = _build_design(data, formula, with_intercept=False)
+    _, x1, labels, _ = _build_design(data, formula, with_intercept=True)
+    x, labels = x1[:, 1:], labels[1:]  # the predictors, without the intercept column
     n, p = x.shape
     if n <= p + 1:
         raise DataError("not enough rows for collinearity diagnostics")
     tol = np.empty(p)
-    ones = np.ones((n, 1))
     for j in range(p):
-        others = np.column_stack([ones, np.delete(x, j, axis=1)])
+        # predictor j on the intercept and the other predictors
+        others = np.delete(x1, j + 1, axis=1)
         target = x[:, j]
-        qt, rinv = _qr_factor(others, ["(Intercept)"] + [l for i, l in enumerate(labels) if i != j])
-        resid = target - others @ (rinv @ (qt @ target))
+        [(_, rss, _)] = _least_squares(others, ("(Intercept)", *labels[:j], *labels[j + 1:]),
+                                       {labels[j]: target})
         tss = float(np.sum((target - target.mean()) ** 2))
         if tss <= 0:
             raise SingularDesignError(f"constant predictor {labels[j]!r}", term=labels[j])
-        tol[j] = float(resid @ resid) / tss
+        tol[j] = rss / tss
     corr = np.corrcoef(x, rowvar=False)
     eig = np.linalg.eigvalsh(corr)
     if eig.min() <= 0:
@@ -786,7 +769,7 @@ def collinearity_diagnostics(data: Dataset, formula: Formula) -> CollinearityRep
     eigenvalues = np.sort(np.append(eig, 1.0))[::-1] if formula.intercept else np.sort(eig)[::-1]
     cond = np.sqrt(eigenvalues[0] / eigenvalues)
     return CollinearityReport(
-        terms=tuple(labels),
+        terms=labels,
         tolerance=tol,
         vif=1.0 / tol,
         eigenvalues=eigenvalues,
@@ -797,19 +780,14 @@ def collinearity_diagnostics(data: Dataset, formula: Formula) -> CollinearityRep
 def predict(fit_result: FitResult, data: Dataset) -> np.ndarray:
     """Predictions: linear predictor for gaussian/ordered, probability for binomial.
 
-    Rows with missing inputs predict as missing.
+    Rows with missing inputs predict as missing; a square or interaction
+    that overflows raises ``DataError``, as it does in a fit.
     """
     f = fit_result.formula
     ok = np.ones(data.n_rows, dtype=bool)
     for v in dict.fromkeys(v for term in f.terms for v in term.variables()):
         ok &= ~np.isnan(data[v])
-    cols = []
-    if fit_result.family != "ordered" and f.intercept:
-        cols.append(np.ones(data.n_rows))
-    for term in f.terms:
-        cols.append(term.build(data))
-    x = np.column_stack(cols) if cols else np.empty((data.n_rows, 0))
-    eta = x @ fit_result.b
+    eta = _design(data, f.terms, fit_result.terms) @ fit_result.b
     return np.where(ok, _special().expit(eta) if fit_result.family == "binomial" else eta, np.nan)
 
 

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, Doc, ParameterError, ValidationError, expect
+from .errors import DataError, Doc, ParameterError, ValidationError, _is, expect
 
 Value = float | str  # str = placeholder name, bound by bind_spec
 
@@ -187,7 +187,7 @@ class ScmSpec:
             for v in part.numbers():
                 if isinstance(v, str):
                     found.add(v)
-                elif isinstance(v, bool) or not isinstance(v, Real):
+                elif not _is(Real, v):
                     owner = part.name if isinstance(part, SourceSpec) else part.target
                     raise ValidationError(f"{owner!r}: {v!r} is neither a number nor a placeholder name")
         object.__setattr__(self, "_placeholders", frozenset(found))

@@ -10,6 +10,7 @@ general-purpose optimizer.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
@@ -371,3 +372,45 @@ def iv_wald_oracle(data, y, x, instrument, allow_weak=False):
         )
     ratio = b_yin / b_xin if b_xin != 0 else math.inf
     return IvEstimate(b_yin, se_yin, b_xin, se_xin, ratio, weak=weak)
+
+
+def _exact(v):
+    """``v`` exactly: an int where it is integral (ints are faster), else a Fraction."""
+    return int(v) if v == int(v) else Fraction(v)
+
+
+def exact_ols(x, y, intercept=True):
+    """Least squares in exact rational arithmetic, on the stdlib alone.
+
+    ``x`` is the design as a list of rows and ``y`` the response; every
+    entry (an int or a float) is taken exactly.  Solves the normal
+    equations by Gauss-Jordan elimination over ``fractions.Fraction``.
+    Returns ``(b, rss, se, r2)``: b, RSS and R^2 exact (R^2 is 1 when the
+    total sum of squares is 0), and each SE the float square root of its
+    exact variance.  Returns None when the design lacks full column rank.
+    ``intercept`` says whether the total sum of squares is taken about the
+    mean (True) or about 0.
+    """
+    xs = [[_exact(v) for v in row] for row in x]
+    ys = [_exact(v) for v in y]
+    n, p = len(xs), len(xs[0])
+    # [X'X | I | X'y], eliminated to [I | (X'X)^-1 | b]
+    aug = [[sum(r[i] * r[j] for r in xs) for j in range(p)] + [int(i == j) for j in range(p)]
+           + [sum(r[i] * v for r, v in zip(xs, ys))] for i in range(p)]
+    for c in range(p):
+        pivot = next((r for r in range(c, p) if aug[r][c] != 0), None)
+        if pivot is None:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        lead = Fraction(aug[c][c])
+        aug[c] = [v / lead for v in aug[c]]
+        for r in range(p):
+            if r != c and aug[r][c] != 0:
+                aug[r] = [a - aug[r][c] * b for a, b in zip(aug[r], aug[c])]
+    b = [row[-1] for row in aug]
+    rss = sum((v - sum(bj * xj for bj, xj in zip(b, r))) ** 2 for r, v in zip(xs, ys))
+    sigma2 = rss / (n - p)
+    se = [math.sqrt(sigma2 * aug[j][p + j]) for j in range(p)]
+    centre = Fraction(sum(ys), n) if intercept else 0
+    tss = sum((v - centre) ** 2 for v in ys)
+    return b, rss, se, (1 - rss / tss if tss else Fraction(1))

@@ -529,9 +529,10 @@ def _mutated(draw):
     elif how == "seed":
         slot = draw(st.sampled_from([s for s in _SEED_SLOTS if s[0] in doc]))
         _set(doc, slot, draw(st.sampled_from((-1, 2**64, True, 1.5, "7"))))
-    else:  # a number beyond int64, which numpy refuses as a size or an integer bound
+    else:  # a number beyond int64, which numpy refuses as a size or an integer bound,
+        # or beyond the float range, which float() refuses
         path = draw(st.sampled_from([p for p, v in nodes if type(v) in (int, float)]))
-        _set(doc, path, draw(st.sampled_from((2**63, 10**20, -(2**63) - 1))))
+        _set(doc, path, draw(st.sampled_from((2**63, 10**20, -(2**63) - 1, 10**400))))
     return doc
 
 
@@ -553,6 +554,36 @@ def test_mutated_catalog_configs_exit_cleanly(doc, command, flag):
     # a refusal comes from an explicit check, never from a leaked Python error
     leaked = re.search(r"malformed|KeyError|TypeError|ValueError|AttributeError", err.getvalue())
     assert rc != 2 or not leaked, err.getvalue()
+
+
+@pytest.mark.parametrize("ident", ["../escaped", "ABSOLUTE/escaped", "a/../../b"])
+def test_mc_id_that_writes_outside_out_exits_2(tmp_path, capsys, ident):
+    # biaslab mc writes <--out>/<id>.csv; before, ../escaped wrote beside --out
+    ident = ident.replace("ABSOLUTE", str(tmp_path))
+    doc = catalog_config("entry8-collider-pp-mc")
+    doc["id"] = ident
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main(["mc", "--config", str(cfg), "--reps", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"validation error: id: must name a file inside --out, with no '..', got '{ident}.csv'" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_collinearity_on_a_predictor_whose_squares_overflow_exits_3(tmp_path, capsys):
+    # before, the auxiliary regression on 'a' gave NaN and eigvalsh raised LinAlgError (exit 1)
+    doc = {"id": "coll-overflow", "seed": 1, "scm": {"n": 50, "sources": [
+        {"name": "a", "kind": "normal", "params": {"mean": 0, "sd": 1e200}},
+        {"name": "b", "kind": "normal", "params": {"mean": 0, "sd": 1}},
+        {"name": "c", "kind": "normal", "params": {"mean": 0, "sd": 1}}],
+        "equations": [{"target": "y", "linear": [["b", 1]], "error": {"sd": 1}}]},
+        "analyses": [{"kind": "collinearity", "name": "coll", "formula": "y ~ a + b + c"}]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(cfg)]) == 3
+    assert ("== coll: ERROR DataError: response 'a' is too large: its squares overflow float64"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["run", "mc"])

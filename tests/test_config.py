@@ -526,6 +526,60 @@ def test_uniform_int_bound_beyond_int64_at_run_time_is_a_replicate_error():
         assert tag.startswith("ValidationError: source 'U': hi must be in [-2^63, 2^63), got "), tag
 
 
+# an integer too large for a float, which float() refused with an OverflowError
+# (a traceback, exit 1), and the error that names its field
+_BEYOND_FLOAT = 10**400
+
+
+def _beyond_float(ident: str, *path) -> dict:
+    """Catalog scenario ``ident`` with the number at ``path`` set to 10^400."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = _BEYOND_FLOAT
+    return _edited(ident, edit)
+
+
+_NOT_A_NUMBER = f"{_BEYOND_FLOAT} is neither a number nor a placeholder name"
+_FLOAT_RANGE = {
+    "source-mean": (_beyond_float("entry1-curvilinear", "scm", "sources", 0, "params", "mean"),
+                    f"scm: 'X': {_NOT_A_NUMBER}"),
+    "linear-coefficient": (_beyond_float("entry1-curvilinear", "scm", "equations", 0, "linear", 0, 1),
+                           f"scm: 'Y': {_NOT_A_NUMBER}"),
+    "outlier-assign": (_beyond_float("entry4-outliers", "analyses", 1, "assign", "X"),
+                       f"analyses[1].assign.X: must be a number, got {_BEYOND_FLOAT}"),
+    "binding-hi": (_beyond_float(_COLLIDER, "mc", "bindings", "b_xc", "hi"),
+                   f"mc.bindings.b_xc: range: hi must be a number, got {_BEYOND_FLOAT}"),
+    "subgroup-where": (_beyond_float("entry9-moderated", "analyses", 2, "where", 0, "value"),
+                       f"analyses[2].where[0].value: must be a number, got {_BEYOND_FLOAT}"),
+    "corr-means": (_beyond_float("entry3-collinearity-high", "corr", "means", 0),
+                   f"corr.means[0]: must be a number, got {_BEYOND_FLOAT}"),
+    "scale-c": (_beyond_float("entry13-response-measurement", "analyses", 0, "variants", 6, "rule", "c"),
+                f"analyses[0].variants[6].rule: scale: c must be a number, got {_BEYOND_FLOAT}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FLOAT_RANGE))
+def test_integer_beyond_float_range_exits_2_naming_its_field(tmp_path, capsys, case):
+    doc, message = _FLOAT_RANGE[case]
+    err = _refusal(tmp_path, capsys, doc)
+    assert f"validation error: {message}" in err
+    assert "OverflowError" not in err and not _LEAKED.search(err), err
+
+
+def test_largest_integer_a_float_holds_is_a_number():
+    # 2^1024 - 2^970 rounds to 2^1024, beyond the float range; one less rounds to the largest float
+    largest = 2**1024 - 2**970 - 1
+    assert float(largest) == 1.7976931348623157e308
+    for v, ok in ((largest, True), (-largest, True), (largest + 1, False), (-largest - 1, False)):
+        doc = _edited("entry1-linearity", lambda d: d["scm"]["sources"][0]["params"].update(mean=v))
+        if ok:
+            assert parse_config(doc).generator["sources"][0]["params"]["mean"] == v
+        else:
+            with pytest.raises(ValidationError, match="is neither a number nor a placeholder name"):
+                parse_config(doc)
+
+
 # an output path that would write outside --out, or that names no file or the
 # same file twice (each passed parse time; then some wrote, some ended in exit 4
 # and a NUL byte in a traceback)
