@@ -13,8 +13,8 @@ import os
 import sys
 
 from .catalog import catalog_config, catalog_ids
-from .config import (ScenarioConfig, artifact_json, check_out_path, load_config, parse_config,
-                     run_scenario)
+from .config import (ScenarioConfig, _write_artifact, _write_output, artifact_json, check_out_path,
+                     load_config, parse_config, run_scenario)
 from .data import read_csv
 from .errors import BiaslabError, Doc, ValidationError
 from .mc import summarize_series, write_mc_csv
@@ -112,9 +112,7 @@ def cmd_fit(args) -> int:
     result = fit(data, formula, family=args.family)
     print(format_fit_table("fit", result))
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_artifact(args.json, result, "json")
         print(f"wrote {args.json}")
     return EXIT_OK
 
@@ -136,9 +134,8 @@ def cmd_mc(args) -> int:
             f"mean={_sig6(s.mean)} q3={_sig6(s.q3)} max={_sig6(s.max)}"
         )
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"{cfg.id}.csv")
-        write_mc_csv(result, path)
+        _write_output(lambda p, *_: write_mc_csv(result, p), path, None, result, {}, None)
         print(f"wrote {path}")
     return EXIT_OK
 

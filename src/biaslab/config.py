@@ -12,7 +12,6 @@ k, ``derive_substream(seed, k + 1)``.  An ``mc`` template's master seed puts
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -30,7 +29,7 @@ from .causal import (
     moderated_fit,
     subgroup_effect,
 )
-from .data import Dataset, balance_diff, pearson, spearman, summarize, write_csv
+from .data import Dataset, balance_diff, pearson, spearman, summarize, write_csv, write_rows
 from .errors import BiaslabError, Doc, ValidationError, expect, expect_count
 from .measure import AttenuationVariant, apply_rules, attenuation_report, rules_from_json
 from .regress import FitResult, Formula, check_family, collinearity_diagnostics, fit, predict
@@ -456,7 +455,7 @@ def _output(
         def histogram(path, data, mc_result, *_):
             bins = (mc_mod.histogram(mc_result, first, nbins) if mc_result is not None
                     else mc_mod.value_histogram(data[first], first, nbins))
-            _write_rows(path, ["lo", "hi", "count"], bins)
+            write_rows(path, ["lo", "hi", "count"], bins)
         return None, histogram
 
     def fitted_line(path, data, mc_result, artifacts, _):
@@ -561,13 +560,6 @@ def _json_value(value: Any) -> Any:
     return value
 
 
-def _write_rows(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
-
-
 def _write_artifact(path: str, artifact: Any, fmt: str) -> None:
     """An artifact as CSV rows (its own ``csv_rows``, or one row per JSON
     field) or, for any ``fmt`` but csv, as JSON."""
@@ -576,9 +568,9 @@ def _write_artifact(path: str, artifact: Any, fmt: str) -> None:
             json.dump(artifact_json(artifact), fh, indent=2)
             fh.write("\n")
     elif hasattr(artifact, "csv_rows"):
-        _write_rows(path, *artifact.csv_rows())
+        write_rows(path, *artifact.csv_rows())
     else:
-        _write_rows(path, ["field", "value"], [[k, json.dumps(v)] for k, v in artifact_json(artifact).items()])
+        write_rows(path, ["field", "value"], [[k, json.dumps(v)] for k, v in artifact_json(artifact).items()])
 
 
 def _write_output(

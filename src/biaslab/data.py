@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -304,13 +304,18 @@ def _format_cell(v: float) -> str:
     return repr(float(v))
 
 
-def write_csv(data: Dataset, path: str) -> None:
+def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The one CSV writer: ``header``, then each row.  Each caller formats its
+    own cells; a float cell is written as its ``repr``."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(data.names)
-        columns = [v for _, v in data.items()]
-        for i in range(data.n_rows):
-            w.writerow([_format_cell(v[i]) for v in columns])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_csv(data: Dataset, path: str) -> None:
+    columns = [v for _, v in data.items()]
+    write_rows(path, data.names, ([_format_cell(v[i]) for v in columns] for i in range(data.n_rows)))
 
 
 def read_csv(path: str) -> Dataset:

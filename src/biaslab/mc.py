@@ -19,7 +19,6 @@ bare replicate indices.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -30,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .causal import _OPS, _holds, iv_wald, RowFilter
-from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantile_type7
+from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantile_type7, write_rows
 from .errors import BiaslabError, DataError, Doc, ParameterError, ValidationError, expect, expect_count
 from .regress import Formula, _special, fit, fit_ols, fit_terms
 from .rng import check_seed, derive_substream, sample_indices
@@ -85,14 +84,16 @@ class FitStep:
         parsed = Formula.parse(self.formula)
         terms = fit_terms(parsed, self.family)
         _check_selectors(self.record, lambda s: s == "r2" or s.partition(":")[0] in _FIT_SELECTORS)
-        # (name, selector, term, index of the term in the fit, or None if absent)
+        # (name, selector, index of its term in the fit; None for r2)
         picks = []
         for name, selector in self.record:
             what, _, term = selector.partition(":")
-            picks.append((name, what, term, terms.index(term) if term in terms else None))
+            if what != "r2" and term not in terms:
+                raise ValidationError(f"no term {term!r} in fit; have {list(terms)}")
+            picks.append((name, what, None if what == "r2" else terms.index(term)))
         object.__setattr__(self, "_parsed", parsed)
         object.__setattr__(self, "_picks", tuple(picks))
-        object.__setattr__(self, "_wants_beta", any(what == "beta" for _, what, _, _ in picks))
+        object.__setattr__(self, "_wants_beta", any(what == "beta" for _, what, _ in picks))
 
     def run(self, data: Dataset) -> dict[str, float]:
         if self.family == "gaussian":
@@ -100,11 +101,11 @@ class FitStep:
         else:
             f = fit(data, self._parsed, family=self.family)
         out = {}
-        for name, what, term, idx in self._picks:
+        for name, what, idx in self._picks:
             if what == "r2":
                 out[name] = f.r_squared if f.r_squared is not None else float("nan")
-            else:  # an absent term raises the fit's own error
-                out[name] = float(getattr(f, what)[f.term_index(term) if idx is None else idx])
+            else:
+                out[name] = float(getattr(f, what)[idx])
         return out
 
     def reads(self) -> list[str]:
@@ -556,8 +557,5 @@ def write_mc_csv(result: McResult, path: str) -> None:
     """Columns: i, N, then the recorded series; missing cells are empty."""
     names = ("i", "N", *result.series_names)
     columns = [result.columns[name].tolist() for name in names]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(names)
-        for i, n, *values in zip(*columns):
-            w.writerow([i, n, *("" if math.isnan(v) else repr(v) for v in values)])
+    write_rows(path, names, ([i, n, *("" if math.isnan(v) else v for v in values)]
+                             for i, n, *values in zip(*columns)))

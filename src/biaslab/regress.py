@@ -295,6 +295,15 @@ def _check_rank(x: np.ndarray, labels: Sequence[str], r: np.ndarray) -> None:
         raise SingularDesignError(f"design matrix is singular at term {term!r}", term=term)
 
 
+def _check_rank_with_intercept(x: np.ndarray, labels: Sequence[str]) -> None:
+    """Raise ``SingularDesignError`` naming a dependent term unless
+    ``[1 | x]`` has full rank.  Centring ``x`` spans the same space and keeps
+    the pivoted pass from naming the intercept, which is orthogonal to every
+    centred column; a constant column centres to a zero column."""
+    design = np.column_stack([np.ones(len(x)), x - x.mean(axis=0)])
+    _check_rank(design, ["(Intercept)", *labels], np.linalg.qr(design, mode="r"))
+
+
 def _least_squares(
     x: np.ndarray, labels: Sequence[str], responses: Mapping[str, np.ndarray]
 ) -> list[tuple[np.ndarray, float, np.ndarray]]:
@@ -417,16 +426,16 @@ def fit_logistic(data: Dataset, formula: Formula) -> FitResult:
     separated = False
     it = 0
     max_abs_b = 0.0
+    mu = expit(eta)
     for it in range(1, 26):
-        mu = expit(eta)
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
         z = eta + (y - mu) / w
         sw = np.sqrt(w)
         [(b, _, _)] = _least_squares(x * sw[:, None], labels, {formula.response: z * sw})
         eta = x @ b
         new_dev = _binomial_deviance(y, eta)
-        mu_new = expit(eta)
-        extreme = bool(np.any(mu_new < 1e-10) or np.any(mu_new > 1.0 - 1e-10))
+        mu = expit(eta)
+        extreme = bool(np.any(mu < 1e-10) or np.any(mu > 1.0 - 1e-10))
         new_max = float(np.max(np.abs(b))) if p else 0.0
         if extreme and new_max > max_abs_b:
             separated = True
@@ -444,7 +453,6 @@ def fit_logistic(data: Dataset, formula: Formula) -> FitResult:
         )
         converged = False
 
-    mu = expit(eta)
     w = np.clip(mu * (1.0 - mu), 1e-10, None)
     info = x.T @ (x * w[:, None])
     cov = np.linalg.inv(info)
@@ -584,11 +592,8 @@ def fit_ordered_logit(data: Dataset, formula: Formula) -> FitResult:
     kcat = np.searchsorted(levels, y.astype(int))
     if n <= p + K - 1:
         raise DataError(f"need more rows ({n}) than parameters ({p + K - 1})")
-    # The cutpoints play the intercept's role, so [1 | X] must have full rank.
-    # Centring X spans the same space and keeps the pivoted pass from naming
-    # the intercept, which is orthogonal to every centred column.
-    design = np.column_stack([np.ones(n), x - x.mean(axis=0)])
-    _check_rank(design, ["(Intercept)", *labels], np.linalg.qr(design, mode="r"))
+    # the cutpoints play the intercept's role
+    _check_rank_with_intercept(x, labels)
 
     nll = _OrderedNll(x, kcat, K)
     counts = np.bincount(kcat, minlength=K)
@@ -751,6 +756,7 @@ def collinearity_diagnostics(data: Dataset, formula: Formula) -> CollinearityRep
     n, p = x.shape
     if n <= p + 1:
         raise DataError("not enough rows for collinearity diagnostics")
+    _check_rank_with_intercept(x, labels)
     tol = np.empty(p)
     for j in range(p):
         # predictor j on the intercept and the other predictors
@@ -758,10 +764,7 @@ def collinearity_diagnostics(data: Dataset, formula: Formula) -> CollinearityRep
         target = x[:, j]
         [(_, rss, _)] = _least_squares(others, ("(Intercept)", *labels[:j], *labels[j + 1:]),
                                        {labels[j]: target})
-        tss = float(np.sum((target - target.mean()) ** 2))
-        if tss <= 0:
-            raise SingularDesignError(f"constant predictor {labels[j]!r}", term=labels[j])
-        tol[j] = rss / tss
+        tol[j] = rss / float(np.sum((target - target.mean()) ** 2))
     corr = np.corrcoef(x, rowvar=False)
     eig = np.linalg.eigvalsh(corr)
     if eig.min() <= 0:

@@ -380,6 +380,7 @@ def mvn_exact(target: CorrTarget, n: int, rng: np.random.Generator) -> Dataset:
     if n < 1:
         raise ParameterError("n must be >= 1")
     z = rng.normal(0.0, 1.0, (n, d))
+    color = U @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ U.T
     if target.empirical_exact:
         if n <= d:
             raise DataError(f"empirical_exact needs n > dimension ({n} <= {d})")
@@ -389,11 +390,9 @@ def mvn_exact(target: CorrTarget, n: int, rng: np.random.Generator) -> Dataset:
         if np.any(w <= 1e-12):
             raise DataError("sample covariance is rank deficient; cannot whiten")
         whiten = v @ np.diag(1.0 / np.sqrt(w)) @ v.T
-        color = U @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ U.T
         x = z @ whiten @ color
         x -= x.mean(axis=0)
     else:
-        color = U @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ U.T
         x = z @ color
     x = x * target.sds + target.means
     return Dataset._trusted(n, {name: x[:, j] for j, name in enumerate(target.names)})

@@ -571,6 +571,18 @@ def test_mc_id_that_writes_outside_out_exits_2(tmp_path, capsys, ident):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_mc_id_that_names_a_subdirectory_writes_there(tmp_path):
+    # before, the loop ran and then writing out/sub/loop.csv failed with exit 4
+    doc = catalog_config("entry8-collider-pp-mc")
+    doc["id"] = "sub/loop"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    flags = ["--config", str(cfg), "--reps", "2", "--seed", "3"]
+    assert cli_main(["mc", *flags, "--out", str(tmp_path / "mc")]) == 0
+    assert cli_main(["run", *flags, "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "mc" / "sub" / "loop.csv").read_bytes() == (tmp_path / "run" / "loop.csv").read_bytes()
+
+
 def test_collinearity_on_a_predictor_whose_squares_overflow_exits_3(tmp_path, capsys):
     # before, the auxiliary regression on 'a' gave NaN and eigvalsh raised LinAlgError (exit 1)
     doc = {"id": "coll-overflow", "seed": 1, "scm": {"n": 50, "sources": [

@@ -352,6 +352,21 @@ def test_unknown_family_exits_2_before_anything_runs(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("selector, family, term", [
+    ("b:zz", "gaussian", "zz"), ("b", "gaussian", ""), ("b:(Intercept)", "ordered", "(Intercept)")])
+def test_fit_step_selector_of_a_term_the_fit_lacks_exits_2(tmp_path, capsys, selector, family, term):
+    # before, every replicate raised "no term" and the loop recorded only NaN (exit 3)
+    doc = catalog_config("entry8-collider-pp-mc")
+    step = _node(doc, "mc", "analysis", 0)
+    step["family"], step["record"]["bz"] = family, selector
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(p), "--reps", "2", "--out", str(tmp_path / "out")]) == 2
+    have = ["x", "col"] if family == "ordered" else ["(Intercept)", "x", "col"]
+    assert f"mc.analysis[0]: no term {term!r} in fit; have {have}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _with_sampling(**fields) -> dict:
     """entry5-sampling-random at 2 replicates, with ``fields`` set in its sampling document."""
     sampling = catalog_config("entry5-sampling-random")["population"]["sampling"]

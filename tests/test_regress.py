@@ -318,6 +318,10 @@ class TestLeastSquaresMatchesExactArithmetic:
         if exact is None:
             with pytest.raises(SingularDesignError):
                 fit_ols(d, formula)
+            if len(xs) >= 2:
+                with pytest.raises(SingularDesignError) as refused:
+                    collinearity_diagnostics(d, formula)
+                assert refused.value.term in names
         elif np.linalg.cond(x) < 1e6:
             got = fit_ols(d, formula, standardized=False)
             self.assert_fit(x, y, got.b, got.se)
@@ -326,8 +330,6 @@ class TestLeastSquaresMatchesExactArithmetic:
                 assert got.r_squared == 1.0
             else:
                 self.assert_close(got.r_squared, float(exact[3]), x, (y @ y) / tss)
-            # checked on full-rank designs only: on an exactly collinear one it can
-            # return tolerances of about 1e-31 instead of refusing
             if len(xs) >= 2:
                 report = collinearity_diagnostics(d, formula)
                 for j, xj in enumerate(xs):
@@ -344,6 +346,18 @@ class TestLeastSquaresMatchesExactArithmetic:
             iv = iv_wald(d, "y", "w", "x0", allow_weak=True)
             for resp, b, se in ((y, iv.b_yin, iv.se_yin), (w, iv.b_xin, iv.se_xin)):
                 self.assert_fit(x_iv, resp, [b], [se], first=1)
+
+    def test_shifted_copy_is_refused_and_named(self):
+        # with x1 = x0 + 1 the auxiliary regressions fit exactly; before, most
+        # such designs raised a nameless error and some returned a VIF near 1e31
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(10, 15))
+            x0 = rng.integers(-5, 6, n).astype(float)
+            d = dataset(y=rng.integers(-5, 6, n), x0=x0, x1=x0 + 1)
+            with pytest.raises(SingularDesignError) as refused:
+                collinearity_diagnostics(d, Formula.parse("y ~ x0 + x1"))
+            assert refused.value.term in ("x0", "x1")
 
 
 class TestResidualsPredict:
