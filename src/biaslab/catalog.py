@@ -9,6 +9,7 @@ sign quadrants and sample sizes without copying dictionaries.
 from __future__ import annotations
 
 import copy
+from functools import partial
 from typing import Callable
 
 from .errors import ValidationError
@@ -51,6 +52,48 @@ def _out(what: str, path: str, fmt: str | None = None) -> dict:
     return d
 
 
+def _quadrant(sign_x: int, sign_y: int) -> str:
+    """The id suffix of a sign quadrant: ``pp``, ``pm``, ``mp`` or ``mm``."""
+    return ("p" if sign_x > 0 else "m") + ("p" if sign_y > 0 else "m")
+
+
+def _effect_range(sign: int, effect_lo: float) -> dict:
+    """The binding range of an effect of ``sign``, from ``effect_lo`` to 100 in size."""
+    return {"lo": -100.0, "hi": -effect_lo} if sign < 0 else {"lo": effect_lo, "hi": 100.0}
+
+
+def _compare(ident: str, seed: int, scm: dict, y: str, x: str, covariate_sets: list,
+             truth: float) -> dict:
+    """A scenario whose one analysis compares the x -> y slope under each covariate set."""
+    return {
+        "id": ident,
+        "seed": seed,
+        "scm": scm,
+        "analyses": [{"kind": "compare_adjustments", "name": "compare", "y": y, "x": x,
+                      "covariate_sets": covariate_sets, "truth": truth}],
+        "outputs": [_out("analysis:compare", "compare.json")],
+    }
+
+
+def _template(sources: list, equations: list, n: int | tuple[int, int], bindings: dict,
+              analysis: list, reps: int, seed: int) -> dict:
+    """A randomized template of ``n`` rows, fixed or drawn from a ``(lo, hi)`` range."""
+    return {
+        "scm": {"n": "n", "sources": sources, "equations": equations},
+        "n": {"lo": n[0], "hi": n[1]} if isinstance(n, tuple) else n,
+        "bindings": bindings,
+        "analysis": analysis,
+        "reps": reps,
+        "seed": seed,
+    }
+
+
+def _mc(ident: str, template: dict, *outputs: dict) -> dict:
+    """An MC scenario: the loop of ``template``, written to loop.csv, then ``outputs``."""
+    return {"id": ident, "seed": 1992, "mc": template, "analyses": [],
+            "outputs": [_out("mc", "loop.csv"), *outputs]}
+
+
 # -- entry 1: linearity --------------------------------------------------------
 
 
@@ -91,8 +134,16 @@ def entry1_curvilinear() -> dict:
 # -- entry 2: homoscedasticity --------------------------------------------------
 
 
-def _entry2(sds: list[float], ident: str) -> dict:
-    levels = {str(k + 1): err(1.0, 10, sds[k]) for k in range(5)}
+# error sd of each X level, by scenario
+_ENTRY2_SDS = {
+    "homoscedastic": [1, 1, 1, 1, 1],
+    "heteroscedastic-expanding": [1, 1.7, 2.4, 3.1, 3.8],
+    "heteroscedastic-inconsistent": [0.2, 3, 1.4, 4, 0.4],
+}
+
+
+def _entry2(kind: str) -> dict:
+    levels = {str(k + 1): err(1.0, 10, sd) for k, sd in enumerate(_ENTRY2_SDS[kind])}
     scm = {
         "n": 1000,
         "sources": [{"name": "X", "kind": "pattern",
@@ -101,7 +152,7 @@ def _entry2(sds: list[float], ident: str) -> dict:
                                group_error={"by": "X", "levels": levels})],
     }
     return {
-        "id": ident,
+        "id": f"entry2-{kind}",
         "seed": 12,
         "scm": scm,
         "analyses": [_fit("Y ~ X", "ols")],
@@ -110,15 +161,11 @@ def _entry2(sds: list[float], ident: str) -> dict:
 
 
 def entry2_homoscedastic() -> dict:
-    return _entry2([1, 1, 1, 1, 1], "entry2-homoscedastic")
+    return _entry2("homoscedastic")
 
 
 def entry2_heteroscedastic_expanding() -> dict:
-    return _entry2([1, 1.7, 2.4, 3.1, 3.8], "entry2-heteroscedastic-expanding")
-
-
-def entry2_heteroscedastic_inconsistent() -> dict:
-    return _entry2([0.2, 3, 1.4, 4, 0.4], "entry2-heteroscedastic-inconsistent")
+    return _entry2("heteroscedastic-expanding")
 
 
 # -- entry 3: collinearity -------------------------------------------------------
@@ -139,13 +186,17 @@ def entry3_corr_matrix(rho: float) -> list[list[float]]:
     return m
 
 
-def _entry3(rho: float, ident: str) -> dict:
+# pairwise predictor correlation, by scenario
+_ENTRY3_RHO = {"none": 0.0, "small": 0.10, "modsmall": 0.25, "moderate": 0.50, "high": 0.75}
+
+
+def _entry3(level: str) -> dict:
     return {
-        "id": ident,
+        "id": f"entry3-collinearity-{level}",
         "seed": 56,
         "corr": {
             "names": ["Y", "X", "Z1", "Z2", "Z3", "Z4"],
-            "corr": entry3_corr_matrix(rho),
+            "corr": entry3_corr_matrix(_ENTRY3_RHO[level]),
             "means": [0, 0, 0, 0, 0, 0],
             "sds": [1, 1, 1, 1, 1, 1],
             "empirical_exact": True,
@@ -158,26 +209,6 @@ def _entry3(rho: float, ident: str) -> dict:
         "outputs": [_out("analysis:ols", "fit.json"),
                     _out("analysis:diag", "collinearity.csv", "csv")],
     }
-
-
-def entry3_none() -> dict:
-    return _entry3(0.0, "entry3-collinearity-none")
-
-
-def entry3_small() -> dict:
-    return _entry3(0.10, "entry3-collinearity-small")
-
-
-def entry3_modsmall() -> dict:
-    return _entry3(0.25, "entry3-collinearity-modsmall")
-
-
-def entry3_moderate() -> dict:
-    return _entry3(0.50, "entry3-collinearity-moderate")
-
-
-def entry3_high() -> dict:
-    return _entry3(0.75, "entry3-collinearity-high")
 
 
 # -- entry 4: outliers -----------------------------------------------------------
@@ -226,35 +257,28 @@ def entry5_population_scm() -> dict:
     }
 
 
-def _entry5(ident: str, where: list[dict] | None, reps: int = 10000) -> dict:
+# the sampling filter on PEA (comparison op, value), by scenario; None samples every row
+_ENTRY5_FILTERS = {"random": None, "high-pea": (">=", 15), "low-pea": ("<=", 8)}
+
+
+def _entry5(kind: str) -> dict:
     sampling: dict = {
         "k": 1000,
-        "reps": reps,
+        "reps": 10000,
         "analysis": [{"kind": "fit", "formula": "SIEM ~ EP",
                       "record": {"slope": "b:EP", "se": "se:EP"}}],
     }
-    if where:
-        sampling["filter"] = where
+    if _ENTRY5_FILTERS[kind]:
+        op, value = _ENTRY5_FILTERS[kind]
+        sampling["filter"] = [{"var": "PEA", "op": op, "value": value}]
     return {
-        "id": ident,
+        "id": f"entry5-sampling-{kind}",
         "seed": 7,
         "population": {"scm": entry5_population_scm(), "sampling": sampling},
         "analyses": [_fit("SIEM ~ EP", "population_fit")],
         "outputs": [_out("mc", "samples.csv"), _out("mc_summary:slope", "slope_summary.json"),
                     _out("histogram:slope:40", "slope_hist.csv")],
     }
-
-
-def entry5_sampling_random() -> dict:
-    return _entry5("entry5-sampling-random", None)
-
-
-def entry5_sampling_high_pea() -> dict:
-    return _entry5("entry5-sampling-high-pea", [{"var": "PEA", "op": ">=", "value": 15}])
-
-
-def entry5_sampling_low_pea() -> dict:
-    return _entry5("entry5-sampling-low-pea", [{"var": "PEA", "op": "<=", "value": 8}])
 
 
 # -- entry 6: covariate balance ---------------------------------------------------
@@ -324,7 +348,6 @@ def entry6_blocked() -> dict:
 
 
 def entry7_single(sign_x: int = 1, sign_y: int = 1) -> dict:
-    sx, sy = ("p" if sign_x > 0 else "m"), ("p" if sign_y > 0 else "m")
     scm = {
         "n": 500,
         "sources": [normal_source("c", 0, 2.5)],
@@ -333,14 +356,16 @@ def entry7_single(sign_x: int = 1, sign_y: int = 1) -> dict:
             equation("y", linear=[["c", 2.0 * sign_y]], error=err(2.0, 0, 2.5)),
         ],
     }
-    return {
-        "id": f"entry7-confounder-{sx}{sy}",
-        "seed": 1001,
-        "scm": scm,
-        "analyses": [{"kind": "compare_adjustments", "name": "compare", "y": "y", "x": "x",
-                      "covariate_sets": [["c"]], "truth": 0.0}],
-        "outputs": [_out("analysis:compare", "compare.json")],
-    }
+    return _compare(f"entry7-confounder-{_quadrant(sign_x, sign_y)}", 1001, scm, "y", "x",
+                    [["c"]], 0.0)
+
+
+def _noise_ranges(scaled: str, noises: str) -> dict:
+    """The binding ranges of the scale ``k_v`` of each ``v`` in ``scaled``, then of the
+    mean ``mu_v`` and the sd ``sd_v`` of each noise ``v`` in ``noises``."""
+    return {**{f"k_{v}": {"lo": 1, "hi": 100} for v in scaled},
+            **{f"mu_{v}": {"lo": -5, "hi": 5} for v in noises},
+            **{f"sd_{v}": {"lo": 1, "hi": 5} for v in noises}}
 
 
 def confounder_template(
@@ -357,51 +382,25 @@ def confounder_template(
     spurious slope is resolved decisively across the whole coefficient
     range; pass a (lo, hi) tuple to draw the sample size instead.
     """
-    lo_x, hi_x = (-100.0, -effect_lo) if sign_x < 0 else (effect_lo, 100.0)
-    lo_y, hi_y = (-100.0, -effect_lo) if sign_y < 0 else (effect_lo, 100.0)
-    scm = {
-        "n": "n",
-        "sources": [normal_source("c", "mu_c", "sd_c")],
-        "equations": [
-            equation("x", linear=[["c", "b_cx"]], error=err("k_x", "mu_x", "sd_x")),
-            equation("y", linear=[["c", "b_cy"]], error=err("k_y", "mu_y", "sd_y")),
-        ],
-    }
-    return {
-        "scm": scm,
-        "n": {"lo": n[0], "hi": n[1]} if isinstance(n, tuple) else n,
-        "bindings": {
-            "b_cx": {"lo": lo_x, "hi": hi_x},
-            "b_cy": {"lo": lo_y, "hi": hi_y},
-            "k_x": {"lo": 1, "hi": 100},
-            "k_y": {"lo": 1, "hi": 100},
-            "mu_c": {"lo": -5, "hi": 5},
-            "mu_x": {"lo": -5, "hi": 5},
-            "mu_y": {"lo": -5, "hi": 5},
-            "sd_c": {"lo": 1, "hi": 5},
-            "sd_x": {"lo": 1, "hi": 5},
-            "sd_y": {"lo": 1, "hi": 5},
-        },
-        "analysis": [{"kind": "fit", "formula": "y ~ x", "record": {"bxy": "b:x"}}],
-        "reps": reps,
-        "seed": seed,
-    }
+    return _template(
+        [normal_source("c", "mu_c", "sd_c")],
+        [equation("x", linear=[["c", "b_cx"]], error=err("k_x", "mu_x", "sd_x")),
+         equation("y", linear=[["c", "b_cy"]], error=err("k_y", "mu_y", "sd_y"))],
+        n,
+        {"b_cx": _effect_range(sign_x, effect_lo), "b_cy": _effect_range(sign_y, effect_lo),
+         **_noise_ranges("xy", "cxy")},
+        [{"kind": "fit", "formula": "y ~ x", "record": {"bxy": "b:x"}}],
+        reps, seed,
+    )
 
 
 def entry7_mc(sign_x: int = 1, sign_y: int = 1) -> dict:
-    sx, sy = ("p" if sign_x > 0 else "m"), ("p" if sign_y > 0 else "m")
-    return {
-        "id": f"entry7-confounder-{sx}{sy}-mc",
-        "seed": 1992,
-        "mc": confounder_template(sign_x, sign_y),
-        "analyses": [],
-        "outputs": [_out("mc", "loop.csv"), _out("mc_summary:bxy", "bxy_summary.json"),
-                    _out("histogram:bxy:50", "bxy_hist.csv")],
-    }
+    return _mc(f"entry7-confounder-{_quadrant(sign_x, sign_y)}-mc",
+               confounder_template(sign_x, sign_y),
+               _out("mc_summary:bxy", "bxy_summary.json"), _out("histogram:bxy:50", "bxy_hist.csv"))
 
 
 def entry8_single(sign_x: int = -1, sign_y: int = -1) -> dict:
-    sx, sy = ("p" if sign_x > 0 else "m"), ("p" if sign_y > 0 else "m")
     scm = {
         "n": 500,
         "sources": [normal_source("x", 0, 2.5), normal_source("y", 0, 2.5)],
@@ -410,14 +409,8 @@ def entry8_single(sign_x: int = -1, sign_y: int = -1) -> dict:
                      error=err(1.0, 0, 2.5))
         ],
     }
-    return {
-        "id": f"entry8-collider-{sx}{sy}",
-        "seed": 42125,
-        "scm": scm,
-        "analyses": [{"kind": "compare_adjustments", "name": "compare", "y": "y", "x": "x",
-                      "covariate_sets": [["col"]], "truth": 0.0}],
-        "outputs": [_out("analysis:compare", "compare.json")],
-    }
+    return _compare(f"entry8-collider-{_quadrant(sign_x, sign_y)}", 42125, scm, "y", "x",
+                    [["col"]], 0.0)
 
 
 def collider_template(
@@ -429,50 +422,22 @@ def collider_template(
     effect_lo: float = 1.0,
 ) -> dict:
     """Randomized collider loop; the sample size is drawn from 100..1000 by default."""
-    lo_x, hi_x = (-100.0, -effect_lo) if sign_x < 0 else (effect_lo, 100.0)
-    lo_y, hi_y = (-100.0, -effect_lo) if sign_y < 0 else (effect_lo, 100.0)
-    scm = {
-        "n": "n",
-        "sources": [normal_source("ex", "mu_x", "sd_x"), normal_source("ey", "mu_y", "sd_y")],
-        "equations": [
-            equation("x", linear=[["ex", "k_x"]]),
-            equation("y", linear=[["ey", "k_y"]]),
-            equation("col", linear=[["x", "b_xc"], ["y", "b_yc"]],
-                     error=err("k_c", "mu_c", "sd_c")),
-        ],
-    }
-    return {
-        "scm": scm,
-        "n": {"lo": n[0], "hi": n[1]} if isinstance(n, tuple) else n,
-        "bindings": {
-            "b_xc": {"lo": lo_x, "hi": hi_x},
-            "b_yc": {"lo": lo_y, "hi": hi_y},
-            "k_x": {"lo": 1, "hi": 100},
-            "k_y": {"lo": 1, "hi": 100},
-            "k_c": {"lo": 1, "hi": 100},
-            "mu_x": {"lo": -5, "hi": 5},
-            "mu_y": {"lo": -5, "hi": 5},
-            "mu_c": {"lo": -5, "hi": 5},
-            "sd_x": {"lo": 1, "hi": 5},
-            "sd_y": {"lo": 1, "hi": 5},
-            "sd_c": {"lo": 1, "hi": 5},
-        },
-        "analysis": [{"kind": "fit", "formula": "y ~ x + col",
-                      "record": {"bxy_adj": "b:x"}}],
-        "reps": reps,
-        "seed": seed,
-    }
+    return _template(
+        [normal_source("ex", "mu_x", "sd_x"), normal_source("ey", "mu_y", "sd_y")],
+        [equation("x", linear=[["ex", "k_x"]]),
+         equation("y", linear=[["ey", "k_y"]]),
+         equation("col", linear=[["x", "b_xc"], ["y", "b_yc"]], error=err("k_c", "mu_c", "sd_c"))],
+        n,
+        {"b_xc": _effect_range(sign_x, effect_lo), "b_yc": _effect_range(sign_y, effect_lo),
+         **_noise_ranges("xyc", "xyc")},
+        [{"kind": "fit", "formula": "y ~ x + col", "record": {"bxy_adj": "b:x"}}],
+        reps, seed,
+    )
 
 
 def entry8_mc(sign_x: int = 1, sign_y: int = 1) -> dict:
-    sx, sy = ("p" if sign_x > 0 else "m"), ("p" if sign_y > 0 else "m")
-    return {
-        "id": f"entry8-collider-{sx}{sy}-mc",
-        "seed": 1992,
-        "mc": collider_template(sign_x, sign_y),
-        "analyses": [],
-        "outputs": [_out("mc", "loop.csv"), _out("mc_summary:bxy_adj", "summary.json")],
-    }
+    return _mc(f"entry8-collider-{_quadrant(sign_x, sign_y)}-mc", collider_template(sign_x, sign_y),
+               _out("mc_summary:bxy_adj", "summary.json"))
 
 
 # -- entry 9: mediation and moderation ----------------------------------------------
@@ -536,14 +501,7 @@ def entry10_descendant() -> dict:
             equation("Des", linear=[["Con", 20.0]], error=err(1.0, 0, 10)),
         ],
     }
-    return {
-        "id": "entry10-descendant",
-        "seed": 1992,
-        "scm": scm,
-        "analyses": [{"kind": "compare_adjustments", "name": "compare", "y": "Y", "x": "X",
-                      "covariate_sets": [["Con"], ["Des"]], "truth": 0.0}],
-        "outputs": [_out("analysis:compare", "compare.json")],
-    }
+    return _compare("entry10-descendant", 1992, scm, "Y", "X", [["Con"], ["Des"]], 0.0)
 
 
 # -- entry 11: instrumental variables ---------------------------------------------------
@@ -590,13 +548,12 @@ _IV_BINDINGS_COMMON = {
 }
 
 
+_IV_VARIANTS = ("valid", "causes-confounder", "correlated-confounder", "direct", "indirect")
+
+
 def iv_template(variant: str, reps: int = 10000, seed: int = 1992,
                 n: tuple[int, int] = (150, 10000)) -> dict:
-    """The five instrumental-variable loops.
-
-    variant: "valid" | "causes-confounder" | "correlated-confounder" |
-             "direct" | "indirect".
-    """
+    """The instrumental-variable loop of ``variant``, one of ``_IV_VARIANTS``."""
     bindings = copy.deepcopy(_IV_BINDINGS_COMMON)
     x_eq = equation("X", linear=[["Con", "a_con"], ["IN", "a_in"]],
                     error=err("a_e", "mu_ex", "sd_ex"))
@@ -657,25 +614,12 @@ def iv_template(variant: str, reps: int = 10000, seed: int = 1992,
         ]
     else:
         raise ValidationError(f"unknown iv template variant {variant!r}")
-    return {
-        "scm": {"n": "n", "sources": sources, "equations": equations},
-        "n": {"lo": n[0], "hi": n[1]},
-        "bindings": bindings,
-        "analysis": copy.deepcopy(_IV_RECORD),
-        "reps": reps,
-        "seed": seed,
-    }
+    return _template(sources, equations, n, bindings, copy.deepcopy(_IV_RECORD), reps, seed)
 
 
 def _entry11_mc(variant: str) -> dict:
-    return {
-        "id": f"entry11-iv-{variant}-mc",
-        "seed": 1992,
-        "mc": iv_template(variant),
-        "analyses": [],
-        "outputs": [_out("mc", "loop.csv"),
-                    _out("mc_summary:IN_byx", "ratio_summary.json")],
-    }
+    return _mc(f"entry11-iv-{variant}-mc", iv_template(variant),
+               _out("mc_summary:IN_byx", "ratio_summary.json"))
 
 
 # -- entry 12: non-causal covariates / reversed fits ---------------------------------------
@@ -690,14 +634,7 @@ def entry12_noncausal() -> dict:
             equation("Y", linear=[["X", 1.0]], error=err(1.0, 0, 10)),
         ],
     }
-    return {
-        "id": "entry12-noncausal",
-        "seed": 1992,
-        "scm": scm,
-        "analyses": [{"kind": "compare_adjustments", "name": "compare", "y": "Y", "x": "X",
-                      "covariate_sets": [["Z"]], "truth": 1.0}],
-        "outputs": [_out("analysis:compare", "compare.json")],
-    }
+    return _compare("entry12-noncausal", 1992, scm, "Y", "X", [["Z"]], 1.0)
 
 
 def entry12_reversed() -> dict:
@@ -727,60 +664,49 @@ def entry13_scm() -> dict:
     }
 
 
-def _variant(label: str, target: str, rule: dict | list, family: str | None = None) -> dict:
-    d: dict = {"label": label, "target": target, "rule": rule}
-    if family:
-        d["family"] = family
-    return d
+def _attenuation(ident: str, target: str, rules: dict) -> dict:
+    """The Y ~ X slope's attenuation table, one row per rule applied to ``target``."""
+    variants = [{"label": label, "target": target, "rule": rule} for label, rule in rules.items()]
+    return {
+        "id": ident,
+        "seed": 1992,
+        "scm": entry13_scm(),
+        "analyses": [{"kind": "attenuation", "name": "table", "y": "Y", "x": "X",
+                      "variants": variants}],
+        "outputs": [_out("analysis:table", "attenuation.csv", "csv")],
+    }
 
 
 def entry13_response_measurement() -> dict:
-    variants = [
-        _variant("median_split", "y", {"kind": "dichotomize_median"}),
-        _variant("q25_split", "y", {"kind": "dichotomize_quantile", "p": 0.25}),
-        _variant("extreme_split", "y", {"kind": "dichotomize_threshold", "threshold": 90}),
-        _variant("quartiles", "y", {"kind": "ordinalize_quantiles", "probs": [0.25, 0.5, 0.75]}),
-        _variant("ord_50_60_90", "y", {"kind": "ordinalize_quantiles", "probs": [0.5, 0.6, 0.9]}),
-        _variant("ord_10_20_30", "y", {"kind": "ordinalize_quantiles", "probs": [0.1, 0.2, 0.3]}),
-        _variant("scale_0.2", "y", {"kind": "scale", "c": 0.2}),
-        _variant("scale_20", "y", {"kind": "scale", "c": 20}),
-        _variant("zscore", "y", {"kind": "zscore"}),
-        _variant("normalize", "y", {"kind": "minmax"}),
-        _variant("log_normalized", "y", [{"kind": "minmax", "pad_lo": 25, "pad_hi": 25},
-                                         {"kind": "log_e"}]),
-        _variant("square_raw", "y", {"kind": "power", "exponent": 2}),
-        _variant("power_0.2_raw", "y", {"kind": "power", "exponent": 0.2}),
-        _variant("round", "y", {"kind": "round_whole"}),
-        _variant("window_pm5", "y", {"kind": "window", "lo": -5, "hi": 5}),
-    ]
-    return {
-        "id": "entry13-response-measurement",
-        "seed": 1992,
-        "scm": entry13_scm(),
-        "analyses": [{"kind": "attenuation", "name": "table", "y": "Y", "x": "X",
-                      "variants": variants}],
-        "outputs": [_out("analysis:table", "attenuation.csv", "csv")],
-    }
+    return _attenuation("entry13-response-measurement", "y", {
+        "median_split": {"kind": "dichotomize_median"},
+        "q25_split": {"kind": "dichotomize_quantile", "p": 0.25},
+        "extreme_split": {"kind": "dichotomize_threshold", "threshold": 90},
+        "quartiles": {"kind": "ordinalize_quantiles", "probs": [0.25, 0.5, 0.75]},
+        "ord_50_60_90": {"kind": "ordinalize_quantiles", "probs": [0.5, 0.6, 0.9]},
+        "ord_10_20_30": {"kind": "ordinalize_quantiles", "probs": [0.1, 0.2, 0.3]},
+        "scale_0.2": {"kind": "scale", "c": 0.2},
+        "scale_20": {"kind": "scale", "c": 20},
+        "zscore": {"kind": "zscore"},
+        "normalize": {"kind": "minmax"},
+        "log_normalized": [{"kind": "minmax", "pad_lo": 25, "pad_hi": 25}, {"kind": "log_e"}],
+        "square_raw": {"kind": "power", "exponent": 2},
+        "power_0.2_raw": {"kind": "power", "exponent": 0.2},
+        "round": {"kind": "round_whole"},
+        "window_pm5": {"kind": "window", "lo": -5, "hi": 5},
+    })
 
 
 def entry14_predictor_measurement() -> dict:
-    variants = [
-        _variant("median_split", "x", {"kind": "dichotomize_median"}),
-        _variant("q25_split", "x", {"kind": "dichotomize_quantile", "p": 0.25}),
-        _variant("extreme_split", "x", {"kind": "dichotomize_threshold", "threshold": 30}),
-        _variant("quartiles", "x", {"kind": "ordinalize_quantiles", "probs": [0.25, 0.5, 0.75]}),
-        _variant("scale_20", "x", {"kind": "scale", "c": 20}),
-        _variant("zscore", "x", {"kind": "zscore"}),
-        _variant("window_pm5", "x", {"kind": "window", "lo": -5, "hi": 5}),
-    ]
-    return {
-        "id": "entry14-predictor-measurement",
-        "seed": 1992,
-        "scm": entry13_scm(),
-        "analyses": [{"kind": "attenuation", "name": "table", "y": "Y", "x": "X",
-                      "variants": variants}],
-        "outputs": [_out("analysis:table", "attenuation.csv", "csv")],
-    }
+    return _attenuation("entry14-predictor-measurement", "x", {
+        "median_split": {"kind": "dichotomize_median"},
+        "q25_split": {"kind": "dichotomize_quantile", "p": 0.25},
+        "extreme_split": {"kind": "dichotomize_threshold", "threshold": 30},
+        "quartiles": {"kind": "ordinalize_quantiles", "probs": [0.25, 0.5, 0.75]},
+        "scale_20": {"kind": "scale", "c": 20},
+        "zscore": {"kind": "zscore"},
+        "window_pm5": {"kind": "window", "lo": -5, "hi": 5},
+    })
 
 
 def entry15_covariate_measurement() -> dict:
@@ -814,10 +740,6 @@ def entry15_covariate_measurement() -> dict:
 # -- registry -----------------------------------------------------------------------------
 
 
-def _quadrants() -> list[tuple[int, int]]:
-    return [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-
-
 _BUILDERS: dict[str, Callable[[], dict]] = {}
 
 
@@ -827,28 +749,22 @@ def _register(fn: Callable[[], dict]) -> None:
 
 
 for _fn in (
-    entry1_linearity, entry1_curvilinear,
-    entry2_homoscedastic, entry2_heteroscedastic_expanding, entry2_heteroscedastic_inconsistent,
-    entry3_none, entry3_small, entry3_modsmall, entry3_moderate, entry3_high,
-    entry4_outliers,
-    entry5_sampling_random, entry5_sampling_high_pea, entry5_sampling_low_pea,
-    entry6_balance, entry6_blocked,
-    entry9_mediation, entry9_moderated,
-    entry10_descendant,
-    entry11_single,
+    entry1_linearity, entry1_curvilinear, entry4_outliers, entry6_balance, entry6_blocked,
+    entry9_mediation, entry9_moderated, entry10_descendant, entry11_single,
     entry12_noncausal, entry12_reversed,
     entry13_response_measurement, entry14_predictor_measurement, entry15_covariate_measurement,
 ):
     _register(_fn)
 
-for _sx, _sy in _quadrants():
-    _register(lambda sx=_sx, sy=_sy: entry7_single(sx, sy))
-    _register(lambda sx=_sx, sy=_sy: entry7_mc(sx, sy))
-    _register(lambda sx=_sx, sy=_sy: entry8_single(sx, sy))
-    _register(lambda sx=_sx, sy=_sy: entry8_mc(sx, sy))
+# each family from its parameters; a builder makes fresh lists and dicts on every call
+for _family, _keys in ((_entry2, _ENTRY2_SDS), (_entry3, _ENTRY3_RHO), (_entry5, _ENTRY5_FILTERS),
+                       (_entry11_mc, _IV_VARIANTS)):
+    for _key in _keys:
+        _register(partial(_family, _key))
 
-for _variant_name in ("valid", "causes-confounder", "correlated-confounder", "direct", "indirect"):
-    _register(lambda v=_variant_name: _entry11_mc(v))
+for _signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+    for _family in (entry7_single, entry7_mc, entry8_single, entry8_mc):
+        _register(partial(_family, *_signs))
 
 
 def catalog_ids() -> list[str]:

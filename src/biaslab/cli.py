@@ -95,9 +95,10 @@ def cmd_run(args) -> int:
         print(f"wrote {path}")
     for path, name in run.skipped_outputs.items():
         print(f"skipped {path}: analysis {name!r} failed", file=sys.stderr)
-    if run.skipped_outputs or (cfg.analyses and run.analysis_errors and not run.artifacts):
-        return EXIT_ANALYSIS
-    return EXIT_OK
+    for path, message in run.output_errors.items():
+        print(f"failed {path}: {message}", file=sys.stderr)
+    # a skipped output always comes with an analysis error
+    return EXIT_ANALYSIS if run.analysis_errors or run.output_errors else EXIT_OK
 
 
 def cmd_catalog(_args) -> int:

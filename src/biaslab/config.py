@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from numbers import Real
 from typing import Any, Callable, Mapping
@@ -93,7 +94,7 @@ def resolve_seed(flag: int | None, *fallbacks: tuple[str, Any]) -> tuple[int, st
     for source, value in (("--seed", flag), *fallbacks, ("BIASLAB_SEED", env)):
         if value is None:
             continue
-        if source == "BIASLAB_SEED" and value.strip().lstrip("+-").isdecimal():
+        if source == "BIASLAB_SEED" and re.fullmatch(r"\s*[+-]?\d+\s*", value):
             value = int(value)
         check_seed(source, value)
         return value, source
@@ -487,6 +488,7 @@ class ScenarioRun:
     analysis_errors: dict[str, str]
     files: list[str]
     skipped_outputs: dict[str, str]  # output path -> the failed analysis it shows
+    output_errors: dict[str, str]  # output path -> "Class: message" of its failed writer
 
 
 def run_scenario(
@@ -500,8 +502,10 @@ def run_scenario(
 
     Analysis failures are recorded per analysis and do not stop the run.
     The outputs of a failed analysis are skipped and listed in
-    ``skipped_outputs``; every other output is written.  Callers decide the
-    exit status from ``analysis_errors`` and ``skipped_outputs``.
+    ``skipped_outputs``; every other output is written.  A writer that fails
+    with a ``BiaslabError`` is recorded in ``output_errors`` and the next
+    output is written; an ``OSError`` stops the run.  Callers decide the exit
+    status from ``analysis_errors`` and ``output_errors``.
     """
     data, mc_result = cfg.generate(seed, workers)
     artifacts: dict[str, Any] = {}
@@ -516,6 +520,7 @@ def run_scenario(
             errors[a["name"]] = f"{type(exc).__name__}: {exc}"
     files: list[str] = []
     skipped: dict[str, str] = {}
+    output_errors: dict[str, str] = {}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for rel, source, write in cfg.writers:
@@ -523,7 +528,11 @@ def run_scenario(
             if source in errors:
                 skipped[path] = source
                 continue
-            _write_output(write, path, working, mc_result, artifacts, default_format)
+            try:
+                _write_output(write, path, working, mc_result, artifacts, default_format)
+            except BiaslabError as exc:
+                output_errors[path] = f"{type(exc).__name__}: {exc}"
+                continue
             files.append(path)
     return ScenarioRun(
         config=cfg,
@@ -533,6 +542,7 @@ def run_scenario(
         analysis_errors=errors,
         files=files,
         skipped_outputs=skipped,
+        output_errors=output_errors,
     )
 
 

@@ -48,6 +48,10 @@ class ErrorTerm:
     mean: Value = 0.0
     sd: Value = 1.0
 
+    def __post_init__(self):  # a placeholder's value is checked once it is bound
+        if _is(Real, self.sd) and self.sd < 0:
+            raise ValidationError(f"error term sd must be >= 0, got {self.sd}")
+
     def numbers(self) -> list[Value]:
         return [self.scale_coef, self.mean, self.sd]
 
@@ -77,15 +81,27 @@ class SourceSpec:
         if missing:
             raise ValidationError(f"source {self.name!r} ({self.kind}) missing params {missing}")
         if self.kind == "pattern":
-            values = self.params["values"]
+            values, mode = self.params["values"], self.params["mode"]
             if not isinstance(values, (list, tuple)):
                 raise ValidationError(f"source {self.name!r}: values must be a list, got {values!r}")
             expect(Real, f"source {self.name!r}", **{f"values[{i}]": v for i, v in enumerate(values)})
-        if self.kind == "uniform_int":  # a placeholder's value is checked once it is bound
-            for key in ("lo", "hi"):
-                if isinstance(self.params[key], Real):
-                    self._int_bound(key, self.params[key])
+            if mode not in ("each", "times"):
+                raise ValidationError(f"source {self.name!r}: mode must be 'each' or 'times', got {mode!r}")
+        # a placeholder's value is checked once it is bound, and a value of the
+        # wrong type is refused by ScmSpec
+        self._check({k: self.params[k] for k in _SOURCE_KINDS[self.kind][0] if _is(Real, self.params[k])})
         object.__setattr__(self, "params", dict(self.params))
+
+    def _check(self, p: Mapping[str, float]) -> None:
+        """Refuse the numeric params ``p`` (a subset, all numbers) that no draw can take."""
+        if self.kind == "uniform_int":
+            p = {k: self._int_bound(k, v) for k, v in p.items()}
+        if p.get("sd", 0) < 0:
+            raise ValidationError(f"source {self.name!r}: sd must be >= 0, got {p['sd']!r}")
+        if "lo" in p and "hi" in p and p["lo"] > p["hi"]:
+            raise ValidationError(f"source {self.name!r}: lo > hi, got lo={p['lo']!r}, hi={p['hi']!r}")
+        if "k" in p and not float(p["k"]).is_integer():
+            raise ValidationError(f"source {self.name!r}: k must be a whole number, got {p['k']!r}")
 
     def _int_bound(self, key: str, v: float) -> int:
         """``v`` as the ``key`` bound of a uniform_int draw, which numpy takes as an int64."""
@@ -97,16 +113,13 @@ class SourceSpec:
         return [self.params[k] for k in _SOURCE_KINDS[self.kind][0]]
 
     def generate(self, rng: np.random.Generator, n: int, values: Mapping[str, float]) -> np.ndarray:
-        p = {**self.params, **{k: _number(self.params[k], values) for k in _SOURCE_KINDS[self.kind][0]}}
+        numbers = {k: _number(self.params[k], values) for k in _SOURCE_KINDS[self.kind][0]}
+        self._check(numbers)
+        p = {**self.params, **numbers}
         if self.kind == "normal":
-            if p["sd"] < 0:
-                raise ValidationError(f"source {self.name!r}: sd must be >= 0")
             return rng.normal(p["mean"], p["sd"], n)
         if self.kind == "uniform_int":
-            lo, hi = self._int_bound("lo", p["lo"]), self._int_bound("hi", p["hi"])
-            if lo > hi:
-                raise ValidationError(f"source {self.name!r}: lo > hi")
-            return rng.integers(lo, hi + 1, size=n).astype(float)
+            return rng.integers(int(p["lo"]), int(p["hi"]) + 1, size=n).astype(float)
         if self.kind == "pattern":
             return repeat_pattern(p["values"], p["mode"], int(p["k"]), n)
         if self.kind == "clamped_int_normal":
@@ -181,6 +194,11 @@ class ScmSpec:
         if not isinstance(self.n, str) and self.n >= 2**63:  # more rows than numpy can hold
             raise ValidationError(f"n must be < 2^63, got {self.n}")
         self.validate()
+        for src in self.sources:  # a pattern fills exactly n rows
+            if src.kind == "pattern" and _is(Real, k := src.params["k"]) and _is(Integral, self.n):
+                if len(src.params["values"]) * k != self.n:
+                    raise ValidationError(f"source {src.name!r}: pattern length "
+                                          f"{len(src.params['values'])} x {k} != n = {self.n}")
         # placeholder names in the sources and equations (``n`` aside), found once
         found: set[str] = set()
         for part in (*self.sources, *self.equations):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -63,6 +64,16 @@ class TestCatalog:
             pristine = json.dumps(catalog_config(ident), sort_keys=True)
             clear(catalog_config(ident))
             assert json.dumps(catalog_config(ident), sort_keys=True) == pristine, ident
+
+    def test_catalog_documents_are_pinned(self):
+        # key order included, since a template's binding order is its draw
+        # order; no BLAS is involved, so the digest is the same on every
+        # machine.  An intended catalog edit updates this digest and says so
+        # in CHANGES.md.
+        text = json.dumps([[ident, catalog_config(ident)] for ident in catalog_ids()])
+        assert len(catalog_ids()) == 46
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "dbf7891480efb6e3b9934e241bed03a0cec0508f8868167c846e4fb4999c5831")
 
 
 class TestRun:
@@ -159,6 +170,42 @@ class TestRun:
         run = run_scenario(parse_config(cfg), out_dir=str(tmp_path / "lib"))
         assert [os.path.basename(f) for f in run.files] == ["good.json", "good_line.csv"]
         assert sorted(run.skipped_outputs.values()) == ["bad", "bad"]
+
+    def test_one_failed_analysis_among_good_ones_exits_3(self, tmp_path, capsys):
+        cfg = {
+            "id": "partial",
+            "seed": 1,
+            "scm": {"n": 20, "sources": [{"name": "x", "kind": "normal",
+                                          "params": {"mean": 0, "sd": 1}}],
+                    "equations": [{"target": "z", "linear": [["x", 2.0]]},
+                                  {"target": "y", "linear": [["x", 1.0]], "error": {"sd": 1}}]},
+            # the second fit is singular (z is exactly 2x); neither has an output
+            "analyses": [{"kind": "fit", "name": "good", "formula": "y ~ x"},
+                         {"kind": "fit", "name": "bad", "formula": "x ~ z + x"}],
+            "outputs": [],
+        }
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert cli_main(["run", "--config", str(p)]) == 3
+        io_ = capsys.readouterr()
+        assert "== good:" in io_.out and "== bad: ERROR SingularDesignError" in io_.err
+
+    def test_failed_writer_loses_only_its_output(self, tmp_path, capsys):
+        doc = catalog_config("entry8-collider-pp-mc")
+        doc["mc"].update(n=2, reps=3)  # two rows fit no y ~ x + col: every replicate fails
+        doc["outputs"].reverse()  # so the summary, which has no value to summarize, comes first
+        assert [o["path"] for o in doc["outputs"]] == ["summary.json", "loop.csv"]
+        p, out = tmp_path / "cfg.json", tmp_path / "out"
+        p.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(p), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert sorted(f.name for f in out.iterdir()) == ["loop.csv"]
+        assert f"failed {out / 'summary.json'}: DataError: series 'bxy_adj'" in err
+
+        run = run_scenario(parse_config(doc), out_dir=str(tmp_path / "lib"))
+        assert [os.path.basename(f) for f in run.files] == ["loop.csv"]
+        assert list(map(os.path.basename, run.output_errors)) == ["summary.json"]
+        assert run.analysis_errors == {} and run.skipped_outputs == {}
 
     @pytest.mark.parametrize("generator, what", [
         ("scm", "analysis:godo"),        # names no declared analysis

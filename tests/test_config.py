@@ -449,6 +449,64 @@ def test_malformed_field_exits_2_naming_its_path(tmp_path, capsys, case):
     assert not _LEAKED.search(err), err
 
 
+def _params(scm: dict, i: int) -> dict:
+    """The params of source ``i`` of ``scm``."""
+    return scm["sources"][i]["params"]
+
+
+def _pattern_with_placeholder_k(doc: dict) -> None:
+    doc["mc"]["scm"]["sources"].append(
+        {"name": "P", "kind": "pattern", "params": {"values": [1, 2], "mode": "bogus", "k": "kk"}})
+    doc["mc"]["bindings"]["kk"] = {"lo": 1, "hi": 1}
+
+
+# a concrete source or error parameter that no draw can take, which used to
+# pass parsing (to fail at run time, with no path or exit 3, or to be
+# truncated), and the error that now names its path
+_UNDRAWABLE = {
+    "pattern-mode": (_edited("entry2-homoscedastic", lambda d: _params(d["scm"], 0).update(mode="bogus")),
+                     "scm.sources[0]: source 'X': mode must be 'each' or 'times', got 'bogus'"),
+    "pattern-mode-placeholder-k": (_edited(_COLLIDER, _pattern_with_placeholder_k),
+                                   "mc.scm.sources[2]: source 'P': mode must be 'each' or 'times'"),
+    "pattern-k-fraction": (_edited("entry2-homoscedastic", lambda d: (
+        _params(d["scm"], 0).update(k=2.5), d["scm"].update(n=10))),
+        "scm.sources[0]: source 'X': k must be a whole number, got 2.5"),
+    "pattern-length": (_edited("entry2-homoscedastic", lambda d: _params(d["scm"], 0).update(k=100)),
+                       "scm: source 'X': pattern length 5 x 100 != n = 1000"),
+    "clamped-lo-above-hi": (_edited(_POP, lambda d: _params(d["population"]["scm"], 1).update(lo=20)),
+                            "population.scm.sources[1]: source 'PEA': lo > hi, got lo=20, hi=19"),
+    "clamped-negative-sd": (_edited(_POP, lambda d: _params(d["population"]["scm"], 1).update(sd=-2.5)),
+                            "population.scm.sources[1]: source 'PEA': sd must be >= 0, got -2.5"),
+    "normal-negative-sd": (_edited("entry1-linearity", lambda d: _params(d["scm"], 0).update(sd=-1)),
+                           "scm.sources[0]: source 'X': sd must be >= 0, got -1"),
+    "uniform-int-lo-above-hi": ({**_scm_config(), "scm": {**_SCM, "sources": [
+        *_SCM["sources"][:2], {"name": "G", "kind": "uniform_int", "params": {"lo": 2, "hi": 1}}]}},
+        "scm.sources[2]: source 'G': lo > hi, got lo=2, hi=1"),
+    "error-negative-sd": (
+        _edited("entry1-linearity", lambda d: d["scm"]["equations"][0]["error"].update(sd=-1)),
+        "scm.equations[0].error: error term sd must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNDRAWABLE))
+def test_undrawable_parameter_exits_2_naming_its_path(tmp_path, capsys, case):
+    doc, message = _UNDRAWABLE[case]
+    err = _refusal(tmp_path, capsys, doc)
+    assert f"validation error: {message}" in err
+    assert not _LEAKED.search(err), err
+
+
+def test_placeholder_bound_to_an_undrawable_value_is_a_replicate_error():
+    doc = _catalog_with(_COLLIDER, "mc", reps=2)
+    doc["mc"]["scm"]["sources"].append(
+        {"name": "C", "kind": "clamped_int_normal", "params": {"mean": 0, "sd": 1, "lo": "c_lo", "hi": 0}})
+    doc["mc"]["bindings"]["c_lo"] = {"lo": 1, "hi": 2}
+    result = run_scenario(parse_config(doc)).mc_result
+    assert sorted(result.errors) == [0, 1]
+    for tag in result.errors.values():
+        assert tag.startswith("ValidationError: source 'C': lo > hi, got lo="), tag
+
+
 # a value that used to be coerced and run, and the error that now refuses it
 _COERCED = {
     "corr-empirical-exact-string": (

@@ -66,6 +66,18 @@ class TestResolver:
         with pytest.raises(ValidationError, match="BIASLAB_SEED"):
             resolve_seed(None)
 
+    @pytest.mark.parametrize("bad", ["--5", "+-3", "-+3", "++3", "5-", "1 2", "1_000"])
+    def test_env_with_misplaced_signs_is_no_integer(self, monkeypatch, bad):
+        # one sign at most, and only before the digits; int() is never asked
+        monkeypatch.setenv("BIASLAB_SEED", bad)
+        with pytest.raises(ValidationError, match=r"^BIASLAB_SEED: must be an integer"):
+            resolve_seed(None)
+
+    @pytest.mark.parametrize("text, seed", [(" 7 ", 7), ("+8", 8), ("\t+9\n", 9)])
+    def test_env_integer_text(self, monkeypatch, text, seed):
+        monkeypatch.setenv("BIASLAB_SEED", text)
+        assert resolve_seed(None) == (seed, "BIASLAB_SEED")
+
     def test_no_seed_anywhere(self):
         with pytest.raises(ValidationError, match="no seed"):
             resolve_seed(None, ("seed", None))
@@ -150,6 +162,12 @@ class TestBadSeedsExit2:
         monkeypatch.setenv("BIASLAB_SEED", "-5")
         rc, io = _cli(capsys, tmp_path, "run", doc=_without(catalog_config("entry1-linearity"), "seed"))
         assert rc == 2 and "BIASLAB_SEED" in io.err
+
+    @pytest.mark.parametrize("bad", ["--5", "+-3"])
+    def test_env_seed_with_two_signs(self, capsys, tmp_path, monkeypatch, bad):
+        monkeypatch.setenv("BIASLAB_SEED", bad)
+        rc, io = _cli(capsys, tmp_path, "run", doc=_without(catalog_config("entry1-linearity"), "seed"))
+        assert rc == 2 and f"BIASLAB_SEED: must be an integer in [0, 2^64), got {bad!r}" in io.err
 
 
 def test_run_flag_beats_the_embedded_mc_seed(tmp_path):
