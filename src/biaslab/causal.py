@@ -196,8 +196,8 @@ def iv_wald(
     labels = ("(Intercept)", instrument)
     slopes = []
     for rows, responses in groups:
-        fits = _least_squares(_design(rows, (main(instrument),), labels), labels,
-                              {v: rows[v] for v in responses})
+        fits = _least_squares(_design(rows, (main(instrument),), labels, responses), labels,
+                              responses)
         slopes += [(float(b[1]), float(se[1])) for b, _, se in fits]
     (b_yin, se_yin), (b_xin, se_xin) = slopes
     weak = abs(b_xin) <= 10.0 * se_xin

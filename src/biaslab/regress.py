@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -238,61 +238,66 @@ def _term_labels(terms: Sequence[Term], with_intercept: bool) -> tuple[str, ...]
     return ("(Intercept)",) * with_intercept + tuple(t.label for t in terms)
 
 
-def _design(complete: Dataset, terms: Sequence[Term], labels: Sequence[str]) -> np.ndarray:
-    """The design matrix ``[1 |] terms`` with columns ``labels``, filled column by column in place.
+def _design(complete: Dataset, terms: Sequence[Term], labels: Sequence[str],
+            responses: Sequence[str] = ()) -> np.ndarray:
+    """The column-major ``[X | y1 ... yk]``: the design ``[1 |] terms`` (columns ``labels``), then ``responses``.
 
     ``labels`` has ``(Intercept)`` first when the design has an intercept column.
     A built interaction or square that overflows to ±inf raises ``DataError``;
     as in ``listwise_complete``, ``v @ v`` screens it before the exact pass."""
-    x = np.empty((complete.n_rows, len(labels)))
+    a = np.empty((complete.n_rows, len(labels) + len(responses)), order="F")
     first = len(labels) - len(terms)  # 1 with an intercept column, else 0
     if first:
-        x[:, 0] = 1.0
-    for j, term in enumerate(terms, start=first):
+        a[:, 0] = 1.0
+    for j, term in enumerate((*terms, *map(main, responses)), start=first):
         if term.kind == "main":
-            x[:, j] = term.build(complete)
+            a[:, j] = term.build(complete)
             continue
         with np.errstate(over="ignore"):
-            x[:, j] = v = term.build(complete)
+            a[:, j] = v = term.build(complete)
             if not math.isfinite(v @ v) and np.isinf(v).any():
                 raise DataError(f"term {term.label!r} overflows to ±inf; fits need finite data")
-    return x
+    return a
 
 
 def _build_design(
     data: Dataset, formula: Formula, with_intercept: bool
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], int]:
-    """Listwise-delete over formula variables, then build (y, X, labels, n_dropped)."""
+) -> tuple[np.ndarray, tuple[str, ...], int]:
+    """Listwise-delete over formula variables, then build ([X | y], labels, n_dropped)."""
     complete, n_dropped = listwise_complete(data, formula._variables)
     if complete.n_rows == 0:
         raise DataError("no complete rows after listwise deletion")
     labels = (formula._labels if with_intercept == formula.intercept
               else _term_labels(formula.terms, with_intercept))
-    return complete[formula.response], _design(complete, formula.terms, labels), labels, n_dropped
+    return _design(complete, formula.terms, labels, (formula.response,)), labels, n_dropped
 
 
-def _check_rank(x: np.ndarray, labels: Sequence[str], r: np.ndarray) -> None:
-    """Raise ``SingularDesignError`` if ``x`` (with QR factor ``r``) lacks full rank.
+def _check_rank(a: np.ndarray, labels: Sequence[str]) -> np.ndarray:
+    """R of the column-major ``a`` from one QR that forms no Q, or ``SingularDesignError``
+    if its first ``len(labels)`` columns (the design) lack full rank.
 
     Column j is numerically a combination of the columns before it when
     ``|R_jj|`` is at most ``_RANK_TOL`` times the largest ``|R_ij|`` of its own
     column.  Scaling a column scales its column of R, so the test does not
     depend on the scale of any column; a zero column is dependent."""
-    a = np.abs(r)
-    diag = a.diagonal().tolist()
+    r = np.linalg.qr(a, mode="r")
+    p = len(labels)
+    ar = np.abs(r[:p, :p])
+    diag = ar.diagonal().tolist()
     # a NaN on the diagonal (NaN data) never raises; lists, not arrays, because a
     # design has few columns and numpy's per-call overhead would dominate
-    if (diag and any(d <= _RANK_TOL * m for d, m in zip(diag, a.max(axis=0).tolist()))
+    if (diag and any(d <= _RANK_TOL * m for d, m in zip(diag, ar.max(axis=0).tolist()))
             and not any(map(math.isnan, diag))):
         # pivoted pass to name the first dependent column; scipy.linalg is
         # imported here so that a full-rank fit never loads it
         import scipy.linalg
 
-        _, rp, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
+        _, rp, piv = scipy.linalg.qr(a[:, :p], mode="economic", pivoting=True)
         ap = np.abs(rp)
         bad = np.nonzero(ap.diagonal() <= _RANK_TOL * ap.max(axis=0))[0]
         term = labels[piv[bad[0]]] if bad.size else labels[-1]
         raise SingularDesignError(f"design matrix is singular at term {term!r}", term=term)
+    return r
 
 
 def _check_rank_with_intercept(x: np.ndarray, labels: Sequence[str]) -> None:
@@ -300,33 +305,37 @@ def _check_rank_with_intercept(x: np.ndarray, labels: Sequence[str]) -> None:
     ``[1 | x]`` has full rank.  Centring ``x`` spans the same space and keeps
     the pivoted pass from naming the intercept, which is orthogonal to every
     centred column; a constant column centres to a zero column."""
-    design = np.column_stack([np.ones(len(x)), x - x.mean(axis=0)])
-    _check_rank(design, ["(Intercept)", *labels], np.linalg.qr(design, mode="r"))
+    design = np.ones((len(x), x.shape[1] + 1), order="F")
+    np.subtract(x, x.mean(axis=0), out=design[:, 1:])
+    _check_rank(design, ["(Intercept)", *labels])
 
 
 def _least_squares(
-    x: np.ndarray, labels: Sequence[str], responses: Mapping[str, np.ndarray]
+    a: np.ndarray, labels: Sequence[str], responses: Sequence[str]
 ) -> list[tuple[np.ndarray, float, np.ndarray]]:
-    """Least squares of each response in ``responses`` (name -> y) on the
-    design ``x`` (columns ``labels``), which is QR-factored once.
+    """Least squares of each response on the design, from the column-major buffer
+    ``a = [X | y1 ... yk]``: X has columns ``labels``, y_i is named ``responses[i]``.
 
-    Returns ``(b, rss, se)`` per response, with classical standard errors.
-    Raises ``SingularDesignError`` on rank deficiency and ``DataError`` when
-    there are no more rows than columns or a response's squares overflow.
-    """
-    n, p = x.shape
+    ``_check_rank`` gives R as the top-left p × p block of its R, and Q'y_i
+    beside it.  b = R⁻¹Q'y_i takes one refinement step ``b += R⁻¹R⁻ᵀXᵀ(y_i − Xb)``
+    (Björck, *Numerical Methods for Least Squares Problems*, SIAM 1996); RSS is
+    the refined residual's, so an exact fit has RSS 0, and SEs are classical.
+    Raises ``SingularDesignError`` on rank deficiency, and ``DataError`` when
+    there are no more rows than columns or a response's squares overflow."""
+    n, p = a.shape[0], len(labels)
     if n <= p:
         raise DataError(f"need more rows ({n}) than parameters ({p})")
-    q, r = np.linalg.qr(x)
-    _check_rank(x, labels, r)
-    rinv = np.linalg.inv(r)
+    r = _check_rank(a, labels)
+    rinv = np.linalg.inv(r[:p, :p])
     unscaled_var = np.add.reduce(rinv**2, axis=1)
+    x = a[:, :p]
     fits = []
-    for name, y in responses.items():
+    for name, y, qty in zip(responses, a[:, p:].T, r[:p, p:].T):
         with np.errstate(over="ignore"):
             if not math.isfinite(y @ y):
                 raise DataError(f"response {name!r} is too large: its squares overflow float64")
-        b = rinv @ (q.T @ y)
+        b = rinv @ qty
+        b += rinv @ (rinv.T @ (x.T @ (y - x @ b)))
         resid = y - x @ b
         rss = float(resid @ resid)
         fits.append((b, rss, np.sqrt(unscaled_var * (rss / (n - p)))))
@@ -337,19 +346,16 @@ def _standardized(
     b: np.ndarray, x: np.ndarray, y: np.ndarray, labels: Sequence[str]
 ) -> np.ndarray:
     sy = float(np.std(y, ddof=1))  # no fitter passes a response whose squares overflow
-    beta = np.zeros_like(b)
     if sy == 0 or not labels:
-        return beta
+        return np.zeros_like(b)
     with np.errstate(over="ignore"):
         sx = np.std(x, axis=0, ddof=1)
     # a design column whose squares overflow: its SD on that column scaled by 1 / max |v|
     for j in np.flatnonzero(~np.isfinite(sx)):
         m = np.max(np.abs(x[:, j]))
         sx[j] = m * np.std(x[:, j] / m, ddof=1)
-    for j, lab in enumerate(labels):
-        if lab != "(Intercept)":
-            beta[j] = b[j] * sx[j] / sy
-    return beta
+    # an intercept column's SD is 0, and + 0.0 turns the -0.0 of a negative b into 0.0
+    return b * sx / sy + 0.0
 
 
 def _wald(b: np.ndarray, se: np.ndarray, df: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -368,9 +374,10 @@ def _wald(b: np.ndarray, se: np.ndarray, df: int | None = None) -> tuple[np.ndar
 
 def fit_ols(data: Dataset, formula: Formula, standardized: bool = True) -> FitResult:
     """Gaussian least squares with classical (t-based) inference."""
-    y, x, labels, n_dropped = _build_design(data, formula, formula.intercept)
-    [(b, rss, se)] = _least_squares(x, labels, {formula.response: y})
-    n, p = x.shape
+    a, labels, n_dropped = _build_design(data, formula, formula.intercept)
+    [(b, rss, se)] = _least_squares(a, labels, (formula.response,))
+    n, p = a.shape[0], len(labels)
+    x, y = a[:, :p], a[:, p]
     df = n - p
     sigma2 = rss / df
     stat, pvals = _wald(b, se, df)
@@ -410,8 +417,9 @@ def _binomial_deviance(y: np.ndarray, eta: np.ndarray) -> float:
 
 def fit_logistic(data: Dataset, formula: Formula) -> FitResult:
     """Binary logit by IRLS; stops on |relative deviance change| < 1e-8."""
-    y, x, labels, n_dropped = _build_design(data, formula, with_intercept=formula.intercept)
-    n, p = x.shape
+    a, labels, n_dropped = _build_design(data, formula, with_intercept=formula.intercept)
+    n, p = a.shape[0], len(labels)
+    x, y = a[:, :p], a[:, p].copy()  # column p holds the working response from here on
     classes = np.unique(y)
     if not np.all(np.isin(classes, (0.0, 1.0))):
         raise DataError(f"binomial response must be 0/1, saw values {classes[:5]}")
@@ -429,9 +437,8 @@ def fit_logistic(data: Dataset, formula: Formula) -> FitResult:
     mu = expit(eta)
     for it in range(1, 26):
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
-        z = eta + (y - mu) / w
-        sw = np.sqrt(w)
-        [(b, _, _)] = _least_squares(x * sw[:, None], labels, {formula.response: z * sw})
+        a[:, p] = eta + (y - mu) / w
+        [(b, _, _)] = _least_squares(a * np.sqrt(w)[:, None], labels, (formula.response,))
         eta = x @ b
         new_dev = _binomial_deviance(y, eta)
         mu = expit(eta)
@@ -577,8 +584,9 @@ def _theta_to_zeta(theta_tail: np.ndarray) -> np.ndarray:
 
 def fit_ordered_logit(data: Dataset, formula: Formula) -> FitResult:
     """Proportional-odds logit by Newton's method on (beta, z1, log-gaps)."""
-    y, x, labels, n_dropped = _build_design(data, formula, with_intercept=False)
-    n, p = x.shape
+    a, labels, n_dropped = _build_design(data, formula, with_intercept=False)
+    n, p = a.shape[0], len(labels)
+    x, y = a[:, :p], a[:, p]
     if not np.all(y == np.round(y)):
         raise DataError("ordered response must be integer-coded")
     levels = np.unique(y).astype(int)
@@ -751,20 +759,19 @@ def collinearity_diagnostics(data: Dataset, formula: Formula) -> CollinearityRep
     """
     if len(formula.terms) < 2:
         raise ParameterError("collinearity diagnostics need at least 2 predictors")
-    _, x1, labels, _ = _build_design(data, formula, with_intercept=True)
-    x, labels = x1[:, 1:], labels[1:]  # the predictors, without the intercept column
+    a, labels, _ = _build_design(data, formula, with_intercept=True)
+    x, labels = a[:, 1:-1], labels[1:]  # the predictors, without the intercept column
     n, p = x.shape
     if n <= p + 1:
         raise DataError("not enough rows for collinearity diagnostics")
     _check_rank_with_intercept(x, labels)
     tol = np.empty(p)
     for j in range(p):
-        # predictor j on the intercept and the other predictors
-        others = np.delete(x1, j + 1, axis=1)
-        target = x[:, j]
-        [(_, rss, _)] = _least_squares(others, ("(Intercept)", *labels[:j], *labels[j + 1:]),
-                                       {labels[j]: target})
-        tol[j] = rss / float(np.sum((target - target.mean()) ** 2))
+        # predictor j on the intercept and the other predictors: [1 | others | x_j]
+        aux = a[:, [0, *range(1, j + 1), *range(j + 2, p + 1), j + 1]]
+        [(_, rss, _)] = _least_squares(aux, ("(Intercept)", *labels[:j], *labels[j + 1:]),
+                                       (labels[j],))
+        tol[j] = rss / float(np.sum((x[:, j] - x[:, j].mean()) ** 2))
     corr = np.corrcoef(x, rowvar=False)
     eig = np.linalg.eigvalsh(corr)
     if eig.min() <= 0:

@@ -107,6 +107,8 @@ class SourceSpec:
         """``v`` as the ``key`` bound of a uniform_int draw, which numpy takes as an int64."""
         if not -2**63 <= v < 2**63:
             raise ValidationError(f"source {self.name!r}: {key} must be in [-2^63, 2^63), got {v!r}")
+        if not float(v).is_integer():
+            raise ValidationError(f"source {self.name!r}: {key} must be a whole number, got {v!r}")
         return int(v)
 
     def numbers(self) -> list[Value]:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from biaslab.scm import (
     mvn_exact,
 )
 
-from _oracles import CovOracle, iv_wald_oracle
+from _oracles import CovOracle, exact_ols, iv_wald_oracle
 
 
 def normal(name, mean, sd):
@@ -176,7 +178,10 @@ class TestIv:
 
 
 class TestIvMatchesOracle:
-    """``iv_wald`` gives the bits of the two separate fits it replaced."""
+    """``iv_wald`` refuses with the error of the two separate fits it replaced,
+    and its slopes and SEs are within ``100 * eps * cond(X) * ||y|| / sigma_min(X)``
+    (``test_regress.py``'s ``TestLeastSquaresMatchesExactArithmetic`` bound)
+    of the truth: of ``exact_ols`` where n <= 40, else of those fits."""
 
     @staticmethod
     def outcome(*args, **kwargs):
@@ -191,7 +196,7 @@ class TestIvMatchesOracle:
         return got.value, want.value
 
     @settings(max_examples=150, deadline=None)
-    @given(n=st.integers(5, 2000), seed=st.integers(0, 2**32 - 1),
+    @given(n=st.one_of(st.integers(5, 40), st.integers(41, 2000)), seed=st.integers(0, 2**32 - 1),
            strength=st.sampled_from([0.0, 0.01, 1.0, -3.0]),
            missing=st.sampled_from(["none", "same rows", "different rows", "instrument"]),
            allow_weak=st.booleans())
@@ -211,9 +216,24 @@ class TestIvMatchesOracle:
         d = Dataset({"IN": inst, "X": x, "Y": y})
         got, want = self.outcome(d, "Y", "X", "IN", allow_weak=allow_weak)
         if isinstance(want, BiaslabError):
-            assert (type(got), str(got)) == (type(want), str(want))
-        else:
-            assert repr(got) == repr(want)
+            assert (type(got), str(got), getattr(got, "term", None)) == (
+                type(want), str(want), getattr(want, "term", None))
+            return
+        assert got.weak == (abs(got.b_xin) <= 10.0 * got.se_xin)
+        assert got.ratio == (got.b_yin / got.b_xin if got.b_xin != 0 else math.inf)
+        for v, b, se, want_b, want_se in (("Y", got.b_yin, got.se_yin, want.b_yin, want.se_yin),
+                                          ("X", got.b_xin, got.se_xin, want.b_xin, want.se_xin)):
+            rows = ~(np.isnan(d[v]) | np.isnan(inst))
+            design, response = np.column_stack([np.ones(rows.sum()), inst[rows]]), d[v][rows]
+            cond = np.linalg.cond(design)
+            if cond >= 1e6:
+                continue
+            if rows.sum() <= 40:
+                exact_b, _, exact_se, _ = exact_ols(design.tolist(), response.tolist())
+                want_b, want_se = float(exact_b[1]), exact_se[1]
+            bound = (100 * np.finfo(float).eps * cond * np.linalg.norm(response)
+                     / np.linalg.svd(design, compute_uv=False)[-1])
+            assert abs(b - want_b) <= bound and abs(se - want_se) <= bound
 
     def test_constant_instrument_raises_the_same_error(self):
         g = np.random.default_rng(4)

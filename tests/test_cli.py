@@ -296,13 +296,18 @@ class TestRun:
 
 def test_cli_starts_without_scipy_or_the_process_pool():
     # neither parsing nor the catalog needs scipy or the process pool, so the
-    # command line starts without them; the first fit loads scipy.special
+    # command line starts without them; the first fit loads scipy.special.
+    # Full-rank fits, MC loops and pooled sampling loops never load
+    # scipy.linalg, which would add about 6 MB to every process's resident
+    # memory; only a singular design's pivoted naming pass loads it
     code = """
 import math, sys
+from dataclasses import replace
 import biaslab.cli
 from biaslab import Dataset, Formula, fit
 from biaslab.catalog import catalog_config, catalog_ids
 from biaslab.config import parse_config
+from biaslab.mc import FitStep, McTemplate, SamplingPlan, repeated_samples, run_mc
 for ident in catalog_ids():
     parse_config(catalog_config(ident))
 print(sorted(m for m in sys.modules
@@ -311,10 +316,15 @@ x = [float(i % 7) for i in range(30)]
 data = Dataset({'x': x, 'y': [v / 2 + i % 3 for i, v in enumerate(x)]})
 p = fit(data, Formula.parse('y ~ x')).p.tolist()
 print('scipy.special' in sys.modules, len(p) == 2 and all(map(math.isfinite, p)))
+template = McTemplate.from_json_dict(catalog_config('entry8-collider-pp-mc')['mc'])
+loop = run_mc(replace(template, reps=20))
+plan = SamplingPlan(k=15, reps=20, analysis=(FitStep('y ~ x', (('b', 'b:x'),)),), master_seed=1)
+samples = repeated_samples(data, plan, workers=2)
+print(len(loop.errors) + len(samples.errors), 'scipy.linalg' in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True True"]
+    assert proc.stdout.splitlines() == ["[]", "True True", "0 False"]
 
 
 class TestConfigRoundTrip:

@@ -507,6 +507,26 @@ def test_placeholder_bound_to_an_undrawable_value_is_a_replicate_error():
         assert tag.startswith("ValidationError: source 'C': lo > hi, got lo="), tag
 
 
+def test_fractional_uniform_int_bound_exits_2_naming_its_path(tmp_path, capsys):
+    # lo 0.9 used to be truncated to 0, so 2000 rows drew 0 as well as 1
+    doc = {**_scm_config(), "scm": {**_SCM, "sources": [
+        *_SCM["sources"][:2], {"name": "G", "kind": "uniform_int", "params": {"lo": 0.9, "hi": 1.9}}]}}
+    err = _refusal(tmp_path, capsys, doc)
+    assert "validation error: scm.sources[2]: source 'G': lo must be a whole number, got 0.9" in err
+    assert not _LEAKED.search(err), err
+
+
+def test_placeholder_bound_to_a_fractional_uniform_int_bound_is_a_replicate_error():
+    doc = _catalog_with(_COLLIDER, "mc", reps=2)
+    doc["mc"]["scm"]["sources"].append(
+        {"name": "G", "kind": "uniform_int", "params": {"lo": 0, "hi": "g_hi"}})
+    doc["mc"]["bindings"]["g_hi"] = {"lo": 1.25, "hi": 1.75}
+    result = run_scenario(parse_config(doc)).mc_result
+    assert sorted(result.errors) == [0, 1]
+    for tag in result.errors.values():
+        assert tag.startswith("ValidationError: source 'G': hi must be a whole number, got 1."), tag
+
+
 # a value that used to be coerced and run, and the error that now refuses it
 _COERCED = {
     "corr-empirical-exact-string": (

@@ -35,6 +35,7 @@ from biaslab.scm import CorrTarget, mvn_exact
 
 from _oracles import (
     OrderedNllOracle,
+    _build_design_oracle,
     brute_force_logistic,
     brute_force_ordered,
     exact_ols,
@@ -215,7 +216,9 @@ def assert_same_fit(got, want):
 
 
 class TestOlsMatchesOracle:
-    """``fit_ols`` gives the bits of the one-QR-per-fit code it replaced."""
+    """``fit_ols`` refuses a design with the error of the one-QR-per-fit code
+    it replaced, and fits within ``TestLeastSquaresMatchesExactArithmetic``'s
+    bound of the truth: of ``exact_ols`` where n <= 40, else of that code."""
 
     _TERMS = {"a": main("a"), "b": main("b"), "c": main("c"),
               "a:b": Formula.parse("y ~ a:b").terms[0], "b^2": Formula.parse("y ~ b^2").terms[0]}
@@ -227,7 +230,7 @@ class TestOlsMatchesOracle:
                                     unique=True))
         intercept = draw.draw(st.booleans())
         p = len(labels) + intercept
-        n = draw.draw(st.integers(p + 1, 2000))
+        n = draw.draw(st.one_of(st.integers(p + 1, 40), st.integers(41, 2000)))
         missing = draw.draw(st.sampled_from([0.0, 0.02, 0.3]))
         g = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
         cols = {v: g.normal(size=n) * g.uniform(0.1, 10) + g.normal() for v in "abc"}
@@ -237,8 +240,33 @@ class TestOlsMatchesOracle:
         d = Dataset(cols)
         formula = Formula("y", tuple(self._TERMS[t] for t in labels), intercept=intercept)
         standardized = draw.draw(st.booleans())
-        assert_same_fit(outcome(fit_ols, d, formula, standardized=standardized),
-                        outcome(fit_ols_oracle, d, formula, standardized=standardized))
+        got = outcome(fit_ols, d, formula, standardized=standardized)
+        want = outcome(fit_ols_oracle, d, formula, standardized=standardized)
+        if isinstance(want, BiaslabError):
+            assert_same_error(got, want)
+            return
+        assert (got.terms, got.n_used, got.n_dropped, got.df_residual) == (
+            want.terms, want.n_used, want.n_dropped, want.df_residual)
+        y, x, _, _ = _build_design_oracle(d, formula, intercept)
+        if np.linalg.cond(x) >= 1e6:
+            return
+        if len(y) <= 40:
+            exact_b, _, exact_se, exact_r2 = exact_ols(x.tolist(), y.tolist(), intercept)
+            b, se, r2 = np.array([float(v) for v in exact_b]), exact_se, float(exact_r2)
+        else:
+            b, se, r2 = want.b, want.se, want.r_squared
+        close = TestLeastSquaresMatchesExactArithmetic.assert_close
+        scale = np.linalg.norm(y) / np.linalg.svd(x, compute_uv=False)[-1]
+        close(got.b, b, x, scale)
+        close(got.se, se, x, scale)
+        tss = float(np.sum((y - y.mean()) ** 2)) if intercept else float(y @ y)
+        if tss > 0:
+            close(got.r_squared, r2, x, (y @ y) / tss)
+        if standardized:
+            # beta_j = b_j * sd(x_j) / sd(y), and 0 for the intercept
+            ratio = np.std(x, axis=0, ddof=1) / np.std(y, ddof=1)
+            ratio[: int(intercept)] = 0.0
+            close(got.beta, b * ratio, x, scale * ratio.max())
 
     @pytest.mark.parametrize("y, x", [
         ([2.0, 2, 2, 2], None),
@@ -346,6 +374,27 @@ class TestLeastSquaresMatchesExactArithmetic:
             iv = iv_wald(d, "y", "w", "x0", allow_weak=True)
             for resp, b, se in ((y, iv.b_yin, iv.se_yin), (w, iv.b_xin, iv.se_xin)):
                 self.assert_fit(x_iv, resp, [b], [se], first=1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_scaled_integer_designs(self, draw):
+        """b, SE and RSS of ``fit_ols`` on 1 to 4 integer predictors, each column
+        (the response too) scaled by a factor from 1e-3 to 1e3."""
+        n = draw.draw(st.integers(10, 40))
+        scaled = st.floats(-3, 3).flatmap(lambda e: st.lists(
+            st.integers(-50, 50), min_size=n, max_size=n).map(lambda v: np.array(v) * 10.0**e))
+        xs = draw.draw(st.lists(scaled, min_size=1, max_size=4))
+        y = draw.draw(scaled)
+        names = [f"x{j}" for j in range(len(xs))]
+        x = np.column_stack([np.ones(n), *xs])
+        if np.linalg.cond(x) >= 1e6 or (exact := exact_ols(x.tolist(), y.tolist())) is None:
+            return
+        got = fit_ols(Dataset({"y": y, **dict(zip(names, xs))}), Formula("y", tuple(map(main, names))),
+                      standardized=False)
+        scale = np.linalg.norm(y) / np.linalg.svd(x, compute_uv=False)[-1]
+        self.assert_close(got.b, [float(v) for v in exact[0]], x, scale)
+        self.assert_close(got.se, exact[2], x, scale)
+        self.assert_close(got.deviance, float(exact[1]), x, y @ y)
 
     def test_shifted_copy_is_refused_and_named(self):
         # with x1 = x0 + 1 the auxiliary regressions fit exactly; before, most
