@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, listwise_complete
-from .errors import BiaslabError, DataError, Doc, ValidationError, WeakInstrumentError, expect
+from .errors import BiaslabError, DataError, Doc, ValidationError, WeakInstrumentError, expect, shown
 from .regress import FitResult, Formula, _design, _least_squares, fit_ols, interaction, main
 
 _OPS = {
@@ -41,9 +41,9 @@ class Condition:
     value: float
 
     def __post_init__(self):
-        expect(str, "condition", var=self.var)
+        expect(str, var=self.var)
         if not isinstance(self.op, str) or self.op not in _OPS:
-            raise ValidationError(f"unknown comparison op {self.op!r}")
+            raise ValidationError(f"unknown comparison op {shown(self.op)}", "op")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from .catalog import catalog_config, catalog_ids
 from .config import (ScenarioConfig, _write_artifact, _write_output, artifact_json, check_out_path,
                      load_config, parse_config, run_scenario)
 from .data import read_csv
-from .errors import BiaslabError, Doc, ValidationError
+from .errors import BiaslabError, Doc, ValidationError, shown
 from .mc import summarize_series, write_mc_csv
 from .regress import FitResult, Formula, fit
 
@@ -69,7 +69,7 @@ def _load_scenario(args) -> ScenarioConfig:
     """The scenario of ``--config`` or ``--catalog``, with ``--reps`` applied;
     ``--threads`` must be at least 1."""
     if args.threads < 1:
-        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
+        raise ValidationError(f"--threads must be >= 1, got {shown(args.threads)}")
     if args.catalog and args.config:
         raise ValidationError("pass --config or --catalog, not both")
     if args.catalog:

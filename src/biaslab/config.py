@@ -31,7 +31,7 @@ from .causal import (
     subgroup_effect,
 )
 from .data import Dataset, balance_diff, pearson, spearman, summarize, write_csv, write_rows
-from .errors import BiaslabError, Doc, ValidationError, expect, expect_count
+from .errors import BiaslabError, Doc, ValidationError, expect, expect_count, shown
 from .measure import AttenuationVariant, apply_rules, attenuation_report, rules_from_json
 from .regress import FitResult, Formula, check_family, collinearity_diagnostics, fit, predict
 from .rng import check_seed, derive_substream
@@ -133,16 +133,18 @@ def _build_generator(
         return run, [], ["i", "N", *template.series_names()]
     if kind == "corr":
         target, n = CorrTarget.from_json_dict(gen), gen["n"].value
-        expect_count("corr", n=n)
+        gen.build(expect_count, n=n)
         return (lambda flag, workers: (mvn_exact(target, n, derive_substream(data_seed(flag), 0)), None),
                 list(target.names), [])
-    spec = ScmSpec.from_json_dict(gen["scm"] if kind == "population" else gen)
-    if not spec.is_concrete():
-        raise gen.error(f"placeholders {sorted(spec.placeholders())} are only valid in mc templates")
+    doc = gen["scm"] if kind == "population" else gen
+    spec = ScmSpec.from_json_dict(doc)
+    for where, v in [("n", spec.n), *spec.numbers()]:  # only an mc template binds placeholders
+        if isinstance(v, str):
+            raise doc.at(where).error(f"placeholder {v!r} is only valid in mc templates")
     columns = spec.column_names()
     if kind == "scm":
-        return (lambda flag, workers: (evaluate_scm(spec, derive_substream(data_seed(flag), 0)), None),
-                columns, [])
+        return (lambda flag, workers: (doc.build(evaluate_scm, spec, derive_substream(data_seed(flag), 0)),
+                                       None), columns, [])
     sampling = gen["sampling"]
 
     def master(flag, seed):
@@ -154,10 +156,10 @@ def _build_generator(
 
     plan = mc_mod.SamplingPlan.from_json_dict(
         Doc({**sampling.want(dict), "seed": master(None, stand_in)}, sampling.path))
-    mc_mod.check_reads("population.sampling", plan.analysis, columns, plan.row_filter)
+    sampling.build(mc_mod.check_reads, plan.analysis, columns, plan.row_filter)
 
     def sample(flag, workers):
-        pop = evaluate_scm(spec, derive_substream(data_seed(flag), 0))
+        pop = doc.build(evaluate_scm, spec, derive_substream(data_seed(flag), 0))
         bound = replace(plan, master_seed=master(flag, config_seed))
         return pop, mc_mod.repeated_samples(pop, bound, workers=workers)
 
@@ -178,8 +180,8 @@ def _unchanged(fn: Callable[[Dataset], Any]) -> Callable:
     return lambda data, rng: (fn(data), data)
 
 
-def _fields(a: Doc, *keys: str) -> list:
-    return [a[k].value for k in keys]
+def _fields(a: Doc, *keys: str) -> list[str]:
+    return [a[k].want(str) for k in keys]
 
 
 def _fit(a: Doc) -> _Built:
@@ -194,8 +196,8 @@ def _collinearity(a: Doc) -> _Built:
 
 def _compare_adjustments(a: Doc) -> _Built:
     y, x, name = _fields(a, "y", "x", "name")
-    sets, truth = [s.want(list) for s in a["covariate_sets"]], a.get("truth").value
-    expect(Real, "compare_adjustments", optional=True, truth=truth)
+    sets, truth = [[v.want(str) for v in s] for s in a["covariate_sets"]], a.get("truth").value
+    expect(Real, optional=True, truth=truth)
     return [y, x, *(v for s in sets for v in s)], None, _unchanged(
         lambda d: compare_adjustments(d, y, x, sets, truth=truth, scenario_id=name))
 
@@ -223,12 +225,12 @@ def _subgroup(a: Doc) -> _Built:
 
 
 def _balance(a: Doc) -> _Built:
-    group, covariates = a["group"].value, a["covariates"].want(list)
+    group, covariates = a["group"].want(str), [c.want(str) for c in a["covariates"]]
     return [group, *covariates], None, _unchanged(lambda d: balance_diff(d, group, covariates))
 
 
 def _block_balance(a: Doc) -> _Built:
-    strata, covariates = a["strata"].value, a["covariates"].want(list)
+    strata, covariates = a["strata"].want(str), [c.want(str) for c in a["covariates"]]
     name = a.get("as", "treated").want(str)
 
     def run(data: Dataset, rng: np.random.Generator):
@@ -245,7 +247,7 @@ def _attenuation(a: Doc) -> _Built:
 
 
 def _summary(a: Doc) -> _Built:
-    var = a["var"].value
+    var = a["var"].want(str)
     return [var], None, _unchanged(lambda d: summarize(d[var], var))
 
 
@@ -254,7 +256,7 @@ def _correlation(a: Doc) -> _Built:
     method = a.get("method", "pearson").want(str)
     corr = {"pearson": pearson, "spearman": spearman}.get(method)
     if corr is None:
-        raise ValidationError(f"method must be pearson or spearman, got {method!r}")
+        raise ValidationError(f"must be pearson or spearman, got {shown(method)}", "method")
 
     def run(data: Dataset) -> dict:
         xs, ys = data[x], data[y]
@@ -279,7 +281,7 @@ def _outlier_fit(a: Doc) -> _Built:
 
 
 def _recode(a: Doc) -> _Built:
-    var, name, rules = a["var"].value, a["as"].want(str), rules_from_json(a["rule"])
+    (var, name), rules = _fields(a, "var", "as"), rules_from_json(a["rule"])
 
     def run(data: Dataset, rng: np.random.Generator):
         values = apply_rules(data[var], rules, var)
@@ -315,7 +317,7 @@ def check_out_path(path: Doc) -> None:
     absolute one, one with a ``..`` part, an empty or ``.`` last part, or a NUL byte."""
     parts = path.want(str).split("/")
     if os.path.isabs(path.value) or ".." in parts or parts[-1] in ("", ".") or "\0" in path.value:
-        raise path.error(f"must name a file inside --out, with no '..', got {path.value!r}")
+        raise path.error(f"must name a file inside --out, with no '..', got {shown(path.value)}")
 
 
 def parse_config(doc: Mapping | str) -> ScenarioConfig:
@@ -324,7 +326,7 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of more than 4300 digits
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
     root = Doc(doc)
     ident = root.get("id")
@@ -355,7 +357,7 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
         for f in required:
             a[f]  # a missing field raises "<path>.<field>: required"
         reads, adds, run = a.build(build, a)
-        unknown = [nm for nm in reads if not isinstance(nm, str) or nm not in defined]
+        unknown = [nm for nm in reads if nm not in defined]
         if unknown:
             raise a.error(f"unknown column {unknown[0]!r}; generator defines {columns}")
         if adds is not None:
@@ -409,22 +411,22 @@ def _output(
     if head == "analysis" and rest not in analyses:
         raise what.error(f"output references unknown analysis {rest!r}")
     if head == "fitted_line" and analyses.get(first) not in _FIT_KINDS:
-        raise what.error(f"fitted_line needs a declared fit, got {first!r}")
+        raise what.error(f"fitted_line needs a declared fit, got {shown(first)}")
     if head in ("mc", "mc_summary") and gen_kind not in ("mc", "population"):
         raise what.error(f"output {head!r} requires an mc or population scenario")
     if head in ("dataset", "scatter", "fitted_line") and gen_kind == "mc":
         raise what.error(f"output {head!r} requires a dataset scenario")
     if head in ("dataset", "mc") and what.value != head:
-        raise what.error(f"output {head!r} takes no argument, got {what.value!r}")
+        raise what.error(f"output {head!r} takes no argument, got {shown(what.value)}")
     if head == "histogram":
         try:
             nbins = int(second)
         except ValueError:
-            raise what.error(f"histogram bins must be an integer, got {second!r}") from None
+            raise what.error(f"histogram bins must be an integer, got {shown(second)}") from None
         if not 1 <= nbins < 2**63:
-            raise what.error(f"histogram bins must be in [1, 2^63), got {nbins}")
+            raise what.error(f"histogram bins must be in [1, 2^63), got {shown(nbins)}")
     if head == "scatter" and first == second:  # a dataset holds one column per name
-        raise what.error(f"scatter needs two different columns, got {what.value!r}")
+        raise what.error(f"scatter needs two different columns, got {shown(what.value)}")
     # a histogram of an mc or population scenario, like a summary, reads a series
     in_series = head == "mc_summary" or (head == "histogram" and gen_kind in ("mc", "population"))
     known, noun = (series, "series") if in_series else (columns, "column")
@@ -436,7 +438,7 @@ def _output(
         raise fmt.error(f"only analysis outputs take a format; {head!r} is always "
                         f"{'json' if head == 'mc_summary' else 'csv'}")
     if fmt.value not in (None, "csv", "json"):
-        raise fmt.error(f"must be csv or json, got {fmt.value!r}")
+        raise fmt.error(f"must be csv or json, got {shown(fmt.value)}")
 
     # each writer looks up the mc_mod functions it calls when it runs
     if head == "dataset":

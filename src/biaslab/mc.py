@@ -30,7 +30,7 @@ import numpy as np
 
 from .causal import _OPS, _holds, iv_wald, RowFilter
 from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantile_type7, write_rows
-from .errors import BiaslabError, DataError, Doc, ParameterError, ValidationError, expect, expect_count
+from .errors import BiaslabError, DataError, Doc, ParameterError, ValidationError, expect, expect_count, shown
 from .regress import Formula, _special, fit, fit_ols, fit_terms
 from .rng import check_seed, derive_substream, sample_indices
 from .scm import ScmSpec, bind_spec, evaluate_scm
@@ -44,9 +44,9 @@ class RangeSpec:
     hi: float
 
     def __post_init__(self):
-        expect(Real, "range", lo=self.lo, hi=self.hi)
+        expect(Real, lo=self.lo, hi=self.hi)
         if self.lo > self.hi:
-            raise ValidationError(f"range reversed: lo={self.lo} > hi={self.hi}")
+            raise ValidationError(f"lo > hi, got lo={shown(self.lo)}, hi={shown(self.hi)}")
 
     def draw(self, rng: np.random.Generator) -> float:
         if self.lo == self.hi:
@@ -66,7 +66,7 @@ _FIT_SELECTORS = ("b", "se", "stat", "p", "beta")
 def _check_selectors(record: Sequence[tuple[str, str]], known) -> None:
     for name, selector in record:
         if not isinstance(selector, str) or not known(selector):
-            raise ValidationError(f"unknown selector {selector!r} for {name!r}")
+            raise ValidationError(f"unknown selector {shown(selector)}", f"record.{name}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class FitStep:
         for name, selector in self.record:
             what, _, term = selector.partition(":")
             if what != "r2" and term not in terms:
-                raise ValidationError(f"no term {term!r} in fit; have {list(terms)}")
+                raise ValidationError(f"no term {term!r} in fit; have {list(terms)}", f"record.{name}")
             picks.append((name, what, None if what == "r2" else terms.index(term)))
         object.__setattr__(self, "_parsed", parsed)
         object.__setattr__(self, "_picks", tuple(picks))
@@ -123,7 +123,7 @@ class IvStep:
     allow_weak: bool = True
 
     def __post_init__(self):
-        expect(str, "iv step", y=self.y, x=self.x, instrument=self.instrument)
+        expect(str, y=self.y, x=self.x, instrument=self.instrument)
         _check_selectors(self.record, lambda s: s in ("ratio", "b_yin", "se_yin", "b_xin", "se_xin"))
 
     def run(self, data: Dataset) -> dict[str, float]:
@@ -143,8 +143,7 @@ class BalanceStep:
     record: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        expect(str, "balance step", group=self.group,
-               **{f"covariates[{i}]": c for i, c in enumerate(self.covariates)})
+        expect(str, group=self.group, **{f"covariates[{i}]": c for i, c in enumerate(self.covariates)})
         _check_selectors(self.record, lambda s: s.partition(":")[0] in _BALANCE_DELTAS
                          and s.partition(":")[2] in self.covariates)
 
@@ -163,29 +162,29 @@ class BalanceStep:
 AnalysisStep = FitStep | IvStep | BalanceStep
 
 
-def check_reads(owner: str, analysis: Sequence[AnalysisStep], columns: Sequence[str],
+def check_reads(analysis: Sequence[AnalysisStep], columns: Sequence[str],
                 row_filter: RowFilter | None = None) -> None:
-    """Refuse, before anything runs, an analysis step or a row filter of the
-    loop at path ``owner`` that reads a column outside ``columns``."""
-    readers = [(f"{owner}.analysis[{k}]", step.reads()) for k, step in enumerate(analysis)]
+    """Refuse, before anything runs, an analysis step or a row filter of a
+    loop that reads a column outside ``columns``."""
+    readers = [(f"analysis[{k}]", step.reads()) for k, step in enumerate(analysis)]
     if row_filter is not None:
-        readers.append((f"{owner}.filter", [c.var for c in row_filter.conditions]))
+        readers.append(("filter", [c.var for c in row_filter.conditions]))
     for where, reads in readers:
         for name in reads:
             if name not in columns:
-                raise ValidationError(f"{where}: unknown column {name!r}; have {sorted(columns)}")
+                raise ValidationError(f"unknown column {name!r}; have {sorted(columns)}", where)
 
 
 def step_from_json(d: Doc | Mapping) -> AnalysisStep:
     """A step of an ``analysis`` list; its errors name the step's path."""
     d = Doc.of(d, "step")
-    kind = d.get("kind").value
-    if kind not in ("fit", "iv", "balance"):
-        raise d.error(f"unknown analysis step kind {kind!r}")
+    kind = d.get("kind")
+    if kind.value not in ("fit", "iv", "balance"):
+        raise kind.error(f"unknown analysis step kind {shown(kind.value)}")
     record = tuple(d.get("record", {}).want(dict).items())
-    if kind == "fit":
+    if kind.value == "fit":
         return d.read(FitStep, record=record)
-    if kind == "iv":
+    if kind.value == "iv":
         return d.read(IvStep, record=record, allow_weak=d.get("allow_weak", True).want(bool))
     return d.read(BalanceStep, record=record, covariates=tuple(d["covariates"].want(list)))
 
@@ -194,16 +193,17 @@ def _step_names(analysis: Sequence[AnalysisStep]) -> list[str]:
     return [name for step in analysis for name, _ in step.record]
 
 
-def _check_loop(owner: str, analysis: Sequence[AnalysisStep], taken: Sequence[str], **counts) -> None:
+def _check_loop(analysis: Sequence[AnalysisStep], taken: Sequence[str], **counts) -> None:
     """Refuse a replicate loop that cannot run or whose series would clash: each
     of ``counts`` must be an integer in [1, 2^63), and each recorded series
     name must be new, neither ``i``, ``N`` nor one of ``taken``."""
-    expect_count(owner, **counts)
+    expect_count(**counts)
     reserved = {"i", "N", *taken}
-    for name in _step_names(analysis):
-        if name in reserved:
-            raise ValidationError(f"{owner}: recorded series name {name!r} collides")
-        reserved.add(name)
+    for k, step in enumerate(analysis):
+        for name, _ in step.record:
+            if name in reserved:
+                raise ValidationError(f"recorded series name {name!r} collides", f"analysis[{k}].record.{name}")
+            reserved.add(name)
 
 
 # -- templates and results ---------------------------------------------------
@@ -231,25 +231,24 @@ class McTemplate:
         object.__setattr__(self, "analysis", tuple(self.analysis))
         sizes = {"n.lo": self.n.lo, "n.hi": self.n.hi} if isinstance(self.n, RangeSpec) else {"n": self.n}
         bound = [name for name, _ in self.bindings]
-        _check_loop("mc", self.analysis, bound, reps=self.reps, **sizes)
+        _check_loop(self.analysis, bound, reps=self.reps, **sizes)
         check_seed("master_seed", self.master_seed)
-        check_reads("mc", self.analysis, self.scm.column_names())
+        check_reads(self.analysis, self.scm.column_names())
         if len(set(bound)) != len(bound):
-            raise ValidationError(f"placeholder bound more than once: {bound}")
-        needed = _spec_placeholders(self.scm)
-        extra = set(bound) - needed
-        missing = needed - set(bound)
-        if extra:
-            raise ValidationError(f"bindings for unused placeholders: {sorted(extra)}")
-        if missing:
-            raise ValidationError(f"unbound placeholders: {sorted(missing)}")
+            raise ValidationError(f"placeholder bound more than once: {bound}", "bindings")
+        needed = self.scm.placeholders() - {"n"}  # the template draws the sample size
+        for name in bound:
+            if name not in needed:
+                raise ValidationError("binds no placeholder of the scm", f"bindings.{name}")
+        if missing := needed.difference(bound):
+            raise ValidationError(f"unbound placeholders: {sorted(missing)}", "bindings")
         # binding draws, compiled once: a lo == hi binding is its value and
         # consumes no draw; the ranged ones are drawn by one vector uniform
         ranged = [j for j, (_, r) in enumerate(self.bindings) if r.lo != r.hi]
         for j in ranged:
             name, r = self.bindings[j]
             if not math.isfinite(float(r.hi) - float(r.lo)):
-                raise ValidationError(f"binding {name!r}: range [{r.lo}, {r.hi}] is not finite")
+                raise ValidationError(f"range [{r.lo}, {r.hi}] is not finite", f"bindings.{name}")
         lo = np.array([self.bindings[j][1].lo for j in ranged], dtype=float)
         hi = np.array([self.bindings[j][1].hi for j in ranged], dtype=float)
         object.__setattr__(self, "_names", tuple(bound))
@@ -301,12 +300,6 @@ def _json_hash(spec: McTemplate | SamplingPlan) -> str:
     return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _spec_placeholders(spec: ScmSpec) -> set[str]:
-    out = spec.placeholders()
-    out.discard("n")  # the sample size is drawn by the template, not a binding
-    return out
-
-
 @dataclass
 class McResult:
     """One array per series, with a row per replicate, plus provenance.
@@ -356,16 +349,15 @@ class SamplingPlan:
     row_filter: RowFilter | None = None
 
     def __post_init__(self):
-        _check_loop("sampling", self.analysis, (), k=self.k, reps=self.reps)
+        _check_loop(self.analysis, (), k=self.k, reps=self.reps)
         check_seed("master_seed", self.master_seed)
 
     @classmethod
     def from_json_dict(cls, d: Doc | Mapping) -> "SamplingPlan":
         """The plan of a config's ``population.sampling`` document."""
         d = Doc.of(d, "sampling")
-        return cls(
-            k=d["k"].value,
-            reps=d["reps"].value,
+        return d.read(
+            cls,
             analysis=tuple(map(step_from_json, d["analysis"])),
             master_seed=d["seed"].value,
             row_filter=RowFilter.from_json_list(d["filter"]) if "filter" in d else None,
@@ -392,7 +384,7 @@ def repeated_samples(
     workers: int = 1,
 ) -> McResult:
     """Draw ``k`` rows without replacement per replicate and run the plan."""
-    check_reads("sampling", plan.analysis, population.names, plan.row_filter)
+    check_reads(plan.analysis, population.names, plan.row_filter)
     pool_data = population
     if plan.row_filter is not None:
         pool_data = population.select_rows(plan.row_filter.mask(population))
@@ -439,7 +431,7 @@ def _run_replicates(plan: McTemplate | SamplingPlan, data_fn, fixed: tuple, work
     replicate ``i``'s stream ``rng``, then ``plan.analysis``, in this process or on
     ``workers`` processes, writing replicate ``i`` into row ``i`` of each series."""
     if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
+        raise ParameterError(f"workers must be >= 1, got {shown(workers)}")
     names = tuple(plan.series_names())
     job = (data_fn, fixed, plan.master_seed, plan.analysis, names)
     reps, workers = plan.reps, min(workers, plan.reps)
@@ -471,21 +463,15 @@ def _run_replicates(plan: McTemplate | SamplingPlan, data_fn, fixed: tuple, work
 # -- filtering and aggregation ------------------------------------------------
 
 
-def filter_replicates(
-    result: McResult, conditions: Sequence[tuple[str, str, float]] | RowFilter
-) -> McResult:
+def filter_replicates(result: McResult, conditions: Sequence[tuple[str, str, float]]) -> McResult:
     """Keep rows satisfying every (series, op, value) condition; NaN fails."""
-    if isinstance(conditions, RowFilter):
-        conds = [(c.var, c.op, c.value) for c in conditions.conditions]
-    else:
-        conds = list(conditions)
-    for series, op, _ in conds:
+    for series, op, _ in conditions:
         if series not in result.columns:
             raise ValidationError(f"unknown series {series!r}")
         if op not in _OPS:
             raise ValidationError(f"unknown comparison op {op!r}")
     keep = np.ones(len(result), dtype=bool)
-    for series, op, value in conds:
+    for series, op, value in conditions:
         keep &= _holds(result.series(series), op, value)
     kept_ids = set(result.columns["i"][keep].tolist())
     return McResult(

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, quantile_type7, spearman
-from .errors import BiaslabError, DataError, Doc, ParameterError, ValidationError, expect
+from .errors import BiaslabError, DataError, Doc, ParameterError, ValidationError, expect, shown
 from .regress import FitResult, Formula, check_family, fit, main
 
 _DICHOTOMIZE_KINDS = {"dichotomize_median", "dichotomize_quantile", "dichotomize_threshold"}
@@ -36,31 +36,22 @@ class RecodeRule:
 
     def __post_init__(self):
         if self.kind not in _DICHOTOMIZE_KINDS | _ORDINALIZE_KINDS:
-            raise ValidationError(f"unknown recode kind {self.kind!r}")
-        expect(Real, self.kind, optional=True, p=self.p, threshold=self.threshold)
-        expect(Real, self.kind, **{f"probs[{i}]": q for i, q in enumerate(self.probs)},
+            raise ValidationError(f"unknown rule kind {shown(self.kind)}", "kind")
+        expect(Real, optional=True, p=self.p, threshold=self.threshold)
+        expect(Real, **{f"probs[{i}]": q for i, q in enumerate(self.probs)},
                **{f"cutpoints[{i}]": c for i, c in enumerate(self.cutpoints)})
-        if self.kind == "dichotomize_quantile":
-            if self.p is None or not (0.0 < self.p < 1.0):
-                raise ValidationError(f"dichotomize_quantile needs p in (0,1), got {self.p}")
+        if self.kind == "dichotomize_quantile" and not (self.p is not None and 0 < self.p < 1):
+            raise ValidationError(f"must be in (0, 1), got {shown(self.p)}", "p")
         if self.kind == "dichotomize_threshold" and self.threshold is None:
-            raise ValidationError("dichotomize_threshold needs a threshold value")
-        if self.kind == "ordinalize_quantiles":
-            probs = tuple(float(q) for q in self.probs)
-            if not probs or any(not (0.0 < q < 1.0) for q in probs) or any(
-                probs[i] >= probs[i + 1] for i in range(len(probs) - 1)
-            ):
-                raise ValidationError(
-                    f"ordinalize_quantiles needs strictly increasing probs in (0,1), got {self.probs}"
-                )
-            object.__setattr__(self, "probs", probs)
-        if self.kind == "ordinalize_cutpoints":
-            cuts = tuple(float(c) for c in self.cutpoints)
-            if not cuts or any(cuts[i] >= cuts[i + 1] for i in range(len(cuts) - 1)):
-                raise ParameterError(
-                    f"ordinalize_cutpoints needs strictly increasing values, got {self.cutpoints}"
-                )
-            object.__setattr__(self, "cutpoints", cuts)
+            raise ValidationError("required", "threshold")
+        if self.kind in _ORDINALIZE_KINDS:
+            key = "probs" if self.kind == "ordinalize_quantiles" else "cutpoints"
+            cuts = tuple(float(c) for c in getattr(self, key))
+            if not cuts or any(a >= b for a, b in zip(cuts, cuts[1:])) or (
+                    key == "probs" and not 0 < cuts[0] <= cuts[-1] < 1):
+                raise ValidationError(f"must be strictly increasing{' in (0, 1)' if key == 'probs' else ''}, "
+                                      f"got {shown(getattr(self, key))}", key)
+            object.__setattr__(self, key, cuts)
 
     @property
     def is_dichotomize(self) -> bool:
@@ -94,18 +85,17 @@ class TransformRule:
 
     def __post_init__(self):
         if self.kind not in _TRANSFORM_KINDS:
-            raise ValidationError(f"unknown transform kind {self.kind!r}")
-        expect(Real, self.kind, pad_lo=self.pad_lo, pad_hi=self.pad_hi)
-        expect(Real, self.kind, optional=True, c=self.c, exponent=self.exponent, lo=self.lo, hi=self.hi)
-        if self.kind == "scale" and (self.c is None or self.c == 0):
-            raise ParameterError("scale constant must be nonzero")
+            raise ValidationError(f"unknown transform kind {shown(self.kind)}", "kind")
+        expect(Real, pad_lo=self.pad_lo, pad_hi=self.pad_hi)
+        expect(Real, optional=True, c=self.c, exponent=self.exponent, lo=self.lo, hi=self.hi)
+        if self.kind == "scale" and not self.c:
+            raise ValidationError(f"must be a nonzero number, got {shown(self.c)}", "c")
         if self.kind == "shift" and self.c is None:
-            raise ValidationError("shift needs a constant")
+            raise ValidationError("required", "c")
         if self.kind == "power" and self.exponent is None:
-            raise ValidationError("power needs an exponent")
-        if self.kind == "window":
-            if self.lo is None or self.hi is None or not (self.lo < self.hi):
-                raise ValidationError(f"window needs lo < hi, got ({self.lo}, {self.hi})")
+            raise ValidationError("required", "exponent")
+        if self.kind == "window" and not (self.lo is not None and self.hi is not None and self.lo < self.hi):
+            raise ValidationError(f"needs lo < hi, got lo={shown(self.lo)}, hi={shown(self.hi)}")
 
 
 def rule_from_json(d: Doc | Mapping) -> "RecodeRule | TransformRule":
@@ -239,7 +229,7 @@ class AttenuationVariant:
 
     def __post_init__(self):
         if self.target not in ("x", "y"):
-            raise ValidationError(f"variant target must be 'x' or 'y', got {self.target!r}")
+            raise ValidationError(f"must be 'x' or 'y', got {shown(self.target)}", "target")
         if self.family is not None:
             check_family(self.family)
         if isinstance(self.rule, (list, tuple)):

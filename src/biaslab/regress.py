@@ -26,6 +26,7 @@ from .errors import (
     SeparationWarning,
     SingularDesignError,
     ValidationError,
+    shown,
 )
 
 _RANK_TOL = 1e-10  # relative to the largest |R| entry of the same column
@@ -118,7 +119,7 @@ class Formula:
     def parse(cls, text: str) -> "Formula":
         """Parse ``Y ~ X + Z + X:Z + X^2``; ``Y ~ 1`` is intercept-only."""
         if not isinstance(text, str) or "~" not in text:
-            raise ValidationError(f"formula must be a string with '~', got {text!r}")
+            raise ValidationError(f"formula must be a string with '~', got {shown(text)}")
         lhs, rhs = text.split("~", 1)
         response = lhs.strip()
         if not response.isidentifier():
@@ -702,7 +703,7 @@ _FITTERS = {"gaussian": "fit_ols", "identity": "fit_ols", "binomial": "fit_logis
 def check_family(family: object) -> str:
     """``family``, if ``fit`` knows it; otherwise a ``ValidationError`` naming it."""
     if not isinstance(family, str) or family not in _FITTERS:
-        raise ValidationError(f"unknown family {family!r}; valid: {tuple(_FITTERS)}")
+        raise ValidationError(f"unknown family {shown(family)}; valid: {tuple(_FITTERS)}", "family")
     return family
 
 

@@ -11,7 +11,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ValidationError, shown
 
 _U64 = 2**64
 
@@ -20,7 +20,7 @@ def check_seed(source: str, value: object) -> None:
     """Raise ``ValidationError`` naming ``source`` unless ``value`` is an
     integer (not a bool) in [0, 2^64)."""
     if isinstance(value, bool) or not isinstance(value, Integral) or not 0 <= value < _U64:
-        raise ValidationError(f"{source}: must be an integer in [0, 2^64), got {value!r}")
+        raise ValidationError(f"must be an integer in [0, 2^64), got {shown(value)}", source)
 
 
 def derive_substream(master_seed: int, replicate_index: int) -> np.random.Generator:

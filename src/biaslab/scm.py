@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, Doc, ParameterError, ValidationError, _is, expect
+from .errors import DataError, Doc, ParameterError, ValidationError, _is, expect, expect_count, shown
 
 Value = float | str  # str = placeholder name, bound by bind_spec
 
@@ -42,23 +42,24 @@ def _number(v: Value, values: Mapping[str, float]):
 
 @dataclass(frozen=True)
 class ErrorTerm:
-    """Additive noise: ``scale_coef * Normal(mean, sd)`` per row."""
+    """Additive noise: ``scale_coef * Normal(mean, sd)`` per row; its JSON key is ``coef``."""
 
     scale_coef: Value = 1.0
     mean: Value = 0.0
     sd: Value = 1.0
 
     def __post_init__(self):  # a placeholder's value is checked once it is bound
+        expect((Real, str), coef=self.scale_coef, mean=self.mean, sd=self.sd)
         if _is(Real, self.sd) and self.sd < 0:
-            raise ValidationError(f"error term sd must be >= 0, got {self.sd}")
+            raise ValidationError(f"must be >= 0, got {shown(self.sd)}", "sd")
 
-    def numbers(self) -> list[Value]:
-        return [self.scale_coef, self.mean, self.sd]
+    def numbers(self) -> list[tuple[str, Value]]:
+        return [("coef", self.scale_coef), ("mean", self.mean), ("sd", self.sd)]
 
     def draw(self, rng: np.random.Generator, n: int, values: Mapping[str, float]) -> np.ndarray:
-        coef, mean, sd = [_number(v, values) for v in self.numbers()]
+        coef, mean, sd = [_number(v, values) for v in (self.scale_coef, self.mean, self.sd)]
         if sd < 0:
-            raise ValidationError(f"error term sd must be >= 0, got {sd}")
+            raise ValidationError(f"error term sd must be >= 0, got {shown(sd)}")
         e = rng.normal(mean, sd, n)
         e *= coef
         return e
@@ -73,46 +74,47 @@ class SourceSpec:
     params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        expect(str, "source", name=self.name, kind=self.kind)
-        expect(dict, f"source {self.name!r}", params=self.params)
+        expect(str, name=self.name, kind=self.kind)
+        expect(dict, params=self.params)
         if self.kind not in _SOURCE_KINDS:
-            raise ValidationError(f"unknown source kind {self.kind!r}")
+            raise ValidationError(f"must be one of {list(_SOURCE_KINDS)}, got {shown(self.kind)}", "kind")
         missing = [k for keys in _SOURCE_KINDS[self.kind] for k in keys if k not in self.params]
         if missing:
-            raise ValidationError(f"source {self.name!r} ({self.kind}) missing params {missing}")
+            raise ValidationError("required", f"params.{missing[0]}")
+        numbers = _SOURCE_KINDS[self.kind][0]
+        expect((Real, str), **{f"params.{k}": self.params[k] for k in numbers})
         if self.kind == "pattern":
             values, mode = self.params["values"], self.params["mode"]
             if not isinstance(values, (list, tuple)):
-                raise ValidationError(f"source {self.name!r}: values must be a list, got {values!r}")
-            expect(Real, f"source {self.name!r}", **{f"values[{i}]": v for i, v in enumerate(values)})
+                raise ValidationError(f"must be a list, got {shown(values)}", "params.values")
+            expect(Real, **{f"params.values[{i}]": v for i, v in enumerate(values)})
             if mode not in ("each", "times"):
-                raise ValidationError(f"source {self.name!r}: mode must be 'each' or 'times', got {mode!r}")
-        # a placeholder's value is checked once it is bound, and a value of the
-        # wrong type is refused by ScmSpec
-        self._check({k: self.params[k] for k in _SOURCE_KINDS[self.kind][0] if _is(Real, self.params[k])})
+                raise ValidationError(f"must be 'each' or 'times', got {shown(mode)}", "params.mode")
+        # a placeholder's value is checked once it is bound
+        self._check({k: self.params[k] for k in numbers if _is(Real, self.params[k])}, "params")
         object.__setattr__(self, "params", dict(self.params))
 
-    def _check(self, p: Mapping[str, float]) -> None:
-        """Refuse the numeric params ``p`` (a subset, all numbers) that no draw can take."""
-        if self.kind == "uniform_int":
-            p = {k: self._int_bound(k, v) for k, v in p.items()}
+    def _check(self, p: Mapping[str, float], where: str = "") -> None:
+        """Refuse the numeric params ``p`` (a subset, all numbers) that no draw
+        can take, naming ``where`` or, by default, the source."""
+        if self.kind == "uniform_int":  # numpy takes the bounds as int64
+            for key, v in p.items():
+                if not -2**63 <= v < 2**63:
+                    raise self._refused(where, f"{key} must be in [-2^63, 2^63), got {shown(v)}")
+                if not float(v).is_integer():
+                    raise self._refused(where, f"{key} must be a whole number, got {shown(v)}")
         if p.get("sd", 0) < 0:
-            raise ValidationError(f"source {self.name!r}: sd must be >= 0, got {p['sd']!r}")
+            raise self._refused(where, f"sd must be >= 0, got {shown(p['sd'])}")
         if "lo" in p and "hi" in p and p["lo"] > p["hi"]:
-            raise ValidationError(f"source {self.name!r}: lo > hi, got lo={p['lo']!r}, hi={p['hi']!r}")
+            raise self._refused(where, f"lo > hi, got lo={shown(p['lo'])}, hi={shown(p['hi'])}")
         if "k" in p and not float(p["k"]).is_integer():
-            raise ValidationError(f"source {self.name!r}: k must be a whole number, got {p['k']!r}")
+            raise self._refused(where, f"k must be a whole number, got {shown(p['k'])}")
 
-    def _int_bound(self, key: str, v: float) -> int:
-        """``v`` as the ``key`` bound of a uniform_int draw, which numpy takes as an int64."""
-        if not -2**63 <= v < 2**63:
-            raise ValidationError(f"source {self.name!r}: {key} must be in [-2^63, 2^63), got {v!r}")
-        if not float(v).is_integer():
-            raise ValidationError(f"source {self.name!r}: {key} must be a whole number, got {v!r}")
-        return int(v)
+    def _refused(self, where: str, message: str) -> ValidationError:
+        return ValidationError(message, where) if where else ValidationError(f"source {self.name!r}: {message}")
 
-    def numbers(self) -> list[Value]:
-        return [self.params[k] for k in _SOURCE_KINDS[self.kind][0]]
+    def numbers(self) -> list[tuple[str, Value]]:
+        return [(f"params.{k}", self.params[k]) for k in _SOURCE_KINDS[self.kind][0]]
 
     def generate(self, rng: np.random.Generator, n: int, values: Mapping[str, float]) -> np.ndarray:
         numbers = {k: _number(self.params[k], values) for k in _SOURCE_KINDS[self.kind][0]}
@@ -137,10 +139,22 @@ class GroupError:
     levels: Mapping[int, ErrorTerm]
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", {int(k): v for k, v in self.levels.items()})
+        expect(str, by=self.by)
+        levels: dict[int, ErrorTerm] = {}
+        for k, term in self.levels.items():
+            if not str(k).removeprefix("-").isdecimal():
+                raise ValidationError(f"level {shown(k)} must be an integer", f"levels.{k}")
+            if int(k) in levels:  # "1" and "01"
+                raise ValidationError(f"level {int(k)} is named twice", f"levels.{k}")
+            levels[int(k)] = term
+        object.__setattr__(self, "levels", levels)
 
-    def numbers(self) -> list[Value]:
-        return [v for t in self.levels.values() for v in t.numbers()]
+    def numbers(self) -> list[tuple[str, Value]]:
+        return [(f"levels.{k}.{f}", v) for k, t in self.levels.items() for f, v in t.numbers()]
+
+
+# the term lists of an equation, and the length of each term: column names, then a coefficient
+_TERMS = {"linear": 2, "interactions": 3, "squares": 2}
 
 
 @dataclass(frozen=True)
@@ -156,28 +170,36 @@ class EquationSpec:
     group_error: GroupError | None = None
 
     def __post_init__(self):
-        expect(str, "equation", target=self.target)
-        object.__setattr__(self, "linear", tuple((s, c) for s, c in self.linear))
-        object.__setattr__(self, "interactions", tuple((a, b, c) for a, b, c in self.interactions))
-        object.__setattr__(self, "squares", tuple((s, c) for s, c in self.squares))
+        expect(str, target=self.target)
+        expect((Real, str), intercept=self.intercept)
+        for key, width in _TERMS.items():
+            terms = getattr(self, key)
+            if not isinstance(terms, (list, tuple)):
+                raise ValidationError(f"must be a list, got {shown(terms)}", key)
+            for i, t in enumerate(terms):
+                if not isinstance(t, (list, tuple)) or len(t) != width:
+                    raise ValidationError(f"must list {width - 1} column name(s) and a coefficient, "
+                                          f"got {shown(t)}", f"{key}[{i}]")
+                expect(str, **{f"{key}[{i}][{j}]": name for j, name in enumerate(t[:-1])})
+                expect((Real, str), **{f"{key}[{i}][{width - 1}]": t[-1]})
+            object.__setattr__(self, key, tuple(map(tuple, terms)))
         if self.error is not None and self.group_error is not None:
-            raise ValidationError(f"equation {self.target!r}: error and group_error are exclusive")
+            raise ValidationError("error and group_error are exclusive")
 
-    def references(self) -> list[str]:
-        names = [s for s, _ in self.linear]
-        names += [a for a, _, _ in self.interactions] + [b for _, b, _ in self.interactions]
-        names += [s for s, _ in self.squares]
+    def references(self) -> list[tuple[str, str]]:
+        """(field, column name) for each column that the equation reads."""
+        refs = [(f"{key}[{i}][{j}]", name) for key in _TERMS
+                for i, t in enumerate(getattr(self, key)) for j, name in enumerate(t[:-1])]
         if self.group_error is not None:
-            names.append(self.group_error.by)
-        return names
+            refs.append(("group_error.by", self.group_error.by))
+        return refs
 
-    def numbers(self) -> list[Value]:
-        out = [self.intercept, *(c for _, c in self.linear), *(c for _, _, c in self.interactions),
-               *(c for _, c in self.squares)]
-        for term in (self.error, self.group_error):
-            if term is not None:
-                out += term.numbers()
-        return out
+    def numbers(self) -> list[tuple[str, Value]]:
+        coefs = [(f"{key}[{i}][{len(t) - 1}]", t[-1])
+                 for key in _TERMS for i, t in enumerate(getattr(self, key))]
+        noise = [(f"{key}.{f}", v) for key in ("error", "group_error") if getattr(self, key) is not None
+                 for f, v in getattr(self, key).numbers()]
+        return [("intercept", self.intercept), *coefs, *noise]
 
 
 @dataclass(frozen=True)
@@ -191,44 +213,34 @@ class ScmSpec:
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "equations", tuple(self.equations))
-        if isinstance(self.n, bool) or not isinstance(self.n, (Integral, str)):
-            raise ValidationError(f"n must be an integer or a placeholder name, got {self.n!r}")
-        if not isinstance(self.n, str) and self.n >= 2**63:  # more rows than numpy can hold
-            raise ValidationError(f"n must be < 2^63, got {self.n}")
-        self.validate()
-        for src in self.sources:  # a pattern fills exactly n rows
+        if not isinstance(self.n, str):  # a string is the placeholder of an mc template's size
+            expect_count(n=self.n)
+        defined: set[str] = set()
+        for i, src in enumerate(self.sources):
+            if src.name in defined:
+                raise ValidationError(f"duplicate column {src.name!r}", f"sources[{i}].name")
+            defined.add(src.name)
             if src.kind == "pattern" and _is(Real, k := src.params["k"]) and _is(Integral, self.n):
                 if len(src.params["values"]) * k != self.n:
-                    raise ValidationError(f"source {src.name!r}: pattern length "
-                                          f"{len(src.params['values'])} x {k} != n = {self.n}")
+                    raise ValidationError(f"pattern length {len(src.params['values'])} x {shown(k)} "
+                                          f"!= n = {self.n}", f"sources[{i}].params.k")
+        for j, eq in enumerate(self.equations):
+            if eq.target in defined:
+                raise ValidationError(f"duplicate column {eq.target!r}", f"equations[{j}].target")
+            for where, ref in eq.references():
+                if ref not in defined:
+                    raise ValidationError(f"{ref!r} is not defined before equation {eq.target!r} "
+                                          "(cyclic or unknown name)", f"equations[{j}].{where}")
+            defined.add(eq.target)
         # placeholder names in the sources and equations (``n`` aside), found once
-        found: set[str] = set()
-        for part in (*self.sources, *self.equations):
-            for v in part.numbers():
-                if isinstance(v, str):
-                    found.add(v)
-                elif not _is(Real, v):
-                    owner = part.name if isinstance(part, SourceSpec) else part.target
-                    raise ValidationError(f"{owner!r}: {v!r} is neither a number nor a placeholder name")
-        object.__setattr__(self, "_placeholders", frozenset(found))
+        found = frozenset(v for _, v in self.numbers() if isinstance(v, str))
+        object.__setattr__(self, "_placeholders", found)
         object.__setattr__(self, "_values", {})  # placeholder name -> bound value, see bind_spec
 
-    def validate(self) -> None:
-        defined: set[str] = set()
-        for src in self.sources:
-            if src.name in defined:
-                raise ValidationError(f"duplicate column {src.name!r}")
-            defined.add(src.name)
-        for eq in self.equations:
-            if eq.target in defined:
-                raise ValidationError(f"duplicate column {eq.target!r}")
-            for ref in eq.references():
-                if not isinstance(ref, str) or ref not in defined:
-                    raise ValidationError(
-                        f"equation {eq.target!r} references {ref!r} before it is defined "
-                        "(cyclic or unknown name)"
-                    )
-            defined.add(eq.target)
+    def numbers(self) -> list[tuple[str, Value]]:
+        """(field, value) of each number field but ``n``: a number or a placeholder name."""
+        return [(f"{key}[{i}].{f}", v) for key in ("sources", "equations")
+                for i, part in enumerate(getattr(self, key)) for f, v in part.numbers()]
 
     def column_names(self) -> list[str]:
         return [s.name for s in self.sources] + [e.target for e in self.equations]
@@ -247,28 +259,13 @@ class ScmSpec:
         def err(e: Doc) -> ErrorTerm:
             return e.read(ErrorTerm, scale_coef=e.get("coef", 1.0).value)
 
-        def terms(e: Doc, key: str, width: int) -> tuple:
-            """The lists in ``e[key]``, each of ``width`` items: column names, then a coefficient."""
-            items = e.get(key, [])
-            for t in items:
-                if len(t.want(list)) != width:
-                    raise t.error(f"must list {width - 1} column name(s) and a coefficient, "
-                                  f"got {t.value!r}")
-            return tuple(map(tuple, items.value))
-
         def group_error(g: Doc) -> GroupError:
-            for k, v in g["levels"].items():
-                if not str(k).removeprefix("-").isdecimal():
-                    raise v.error(f"level {k!r} must be an integer")
-            return g.read(GroupError, levels={int(k): err(v) for k, v in g["levels"].items()})
+            return g.read(GroupError, levels={k: err(v) for k, v in g["levels"].items()})
 
         sources = [s.read(SourceSpec) for s in d["sources"]]
-        equations = [
-            e.read(EquationSpec, linear=terms(e, "linear", 2), interactions=terms(e, "interactions", 3),
-                   squares=terms(e, "squares", 2), error=err(e["error"]) if "error" in e else None,
-                   group_error=group_error(e["group_error"]) if "group_error" in e else None)
-            for e in d.get("equations", [])
-        ]
+        equations = [e.read(EquationSpec, error=err(e["error"]) if "error" in e else None,
+                            group_error=group_error(e["group_error"]) if "group_error" in e else None)
+                     for e in d.get("equations", [])]
         return d.read(cls, sources=sources, equations=equations)
 
 
@@ -291,12 +288,14 @@ def evaluate_scm(spec: ScmSpec, rng: np.random.Generator) -> Dataset:
     """Materialize a concrete spec into a dataset, consuming ``rng`` in order.
 
     A placeholder field of a spec from :func:`bind_spec` reads its bound value.
+    A ``group_error`` that the drawn data cannot use is refused naming its
+    field, relative to the spec.
     """
     if not spec.is_concrete():
         raise ValidationError(f"spec has unbound placeholders: {sorted(spec.placeholders())}")
     n = int(spec.n)
     if n < 1:
-        raise ValidationError(f"n must be >= 1, got {spec.n}")
+        raise ValidationError(f"n must be >= 1, got {shown(spec.n)}")
     values = spec._values
     cols: dict[str, np.ndarray] = {}
     for src in spec.sources:
@@ -318,16 +317,14 @@ def evaluate_scm(spec: ScmSpec, rng: np.random.Generator) -> Dataset:
             elif eq.group_error is not None:
                 g = cols[eq.group_error.by]
                 if not np.all(g == np.round(g)):
-                    raise ValidationError(
-                        f"group_error column {eq.group_error.by!r} must be integer-valued"
-                    )
+                    raise ValidationError(f"column {eq.group_error.by!r} must be integer-valued",
+                                          f"equations[{spec.equations.index(eq)}].group_error.by")
                 levels = eq.group_error.levels
                 observed = np.unique(g.astype(int))
                 unknown = [int(v) for v in observed if int(v) not in levels]
                 if unknown:
-                    raise ValidationError(
-                        f"group_error for {eq.target!r}: no error spec for levels {unknown}"
-                    )
+                    raise ValidationError(f"no error spec for levels {unknown}",
+                                          f"equations[{spec.equations.index(eq)}].group_error.levels")
                 for level in sorted(levels):
                     idx = np.flatnonzero(g == level)
                     if idx.size:
@@ -347,21 +344,26 @@ class CorrTarget:
     empirical_exact: bool = True
 
     def __post_init__(self):
-        expect(str, "corr", **{f"names[{i}]": v for i, v in enumerate(self.names)})
+        expect(str, **{f"names[{i}]": v for i, v in enumerate(self.names)})
         corr = np.asarray(self.corr, dtype=float)
         d = len(self.names)
         if corr.shape != (d, d):
-            raise ValidationError(f"corr must be {d}x{d}, got {corr.shape}")
+            raise ValidationError(f"must be {d}x{d}, one row and column per name, got {corr.shape}", "corr")
+        # a correlation lies in [-1, 1], and a variable's with itself is 1
+        bad = ~(np.abs(corr) <= 1)
+        np.fill_diagonal(bad, ~np.isclose(np.diag(corr), 1.0, atol=1e-12))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValidationError(f"must be {'1 on the diagonal' if i == j else 'in [-1, 1]'}, "
+                                  f"got {float(corr[i, j])!r}", f"corr[{i}][{j}]")
         if not np.allclose(corr, corr.T, atol=1e-12):
-            raise ValidationError("corr must be symmetric")
-        if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
-            raise ValidationError("corr must have a unit diagonal")
+            raise ValidationError("must be symmetric", "corr")
         means = np.zeros(d) if self.means is None else np.asarray(self.means, dtype=float)
         sds = np.ones(d) if self.sds is None else np.asarray(self.sds, dtype=float)
         if means.shape != (d,) or sds.shape != (d,):
             raise ValidationError("means/sds dimensions do not match corr")
         if np.any(sds <= 0):
-            raise ValidationError("sds must be positive")
+            raise ValidationError("must be positive", "sds")
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "corr", corr)
         object.__setattr__(self, "means", means)
@@ -375,7 +377,7 @@ class CorrTarget:
 
         def numbers(v: Doc) -> list:
             if len(v.want(list)) != len(names):
-                raise v.error(f"must hold {len(names)} numbers, one per name, got {v.value!r}")
+                raise v.error(f"must hold {len(names)} numbers, one per name, got {shown(v.value)}")
             return [x.want(Real) for x in v]
 
         means, sds = d.get("means"), d.get("sds")
@@ -441,7 +443,7 @@ def repeat_pattern(values: Sequence[float], mode: str, k: int, n: int) -> np.nda
     """Deterministic repetition: each value k times, or the pattern k times."""
     vals = np.asarray(list(values), dtype=float)
     if mode not in ("each", "times"):
-        raise ParameterError(f"mode must be 'each' or 'times', got {mode!r}")
+        raise ParameterError(f"mode must be 'each' or 'times', got {shown(mode)}")
     if len(vals) * k != n:
         raise ParameterError(f"pattern length {len(vals)} x {k} != n = {n}")
     return np.repeat(vals, k) if mode == "each" else np.tile(vals, k)

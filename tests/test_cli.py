@@ -523,7 +523,9 @@ def test_unrunnable_loop_fails_before_anything_runs(tmp_path, scenario, path, va
 # through the command line with --reps 2: a field dropped or of the wrong type,
 # an unknown column or kind, a bad seed, or a number beyond int64.  The
 # 500k-row entry5 population is replaced by one population scenario shrunk to
-# 2000 rows, which covers the same population and sampling fields.
+# 2000 rows, which covers the same population and sampling fields.  A refusal
+# of a dropped, mistyped or huge field names that field or its parent, unless
+# it is one of the cross-field refusals in _CROSS_FIELD.
 
 
 def _small_population() -> dict:
@@ -560,8 +562,37 @@ def _set(doc, path, value):
         doc[path[-1]] = value
 
 
+def _path_text(path) -> str:
+    """``path`` as a refusal writes it, such as ``scm.sources[0].params``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).removeprefix(".")
+
+
+def _names_field_or_parent(message: str, path) -> bool:
+    field, parent = _path_text(path), _path_text(path[:-1])
+    return message.startswith((f"{field}:", f"{field}.", f"{field}[", f"{parent or 'config'}:"))
+
+
+# refusals that rightly name something other than the mutated field or its
+# parent, and the mutations that make them: the field that reads what the
+# mutation took away or changed is named, or the command
+_DROP_OR_TYPE = ("drop", "wrong_type")
+_CROSS_FIELD = (
+    (("drop",), r"outputs\[\d+\]\.what: output references unknown analysis '"),  # an analysis name
+    (("drop",), r"outputs\[\d+\]\.what: fitted_line needs a declared fit, got '"),  # the same
+    (("drop",), r"outputs\[\d+\]\.what: unknown (series|column) '"),  # a series or column definition
+    (("drop",), r"([\w.]+\.)?(analysis|analyses|filter)(\[\d+\])?: unknown column '"),  # the same
+    (_DROP_OR_TYPE, r"mc\.bindings\.\w+: binds no placeholder"),  # a placeholder dropped or made a number
+    (("wrong_type",), r"mc\.bindings: unbound placeholders"),  # a number made a string, a placeholder name
+    (("huge", "wrong_type"), r"corr\.corr: must be symmetric"),  # one entry of a symmetric pair
+    (("huge", "wrong_type"), r"scm\.equations\[\d+\]\.group_error\.(by|levels): "),  # its column's data
+    (("drop",), r"no seed: "),  # the config's seed, with no --seed flag
+    (("drop", "wrong_type", "huge"), r"scenario '[^']*' is not an mc template"),  # biaslab mc elsewhere
+)
+
+
 @st.composite
 def _mutated(draw):
+    """A catalog config with one mutation, how it was mutated and the path of the mutated field."""
     ident = draw(st.sampled_from(sorted(_BASES)))
     doc = json.loads(json.dumps(_BASES[ident]))
     nodes = list(_nodes(doc))
@@ -584,33 +615,38 @@ def _mutated(draw):
         path = draw(st.sampled_from([p for p, _ in nodes if p[-1] in ("kind", "what")]))
         _set(doc, path, "nope")
     elif how == "seed":
-        slot = draw(st.sampled_from([s for s in _SEED_SLOTS if s[0] in doc]))
-        _set(doc, slot, draw(st.sampled_from((-1, 2**64, True, 1.5, "7"))))
+        path = draw(st.sampled_from([s for s in _SEED_SLOTS if s[0] in doc]))
+        _set(doc, path, draw(st.sampled_from((-1, 2**64, True, 1.5, "7"))))
     else:  # a number beyond int64, which numpy refuses as a size or an integer bound,
         # or beyond the float range, which float() refuses
         path = draw(st.sampled_from([p for p, v in nodes if type(v) in (int, float)]))
         _set(doc, path, draw(st.sampled_from((2**63, 10**20, -(2**63) - 1, 10**400))))
-    return doc
+    return doc, how, path
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=_mutated(), command=st.sampled_from(("run", "mc")), flag=st.sampled_from(([], ["--seed", "3"])))
-def test_mutated_catalog_configs_exit_cleanly(doc, command, flag):
+@given(mutation=_mutated(), command=st.sampled_from(("run", "mc")), flag=st.sampled_from(([], ["--seed", "3"])))
+def test_mutated_catalog_configs_exit_cleanly(mutation, command, flag):
+    doc, how, path = mutation
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as root:
-        path = os.path.join(root, "cfg.json")
-        with open(path, "w") as fh:
+        cfg = os.path.join(root, "cfg.json")
+        with open(cfg, "w") as fh:
             json.dump(doc, fh)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                rc = cli_main([command, "--config", path, "--reps", "2", *flag,
+                rc = cli_main([command, "--config", cfg, "--reps", "2", *flag,
                                "--out", os.path.join(root, "out")])
     event(f"exit {rc}")
     assert rc in (0, 2, 3, 4)
     # a refusal comes from an explicit check, never from a leaked Python error
     leaked = re.search(r"malformed|KeyError|TypeError|ValueError|AttributeError", err.getvalue())
     assert rc != 2 or not leaked, err.getvalue()
+    if rc == 2 and how in ("drop", "wrong_type", "huge"):
+        message = err.getvalue().partition("validation error: ")[2]
+        cross_field = any(how in hows and re.match(p, message) for hows, p in _CROSS_FIELD)
+        assert _names_field_or_parent(message, path) or cross_field, (how, _path_text(path), message)
 
 
 @pytest.mark.parametrize("ident", ["../escaped", "ABSOLUTE/escaped", "a/../../b"])

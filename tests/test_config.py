@@ -17,7 +17,7 @@ from biaslab import config
 from biaslab.catalog import catalog_config
 from biaslab.cli import main as cli_main
 from biaslab.config import parse_config, run_scenario
-from biaslab.errors import ValidationError
+from biaslab.errors import ValidationError, shown
 from biaslab.regress import Formula
 from biaslab.scm import ScmSpec
 
@@ -240,20 +240,20 @@ def _catalog_with(ident: str, kind: str, **fields) -> dict:
 
 # each integer field given a value that is not an integer, and the words that name it
 _NOT_INTEGER = {
-    "mc.reps-float": (_catalog_with("entry8-collider-pp-mc", "mc", reps=2.5), "mc: reps"),
-    "mc.reps-bool": (_catalog_with("entry8-collider-pp-mc", "mc", reps=True), "mc: reps"),
-    "mc.reps-string": (_catalog_with("entry8-collider-pp-mc", "mc", reps="3"), "mc: reps"),
-    "mc.n": (_catalog_with("entry8-collider-pp-mc", "mc", reps=2, n=150.7), "mc: n"),
+    "mc.reps-float": (_catalog_with("entry8-collider-pp-mc", "mc", reps=2.5), "mc.reps:"),
+    "mc.reps-bool": (_catalog_with("entry8-collider-pp-mc", "mc", reps=True), "mc.reps:"),
+    "mc.reps-string": (_catalog_with("entry8-collider-pp-mc", "mc", reps="3"), "mc.reps:"),
+    "mc.n": (_catalog_with("entry8-collider-pp-mc", "mc", reps=2, n=150.7), "mc.n:"),
     "mc.n-range": (_catalog_with("entry8-collider-pp-mc", "mc", reps=2, n={"lo": 100.5, "hi": 120.9}),
-                   "mc: n.lo"),
+                   "mc.n.lo:"),
     "population.sampling.k": (_catalog_with("entry5-sampling-random", "population", sampling={
         **catalog_config("entry5-sampling-random")["population"]["sampling"], "k": 10.5, "reps": 2}),
-        "sampling: k"),
-    "corr.n": (_catalog_with("entry3-collinearity-none", "corr", n=999.9), "corr: n"),
-    "scm.n": (_catalog_with("entry1-linearity", "scm", n=100.5), "scm: n"),
+        "population.sampling.k:"),
+    "corr.n": (_catalog_with("entry3-collinearity-none", "corr", n=999.9), "corr.n:"),
+    "scm.n": (_catalog_with("entry1-linearity", "scm", n=100.5), "scm.n:"),
     "population.scm.n": (_catalog_with("entry5-sampling-random", "population", scm={
         **catalog_config("entry5-sampling-random")["population"]["scm"], "n": 100.5}),
-        "population.scm: n"),
+        "population.scm.n:"),
 }
 
 
@@ -270,9 +270,9 @@ def test_integer_field_that_is_not_an_integer_exits_2(tmp_path, capsys, case):
 
 # an MC loop whose sample size is below 1, and its error
 _MC_SIZE_BELOW_1 = {
-    "n-range-0": ({"lo": 0, "hi": 0}, "mc: n.lo must be >= 1, got 0"),
-    "n-range-from-0": ({"lo": 0, "hi": 5}, "mc: n.lo must be >= 1, got 0"),
-    "n-negative": (-3, "mc: n must be >= 1, got -3"),
+    "n-range-0": ({"lo": 0, "hi": 0}, "mc.n.lo: must be >= 1, got 0"),
+    "n-range-from-0": ({"lo": 0, "hi": 5}, "mc.n.lo: must be >= 1, got 0"),
+    "n-negative": (-3, "mc.n: must be >= 1, got -3"),
 }
 
 
@@ -338,9 +338,10 @@ _UNKNOWN_FAMILY = {
 }
 
 
-# the path that the error of an MC loop's step names
-_STEP_PATH = {"mc-fit-step": "mc.analysis[0]: ",
-              "sampling-fit-step": "population.sampling.analysis[0]: "}
+# the path of the family field that each error names
+_FAMILY_PATH = {"fit": "analyses[0]", "outlier_fit": "analyses[1]", "mc-fit-step": "mc.analysis[0]",
+                "sampling-fit-step": "population.sampling.analysis[0]",
+                "attenuation": "analyses[0].variants[0]"}
 
 
 @pytest.mark.parametrize("case", sorted(_UNKNOWN_FAMILY))
@@ -348,7 +349,7 @@ def test_unknown_family_exits_2_before_anything_runs(tmp_path, capsys, case):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(_UNKNOWN_FAMILY[case]))
     assert cli_main(["run", "--config", str(p), "--reps", "2", "--out", str(tmp_path / "out")]) == 2
-    assert f"{_STEP_PATH.get(case, '')}unknown family 'poisson'" in capsys.readouterr().err
+    assert f"{_FAMILY_PATH[case]}.family: unknown family 'poisson'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -363,7 +364,7 @@ def test_fit_step_selector_of_a_term_the_fit_lacks_exits_2(tmp_path, capsys, sel
     p.write_text(json.dumps(doc))
     assert cli_main(["run", "--config", str(p), "--reps", "2", "--out", str(tmp_path / "out")]) == 2
     have = ["x", "col"] if family == "ordered" else ["(Intercept)", "x", "col"]
-    assert f"mc.analysis[0]: no term {term!r} in fit; have {have}" in capsys.readouterr().err
+    assert f"mc.analysis[0].record.bz: no term {term!r} in fit; have {have}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -380,15 +381,15 @@ def _fit_steps(*records) -> list[dict]:
 
 # a sampling loop that cannot run, or whose recorded series clash, and its error
 _BAD_SAMPLING_LOOP = {
-    "reps-0": (_with_sampling(reps=0), "sampling: reps must be >= 1"),
-    "k-0": (_with_sampling(k=0), "sampling: k must be >= 1"),
-    "k-negative": (_with_sampling(k=-5), "sampling: k must be >= 1"),
+    "reps-0": (_with_sampling(reps=0), "population.sampling.reps: must be >= 1"),
+    "k-0": (_with_sampling(k=0), "population.sampling.k: must be >= 1"),
+    "k-negative": (_with_sampling(k=-5), "population.sampling.k: must be >= 1"),
     "record-N": (_with_sampling(analysis=_fit_steps({"slope": "b:EP", "N": "se:EP"})),
-                 "sampling: recorded series name 'N' collides"),
+                 "population.sampling.analysis[0].record.N: recorded series name 'N' collides"),
     "record-i": (_with_sampling(analysis=_fit_steps({"slope": "b:EP", "i": "se:EP"})),
-                 "sampling: recorded series name 'i' collides"),
+                 "population.sampling.analysis[0].record.i: recorded series name 'i' collides"),
     "record-twice": (_with_sampling(analysis=_fit_steps({"slope": "b:EP"}, {"slope": "se:EP"})),
-                     "sampling: recorded series name 'slope' collides"),
+                     "population.sampling.analysis[1].record.slope: recorded series name 'slope' collides"),
 }
 
 
@@ -431,10 +432,11 @@ _COLLIDER = "entry8-collider-pp-mc"
 _UNNAMED = {
     "binding-without-hi": (_edited(_COLLIDER, lambda d: d["mc"]["bindings"].update(b_xc={"lo": 1})),
                            "mc.bindings.b_xc.hi: required"),
-    "n-range-string": (_edited(_COLLIDER, lambda d: d["mc"].update(n={"lo": 5, "hi": "x"})), "mc.n: "),
+    "n-range-string": (_edited(_COLLIDER, lambda d: d["mc"].update(n={"lo": 5, "hi": "x"})),
+                       "mc.n.hi: must be a number, got 'x'"),
     "bindings-list": (_edited(_COLLIDER, lambda d: d["mc"].update(bindings=[])), "mc.bindings: "),
     "source-param-list": (_edited(_COLLIDER, lambda d: d["mc"]["scm"]["sources"][0]["params"].update(sd=[])),
-                          "mc.scm: "),
+                          "mc.scm.sources[0].params.sd: must be a number or a placeholder name, got []"),
     "filter-without-op": (_edited(_POP, lambda d: _filter(d).pop("op")),
                           "population.sampling.filter[0].op: required"),
     "mc-not-an-object": (_edited(_COLLIDER, lambda d: d.update(mc=True)), "mc: must be an object, got True"),
@@ -465,26 +467,26 @@ def _pattern_with_placeholder_k(doc: dict) -> None:
 # truncated), and the error that now names its path
 _UNDRAWABLE = {
     "pattern-mode": (_edited("entry2-homoscedastic", lambda d: _params(d["scm"], 0).update(mode="bogus")),
-                     "scm.sources[0]: source 'X': mode must be 'each' or 'times', got 'bogus'"),
+                     "scm.sources[0].params.mode: must be 'each' or 'times', got 'bogus'"),
     "pattern-mode-placeholder-k": (_edited(_COLLIDER, _pattern_with_placeholder_k),
-                                   "mc.scm.sources[2]: source 'P': mode must be 'each' or 'times'"),
+                                   "mc.scm.sources[2].params.mode: must be 'each' or 'times'"),
     "pattern-k-fraction": (_edited("entry2-homoscedastic", lambda d: (
         _params(d["scm"], 0).update(k=2.5), d["scm"].update(n=10))),
-        "scm.sources[0]: source 'X': k must be a whole number, got 2.5"),
+        "scm.sources[0].params: k must be a whole number, got 2.5"),
     "pattern-length": (_edited("entry2-homoscedastic", lambda d: _params(d["scm"], 0).update(k=100)),
-                       "scm: source 'X': pattern length 5 x 100 != n = 1000"),
+                       "scm.sources[0].params.k: pattern length 5 x 100 != n = 1000"),
     "clamped-lo-above-hi": (_edited(_POP, lambda d: _params(d["population"]["scm"], 1).update(lo=20)),
-                            "population.scm.sources[1]: source 'PEA': lo > hi, got lo=20, hi=19"),
+                            "population.scm.sources[1].params: lo > hi, got lo=20, hi=19"),
     "clamped-negative-sd": (_edited(_POP, lambda d: _params(d["population"]["scm"], 1).update(sd=-2.5)),
-                            "population.scm.sources[1]: source 'PEA': sd must be >= 0, got -2.5"),
+                            "population.scm.sources[1].params: sd must be >= 0, got -2.5"),
     "normal-negative-sd": (_edited("entry1-linearity", lambda d: _params(d["scm"], 0).update(sd=-1)),
-                           "scm.sources[0]: source 'X': sd must be >= 0, got -1"),
+                           "scm.sources[0].params: sd must be >= 0, got -1"),
     "uniform-int-lo-above-hi": ({**_scm_config(), "scm": {**_SCM, "sources": [
         *_SCM["sources"][:2], {"name": "G", "kind": "uniform_int", "params": {"lo": 2, "hi": 1}}]}},
-        "scm.sources[2]: source 'G': lo > hi, got lo=2, hi=1"),
+        "scm.sources[2].params: lo > hi, got lo=2, hi=1"),
     "error-negative-sd": (
         _edited("entry1-linearity", lambda d: d["scm"]["equations"][0]["error"].update(sd=-1)),
-        "scm.equations[0].error: error term sd must be >= 0, got -1"),
+        "scm.equations[0].error.sd: must be >= 0, got -1"),
 }
 
 
@@ -512,7 +514,7 @@ def test_fractional_uniform_int_bound_exits_2_naming_its_path(tmp_path, capsys):
     doc = {**_scm_config(), "scm": {**_SCM, "sources": [
         *_SCM["sources"][:2], {"name": "G", "kind": "uniform_int", "params": {"lo": 0.9, "hi": 1.9}}]}}
     err = _refusal(tmp_path, capsys, doc)
-    assert "validation error: scm.sources[2]: source 'G': lo must be a whole number, got 0.9" in err
+    assert "validation error: scm.sources[2].params: lo must be a whole number, got 0.9" in err
     assert not _LEAKED.search(err), err
 
 
@@ -584,17 +586,18 @@ _HUGE = 10**20
 _BEYOND_INT64 = {
     "uniform_int-lo": ({**_scm_config(), "scm": {**_SCM, "sources": [
         *_SCM["sources"][:2], {"name": "G", "kind": "uniform_int", "params": {"lo": 2**63, "hi": 1}}]}},
-        "scm.sources[2]: source 'G': lo must be in [-2^63, 2^63), got 9223372036854775808"),
+        "scm.sources[2].params: lo must be in [-2^63, 2^63), got 9223372036854775808"),
     "uniform_int-hi": ({**_scm_config(), "scm": {**_SCM, "sources": [
         *_SCM["sources"][:2], {"name": "G", "kind": "uniform_int", "params": {"lo": 0, "hi": 1e20}}]}},
-        "scm.sources[2]: source 'G': hi must be in [-2^63, 2^63), got 1e+20"),
+        "scm.sources[2].params: hi must be in [-2^63, 2^63), got 1e+20"),
     "mc.n-range": (_catalog_with(_COLLIDER, "mc", n={"lo": 100, "hi": _HUGE}),
-                   f"mc: n.hi must be < 2^63, got {_HUGE}"),
-    "mc.n": (_catalog_with(_COLLIDER, "mc", n=_HUGE), f"mc: n must be < 2^63, got {_HUGE}"),
-    "scm.n": (_catalog_with("entry1-linearity", "scm", n=_HUGE), f"scm: n must be < 2^63, got {_HUGE}"),
+                   f"mc.n.hi: must be < 2^63, got {_HUGE}"),
+    "mc.n": (_catalog_with(_COLLIDER, "mc", n=_HUGE), f"mc.n: must be < 2^63, got {_HUGE}"),
+    "scm.n": (_catalog_with("entry1-linearity", "scm", n=_HUGE), f"scm.n: must be < 2^63, got {_HUGE}"),
     "corr.n": (_catalog_with("entry3-collinearity-none", "corr", n=_HUGE),
-               f"corr: n must be < 2^63, got {_HUGE}"),
-    "sampling.k": (_with_sampling(k=2**63), "sampling: k must be < 2^63, got 9223372036854775808"),
+               f"corr.n: must be < 2^63, got {_HUGE}"),
+    "sampling.k": (_with_sampling(k=2**63),
+                   "population.sampling.k: must be < 2^63, got 9223372036854775808"),
     "histogram-bins": (_edited("entry1-linearity", lambda d: d["outputs"].append(
         {"what": f"histogram:Y:{_HUGE}", "path": "h.csv"})),
         f"outputs[4].what: histogram bins must be in [1, 2^63), got {_HUGE}"),
@@ -633,22 +636,23 @@ def _beyond_float(ident: str, *path) -> dict:
     return _edited(ident, edit)
 
 
-_NOT_A_NUMBER = f"{_BEYOND_FLOAT} is neither a number nor a placeholder name"
+_SHOWN = "1000…000 (401 digits)"  # 10^400 as an error message shows it
+_NOT_A_NUMBER = f"must be a number or a placeholder name, got {_SHOWN}"
 _FLOAT_RANGE = {
     "source-mean": (_beyond_float("entry1-curvilinear", "scm", "sources", 0, "params", "mean"),
-                    f"scm: 'X': {_NOT_A_NUMBER}"),
+                    f"scm.sources[0].params.mean: {_NOT_A_NUMBER}"),
     "linear-coefficient": (_beyond_float("entry1-curvilinear", "scm", "equations", 0, "linear", 0, 1),
-                           f"scm: 'Y': {_NOT_A_NUMBER}"),
+                           f"scm.equations[0].linear[0][1]: {_NOT_A_NUMBER}"),
     "outlier-assign": (_beyond_float("entry4-outliers", "analyses", 1, "assign", "X"),
-                       f"analyses[1].assign.X: must be a number, got {_BEYOND_FLOAT}"),
+                       f"analyses[1].assign.X: must be a number, got {_SHOWN}"),
     "binding-hi": (_beyond_float(_COLLIDER, "mc", "bindings", "b_xc", "hi"),
-                   f"mc.bindings.b_xc: range: hi must be a number, got {_BEYOND_FLOAT}"),
+                   f"mc.bindings.b_xc.hi: must be a number, got {_SHOWN}"),
     "subgroup-where": (_beyond_float("entry9-moderated", "analyses", 2, "where", 0, "value"),
-                       f"analyses[2].where[0].value: must be a number, got {_BEYOND_FLOAT}"),
+                       f"analyses[2].where[0].value: must be a number, got {_SHOWN}"),
     "corr-means": (_beyond_float("entry3-collinearity-high", "corr", "means", 0),
-                   f"corr.means[0]: must be a number, got {_BEYOND_FLOAT}"),
+                   f"corr.means[0]: must be a number, got {_SHOWN}"),
     "scale-c": (_beyond_float("entry13-response-measurement", "analyses", 0, "variants", 6, "rule", "c"),
-                f"analyses[0].variants[6].rule: scale: c must be a number, got {_BEYOND_FLOAT}"),
+                f"analyses[0].variants[6].rule.c: must be a number, got {_SHOWN}"),
 }
 
 
@@ -669,8 +673,82 @@ def test_largest_integer_a_float_holds_is_a_number():
         if ok:
             assert parse_config(doc).generator["sources"][0]["params"]["mean"] == v
         else:
-            with pytest.raises(ValidationError, match="is neither a number nor a placeholder name"):
+            with pytest.raises(ValidationError, match=r"^scm\.sources\[0\]\.params\.mean: must be a number or"):
                 parse_config(doc)
+
+
+def test_oversized_value_is_shown_shortened():
+    assert shown(10**400) == "1000…000 (401 digits)"
+    assert shown(-(10**30)) == "-1000…000 (31 digits)"
+    assert shown(2**63) == "9223372036854775808" and shown(10**20) == str(10**20)
+    assert shown("ab") == "'ab'" and shown(0.5) == "0.5"
+    long = shown(list(range(100)))
+    assert len(long) == 80 and long.startswith("[0, 1, 2") and long.endswith("…")
+
+
+# a row count below 1, which used to pass parsing and fail at run time with no path
+_NO_ROWS = {
+    "scm.n-0": (_catalog_with("entry1-linearity", "scm", n=0), "scm.n: must be >= 1, got 0"),
+    "scm.n-negative": (_catalog_with("entry1-linearity", "scm", n=-3), "scm.n: must be >= 1, got -3"),
+    "population.scm.n-0": (_edited(_POP, lambda d: d["population"]["scm"].update(n=0)),
+                           "population.scm.n: must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NO_ROWS))
+def test_row_count_below_1_exits_2_naming_its_path(tmp_path, capsys, case):
+    doc, message = _NO_ROWS[case]
+    assert f"validation error: {message}" in _refusal(tmp_path, capsys, doc)
+
+
+def _variant_rule(k: int, **rule) -> dict:
+    """entry13-response-measurement with ``rule`` as the rule of variant ``k``."""
+    return _edited("entry13-response-measurement", lambda d: d["analyses"][0]["variants"][k].update(rule=rule))
+
+
+# a measurement rule that no recode can use, and the error that names its field
+# (a scale of 0 and decreasing cutpoints raised a ParameterError while parsing: exit 3)
+_BAD_RULE = {
+    "scale-0": (_variant_rule(6, kind="scale", c=0),
+                "analyses[0].variants[6].rule.c: must be a nonzero number, got 0"),
+    "cutpoints-decreasing": (_variant_rule(3, kind="ordinalize_cutpoints", cutpoints=[3, 1]),
+                             "analyses[0].variants[3].rule.cutpoints: must be strictly increasing, got (3, 1)"),
+    "probs-outside-0-1": (_variant_rule(3, kind="ordinalize_quantiles", probs=[0.5, 1.5]),
+                          "analyses[0].variants[3].rule.probs: must be strictly increasing in (0, 1)"),
+    "quantile-p": (_variant_rule(1, kind="dichotomize_quantile", p=1),
+                   "analyses[0].variants[1].rule.p: must be in (0, 1), got 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RULE))
+def test_unusable_measurement_rule_exits_2_naming_its_field(tmp_path, capsys, case):
+    doc, message = _BAD_RULE[case]
+    assert f"validation error: {message}" in _refusal(tmp_path, capsys, doc)
+
+
+def test_placeholder_outside_an_mc_template_exits_2_naming_its_field(tmp_path, capsys):
+    doc = _edited("entry1-linearity", lambda d: d["scm"]["equations"][0]["error"].update(mean="mu"))
+    err = _refusal(tmp_path, capsys, doc)
+    assert "validation error: scm.equations[0].error.mean: placeholder 'mu' is only valid in mc templates" in err
+
+
+def test_integer_beyond_the_json_digit_limit_exits_2(tmp_path, capsys):
+    # Python's JSON parser refuses an integer of more than 4300 digits with a
+    # ValueError, which escaped as a traceback (exit 1)
+    text = json.dumps(catalog_config("entry1-linearity")).replace('"mean": 5', '"mean": 1' + "0" * 5000, 1)
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    assert cli_main(["run", "--config", str(p)]) == 2
+    assert "validation error: config is not valid JSON: Exceeds the limit" in capsys.readouterr().err
+
+
+def test_group_error_level_named_twice_exits_2_naming_the_second_key(tmp_path, capsys):
+    # "1" and "01" name one level; the later spec used to replace the earlier one and the run exited 0
+    def edit(doc):
+        levels = doc["scm"]["equations"][0]["group_error"]["levels"]
+        levels["01"] = {**levels["1"], "sd": 9}
+    err = _refusal(tmp_path, capsys, _edited("entry2-homoscedastic", edit))
+    assert "validation error: scm.equations[0].group_error.levels.01: level 1 is named twice" in err
 
 
 # an output path that would write outside --out, or that names no file or the

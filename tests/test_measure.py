@@ -93,7 +93,7 @@ class TestOrdinalize:
         assert o.tolist() == [1, 1, 2, 2, 3]
 
     def test_decreasing_cutpoints_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match=r"^cutpoints: must be strictly increasing"):
             RecodeRule("ordinalize_cutpoints", cutpoints=(3.0, 1.0))
 
     def test_nonincreasing_probs_rejected(self):
@@ -115,7 +115,7 @@ class TestTransform:
         ]
 
     def test_scale_zero_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match=r"^c: must be a nonzero number, got 0"):
             TransformRule("scale", c=0)
 
     def test_zscore(self):

@@ -170,7 +170,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("n", [100.5, 100.0, True, None])
     def test_non_integer_n_rejected(self, n):
-        with pytest.raises(ValidationError, match="n must be an integer or a placeholder name"):
+        with pytest.raises(ValidationError, match=r"^scm\.n: must be an integer"):
             ScmSpec.from_json_dict({"n": n, "sources": [{"name": "X", "kind": "normal",
                                                          "params": {"mean": 0, "sd": 1}}]})
 
@@ -187,6 +187,41 @@ class TestEvaluate:
             warnings.simplefilter("error")
             d = evaluate_scm(spec, derive_substream(3, 0))
         assert np.isinf(d["y"]).any() and np.isinf(d["q"]).all() and np.isnan(d["z"]).all()
+
+
+# a spec built from Python with a value no draw can take, and the start of its
+# error, which names the field relative to the object built
+_LIBRARY_REFUSALS = {
+    "source-mean": (lambda: SourceSpec("X", "normal", {"mean": True, "sd": 1}),
+                    "params.mean: must be a number or a placeholder name, got True"),
+    "source-kind": (lambda: SourceSpec("X", "gamma", {}), "kind: must be one of"),
+    "source-missing-param": (lambda: SourceSpec("X", "normal", {"mean": 0}), "params.sd: required"),
+    "error-mean": (lambda: ErrorTerm(mean={}), "mean: must be a number or a placeholder name, got {}"),
+    "error-sd": (lambda: ErrorTerm(sd=-1), "sd: must be >= 0, got -1"),
+    "intercept": (lambda: EquationSpec("Y", intercept=None), "intercept: must be a number or"),
+    "coefficient": (lambda: EquationSpec("Y", linear=(("X", [1]),)), "linear[0][1]: must be a number or"),
+    "column-name": (lambda: EquationSpec("Y", squares=((0.5, 1),)), "squares[0][0]: must be a string"),
+    "term-width": (lambda: EquationSpec("Y", interactions=(("a", 1),)), "interactions[0]: must list 2"),
+    "group-by": (lambda: GroupError(None, {1: ErrorTerm()}), "by: must be a string, got None"),
+    "group-level": (lambda: GroupError("g", {"one": ErrorTerm()}), "levels.one: level 'one' must be"),
+    "group-level-twice": (lambda: GroupError("g", {"1": ErrorTerm(), "01": ErrorTerm()}),
+                          "levels.01: level 1 is named twice"),
+    "rows-0": (lambda: ScmSpec(n=0, sources=()), "n: must be >= 1, got 0"),
+    "duplicate-column": (lambda: ScmSpec(n=5, sources=(SourceSpec("X", "normal", {"mean": 0, "sd": 1}),),
+                                         equations=(EquationSpec("X"),)), "equations[0].target: duplicate"),
+    "undefined-reference": (lambda: ScmSpec(n=5, sources=(), equations=(EquationSpec("Y", linear=(("Z", 1),)),)),
+                            "equations[0].linear[0][0]: 'Z' is not defined"),
+    "corr-entry": (lambda: CorrTarget(("a", "b"), [[1, 2], [2, 1]]), "corr[0][1]: must be in [-1, 1], got 2.0"),
+    "corr-diagonal": (lambda: CorrTarget(("a", "b"), [[1, 0], [0, 0.5]]), "corr[1][1]: must be 1 on the diagonal"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LIBRARY_REFUSALS))
+def test_spec_built_from_python_is_refused_naming_its_field(case):
+    build, message = _LIBRARY_REFUSALS[case]
+    with pytest.raises(ValidationError) as caught:
+        build()
+    assert str(caught.value).startswith(message), str(caught.value)
 
 
 class TestMvnExact:
