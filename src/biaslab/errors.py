@@ -46,9 +46,13 @@ def _is(kind: type | tuple, value: object) -> bool:
 
 def shown(value: object) -> str:
     """``repr(value)`` for an error message, an integer of more than 24 digits
-    shortened to its first and last digits and its length, and any other
-    repr of more than 80 characters cut there."""
-    text = repr(value)
+    shortened to its first and last digits and its length (to its bit length past
+    ``str``'s digit limit), and any other repr of more than 80 characters cut there."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past the interpreter's limit on digits converted, or a container of one
+        return (f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+                if isinstance(value, int) else f"a {type(value).__name__} too long to show")
     if isinstance(value, int) and len(digits := text.lstrip("-")) > 24:
         return f"{text[:len(text) - len(digits) + 4]}…{digits[-3:]} ({len(digits)} digits)"
     return text if len(text) <= 80 else text[:79] + "…"

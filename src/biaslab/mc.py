@@ -10,11 +10,12 @@ Two drivers share one replicate runner:
 
 Replicate ``i`` always uses ``derive_substream(master_seed, i)``, so results
 are independent of execution order and worker count, and adding replicates
-never perturbs earlier ones.  Replicate failures (singular designs from
-extreme draws) are recorded as missing with an error tag, never fatal.
-With ``workers > 1`` each pool worker gets the call's fixed inputs once, from
-the pool initializer (inherited, not pickled, under ``fork``); tasks are
-bare replicate indices.
+never perturbs earlier ones; the loop passes it an ``rng.Substreams``, which
+computes the streams' states for a range of ids at once.  Replicate failures
+(singular designs from extreme draws) are recorded as missing with an error
+tag, never fatal.  With ``workers > 1`` each pool worker gets the call's fixed
+inputs once, from the pool initializer (inherited, not pickled, under
+``fork``); tasks are ranges of replicate indices.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .causal import _OPS, _holds, iv_wald, RowFilter
 from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantile_type7, write_rows
 from .errors import BiaslabError, DataError, Doc, ParameterError, ValidationError, expect, expect_count, shown
 from .regress import Formula, _special, fit, fit_ols, fit_terms
-from .rng import check_seed, derive_substream, sample_indices
+from .rng import Substreams, check_seed, derive_substream, sample_indices
 from .scm import ScmSpec, bind_spec, evaluate_scm
 
 
@@ -383,11 +384,15 @@ def repeated_samples(
     plan: SamplingPlan,
     workers: int = 1,
 ) -> McResult:
-    """Draw ``k`` rows without replacement per replicate and run the plan."""
+    """Draw ``k`` rows without replacement per replicate and run the plan; a
+    sample gathers, from the rows the filter keeps, the columns the plan reads."""
     check_reads(plan.analysis, population.names, plan.row_filter)
-    pool_data = population
+    n_rows, keep = population.n_rows, slice(None)
     if plan.row_filter is not None:
-        pool_data = population.select_rows(plan.row_filter.mask(population))
+        keep = plan.row_filter.mask(population)
+        n_rows = int(np.count_nonzero(keep))
+    read = {name for step in plan.analysis for name in step.reads()}
+    pool_data = Dataset._trusted(n_rows, {name: v[keep] for name, v in population.items() if name in read})
     if pool_data.n_rows < plan.k:
         raise DataError(
             f"population after filtering has {pool_data.n_rows} rows, cannot sample {plan.k}"
@@ -401,7 +406,8 @@ def repeated_samples(
 _worker_job: tuple | None = None
 
 
-def _run_replicate(job: tuple, i: int) -> tuple[int, list[float], str | None]:
+def _run_replicate(job: tuple, i: int,
+                   streams: Substreams | None = None) -> tuple[int, list[float], str | None]:
     """Replicate ``i``'s sample size, its value of each series and its error
     tag.  A biaslab or linear-algebra error becomes the tag, and the
     estimates the replicate did not reach stay NaN."""
@@ -409,7 +415,7 @@ def _run_replicate(job: tuple, i: int) -> tuple[int, list[float], str | None]:
     record: dict = {}
     error = None
     try:
-        data = data_fn(*fixed, derive_substream(master_seed, i), record)
+        data = data_fn(*fixed, derive_substream(master_seed, i, streams), record)
         for step in analysis:
             record.update(step.run(data))
     except (BiaslabError, np.linalg.LinAlgError) as exc:
@@ -417,13 +423,16 @@ def _run_replicate(job: tuple, i: int) -> tuple[int, list[float], str | None]:
     return record["N"], [record.get(name, math.nan) for name in names], error
 
 
+def _run_chunk(ids: range, job: tuple | None = None) -> list[tuple[int, list[float], str | None]]:
+    """Replicates ``ids`` of ``job`` (by default a pool worker's), on one table of substreams."""
+    job = job or _worker_job
+    streams = Substreams(job[2], ids)
+    return [_run_replicate(job, i, streams) for i in ids]
+
+
 def _init_worker(job: tuple) -> None:
     global _worker_job
     _worker_job = job
-
-
-def _run_in_worker(i: int) -> tuple[int, list[float], str | None]:
-    return _run_replicate(_worker_job, i)
 
 
 def _run_replicates(plan: McTemplate | SamplingPlan, data_fn, fixed: tuple, workers: int) -> McResult:
@@ -441,9 +450,10 @@ def _run_replicates(plan: McTemplate | SamplingPlan, data_fn, fixed: tuple, work
         _special()  # loaded once here, so that the forked workers inherit it
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(job,)) as pool:
             chunk = max(1, reps // (workers * 8))
-            rows = list(pool.map(_run_in_worker, range(reps), chunksize=chunk))
+            chunks = (range(a, min(a + chunk, reps)) for a in range(0, reps, chunk))
+            rows = [row for part in pool.map(_run_chunk, chunks) for row in part]
     else:
-        rows = [_run_replicate(job, i) for i in range(reps)]
+        rows = _run_chunk(range(reps), job)
     sizes = np.empty(reps, dtype=np.int64)
     values = np.full((len(names), reps), np.nan)  # row j is series j
     errors: dict[int, str] = {}

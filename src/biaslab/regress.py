@@ -240,18 +240,18 @@ def _term_labels(terms: Sequence[Term], with_intercept: bool) -> tuple[str, ...]
 
 
 def _design(complete: Dataset, terms: Sequence[Term], labels: Sequence[str],
-            responses: Sequence[str] = ()) -> np.ndarray:
+            responses: Sequence[str] = (), checked: bool = True) -> np.ndarray:
     """The column-major ``[X | y1 ... yk]``: the design ``[1 |] terms`` (columns ``labels``), then ``responses``.
 
     ``labels`` has ``(Intercept)`` first when the design has an intercept column.
-    A built interaction or square that overflows to ±inf raises ``DataError``;
-    as in ``listwise_complete``, ``v @ v`` screens it before the exact pass."""
+    Where ``checked``, a built interaction or square that overflows to ±inf raises
+    ``DataError``; as in ``listwise_complete``, ``v @ v`` screens it before the exact pass."""
     a = np.empty((complete.n_rows, len(labels) + len(responses)), order="F")
     first = len(labels) - len(terms)  # 1 with an intercept column, else 0
     if first:
         a[:, 0] = 1.0
     for j, term in enumerate((*terms, *map(main, responses)), start=first):
-        if term.kind == "main":
+        if term.kind == "main" or not checked:
             a[:, j] = term.build(complete)
             continue
         with np.errstate(over="ignore"):
@@ -264,12 +264,22 @@ def _design(complete: Dataset, terms: Sequence[Term], labels: Sequence[str],
 def _build_design(
     data: Dataset, formula: Formula, with_intercept: bool
 ) -> tuple[np.ndarray, tuple[str, ...], int]:
-    """Listwise-delete over formula variables, then build ([X | y], labels, n_dropped)."""
+    """Listwise-delete over formula variables, then build ([X | y], labels, n_dropped).
+
+    One dot product screens ``[X | y]`` built from every row: a finite sum of
+    squares has no NaN, ±inf or overflowing column to drop or refuse, so only
+    data that fails it is listwise-deleted, checked per term and rebuilt."""
+    labels = (formula._labels if with_intercept == formula.intercept
+              else _term_labels(formula.terms, with_intercept))
+    if data.n_rows:
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = _design(data, formula.terms, labels, (formula.response,), checked=False)
+            flat = a.reshape(-1, order="F")
+            if math.isfinite(flat @ flat):
+                return a, labels, 0
     complete, n_dropped = listwise_complete(data, formula._variables)
     if complete.n_rows == 0:
         raise DataError("no complete rows after listwise deletion")
-    labels = (formula._labels if with_intercept == formula.intercept
-              else _term_labels(formula.terms, with_intercept))
     return _design(complete, formula.terms, labels, (formula.response,)), labels, n_dropped
 
 
@@ -281,13 +291,16 @@ def _check_rank(a: np.ndarray, labels: Sequence[str]) -> np.ndarray:
     ``|R_jj|`` is at most ``_RANK_TOL`` times the largest ``|R_ij|`` of its own
     column.  Scaling a column scales its column of R, so the test does not
     depend on the scale of any column; a zero column is dependent."""
-    r = np.linalg.qr(a, mode="r")
-    p = len(labels)
-    ar = np.abs(r[:p, :p])
-    diag = ar.diagonal().tolist()
-    # a NaN on the diagonal (NaN data) never raises; lists, not arrays, because a
-    # design has few columns and numpy's per-call overhead would dominate
-    if (diag and any(d <= _RANK_TOL * m for d, m in zip(diag, ar.max(axis=0).tolist()))
+    # R over the reflectors; zeroing those costs less than mode "r"'s triu
+    h, k = np.linalg.qr(a, mode="raw")[0].T, min(a.shape)
+    for i in range(1, k):
+        h[i, :i] = 0.0
+    r, p = np.ascontiguousarray(h[:k]), len(labels)
+    # lists, not arrays, as numpy's per-call overhead would dominate; a NaN in a
+    # column (NaN data) never flags it, and a NaN on the diagonal never raises
+    cols = [list(map(abs, c)) for c in zip(*r[:p, :p].tolist())]
+    diag = [c[j] for j, c in enumerate(cols)]
+    if (any(d <= _RANK_TOL * max(c) and not any(map(math.isnan, c)) for d, c in zip(diag, cols))
             and not any(map(math.isnan, diag))):
         # pivoted pass to name the first dependent column; scipy.linalg is
         # imported here so that a full-rank fit never loads it

@@ -13,7 +13,6 @@ and blocked randomization.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Mapping, Sequence
@@ -277,10 +276,9 @@ def bind_spec(spec: ScmSpec, values: Mapping[str, float], n: int) -> ScmSpec:
     placeholder missing from ``values`` stays unbound.  Only fields are
     compared, so two bindings of one spec with the same ``n`` compare equal.
     """
-    bound = copy.copy(spec)
-    object.__setattr__(bound, "n", n)
-    object.__setattr__(bound, "_values", {**spec._values, **values})
-    object.__setattr__(bound, "_placeholders", spec._placeholders.difference(values))
+    bound = object.__new__(type(spec))
+    bound.__dict__.update(spec.__dict__, n=n, _values={**spec._values, **values},
+                          _placeholders=spec._placeholders.difference(values))
     return bound
 
 

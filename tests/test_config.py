@@ -686,6 +686,15 @@ def test_oversized_value_is_shown_shortened():
     assert len(long) == 80 and long.startswith("[0, 1, 2") and long.endswith("…")
 
 
+def test_integer_past_the_digit_limit_is_described_by_its_bit_length():
+    # repr refuses an int of more than 4300 digits; the refusal still names its field
+    assert shown(10**5000) == "an integer of 16610 bits"
+    assert shown(-(2**20000)) == "a negative integer of 20001 bits"
+    assert shown([1, 10**5000]) == "a list too long to show"
+    with pytest.raises(ValidationError, match=r"^n: must be < 2\^63, got an integer of 16610 bits$"):
+        ScmSpec(n=10**5000, sources=())
+
+
 # a row count below 1, which used to pass parsing and fail at run time with no path
 _NO_ROWS = {
     "scm.n-0": (_catalog_with("entry1-linearity", "scm", n=0), "scm.n: must be >= 1, got 0"),

@@ -9,8 +9,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from biaslab import causal, rng, scm
-from biaslab.catalog import collider_template, iv_template
+from biaslab import causal, mc, rng, scm
+from biaslab.catalog import catalog_config, collider_template, iv_template
 from biaslab.causal import Condition, RowFilter
 from biaslab.data import Dataset
 from biaslab.errors import DataError, ParameterError, ValidationError
@@ -459,6 +459,28 @@ class TestRepeatedSamples:
         a = repeated_samples(pop, plan)
         b = repeated_samples(pop, plan, workers=2)
         assert same_columns(a.columns, b.columns)
+
+    @pytest.mark.parametrize("ident, reads", [
+        ("entry5-sampling-high-pea", ["EP", "SIEM"]),  # its filter reads PEA, which no step reads
+        ("entry6-balance", ["Tr", "Y", "DI1", "DV1", "SCV1", "CV1"]),  # five columns, by two steps
+    ])
+    def test_samples_gather_only_the_columns_the_plan_reads(self, tmp_path, monkeypatch, ident, reads):
+        doc = catalog_config(ident)["population"]
+        pop = evaluate_scm(ScmSpec.from_json_dict(doc["scm"]), derive_substream(7, 0))
+        plan = SamplingPlan.from_json_dict({**doc["sampling"], "reps": 20, "seed": 8})
+        keep = plan.row_filter.mask(pop) if plan.row_filter else np.ones(pop.n_rows, dtype=bool)
+        # the reference samples every column of the filtered population
+        unprojected = mc._run_replicates(plan, mc._sample_data, (pop.select_rows(keep), plan), 1)
+        gathered = []
+        select_rows = Dataset.select_rows
+        monkeypatch.setattr(Dataset, "select_rows", lambda d, idx: gathered.append(d.names) or select_rows(d, idx))
+        written = {}
+        for label, result in (("reference", unprojected), ("serial", repeated_samples(pop, plan)),
+                              ("pooled", repeated_samples(pop, plan, workers=2))):
+            write_mc_csv(result, tmp_path / f"{label}.csv")
+            written[label] = (tmp_path / f"{label}.csv").read_bytes()
+        assert written["serial"] == written["reference"] == written["pooled"]
+        assert gathered and all(sorted(names) == sorted(reads) for names in gathered)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_fewer_than_one_worker_is_refused(self, workers):

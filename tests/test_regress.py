@@ -777,3 +777,45 @@ class TestInfiniteCells:
         y[4] = np.nan  # the row of the inf x cell
         f = fit_ols(d.with_column("y", y), Formula.parse("y ~ x + z"))
         assert f.n_dropped == 1 and np.all(np.isfinite(f.b))
+
+
+class TestFitScreen:
+    """``fit_ols`` screens its whole ``[X | y]`` buffer with one dot product, and
+    only data that fails it takes listwise deletion and the per-term checks."""
+
+    _FORMULAS = ("y ~ a", "y ~ a + b", "y ~ a + b + a:b", "y ~ a + b^2", "y ~ a:b - 1")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_missing_rows_fit_as_deleted_rows(self, draw):
+        n = draw.draw(st.integers(6, 40), label="n")
+        g = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1), label="seed"))
+        cols = {"a": g.normal(size=n), "b": g.normal(size=n) * 10.0 ** draw.draw(st.integers(-3, 3))}
+        cols["y"] = cols["a"] - cols["b"] + g.normal(size=n)
+        formula = Formula.parse(draw.draw(st.sampled_from(self._FORMULAS), label="formula"))
+        rows = draw.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n), label="rows")
+        holed = {k: v.copy() for k, v in cols.items()}
+        for i in rows:  # a NaN in one of the formula's variables
+            holed[draw.draw(st.sampled_from(formula.variables()))][i] = np.nan
+        kept = np.setdiff1d(np.arange(n), rows)
+        got = outcome(fit_ols, Dataset(holed), formula)
+        want = outcome(fit_ols, Dataset({k: v[kept] for k, v in cols.items()}), formula)
+        if isinstance(want, BiaslabError):
+            assert_same_error(got, want)
+            return
+        assert got.b.tobytes() == want.b.tobytes() and got.se.tobytes() == want.se.tobytes()
+        assert (got.n_used, got.n_dropped) == (n - len(rows), len(rows))
+        # a ±inf cell in a kept row, an overflowing product and an overflowing
+        # response still raise the messages of the checks that name them
+        i = int(kept[0])
+        for column, value, message in (
+                ("a", draw.draw(st.sampled_from([np.inf, -np.inf])), "column 'a' holds an infinite value; fits need finite data"),
+                ("y", 1e200, "response 'y' is too large: its squares overflow float64")):
+            bad = {k: v.copy() for k, v in holed.items()}
+            bad[column][i] = value
+            assert str(outcome(fit_ols, Dataset(bad), formula)) == message
+        if formula.terms[-1].kind != "main":
+            bad = {k: v.copy() for k, v in holed.items()}
+            bad["a"][i], bad["b"][i] = 1e160, 1e160
+            assert str(outcome(fit_ols, Dataset(bad), formula)) == \
+                f"term {formula.terms[-1].label!r} overflows to ±inf; fits need finite data"
