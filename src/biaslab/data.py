@@ -90,17 +90,22 @@ class SummaryStats:
 
 def quantile_type7(values: np.ndarray | Sequence[float], p: float) -> float:
     """Type-7 quantile of the non-missing values: linear interpolation at ``h = (n-1)p + 1``."""
+    return quantiles_type7(values, (p,))[0]
+
+
+def quantiles_type7(values: np.ndarray | Sequence[float], probs: Sequence[float]) -> list[float]:
+    """``quantile_type7`` at each of ``probs``, from one sort of the values."""
     x = np.asarray(values, dtype=float)
     x = x[~np.isnan(x)]
-    if not (0.0 <= p <= 1.0):
-        raise ParameterError(f"quantile probability out of range: {p}")
+    for p in probs:
+        if not (0.0 <= p <= 1.0):
+            raise ParameterError(f"quantile probability out of range: {p}")
     if x.size == 0:
         raise DataError("quantile of empty data")
-    xs = np.sort(x)
-    h = (xs.size - 1) * p
-    lo = int(math.floor(h))
-    hi = min(lo + 1, xs.size - 1)
-    return float(xs[lo] + (h - lo) * (xs[hi] - xs[lo]))
+    xs, top = np.sort(x), x.size - 1
+    # h = (n-1)p, 0-based, interpolating between xs[floor(h)] and the value after it
+    return [float(xs[lo] + (h - lo) * (xs[min(lo + 1, top)] - xs[lo]))
+            for h, lo in ((top * p, math.floor(top * p)) for p in probs)]
 
 
 def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
@@ -129,14 +134,15 @@ def summarize(values: np.ndarray, name: str = "values") -> SummaryStats:
     if x.size == 0:
         raise DataError(f"column {name!r} has no non-missing values")
     mean, sd, skew, kurt = _moments(x)
+    q1, median, q3 = quantiles_type7(x, (0.25, 0.5, 0.75))
     return SummaryStats(
         n=int(x.size),
         n_missing=int(v.size - x.size),
         min=float(x.min()),
-        q1=quantile_type7(x, 0.25),
-        median=quantile_type7(x, 0.5),
+        q1=q1,
+        median=median,
         mean=mean,
-        q3=quantile_type7(x, 0.75),
+        q3=q3,
         max=float(x.max()),
         sd=sd,
         variance=sd * sd,

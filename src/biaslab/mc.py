@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .causal import _OPS, _holds, iv_wald, RowFilter
-from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantile_type7, write_rows
+from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantiles_type7, write_rows
 from .errors import BiaslabError, DataError, Doc, ParameterError, ValidationError, expect, expect_count, shown
 from .regress import Formula, _special, fit, fit_ols, fit_terms
 from .rng import Substreams, check_seed, derive_substream, sample_indices
@@ -515,12 +515,13 @@ def _clean_series(x: np.ndarray, series: str) -> np.ndarray:
 
 def summarize_series(result: McResult, series: str) -> McSummary:
     x = _clean_series(result.series(series), series)
+    q1, median, q3 = quantiles_type7(x, (0.25, 0.5, 0.75))
     return McSummary(
         min=float(x.min()),
-        q1=quantile_type7(x, 0.25),
-        median=quantile_type7(x, 0.5),
+        q1=q1,
+        median=median,
         mean=float(x.mean()),
-        q3=quantile_type7(x, 0.75),
+        q3=q3,
         max=float(x.max()),
     )
 

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, quantile_type7, spearman
+from .data import Dataset, pearson, quantile_type7, quantiles_type7, ranks_average_ties, spearman
 from .errors import BiaslabError, DataError, Doc, ParameterError, ValidationError, expect, shown
 from .regress import FitResult, Formula, check_family, fit, main
 
@@ -124,15 +124,14 @@ def dichotomize(values: np.ndarray, rule: RecodeRule, name: str = "values") -> n
     present = x[~np.isnan(x)]
     if present.size == 0:
         raise DataError(f"column {name!r} has no non-missing values")
-    if rule.kind == "dichotomize_median":
-        cut = quantile_type7(present, 0.5)
-    elif rule.kind == "dichotomize_quantile":
-        cut = quantile_type7(present, float(rule.p))  # type: ignore[arg-type]
-    else:
+    if rule.kind == "dichotomize_threshold":
         cut = float(rule.threshold)  # type: ignore[arg-type]
+    else:  # the median, or the p quantile
+        cut = quantile_type7(present, 0.5 if rule.kind == "dichotomize_median" else float(rule.p))
     out = np.where(x > cut, 1.0, 0.0)
     out[np.isnan(x)] = np.nan
-    if np.unique(out[~np.isnan(x)]).size < 2:
+    # two classes: some value above the cut and some not (a NaN cut puts all at 0)
+    if not (present.max() > cut and not present.min() > cut):
         warnings.warn(f"dichotomizing {name!r} produced a single class", stacklevel=2)
     return out
 
@@ -150,7 +149,7 @@ def ordinalize(values: np.ndarray, rule: RecodeRule, name: str = "values") -> np
     if present.size == 0:
         raise DataError(f"column {name!r} has no non-missing values")
     if rule.kind == "ordinalize_quantiles":
-        cuts = [quantile_type7(present, q) for q in rule.probs]
+        cuts = quantiles_type7(present, rule.probs)
     else:
         cuts = list(rule.cutpoints)
     out = np.ones(len(x), dtype=float)
@@ -296,6 +295,16 @@ def attenuation_report(
     remaining rows still compute.
     """
     xbase, ybase = data[x], data[y]
+    # the untransformed columns' ranks, found once: a pair with no missing cell
+    # loses no row to spearman's pairwise deletion, so it can use them
+    base_ranks = {id(v): ranks_average_ties(v) for v in (xbase, ybase)
+                  if v.size >= 3 and not np.isnan(v).any()}
+
+    def rank_corr(xv: np.ndarray, yv: np.ndarray) -> float:
+        if xv.size < 3 or np.isnan(xv).any() or np.isnan(yv).any():
+            return spearman(xv, yv)
+        return pearson(*(base_ranks[id(v)] if id(v) in base_ranks else ranks_average_ties(v)
+                         for v in (xv, yv)))
 
     def row(label: str, family: str | None, v: AttenuationVariant | None = None) -> AttenuationRow:
         try:
@@ -306,7 +315,7 @@ def attenuation_report(
                 yv = apply_rules(ybase, v.rules(), y)
             fam = family or choose_family(yv)
             ds = Dataset({"x": xv, "y": yv})
-            rho = spearman(xv, yv)
+            rho = rank_corr(xv, yv)
             f: FitResult = fit(ds, Formula("y", (main("x"),)), family=fam)
             stat = f.stat_of("x")
             return AttenuationRow(

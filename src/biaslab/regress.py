@@ -429,6 +429,29 @@ def _binomial_deviance(y: np.ndarray, eta: np.ndarray) -> float:
     return float(2.0 * np.sum(np.logaddexp(0.0, eta) - y * eta))
 
 
+def _separated(fitted: np.ndarray, b: np.ndarray, last: np.ndarray) -> bool:
+    """Whether an iterative fit stopped at ``b`` on separation, where no finite
+    MLE exists (Albert & Anderson, *Biometrika* 71, 1984), warning if so: a
+    fitted probability within 1e-10 of 0 or 1 while the last step, from
+    ``last``, still grew max |b| by over 1e-3 of it.  Along a separating
+    direction each step adds about as much as the one before; at a finite MLE
+    the last step is quadratically small, however extreme the fitted values."""
+    top = float(np.max(np.abs(b))) if b.size else 0.0
+    grown = top - (float(np.max(np.abs(last))) if last.size else 0.0)
+    if grown > 1e-3 * top and (np.any(fitted < 1e-10) or np.any(fitted > 1.0 - 1e-10)):
+        warnings.warn("complete separation detected; coefficients are diverging", SeparationWarning)
+        return True
+    return False
+
+
+def _check_information(info: np.ndarray, labels: Sequence[str]) -> None:
+    """``DataError`` naming the first term whose entry on the diagonal of the
+    information matrix ``info`` overflowed, as ``_least_squares`` names a response."""
+    if not np.isfinite(info).all():
+        bad = [j for j, v in enumerate(np.diag(info).tolist()) if not math.isfinite(v)] + [-1]
+        raise DataError(f"term {labels[bad[0]]!r} is too large: its information overflows float64")
+
+
 def fit_logistic(data: Dataset, formula: Formula) -> FitResult:
     """Binary logit by IRLS; stops on |relative deviance change| < 1e-8."""
     a, labels, n_dropped = _build_design(data, formula, with_intercept=formula.intercept)
@@ -445,44 +468,32 @@ def fit_logistic(data: Dataset, formula: Formula) -> FitResult:
     eta = x @ b
     dev = _binomial_deviance(y, eta)
     converged = False
-    separated = False
-    it = 0
-    max_abs_b = 0.0
     mu = expit(eta)
     for it in range(1, 26):
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
         a[:, p] = eta + (y - mu) / w
+        last = b
         [(b, _, _)] = _least_squares(a * np.sqrt(w)[:, None], labels, (formula.response,))
         eta = x @ b
         new_dev = _binomial_deviance(y, eta)
         mu = expit(eta)
-        extreme = bool(np.any(mu < 1e-10) or np.any(mu > 1.0 - 1e-10))
-        new_max = float(np.max(np.abs(b))) if p else 0.0
-        if extreme and new_max > max_abs_b:
-            separated = True
-            dev = new_dev
-            break
-        max_abs_b = new_max
         if abs(new_dev - dev) < 1e-8 * (abs(new_dev) + 0.1):
             dev = new_dev
             converged = True
             break
         dev = new_dev
-    if separated:
-        warnings.warn(
-            "complete separation detected; coefficients are diverging", SeparationWarning
-        )
+    if _separated(mu, b, last):
         converged = False
 
     w = np.clip(mu * (1.0 - mu), 1e-10, None)
-    info = x.T @ (x * w[:, None])
+    with np.errstate(over="ignore"):
+        info = x.T @ (x * w[:, None])
+    _check_information(info, labels)
     cov = np.linalg.inv(info)
     se = np.sqrt(np.diag(cov))
     stat, pvals = _wald(b, se)
     pbar = float(y.mean())
-    null_dev = -2.0 * (
-        y.sum() * math.log(pbar) + (n - y.sum()) * math.log(1.0 - pbar)
-    )
+    null_dev = -2.0 * (y.sum() * math.log(pbar) + (n - y.sum()) * math.log(1.0 - pbar))
     return FitResult(
         family="binomial",
         formula=formula,
@@ -507,7 +518,12 @@ class _OrderedNll:
     """Negative log-likelihood machinery for the proportional-odds model.
 
     Every index set that depends only on the category codes is built once
-    here, so each Newton step gathers values but no masks.
+    here, so each Newton step gathers values by index but builds no masks.
+
+    ``value`` keeps the bounds, both CDFs and the cell probabilities it
+    computes, keyed by the bytes of ``beta`` and ``zeta``; ``derivs`` at the
+    same point (the line search's accepted step) reuses them.  The key is a
+    copy of the values, so a caller that mutates its arrays gets no stale state.
     """
 
     def __init__(self, x: np.ndarray, kcat: np.ndarray, n_levels: int):
@@ -520,11 +536,17 @@ class _OrderedNll:
         self.has_lw = kcat > 0
         self.i_up = np.minimum(kcat, n_levels - 2)
         self.i_lw = np.maximum(kcat - 1, 0)
-        self.up = kcat[self.has_up]
-        self.lw = (kcat - 1)[self.has_lw]
-        self.both = self.has_up & self.has_lw
-        self.up_both = kcat[self.both]
-        self.lw_both = (kcat - 1)[self.both]
+        self.rows_up = np.flatnonzero(self.has_up)
+        self.rows_lw = np.flatnonzero(self.has_lw)
+        self.rows_both = np.flatnonzero(self.has_up & self.has_lw)
+        self.up = kcat[self.rows_up]
+        self.lw = kcat[self.rows_lw] - 1
+        # flat indices into the (K-1) x (K-1) cutpoint block, whose 1-D ``add.at``
+        # adds in the same order as a 2-D one: (up, up), (lw, lw), (lw, up), (up, lw)
+        m, up_both = n_levels - 1, kcat[self.rows_both]
+        self.zz = (self.up * (m + 1), self.lw * (m + 1),
+                   (up_both - 1) * m + up_both, up_both * m + up_both - 1)
+        self._key, self._cdfs = None, None
         # per cutpoint j: the rows with upper (lower) cutpoint j and x[rows].T
         self.cut_rows = []
         for j in range(n_levels - 1):
@@ -538,38 +560,47 @@ class _OrderedNll:
         lo = np.where(self.has_lw, zeta[self.i_lw] - eta, -np.inf)
         return eta, lo, hi
 
+    def _cdfs_at(self, beta: np.ndarray, zeta: np.ndarray):
+        """(lo, hi, F(hi), F(lo), prob) at (beta, zeta), kept from the last call there."""
+        key = (beta.tobytes(), zeta.tobytes())
+        if key != self._key:
+            _, lo, hi = self._bounds(beta, zeta)
+            expit = _special().expit
+            fu_, fv_ = expit(hi), expit(lo)
+            self._key, self._cdfs = key, (lo, hi, fu_, fv_, np.clip(fu_ - fv_, 1e-300, None))
+        return self._cdfs
+
+    def fitted(self, beta: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+        """Each row's fitted probability of its own level, at least 1e-300."""
+        return self._cdfs_at(beta, zeta)[4]
+
     def value(self, beta: np.ndarray, zeta: np.ndarray) -> float:
-        _, lo, hi = self._bounds(beta, zeta)
-        expit = _special().expit
-        prob = np.clip(expit(hi) - expit(lo), 1e-300, None)
-        return float(-np.sum(np.log(prob)))
+        return float(-np.sum(np.log(self.fitted(beta, zeta))))
 
     def derivs(self, beta: np.ndarray, zeta: np.ndarray):
         """Gradient and Hessian w.r.t. the natural parameters (beta, zeta)."""
-        _, lo, hi = self._bounds(beta, zeta)
-        expit = _special().expit
-        fu_ = expit(hi)
-        fv_ = expit(lo)
-        prob = np.clip(fu_ - fv_, 1e-300, None)
+        lo, hi, fu_, fv_, prob = self._cdfs_at(beta, zeta)
         a = np.where(np.isfinite(hi), fu_ * (1 - fu_), 0.0)  # f(upper)
         bdens = np.where(np.isfinite(lo), fv_ * (1 - fv_), 0.0)  # f(lower)
         ap = a * (1 - 2 * fu_)  # f'(upper)
         bp = bdens * (1 - 2 * fv_)  # f'(lower)
 
-        g_eta = (a - bdens) / prob
+        a_b, prob2 = a - bdens, prob**2
+        g_eta = a_b / prob
         grad_b = self.x.T @ g_eta
         grad_z = np.zeros(self.K - 1)
-        np.add.at(grad_z, self.up, (-a / prob)[self.has_up])
-        np.add.at(grad_z, self.lw, (bdens / prob)[self.has_lw])
+        np.add.at(grad_z, self.up, -a.take(self.rows_up) / prob.take(self.rows_up))
+        np.add.at(grad_z, self.lw, bdens.take(self.rows_lw) / prob.take(self.rows_lw))
 
-        h_ee = ((bp - ap) * prob + (a - bdens) ** 2) / prob**2
-        h_eu = (ap * prob - (a - bdens) * a) / prob**2
-        h_el = (-bp * prob + bdens * (a - bdens)) / prob**2
-        h_uu = (a**2 - ap * prob) / prob**2
-        h_ll = (bp * prob + bdens**2) / prob**2
-        h_ul = -a * bdens / prob**2
+        h_ee = ((bp - ap) * prob + a_b**2) / prob2
+        h_eu = (ap * prob - a_b * a) / prob2
+        h_el = (-bp * prob + bdens * a_b) / prob2
+        h_uu = (a**2 - ap * prob) / prob2
+        h_ll = (bp * prob + bdens**2) / prob2
+        h_ul = -a * bdens / prob2
 
-        hbb = self.x.T @ (self.x * h_ee[:, None])
+        with np.errstate(over="ignore"):  # the fitter refuses an overflowing x'Wx
+            hbb = self.x.T @ (self.x * h_ee[:, None])
         hbz = np.zeros((self.p, self.K - 1))
         for j, (rows_up, xt_up, rows_lw, xt_lw) in enumerate(self.cut_rows):
             if rows_up.size:
@@ -577,10 +608,9 @@ class _OrderedNll:
             if rows_lw.size:
                 hbz[:, j] += xt_lw @ h_el[rows_lw]
         hzz = np.zeros((self.K - 1, self.K - 1))
-        np.add.at(hzz, (self.up, self.up), h_uu[self.has_up])
-        np.add.at(hzz, (self.lw, self.lw), h_ll[self.has_lw])
-        np.add.at(hzz, (self.lw_both, self.up_both), h_ul[self.both])
-        np.add.at(hzz, (self.up_both, self.lw_both), h_ul[self.both])
+        h_ul = h_ul.take(self.rows_both)
+        for at, h in zip(self.zz, (h_uu.take(self.rows_up), h_ll.take(self.rows_lw), h_ul, h_ul)):
+            np.add.at(hzz.reshape(-1), at, h)
 
         grad = np.concatenate([grad_b, grad_z])
         hess = np.block([[hbb, hbz], [hbz.T, hzz]])
@@ -621,7 +651,7 @@ def fit_ordered_logit(data: Dataset, formula: Formula) -> FitResult:
     counts = np.bincount(kcat, minlength=K)
     cumprop = np.cumsum(counts)[:-1] / n
     zeta0 = np.log(cumprop / (1 - cumprop))
-    theta = np.concatenate([np.zeros(p), [zeta0[0]], np.log(np.diff(zeta0))]) if K > 2 else np.concatenate([np.zeros(p), [zeta0[0]]])
+    theta = np.concatenate([np.zeros(p), [zeta0[0]], np.log(np.diff(zeta0))])
 
     def unpack(th):
         return th[:p], _theta_to_zeta(th[p:])
@@ -629,56 +659,49 @@ def fit_ordered_logit(data: Dataset, formula: Formula) -> FitResult:
     beta, zeta = unpack(theta)
     value = nll.value(beta, zeta)
     converged = False
-    it = 0
+    last = beta
     for it in range(1, 101):
         grad_nat, hess_nat = nll.derivs(beta, zeta)
-        # chain rule into (beta, z1, log-gaps) space
-        m = p + K - 1
-        jac = np.eye(m)
-        if K > 2:
-            gaps = np.exp(theta[p + 1 :])
-            jz = np.zeros((K - 1, K - 1))
-            jz[:, 0] = 1.0
-            for j in range(1, K - 1):
-                jz[j:, j] = gaps[j - 1]
-            jac[p:, p:] = jz
+        _check_information(hess_nat[:p, :p], labels)
+        # chain rule into (beta, z1, log-gaps) space: every cutpoint moves with
+        # z1, and cutpoint i with the gap j <= i
+        jac, gaps = np.eye(p + K - 1), np.exp(theta[p + 1 :])
+        jac[p:, p] = 1.0
+        for j in range(1, K - 1):
+            jac[p + j :, p + j] = gaps[j - 1]
         grad = jac.T @ grad_nat
         hess = jac.T @ hess_nat @ jac
-        if K > 2:
-            gz = grad_nat[p:]
-            for j in range(1, K - 1):
-                hess[p + j, p + j] += np.exp(theta[p + j]) * gz[j:].sum()
+        for j in range(1, K - 1):
+            hess[p + j, p + j] += np.exp(theta[p + j]) * grad_nat[p + j :].sum()
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        scale = 1.0
-        improved = False
-        for _ in range(40):
-            cand = theta - scale * step
+        for k in range(40):  # halve the step until -log L does not rise
+            cand = theta - 0.5**k * step
             cb, cz = unpack(cand)
             cval = nll.value(cb, cz)
             if np.isfinite(cval) and cval <= value:
-                improved = True
                 break
-            scale *= 0.5
-        if not improved:
+        else:
             break
         theta, delta = cand, value - cval
-        beta, zeta, value = cb, cz, cval
+        last, beta, zeta, value = beta, cb, cz, cval
         if delta < 1e-8:
             converged = True
             break
+    if _separated(nll.fitted(beta, zeta), beta, last):  # each row's probability of its own level
+        converged = False
 
     _, hess_nat = nll.derivs(beta, zeta)
+    _check_information(hess_nat[:p, :p], labels)
     try:
         cov = np.linalg.inv(hess_nat)
         se_all = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     except np.linalg.LinAlgError:
         se_all = np.full(p + K - 1, np.nan)
         converged = False
-    se = se_all[:p]
-    cut_se = se_all[p:]
+    se, cut_se = se_all[:p], se_all[p:]
     stat, pvals = _wald(beta, se)
     dev = 2.0 * value
     null_dev = -2.0 * float(np.sum(counts * np.log(counts / n)))

@@ -173,7 +173,10 @@ def ranks_average_ties_oracle(x):
 
 
 class OrderedNllOracle:
-    """Gradient and Hessian of the proportional-odds NLL, one mask per pass."""
+    """The proportional-odds NLL, its gradient and Hessian, one mask per pass.
+
+    Every call recomputes the bounds and both CDFs from ``beta`` and ``zeta``;
+    nothing is kept between calls."""
 
     def __init__(self, x, kcat, n_levels):
         self.x = x
@@ -186,6 +189,16 @@ class OrderedNllOracle:
         hi = np.where(self.k < self.K - 1, zeta[np.minimum(self.k, self.K - 2)] - eta, np.inf)
         lo = np.where(self.k > 0, zeta[np.maximum(self.k - 1, 0)] - eta, -np.inf)
         return eta, lo, hi
+
+    def fitted(self, beta, zeta):
+        """Each row's fitted probability of its own level, at least 1e-300."""
+        _, lo, hi = self._bounds(beta, zeta)
+        return np.clip(expit(hi) - expit(lo), 1e-300, None)
+
+    def value(self, beta, zeta):
+        _, lo, hi = self._bounds(beta, zeta)
+        prob = np.clip(expit(hi) - expit(lo), 1e-300, None)
+        return float(-np.sum(np.log(prob)))
 
     def derivs(self, beta, zeta):
         """Gradient and Hessian w.r.t. the natural parameters (beta, zeta)."""

@@ -1,14 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaslab.data import Dataset, spearman
+from biaslab.data import Dataset, quantile_type7, quantiles_type7, spearman
 from biaslab.errors import DataError, ParameterError, ValidationError
 from biaslab.measure import (
     AttenuationVariant,
     RecodeRule,
     TransformRule,
+    apply_rules,
     attenuation_report,
     dichotomize,
     ordinalize,
@@ -70,6 +73,18 @@ class TestDichotomize:
     def test_wrong_rule_kind(self):
         with pytest.raises(ParameterError):
             dichotomize(col([1, 2]), RecodeRule("ordinalize_quantiles", probs=(0.5,)))
+
+    @pytest.mark.parametrize("threshold, single", [
+        (0.5, True), (3.0, True), (np.nan, True), (1.0, False), (2.5, False)])
+    def test_single_class_warning_reads_min_and_max(self, threshold, single):
+        # every value above the cut, none above it, or a NaN cut that puts all at 0
+        c = col([1.0, np.nan, 3.0, 2.0])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            d = dichotomize(c, RecodeRule("dichotomize_threshold", threshold=threshold))
+        assert (np.unique(present(d)).size < 2) == single
+        assert [str(w.message) for w in seen] == (
+            ["dichotomizing 'values' produced a single class"] if single else [])
 
 
 class TestOrdinalize:
@@ -295,3 +310,57 @@ class TestAttenuation:
         )
         assert rep.row("z").error is not None
         assert rep.row("baseline").error is not None  # zero-variance response
+
+    _RANKED_VARIANTS = (
+        ("median", RecodeRule("dichotomize_median")),
+        ("quartiles", RecodeRule("ordinalize_quantiles", probs=(0.25, 0.5, 0.75))),
+        ("scale", TransformRule("scale", c=-3.0)),
+        ("round", TransformRule("round_whole")),  # ties
+        ("window", TransformRule("window", lo=-5, hi=5)),  # missing cells
+        ("log", TransformRule("log_e")),  # missing cells
+        ("unchanged", ()),  # no rule: the base column itself
+    )
+
+    @pytest.mark.parametrize("holes", ["none", "x", "y"])
+    def test_spearman_matches_a_per_row_loop_bit_for_bit(self, holes):
+        # the table ranks each base column once and reuses those ranks where
+        # a row's pair has no missing cell; every row must read as spearman's
+        d = entry13_data(seed=11, n=400)
+        cols = {"X": d["X"].copy(), "Y": d["Y"].copy()}
+        if holes != "none":
+            cols[holes.upper()][::37] = np.nan
+        variants = [AttenuationVariant(f"{target}:{label}", target, rule)
+                    for target in ("x", "y") for label, rule in self._RANKED_VARIANTS]
+        rep = attenuation_report(Dataset(cols), "Y", "X", variants)
+        assert len(rep.rows) == 1 + len(variants)
+        for row, v in zip(rep.rows, [None, *variants]):
+            xv, yv = cols["X"], cols["Y"]
+            if v is not None and v.target == "x":
+                xv = apply_rules(xv, v.rules())
+            elif v is not None:
+                yv = apply_rules(yv, v.rules())
+            assert row.error is None, (row.label, row.error)
+            assert row.spearman.hex() == spearman(xv, yv).hex(), row.label
+
+
+class TestQuantileCuts:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3),
+                                     st.just(float("nan"))), min_size=1, max_size=60),
+           probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    def test_one_sort_gives_each_cut_bit_for_bit(self, values, probs):
+        # ties come from the small integers, missing cells from NaN
+        x = col(values)
+        if np.isnan(x).all():
+            with pytest.raises(DataError):
+                quantiles_type7(x, probs)
+            return
+        cuts = quantiles_type7(x, probs)
+        assert [c.hex() for c in cuts] == [quantile_type7(x, q).hex() for q in probs]
+        probs = sorted(set(probs) - {0.0, 1.0})
+        if probs:
+            want = 1.0 + sum((x >= quantile_type7(x, q)).astype(float) for q in probs)
+            want[np.isnan(x)] = np.nan
+            got = ordinalize(x, RecodeRule("ordinalize_quantiles", probs=tuple(probs)))
+            assert got.tobytes() == want.tobytes()
+

@@ -1,12 +1,15 @@
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
+from biaslab import regress
 from biaslab.causal import iv_wald
 from biaslab.data import Dataset, pearson
 from biaslab.errors import (
@@ -483,6 +486,19 @@ class TestLogistic:
             f = fit_logistic(dataset(x=x, y=y), Formula.parse("y ~ x"))
         assert not f.converged
 
+    def test_strong_overlapping_signal_is_not_separation(self):
+        # fitted probabilities reach 1e-10 at the finite MLE; before, the fit
+        # stopped on the way there with SeparationWarning and b about 0.6 of it
+        s = derive_substream(15, 0)
+        x = s.normal(0, 5, 2000)
+        y = (x + 0.5 * s.logistic(0, 1, 2000) > 0).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SeparationWarning)
+            f = fit_logistic(dataset(x=x, y=y), Formula.parse("y ~ x"))
+        assert f.converged
+        b_or = brute_force_logistic(np.column_stack([np.ones(2000), x]), y)
+        assert np.allclose(f.b, b_or, rtol=1e-5, atol=1e-6)
+
     def test_deviance_and_aic(self):
         s = derive_substream(14, 0)
         x = s.normal(0, 1, 400)
@@ -580,6 +596,65 @@ class TestOrderedLogit:
                     assert grad.tobytes() == grad_o.tobytes()
                     assert hess.tobytes() == hess_o.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fit_matches_a_recomputing_nll_bit_for_bit(self, draw):
+        # _OrderedNll keeps value's CDFs for derivs at the same point; the oracle
+        # recomputes everything on every call
+        n = draw.draw(st.integers(20, 3000), label="n")
+        p = draw.draw(st.integers(1, 3), label="p")
+        K = draw.draw(st.integers(2, 6), label="K")
+        noise = draw.draw(st.sampled_from([0.0, 0.3, 1.0, 5.0]), label="noise")  # 0: separated
+        g = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = g.normal(size=(n, p)) * g.uniform(0.1, 10, p)
+        latent = x @ g.normal(size=p) + noise * g.logistic(size=n)
+        y = 1.0 + (latent[:, None] >= np.quantile(latent, np.arange(1, K) / K)).sum(axis=1)
+        cols = {f"x{j}": x[:, j] for j in range(p)} | {"y": y}
+        for i in draw.draw(st.lists(st.integers(0, n - 1), max_size=5), label="nan rows"):
+            cols[draw.draw(st.sampled_from(sorted(cols)))][i] = np.nan
+        data, formula = dataset(**cols), Formula.parse("y ~ " + " + ".join(f"x{j}" for j in range(p)))
+
+        def outcome():
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always", SeparationWarning)
+                try:
+                    f = fit_ordered_logit(data, formula)
+                except BiaslabError as exc:
+                    return repr(exc), []
+            return [(k, v.tobytes() if isinstance(v, np.ndarray) else repr(v))
+                    for k, v in vars(f).items()], [str(w.message) for w in seen]
+
+        got = outcome()
+        with mock.patch.object(regress, "_OrderedNll", OrderedNllOracle):
+            want = outcome()
+        assert got == want
+
+    @pytest.mark.parametrize("cuts", [(15,), (10, 20)], ids=["K2", "K3"])
+    def test_separation_flagged(self, cuts):
+        # every level is a run of x: the slope diverges, as under the logit
+        x = np.arange(30.0)
+        y = 1.0 + sum((x >= c).astype(float) for c in cuts)
+        d, f = dataset(x=x, y=y), Formula.parse("y ~ x")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SeparationWarning)
+            with pytest.raises(SeparationWarning):
+                fit_ordered_logit(d, f)
+            with pytest.raises(SeparationWarning):
+                fit_logistic(dataset(x=x, y=(y > 1).astype(float)), f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SeparationWarning)
+            assert not fit_ordered_logit(d, f).converged
+
+    def test_overlapping_levels_are_not_separated(self):
+        # one row of each level sits among the other's: the MLE is finite
+        x = np.arange(30.0)
+        y = np.where(x < 15, 1.0, 2.0)
+        y[[3, 26]] = y[[26, 3]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SeparationWarning)
+            f = fit_ordered_logit(dataset(x=x, y=y), Formula.parse("y ~ x"))
+        assert f.converged and abs(f.coef("x")) < 5
+
     @pytest.mark.parametrize("value", [0.0, 0.5, 5.0])
     def test_constant_predictor_is_unidentified(self, value):
         # the cutpoints absorb any constant, as an intercept would
@@ -611,6 +686,69 @@ class TestOrderedLogit:
             fit_ordered_logit(
                 dataset(y=[1.0, 1, 3, 3], x=[1, 2, 3, 4]), Formula.parse("y ~ x")
             )
+
+
+class TestIterativeFitterProperties:
+    """Properties of the logit and ordered-logit MLEs that hold without an oracle.
+
+    A converged fit's score is about 0 relative to its scale: the Newton
+    decrement ``s' H^-1 s``, twice the drop in -log L that one more step would
+    predict, is below 1e-6.  Mirroring the response mirrors the estimates to
+    within a tenth of their SEs.  Most pairs agree to 1e-6 of an SE, but where
+    the likelihood has a flat tail (n = 20, five levels, three slopes) the two
+    fits stop as much as 3 % of an SE apart on a cutpoint."""
+
+    @staticmethod
+    def _latent(draw, n_lo=20, n_hi=400):
+        n = draw.draw(st.integers(n_lo, n_hi), label="n")
+        p = draw.draw(st.integers(1, 3), label="p")
+        noise = draw.draw(st.sampled_from([0.0, 0.5, 1.0, 4.0]), label="noise")  # 0: separated
+        g = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = g.normal(size=(n, p)) * g.uniform(0.1, 10, p)
+        cols = {f"x{j}": x[:, j] for j in range(p)}
+        return cols, x, x @ g.normal(size=p) + noise * g.logistic(size=n), " + ".join(cols)
+
+    @staticmethod
+    def _fit_quietly(fitter, cols, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SeparationWarning)
+            return fitter(dataset(**cols), Formula.parse(text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_logit_score_vanishes_and_flips_with_the_response(self, draw):
+        cols, x, latent, rhs = self._latent(draw)
+        y = (latent > np.median(latent)).astype(float)
+        f = self._fit_quietly(fit_logistic, cols | {"y": y}, f"y ~ {rhs}")
+        g = self._fit_quietly(fit_logistic, cols | {"y": 1.0 - y}, f"y ~ {rhs}")
+        assert f.converged == g.converged
+        event(f"converged: {f.converged}")
+        if not f.converged:
+            return
+        xd = np.column_stack([np.ones(len(y)), x])
+        mu = expit(xd @ f.b)
+        score, info = xd.T @ (y - mu), xd.T @ (xd * (mu * (1 - mu))[:, None])
+        assert score @ np.linalg.solve(info, score) < 1e-6
+        assert np.all(np.abs(g.b + f.b) <= 0.1 * f.se)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_ordered_score_vanishes_and_reversal_flips_the_fit(self, draw):
+        from biaslab.regress import _OrderedNll
+
+        cols, x, latent, rhs = self._latent(draw)
+        K = draw.draw(st.integers(2, 5), label="K")
+        y = 1.0 + (latent[:, None] >= np.quantile(latent, np.arange(1, K) / K)).sum(axis=1)
+        f = self._fit_quietly(fit_ordered_logit, cols | {"y": y}, f"y ~ {rhs}")
+        g = self._fit_quietly(fit_ordered_logit, cols | {"y": K + 1.0 - y}, f"y ~ {rhs}")
+        assert f.converged == g.converged
+        event(f"converged: {f.converged}")
+        if not f.converged:
+            return
+        grad, hess = _OrderedNll(x, (y - 1).astype(int), K).derivs(f.b, f.cutpoints)
+        assert grad @ np.linalg.solve(hess, grad) < 1e-6
+        assert np.all(np.abs(g.b + f.b) <= 0.1 * f.se)
+        assert np.all(np.abs(g.cutpoints + f.cutpoints[::-1]) <= 0.1 * f.cutpoint_se)
 
 
 class TestFamilies:
@@ -770,6 +908,18 @@ class TestInfiniteCells:
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="response 'y' is too large"):
                 fit_ols(d.with_column("y", (3.0 + d["y"]) * 1e160), Formula.parse("y ~ x"))
+
+    @pytest.mark.parametrize("fitter, response", [(fit_logistic, "yb"), (fit_ordered_logit, "yo")],
+                             ids=["logistic", "ordered"])
+    def test_overflowing_information_is_refused(self, fitter, response):
+        # x is finite and so are its products with the weights, but x'Wx is not;
+        # before, the fit returned SE 0 or NaN beside p NaN
+        d = self._data(value=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="term 'x' is too large"):
+                fitter(d.with_column("x", np.linspace(-1, 1, 30) * 1e200),
+                       Formula.parse(f"{response} ~ z + x"))
 
     def test_infinite_cell_in_a_dropped_row_is_never_used(self):
         d = self._data()
