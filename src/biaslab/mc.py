@@ -32,7 +32,7 @@ import numpy as np
 from .causal import _OPS, _holds, iv_wald, RowFilter
 from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantiles_type7, write_rows
 from .errors import BiaslabError, DataError, Doc, ParameterError, ValidationError, expect, expect_count, shown
-from .regress import Formula, _special, fit, fit_ols, fit_terms
+from .regress import Formula, fit, fit_ols, fit_terms
 from .rng import Substreams, check_seed, derive_substream, sample_indices
 from .scm import ScmSpec, bind_spec, evaluate_scm
 
@@ -437,8 +437,9 @@ def _init_worker(job: tuple) -> None:
 
 def _run_replicates(plan: McTemplate | SamplingPlan, data_fn, fixed: tuple, workers: int) -> McResult:
     """Run replicates ``0 .. plan.reps - 1``: ``data_fn(*fixed, rng, record)`` on
-    replicate ``i``'s stream ``rng``, then ``plan.analysis``, in this process or on
-    ``workers`` processes, writing replicate ``i`` into row ``i`` of each series."""
+    replicate ``i``'s stream ``rng``, then ``plan.analysis``, in this process or
+    (after replicate 0 here) on ``workers`` processes, writing replicate ``i``
+    into row ``i`` of each series."""
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {shown(workers)}")
     names = tuple(plan.series_names())
@@ -447,11 +448,13 @@ def _run_replicates(plan: McTemplate | SamplingPlan, data_fn, fixed: tuple, work
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        _special()  # loaded once here, so that the forked workers inherit it
+        # replicate 0 runs here, so whatever it imports (scipy.special for a
+        # p-value or a logit) is loaded once and the forked workers inherit it
+        rows = _run_chunk(range(1), job)
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(job,)) as pool:
             chunk = max(1, reps // (workers * 8))
-            chunks = (range(a, min(a + chunk, reps)) for a in range(0, reps, chunk))
-            rows = [row for part in pool.map(_run_chunk, chunks) for row in part]
+            chunks = (range(a, min(a + chunk, reps)) for a in range(1, reps, chunk))
+            rows += [row for part in pool.map(_run_chunk, chunks) for row in part]
     else:
         rows = _run_chunk(range(reps), job)
     sizes = np.empty(reps, dtype=np.int64)

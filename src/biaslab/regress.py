@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,8 @@ _RANK_TOL = 1e-10  # relative to the largest |R| entry of the same column
 
 
 def _special():
-    # imported at the first p-value or logit: it is half of the CLI's cold start
+    # imported at the first logit or the first read of a FitResult.p: it is
+    # half of the CLI's cold start and about 25 MB of resident memory
     import scipy.special
 
     return scipy.special
@@ -158,7 +160,9 @@ class FitResult:
     """Coefficients and inference for one fitted model.
 
     ``terms`` lists slope-term labels (plus ``(Intercept)`` first for
-    gaussian/binomial fits); ``stat`` is b/SE for every term.
+    gaussian/binomial fits); ``stat`` is b/SE for every term.  ``p``, its
+    two-sided p-value from t(``df_residual``) for gaussian fits and from the
+    normal otherwise, is computed on first read and kept on the instance.
     """
 
     family: str  # "gaussian" | "binomial" | "ordered"
@@ -167,7 +171,6 @@ class FitResult:
     b: np.ndarray
     se: np.ndarray
     stat: np.ndarray
-    p: np.ndarray
     beta: np.ndarray  # standardized slope coefficients (0 for intercept)
     n_used: int
     n_dropped: int
@@ -183,6 +186,12 @@ class FitResult:
     converged: bool = True
     iterations: int = 1
     residual_se: float | None = None
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        special, z = _special(), -np.abs(self.stat)
+        tail = special.stdtr(self.df_residual, z) if self.family == "gaussian" else special.ndtr(z)
+        return 2.0 * tail
 
     def term_index(self, term: str) -> int:
         try:
@@ -372,18 +381,13 @@ def _standardized(
     return b * sx / sy + 0.0
 
 
-def _wald(b: np.ndarray, se: np.ndarray, df: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Wald statistics ``b / se`` and their two-sided p-values, from t(df) or,
-    without ``df``, the normal.  Where an SE is not positive the statistic is
-    undefined, so its stat and p are NaN."""
+def _wald(b: np.ndarray, se: np.ndarray) -> np.ndarray:
+    """Wald statistics ``b / se``.  Where an SE is not positive the statistic
+    is undefined, so it is NaN (and so is its p-value)."""
     if all(v > 0 for v in se.tolist()):
-        stat = b / se
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            stat = np.where(se > 0, b / se, np.nan)
-    special = _special()
-    tail = special.ndtr(-np.abs(stat)) if df is None else special.stdtr(df, -np.abs(stat))
-    return stat, 2.0 * tail
+        return b / se
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(se > 0, b / se, np.nan)
 
 
 def fit_ols(data: Dataset, formula: Formula, standardized: bool = True) -> FitResult:
@@ -394,7 +398,7 @@ def fit_ols(data: Dataset, formula: Formula, standardized: bool = True) -> FitRe
     x, y = a[:, :p], a[:, p]
     df = n - p
     sigma2 = rss / df
-    stat, pvals = _wald(b, se, df)
+    stat = _wald(b, se)
     # np.add.reduce is the reduction np.sum and ndarray.mean make, with their bits
     if formula.intercept:
         tss = float(np.add.reduce((y - np.add.reduce(y) / n) ** 2))
@@ -411,7 +415,6 @@ def fit_ols(data: Dataset, formula: Formula, standardized: bool = True) -> FitRe
         b=b,
         se=se,
         stat=stat,
-        p=pvals,
         beta=_standardized(b, x, y, labels) if standardized else np.zeros(p),
         n_used=n,
         n_dropped=n_dropped,
@@ -491,7 +494,7 @@ def fit_logistic(data: Dataset, formula: Formula) -> FitResult:
     _check_information(info, labels)
     cov = np.linalg.inv(info)
     se = np.sqrt(np.diag(cov))
-    stat, pvals = _wald(b, se)
+    stat = _wald(b, se)
     pbar = float(y.mean())
     null_dev = -2.0 * (y.sum() * math.log(pbar) + (n - y.sum()) * math.log(1.0 - pbar))
     return FitResult(
@@ -501,7 +504,6 @@ def fit_logistic(data: Dataset, formula: Formula) -> FitResult:
         b=b,
         se=se,
         stat=stat,
-        p=pvals,
         beta=_standardized(b, x, y, labels),
         n_used=n,
         n_dropped=n_dropped,
@@ -702,7 +704,7 @@ def fit_ordered_logit(data: Dataset, formula: Formula) -> FitResult:
         se_all = np.full(p + K - 1, np.nan)
         converged = False
     se, cut_se = se_all[:p], se_all[p:]
-    stat, pvals = _wald(beta, se)
+    stat = _wald(beta, se)
     dev = 2.0 * value
     null_dev = -2.0 * float(np.sum(counts * np.log(counts / n)))
     cut_names = tuple(f"{levels[i]}|{levels[i + 1]}" for i in range(K - 1))
@@ -713,7 +715,6 @@ def fit_ordered_logit(data: Dataset, formula: Formula) -> FitResult:
         b=beta,
         se=se,
         stat=stat,
-        p=pvals,
         beta=_standardized(beta, x, y, labels),
         n_used=n,
         n_dropped=n_dropped,

@@ -296,7 +296,7 @@ class TestRun:
 
 def test_cli_starts_without_scipy_or_the_process_pool():
     # neither parsing nor the catalog needs scipy or the process pool, so the
-    # command line starts without them; the first fit loads scipy.special.
+    # command line starts without them; the first p-value read loads scipy.special.
     # Full-rank fits, MC loops and pooled sampling loops never load
     # scipy.linalg, which would add about 6 MB to every process's resident
     # memory; only a singular design's pivoted naming pass loads it
@@ -349,11 +349,14 @@ class TestFitTable:
             family="ordered",
             formula=Formula.parse("y ~ a_long_predictor_name + x"),
             terms=("a_long_predictor_name", "x"),
-            b=wide, se=wide, stat=wide, p=wide, beta=wide,
+            b=wide, se=wide, stat=wide, beta=wide,
             n_used=10, n_dropped=0, df_residual=7, deviance=1.0,
             null_deviance=2.0, aic=3.0,
             cutpoint_names=("1|2", "2|3"), cutpoints=wide, cutpoint_se=wide,
         )
+        # no statistic gives a p of -1.23456e-100, _sig6's widest form, so the
+        # test sets it where the first read of the computed p looks
+        object.__setattr__(result, "p", wide)
         lines = format_fit_table("f", result).splitlines()
         header, rows, cuts = lines[1], lines[2:4], lines[4:]
         assert header.split() == ["term", "b", "SE", "stat", "p", "beta"]

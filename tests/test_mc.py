@@ -565,26 +565,68 @@ class TestReplicateRunner:
         assert pooled.template_hash == serial.template_hash
 
     def test_pool_workers_inherit_scipy_special_from_the_parent(self):
-        # the parent loads scipy.special before the workers fork, so that
-        # neither worker imports it again; the pooled columns stay the serial ones
+        # a loop that reads a p-value or fits a logit needs scipy.special: the
+        # parent runs replicate 0 before the workers fork, so it loads the module
+        # there and neither worker imports it again; the pooled columns stay the serial ones
         code = """
 import sys
+import numpy as np
 from biaslab.catalog import catalog_config
-from biaslab.mc import McTemplate, run_mc
-template = McTemplate.from_json_dict({**catalog_config('entry8-collider-pp-mc')['mc'], 'reps': 12})
+from biaslab.data import Dataset
+from biaslab.mc import FitStep, McTemplate, SamplingPlan, repeated_samples, run_mc
+if sys.argv[1] == 'p':
+    doc = catalog_config('entry8-collider-pp-mc')['mc']
+    analysis = [{**doc['analysis'][0], 'record': {'bxy_adj': 'b:x', 'p_x': 'p:x'}}]
+    template = McTemplate.from_json_dict({**doc, 'analysis': analysis, 'reps': 12})
+    call = lambda workers: run_mc(template, workers=workers)
+else:
+    g = np.random.default_rng(5).normal(size=400)
+    pop = Dataset({'g': g, 'd': (g + np.random.default_rng(6).logistic(size=400) > 0) * 1.0})
+    plan = SamplingPlan(k=100, reps=12, master_seed=3,
+                        analysis=(FitStep('d ~ g', (('slope', 'b:g'),), family='binomial'),))
+    call = lambda workers: repeated_samples(pop, plan, workers=workers)
 before = 'scipy.special' in sys.modules
-pooled = run_mc(template, workers=2)
+pooled = call(2)
 after = 'scipy.special' in sys.modules
-serial = run_mc(template)
-same = list(pooled.columns) == list(serial.columns) and all(
+serial = call(1)
+same = not serial.errors and list(pooled.columns) == list(serial.columns) and all(
     pooled.columns[k].dtype == v.dtype and pooled.columns[k].tobytes() == v.tobytes()
     for k, v in serial.columns.items())
 print(before, after, same)
 """
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        for step in ("p", "binomial"):
+            proc = subprocess.run([sys.executable, "-c", code, step], env=env, capture_output=True,
+                                  text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == ["False", "True", "True"], step
+
+    def test_loops_that_record_no_p_value_never_load_scipy(self, tmp_path):
+        # the catalog loops record estimates, SEs and ratios, and a fit computes
+        # its p-values only when they are read, so none of these loads scipy
+        code = """
+import json, sys
+from biaslab.catalog import catalog_config
+from biaslab.cli import main
+from biaslab.mc import McTemplate, run_mc
+out = sys.argv[1]
+assert main(['run', '--catalog', 'entry8-collider-pp-mc', '--reps', '20', '--seed', '1',
+             '--out', out + '/collider']) == 0
+doc = catalog_config('entry11-iv-correlated-confounder-mc')['mc']
+assert not run_mc(McTemplate.from_json_dict({**doc, 'reps': 20})).errors
+# the scenario's population fit is left out: its printed table reads p-values
+doc = {k: v for k, v in catalog_config('entry5-sampling-random').items() if k != 'analyses'}
+with open(out + '/sampling.json', 'w') as f:
+    json.dump(doc, f)
+assert main(['run', '--config', out + '/sampling.json', '--reps', '20', '--threads', '2',
+             '--out', out + '/sampling']) == 0
+print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                              capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True", "True"]
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.skipif(sys.platform != "linux", reason="sets glibc's malloc thresholds")
     def test_a_repeated_loop_reuses_its_freed_heap(self):

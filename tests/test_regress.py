@@ -1,13 +1,14 @@
 import math
+import pickle
 import re
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
+from scipy.special import expit, ndtr, stdtr
 
 from biaslab import regress
 from biaslab.causal import iv_wald
@@ -794,6 +795,42 @@ class TestWald:
         f = fit_ols(d, Formula.parse("y ~ x"))
         with pytest.raises(ValidationError):
             wald_chisq(f, "nope")
+
+
+class TestPValuesOnRead:
+    """``FitResult.p`` is computed at its first read, from ``stat`` alone,
+    with the expressions the fitters once evaluated for every fit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(["gaussian", "binomial", "ordered"]), n=st.integers(8, 200),
+           missing=st.sampled_from([0.0, 0.1, 0.3]), exact=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(family="gaussian", n=30, missing=0.1, exact=True, seed=1)
+    def test_p_is_the_old_wald_tail_and_survives_pickling(self, family, n, missing, exact, seed):
+        g = np.random.default_rng(seed)
+        x, z = g.integers(-3, 4, size=n).astype(float), g.normal(size=n)
+        if family == "gaussian" and exact:  # an exact line: SE 0, so stat and p are NaN
+            cols, text = {"x": x, "y": 2.0 + 3.0 * x}, "y ~ x"
+        else:
+            latent = x + z + g.logistic(size=n)
+            y = {"gaussian": latent, "binomial": (latent > 0) * 1.0,
+                 "ordered": 1.0 + (latent > -1) + (latent > 1)}[family]
+            cols, text = {"x": x, "z": z, "y": y}, "y ~ x + z"
+        for v in cols.values():
+            v[g.random(n) < missing] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SeparationWarning)
+            f = outcome(fit, dataset(**cols), Formula.parse(text), family=family)
+        if isinstance(f, BiaslabError):
+            event("refused")
+            return
+        unread = pickle.loads(pickle.dumps(f))
+        tail = -np.abs(f.stat)
+        want = 2.0 * (stdtr(f.n_used - len(f.terms), tail) if family == "gaussian" else ndtr(tail))
+        event(f"{family}: {'some' if np.isnan(want).any() else 'no'} NaN p")
+        for got in (unread.p, f.p, pickle.loads(pickle.dumps(f)).p):
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.isnan(got), np.isnan(f.stat))
 
 
 class TestCollinearity:
