@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="json",
                        help="default format of the analysis: outputs")
-        p.add_argument("--threads", type=int, default=1, help="worker processes for MC loops (>= 1)")
+        p.add_argument("--threads", type=int, default=1, help="processes for MC loops, this one counted (>= 1)")
         p.add_argument("--reps", type=int, default=None, help="override replicate count")
 
     p_run = sub.add_parser("run", help="run a scenario config")

@@ -13,9 +13,10 @@ are independent of execution order and worker count, and adding replicates
 never perturbs earlier ones; the loop passes it an ``rng.Substreams``, which
 computes the streams' states for a range of ids at once.  Replicate failures
 (singular designs from extreme draws) are recorded as missing with an error
-tag, never fatal.  With ``workers > 1`` each pool worker gets the call's fixed
-inputs once, from the pool initializer (inherited, not pickled, under
-``fork``); tasks are ranges of replicate indices.
+tag, never fatal.  With ``workers > 1`` the parent runs replicate 0, then it
+and ``workers - 1`` children, each started on its own CPU, take ranges of
+replicate indices from one queue; a child gets the call's fixed inputs once
+(inherited, not pickled, under ``fork``) and sends its rows back once.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import sys
 from dataclasses import asdict, dataclass
 from numbers import Real
 from typing import Mapping, Sequence
@@ -402,15 +405,12 @@ def repeated_samples(
 
 # -- the replicate runner -----------------------------------------------------
 
-# the job (data function, fixed arguments, master seed, analysis, series names)
-_worker_job: tuple | None = None
-
-
 def _run_replicate(job: tuple, i: int,
                    streams: Substreams | None = None) -> tuple[int, list[float], str | None]:
     """Replicate ``i``'s sample size, its value of each series and its error
     tag.  A biaslab or linear-algebra error becomes the tag, and the
-    estimates the replicate did not reach stay NaN."""
+    estimates the replicate did not reach stay NaN.  ``job`` is (data
+    function, fixed arguments, master seed, analysis, series names)."""
     data_fn, fixed, master_seed, analysis, names = job
     record: dict = {}
     error = None
@@ -423,38 +423,93 @@ def _run_replicate(job: tuple, i: int,
     return record["N"], [record.get(name, math.nan) for name in names], error
 
 
-def _run_chunk(ids: range, job: tuple | None = None) -> list[tuple[int, list[float], str | None]]:
-    """Replicates ``ids`` of ``job`` (by default a pool worker's), on one table of substreams."""
-    job = job or _worker_job
+def _run_chunk(ids: range, job: tuple) -> list[tuple[int, list[float], str | None]]:
+    """Replicates ``ids`` of ``job``, on one table of substreams."""
     streams = Substreams(job[2], ids)
     return [_run_replicate(job, i, streams) for i in ids]
 
 
-def _init_worker(job: tuple) -> None:
-    global _worker_job
-    _worker_job = job
+def _take(k: int, cpus: list[int], job: tuple, tasks) -> dict[int, list]:
+    """Pool process ``k``'s share: the ranges of replicate ids it takes from
+    ``tasks`` until a None, run and keyed by first id.  It first moves to
+    ``cpus[k]``, then at once restores its CPUs: on a CPU of its own, unpinned."""
+    if cpus:
+        own = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+        os.sched_setaffinity(0, own)
+    return {ids.start: _run_chunk(ids, job) for ids in iter(tasks.get, None)}
 
 
-def _run_replicates(plan: McTemplate | SamplingPlan, data_fn, fixed: tuple, workers: int) -> McResult:
+def _child(k: int, cpus: list[int], job: tuple, tasks, conn) -> None:
+    """Pool process ``k`` >= 1: send its share, or the exception it raised, once."""
+    try:
+        share = _take(k, cpus, job, tasks)
+    except Exception as exc:  # raised again in the parent
+        share = exc
+    conn.send(share)
+
+
+def _run_pooled(job: tuple, reps: int, workers: int, context) -> list:
+    """Replicates ``1 .. reps - 1`` on ``workers`` processes, this one among
+    them, which take ranges of ids from one queue; their rows in id order."""
+    import multiprocessing.connection
+
+    context = context or multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    tasks, children = context.Queue(), []
+    try:
+        for k in range(1, workers):
+            conn, end = context.Pipe(duplex=False)
+            proc = context.Process(target=_child, args=(k, cpus, job, tasks, end), daemon=True)
+            proc.start()
+            children.append((proc, conn, end))
+        chunk = max(1, reps // (workers * 8))
+        for a in range(1, reps, chunk):
+            tasks.put(range(a, min(a + chunk, reps)))
+        for _ in range(workers):
+            tasks.put(None)
+        parts = _take(0, cpus, job, tasks)
+        for proc, conn, _ in children:
+            # a child that has ended has sent all it will
+            multiprocessing.connection.wait([conn, proc.sentinel])
+            if not conn.poll():
+                proc.join()
+                raise BiaslabError(f"pool process {proc.name} exited with code {proc.exitcode} "
+                                   "before sending its replicates")
+            share = conn.recv()
+            if isinstance(share, Exception):
+                raise share
+            parts.update(share)
+    except BaseException:
+        tasks.cancel_join_thread()  # ranges may be left unread, and nothing will read them
+        raise
+    finally:
+        for proc, conn, end in children:
+            proc.kill()
+            proc.join()
+            conn.close()
+            end.close()
+        tasks.close()
+    tasks.join_thread()
+    return [row for a in sorted(parts) for row in parts[a]]
+
+
+def _run_replicates(plan: McTemplate | SamplingPlan, data_fn, fixed: tuple, workers: int,
+                    context=None) -> McResult:
     """Run replicates ``0 .. plan.reps - 1``: ``data_fn(*fixed, rng, record)`` on
     replicate ``i``'s stream ``rng``, then ``plan.analysis``, in this process or
-    (after replicate 0 here) on ``workers`` processes, writing replicate ``i``
-    into row ``i`` of each series."""
+    (after replicate 0 here) on ``workers`` processes, this one among them, from
+    the ``multiprocessing`` ``context`` (by default ``fork`` on Linux, else the
+    platform's), writing replicate ``i`` into row ``i`` of each series."""
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {shown(workers)}")
     names = tuple(plan.series_names())
     job = (data_fn, fixed, plan.master_seed, plan.analysis, names)
     reps, workers = plan.reps, min(workers, plan.reps)
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
         # replicate 0 runs here, so whatever it imports (scipy.special for a
-        # p-value or a logit) is loaded once and the forked workers inherit it
-        rows = _run_chunk(range(1), job)
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(job,)) as pool:
-            chunk = max(1, reps // (workers * 8))
-            chunks = (range(a, min(a + chunk, reps)) for a in range(1, reps, chunk))
-            rows += [row for part in pool.map(_run_chunk, chunks) for row in part]
+        # p-value or a logit) is loaded once and the forked processes inherit it
+        rows = _run_chunk(range(1), job) + _run_pooled(job, reps, workers, context)
     else:
         rows = _run_chunk(range(reps), job)
     sizes = np.empty(reps, dtype=np.int64)

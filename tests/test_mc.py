@@ -1,4 +1,6 @@
+import json
 import math
+import multiprocessing
 import multiprocessing.queues
 import os
 import re
@@ -505,6 +507,37 @@ def pickled_bytes(monkeypatch) -> list[int]:
     return sizes
 
 
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter that imports biaslab from this one's path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+# prepended to a fresh process's code: how many children the process has
+# left, running or ended but not joined
+CHILDREN_LEFT = """
+import os
+def children_left():
+    left = 0
+    try:
+        while os.waitpid(-1, os.WNOHANG) != (0, 0):
+            left += 1
+    except ChildProcessError:
+        return left
+    return left + 1
+"""
+
+
+def stop_start_method_helpers() -> None:
+    """Stop the forkserver and the resource tracker that a forkserver or spawn
+    pool starts, so that no test leaves a process running."""
+    from multiprocessing import forkserver, resource_tracker
+
+    forkserver._forkserver._stop()
+    resource_tracker._resource_tracker._stop()
+
+
 def failing_template(reps, seed):
     """n in [2, 6] against a three-parameter fit: replicates with n <= 3 fail."""
     scm = ScmSpec(
@@ -551,11 +584,13 @@ class TestReplicateRunner:
         if driver == "run_mc":
             template = failing_template(reps, seed=8)
             call = lambda workers: run_mc(template, workers=workers)
+            job = (template, mc._template_data, (template,))
         else:
             pop = rare_group_population()
             plan = SamplingPlan(k=20, reps=reps, analysis=(FitStep("y ~ g", (("slope", "b:g"),)),),
                                 master_seed=6)
             call = lambda workers: repeated_samples(pop, plan, workers=workers)
+            job = (plan, mc._sample_data, (pop, plan))
         serial, pooled = call(1), call(3)
         if reps == 30:
             assert 0 < len(serial.errors) < reps
@@ -563,6 +598,86 @@ class TestReplicateRunner:
         assert same_columns(pooled.columns, serial.columns)
         assert pooled.errors == serial.errors
         assert pooled.template_hash == serial.template_hash
+        # the start methods that pickle the job to each process instead of forking it
+        for method in ("forkserver", "spawn"):
+            try:
+                shipped = mc._run_replicates(*job, 2, multiprocessing.get_context(method))
+            finally:
+                stop_start_method_helpers()
+            assert same_columns(shipped.columns, serial.columns), method
+            assert shipped.errors == serial.errors, method
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the patched runner reaches the children by fork")
+    def test_a_child_that_dies_ends_the_call_with_an_error(self, tmp_path):
+        code = """
+import sys
+from biaslab import cli, mc
+parent, run_chunk = os.getpid(), mc._run_chunk
+def dying(ids, job=None):
+    return run_chunk(ids, job) if os.getpid() == parent else os._exit(9)
+mc._run_chunk = dying
+rc = cli.main(['run', '--catalog', 'entry8-collider-pp-mc', '--reps', '40', '--seed', '1',
+               '--threads', '2', '--out', sys.argv[1]])
+print(rc, children_left())
+"""
+        proc = run_fresh(CHILDREN_LEFT + code, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["3", "0"]
+        assert re.fullmatch(r"error: pool process \S+ exited with code 9 before sending its replicates\n",
+                            proc.stderr)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the patched step reaches the children by fork")
+    def test_an_exception_in_a_child_is_raised_in_the_parent(self):
+        code = """
+from biaslab.catalog import collider_template
+from biaslab.mc import FitStep, McTemplate, run_mc
+parent, fit_run = os.getpid(), FitStep.run
+def run(step, data):
+    if os.getpid() != parent:
+        raise TypeError(f"step {step.formula!r} cannot run")
+    return fit_run(step, data)
+FitStep.run = run
+try:
+    run_mc(McTemplate.from_json_dict(collider_template(reps=40, seed=1)), workers=2)
+except TypeError as exc:
+    print(repr(exc), children_left())
+"""
+        proc = run_fresh(CHILDREN_LEFT + code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "TypeError(\"step 'y ~ x + col' cannot run\") 0\n"
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs CPU affinity and two allowed CPUs")
+    def test_each_process_starts_on_its_own_cpu(self):
+        # read from the affinity calls, not from where the scheduler ran each process
+        code = """
+import json, os
+import numpy as np
+from biaslab.data import Dataset
+from biaslab.mc import FitStep, SamplingPlan, repeated_samples
+set_affinity = os.sched_setaffinity
+def logged(pid, cpus):  # this process, the set it had, the set it asks for
+    os.write(1, (json.dumps([os.getpid(), sorted(os.sched_getaffinity(pid)), sorted(cpus)]) + "\\n").encode())
+    set_affinity(pid, cpus)
+os.sched_setaffinity = logged
+os.write(1, (json.dumps(os.getpid()) + "\\n").encode())
+g = np.random.default_rng(5).normal(size=400)
+pop = Dataset({'g': g, 'y': 2.0 * g})
+plan = SamplingPlan(k=50, reps=20, master_seed=3, analysis=(FitStep('y ~ g', (('slope', 'b:g'),)),))
+assert not repeated_samples(pop, plan, workers=2).errors
+"""
+        proc = run_fresh(code)
+        assert proc.returncode == 0, proc.stderr
+        parent, *calls = map(json.loads, proc.stdout.splitlines())
+        by_pid: dict = {}
+        for pid, had, asked in calls:
+            by_pid.setdefault(pid, []).append((had, asked))
+        assert parent in by_pid and len(by_pid) == 2
+        placed = []
+        for (had, cpu), (_, restored) in by_pid.values():
+            assert len(cpu) == 1 and set(cpu) < set(had) and restored == had
+            placed += cpu
+        assert placed[0] != placed[1]
 
     def test_pool_workers_inherit_scipy_special_from_the_parent(self):
         # a loop that reads a p-value or fits a logit needs scipy.special: the
