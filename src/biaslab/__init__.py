@@ -7,100 +7,43 @@ estimates.
 """
 
 import ctypes
+import importlib
 import sys
 
-from .causal import (
-    IvEstimate,
-    MediationResult,
-    RowFilter,
-    ScenarioReport,
-    compare_adjustments,
-    conditional_slope,
-    iv_wald,
-    mediation,
-    moderated_fit,
-    subgroup_effect,
-)
-from .data import (
-    BalanceReport,
-    Dataset,
-    SummaryStats,
-    balance_diff,
-    listwise_complete,
-    pearson,
-    quantile_type7,
-    ranks_average_ties,
-    read_csv,
-    spearman,
-    summarize,
-    write_csv,
-)
-from .errors import (
-    BiaslabError,
-    DataError,
-    ParameterError,
-    SeparationWarning,
-    SingularDesignError,
-    ValidationError,
-    WeakInstrumentError,
-)
-from .mc import (
-    BalanceStep,
-    FitStep,
-    IvStep,
-    McResult,
-    McSummary,
-    McTemplate,
-    RangeSpec,
-    SamplingPlan,
-    filter_replicates,
-    histogram,
-    repeated_samples,
-    run_mc,
-    series_correlation,
-    summarize_series,
-)
-from .measure import (
-    AttenuationReport,
-    AttenuationVariant,
-    RecodeRule,
-    TransformRule,
-    attenuation_report,
-    dichotomize,
-    ordinalize,
-    transform,
-)
-from .regress import (
-    CollinearityReport,
-    FitResult,
-    Formula,
-    collinearity_diagnostics,
-    fit,
-    fit_logistic,
-    fit_ols,
-    fit_ordered_logit,
-    interaction,
-    main,
-    predict,
-    residuals,
-    square,
-    wald_chisq,
-)
-from .rng import derive_substream, sample_indices
-from .scm import (
-    CorrTarget,
-    EquationSpec,
-    ErrorTerm,
-    GroupError,
-    ScmSpec,
-    SourceSpec,
-    block_randomize,
-    clamped_integer_normal,
-    evaluate_scm,
-    inject_outlier,
-    mvn_exact,
-    repeat_pattern,
-)
+# Each public name and the module that defines it.  A name is imported on
+# first access (PEP 562), so a command loads only the modules it uses.
+_EXPORTS = {
+    "causal": "IvEstimate MediationResult RowFilter ScenarioReport compare_adjustments conditional_slope"
+              " iv_wald mediation moderated_fit subgroup_effect",
+    "data": "BalanceReport Dataset SummaryStats balance_diff listwise_complete pearson quantile_type7"
+            " ranks_average_ties read_csv spearman summarize write_csv",
+    "errors": "BiaslabError DataError ParameterError SeparationWarning SingularDesignError ValidationError"
+              " WeakInstrumentError",
+    "mc": "BalanceStep FitStep IvStep McResult McSummary McTemplate RangeSpec SamplingPlan filter_replicates"
+          " histogram repeated_samples run_mc series_correlation summarize_series",
+    "measure": "AttenuationReport AttenuationVariant RecodeRule TransformRule attenuation_report dichotomize"
+               " ordinalize transform",
+    "regress": "CollinearityReport FitResult Formula collinearity_diagnostics fit fit_logistic fit_ols"
+               " fit_ordered_logit interaction main predict residuals square wald_chisq",
+    "rng": "derive_substream sample_indices",
+    "scm": "CorrTarget EquationSpec ErrorTerm GroupError ScmSpec SourceSpec block_randomize"
+           " clamped_integer_normal evaluate_scm inject_outlier mvn_exact repeat_pattern",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})
+
 
 __version__ = "0.1.0"
 

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 
-from .catalog import catalog_config, catalog_ids
 from .config import (ScenarioConfig, _write_artifact, _write_output, artifact_json, check_out_path,
                      load_config, parse_config, run_scenario)
 from .data import read_csv
@@ -73,6 +72,7 @@ def _load_scenario(args) -> ScenarioConfig:
     if args.catalog and args.config:
         raise ValidationError("pass --config or --catalog, not both")
     if args.catalog:
+        from .catalog import catalog_config  # only --catalog needs the catalog
         cfg = parse_config(catalog_config(args.catalog))
     elif args.config:
         cfg = load_config(args.config)
@@ -102,6 +102,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_catalog(_args) -> int:
+    from .catalog import catalog_ids
     for ident in catalog_ids():
         print(ident)
     return EXIT_OK

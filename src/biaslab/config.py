@@ -32,7 +32,6 @@ from .causal import (
 )
 from .data import Dataset, balance_diff, pearson, spearman, summarize, write_csv, write_rows
 from .errors import BiaslabError, Doc, ValidationError, expect, expect_count, shown
-from .measure import AttenuationVariant, apply_rules, attenuation_report, rules_from_json
 from .regress import FitResult, Formula, check_family, collinearity_diagnostics, fit, predict
 from .rng import check_seed, derive_substream
 from .scm import CorrTarget, ScmSpec, block_randomize, evaluate_scm, inject_outlier, mvn_exact
@@ -101,6 +100,15 @@ def resolve_seed(flag: int | None, *fallbacks: tuple[str, Any]) -> tuple[int, st
     raise ValidationError("no seed: pass --seed, set the config's seed or set BIASLAB_SEED")
 
 
+def _embedded_seed(d: Doc) -> int | None:
+    """The ``seed`` of object ``d``, None where the key is absent; a written
+    seed, JSON null included, must be an integer in [0, 2^64)."""
+    seed = d.get("seed")
+    if "seed" in d:
+        check_seed(seed.path, seed.value)
+    return seed.value
+
+
 def _build_generator(
     kind: str, gen: Doc, config_seed: int | None
 ) -> tuple[Callable, list[str], list[str]]:
@@ -120,8 +128,10 @@ def _build_generator(
         return resolve_seed(flag, ("seed", config_seed))[0]
 
     if kind == "mc":
+        embedded = _embedded_seed(gen)
+
         def master(flag, seed):
-            return resolve_seed(flag, ("mc.seed", gen.get("seed").value), ("seed", seed))[0]
+            return resolve_seed(flag, ("mc.seed", embedded), ("seed", seed))[0]
 
         template = mc_mod.McTemplate.from_json_dict(
             Doc({**gen.want(dict), "seed": master(None, stand_in)}, gen.path))
@@ -146,11 +156,11 @@ def _build_generator(
         return (lambda flag, workers: (doc.build(evaluate_scm, spec, derive_substream(data_seed(flag), 0)),
                                        None), columns, [])
     sampling = gen["sampling"]
+    embedded = ("population.sampling.seed", _embedded_seed(sampling))
 
     def master(flag, seed):
         # the flag and the config's seed key the population itself, so the
         # sampling stream takes them + 1 (an embedded sampling.seed as is)
-        embedded = ("population.sampling.seed", sampling.get("seed").value)
         value, source = resolve_seed(flag, embedded, ("seed", seed))
         return value if source == embedded[0] else (value + 1) % 2**64
 
@@ -172,7 +182,7 @@ def _build_generator(
 # reads, the column it adds (or None), and a runner
 # ``(data, rng) -> (artifact, data seen by later analyses)``.
 
-_Built = tuple[list[str], "str | None", Callable[[Dataset, np.random.Generator], tuple[Any, Dataset]]]
+_Built = tuple[list[str], "str | None", Callable[[Dataset, "np.random.Generator"], tuple[Any, Dataset]]]
 
 
 def _unchanged(fn: Callable[[Dataset], Any]) -> Callable:
@@ -240,10 +250,14 @@ def _block_balance(a: Doc) -> _Built:
     return [strata, *covariates], name, run
 
 
+# measure is imported by the two kinds that use it, when one is parsed; their
+# runners, like the writers, look its functions up when they run
+
 def _attenuation(a: Doc) -> _Built:
+    from . import measure
     y, x = _fields(a, "y", "x")
-    variants = [AttenuationVariant.from_json_dict(v) for v in a["variants"]]
-    return [y, x], None, _unchanged(lambda d: attenuation_report(d, y, x, variants))
+    variants = [measure.AttenuationVariant.from_json_dict(v) for v in a["variants"]]
+    return [y, x], None, _unchanged(lambda d: measure.attenuation_report(d, y, x, variants))
 
 
 def _summary(a: Doc) -> _Built:
@@ -281,10 +295,11 @@ def _outlier_fit(a: Doc) -> _Built:
 
 
 def _recode(a: Doc) -> _Built:
-    (var, name), rules = _fields(a, "var", "as"), rules_from_json(a["rule"])
+    from . import measure
+    (var, name), rules = _fields(a, "var", "as"), measure.rules_from_json(a["rule"])
 
     def run(data: Dataset, rng: np.random.Generator):
-        values = apply_rules(data[var], rules, var)
+        values = measure.apply_rules(data[var], rules, var)
         missing = np.isnan(values)
         counts = {str(k): int(c) for k, c in zip(*np.unique(values[~missing], return_counts=True))}
         artifact = {"column": name, "levels": counts, "n_missing": int(np.count_nonzero(missing))}
@@ -332,9 +347,7 @@ def parse_config(doc: Mapping | str) -> ScenarioConfig:
     ident = root.get("id")
     if not isinstance(ident.value, str) or not ident.value:
         raise ident.error("required non-empty string")
-    seed = root.get("seed").value
-    if seed is not None:
-        resolve_seed(None, ("seed", seed))
+    seed = _embedded_seed(root)
     gens = [k for k in _GEN_KINDS if k in root]
     if len(gens) != 1:
         raise root.error(f"exactly one of {_GEN_KINDS} required, found {gens}")

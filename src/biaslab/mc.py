@@ -14,18 +14,20 @@ never perturbs earlier ones; the loop passes it an ``rng.Substreams``, which
 computes the streams' states for a range of ids at once.  Replicate failures
 (singular designs from extreme draws) are recorded as missing with an error
 tag, never fatal.  With ``workers > 1`` the parent runs replicate 0, then it
-and ``workers - 1`` children, each started on its own CPU, take ranges of
-replicate indices from one queue; a child gets the call's fixed inputs once
-(inherited, not pickled, under ``fork``) and sends its rows back once.
+and ``workers - 1`` children, each started on its own CPU with BLAS at one
+thread, take ranges of replicate indices from one queue; a child gets the
+call's fixed inputs once (inherited, not pickled, under ``fork``) and sends
+its rows back once.
 """
 
 from __future__ import annotations
 
-import hashlib
+import ctypes
 import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from numbers import Real
 from typing import Mapping, Sequence
@@ -299,6 +301,7 @@ class McTemplate:
 def _json_hash(spec: McTemplate | SamplingPlan) -> str:
     """The first 16 hex digits of the sha256 of the spec's fields as sorted-key
     JSON, each integral float written as an int, so that equal specs hash equal."""
+    import hashlib  # a loop's result needs it, parsing does not
     fields = json.loads(json.dumps(asdict(spec)),
                         parse_float=lambda t: int(float(t)) if float(t).is_integer() else float(t))
     return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:16]
@@ -429,15 +432,50 @@ def _run_chunk(ids: range, job: tuple) -> list[tuple[int, list[float], str | Non
     return [_run_replicate(job, i, streams) for i in ids]
 
 
+# OpenBLAS's thread-count functions, {} being get or set: in numpy's wheel
+# (64-bit integers), in scipy's, and in a system build
+_BLAS_APIS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+              "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold each OpenBLAS this process has loaded at one thread, then restore
+    its count.  The libraries are found among the files ``/proc/self/maps``
+    lists; where it does not exist, nothing changes."""
+    restore, paths = [], set()
+    if os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(None, 5)[-1].rstrip("\n") for line in fh if "openblas" in line}
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a file that is not a library, or one deleted since
+            continue
+        for api in _BLAS_APIS:
+            if hasattr(lib, api.format("set")):
+                set_threads = getattr(lib, api.format("set"))
+                restore.append((set_threads, getattr(lib, api.format("get"))()))
+                set_threads(1)
+                break
+    try:
+        yield
+    finally:
+        for set_threads, n in restore:
+            set_threads(n)
+
+
 def _take(k: int, cpus: list[int], job: tuple, tasks) -> dict[int, list]:
     """Pool process ``k``'s share: the ranges of replicate ids it takes from
     ``tasks`` until a None, run and keyed by first id.  It first moves to
-    ``cpus[k]``, then at once restores its CPUs: on a CPU of its own, unpinned."""
+    ``cpus[k]``, then at once restores its CPUs: on a CPU of its own, unpinned.
+    It holds BLAS at one thread, so that N processes run N BLAS threads."""
     if cpus:
         own = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {cpus[k % len(cpus)]})
         os.sched_setaffinity(0, own)
-    return {ids.start: _run_chunk(ids, job) for ids in iter(tasks.get, None)}
+    with _one_blas_thread():
+        return {ids.start: _run_chunk(ids, job) for ids in iter(tasks.get, None)}
 
 
 def _child(k: int, cpus: list[int], job: tuple, tasks, conn) -> None:

@@ -327,6 +327,79 @@ print(len(loop.errors) + len(samples.errors), 'scipy.linalg' in sys.modules)
     assert proc.stdout.splitlines() == ["[]", "True True", "0 False"]
 
 
+
+def test_cli_start_loads_only_what_the_command_uses(tmp_path):
+    # the package resolves its exports on first access, the command line
+    # imports the catalog only for --catalog and `catalog`, a config imports
+    # measure only for an attenuation or recode analysis, and numpy.random
+    # loads at the first stream
+    code = """
+import json, sys
+import biaslab.cli
+from biaslab.config import parse_config, run_scenario
+LAZY = ("biaslab.catalog", "biaslab.measure", "numpy.random", "scipy")
+docs = [json.loads(a) for a in sys.argv[1:]]
+for doc in docs[:-1]:
+    parse_config(doc)
+print(sorted(m for m in LAZY if m in sys.modules))
+run = run_scenario(parse_config(docs[-1]))
+print(sorted(m for m in LAZY if m in sys.modules), list(run.artifacts), run.analysis_errors)
+print(biaslab.cli.main(["run", "--catalog", "entry8-collider-pp-mc", "--reps", "3", "--seed", "1"]))
+print(sorted(m for m in LAZY if m in sys.modules))
+"""
+    ids = ("entry1-linearity", "entry8-collider-pp-mc", "entry5-sampling-random",
+           "entry13-response-measurement")
+    proc = subprocess.run([sys.executable, "-c", code, *(json.dumps(catalog_config(i)) for i in ids)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[1] == "['biaslab.measure', 'numpy.random', 'scipy'] ['table'] {}"
+    assert lines[-2:] == ["0", "['biaslab.catalog', 'biaslab.measure', 'numpy.random', 'scipy']"]
+
+
+def test_package_exports_resolve_on_first_access():
+    # every name the package exported when it imported each module eagerly
+    exports = {
+        "causal": "IvEstimate MediationResult RowFilter ScenarioReport compare_adjustments"
+                  " conditional_slope iv_wald mediation moderated_fit subgroup_effect",
+        "data": "BalanceReport Dataset SummaryStats balance_diff listwise_complete pearson"
+                " quantile_type7 ranks_average_ties read_csv spearman summarize write_csv",
+        "errors": "BiaslabError DataError ParameterError SeparationWarning SingularDesignError"
+                  " ValidationError WeakInstrumentError",
+        "mc": "BalanceStep FitStep IvStep McResult McSummary McTemplate RangeSpec SamplingPlan"
+              " filter_replicates histogram repeated_samples run_mc series_correlation summarize_series",
+        "measure": "AttenuationReport AttenuationVariant RecodeRule TransformRule attenuation_report"
+                   " dichotomize ordinalize transform",
+        "regress": "CollinearityReport FitResult Formula collinearity_diagnostics fit fit_logistic"
+                   " fit_ols fit_ordered_logit interaction main predict residuals square wald_chisq",
+        "rng": "derive_substream sample_indices",
+        "scm": "CorrTarget EquationSpec ErrorTerm GroupError ScmSpec SourceSpec block_randomize"
+               " clamped_integer_normal evaluate_scm inject_outlier mvn_exact repeat_pattern",
+    }
+    code = """
+import importlib, json, sys
+import biaslab
+exports = json.loads(sys.argv[1])
+listed = set(dir(biaslab))
+print(sorted(m for m in sys.modules if m.startswith("biaslab.")))
+print(sum(getattr(biaslab, name) is getattr(importlib.import_module("biaslab." + module), name)
+          and name in listed for module, names in exports.items() for name in names.split()))
+star = {}
+exec("from biaslab import *", star)
+print(sorted(set(star) - {"__builtins__"}) == sorted([*biaslab.__all__]), biaslab.__version__)
+try:
+    biaslab.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(exports)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "79", "True 0.1.0", "module 'biaslab' has no attribute 'no_such_name'"]
+
+
+
 class TestConfigRoundTrip:
     def test_parse_serialize_parse_identity(self):
         for ident in ("entry1-linearity", "entry5-sampling-random",

@@ -646,6 +646,45 @@ except TypeError as exc:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "TypeError(\"step 'y ~ x + col' cannot run\") 0\n"
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="finds OpenBLAS in /proc/self/maps")
+    def test_pool_processes_hold_blas_at_one_thread(self):
+        # without OPENBLAS_NUM_THREADS each pool process ran OpenBLAS's default
+        # thread count, so two processes ran four threads on two CPUs and the
+        # pooled loop was slower than the serial one
+        code = """
+import ctypes, os
+from biaslab.catalog import collider_template
+from biaslab.mc import FitStep, McTemplate, run_mc
+with open("/proc/self/maps") as fh:
+    paths = {line.split(None, 5)[-1].strip() for line in fh if "libscipy_openblas64_" in line}
+if not paths:
+    raise SystemExit("no OpenBLAS")
+threads = ctypes.CDLL(paths.pop()).scipy_openblas_get_num_threads64_
+parent, fit_run, calls = os.getpid(), FitStep.run, {}
+def run(step, data):
+    # each process's count in its first pooled replicate; the parent runs replicate 0 first
+    pid = os.getpid()
+    calls[pid] = calls.get(pid, 0) + 1
+    if calls[pid] == (2 if pid == parent else 1):
+        os.write(1, f"{'parent' if os.getpid() == parent else 'child'} {threads()}\\n".encode())
+    return fit_run(step, data)
+template = McTemplate.from_json_dict(collider_template(reps=400, seed=1))
+serial = run_mc(template)
+before = threads()
+FitStep.run = run
+pooled = run_mc(template, workers=2)
+print("after", threads() == before)
+print(all(serial.columns[c].tobytes() == pooled.columns[c].tobytes() for c in serial.columns))
+"""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=120)
+        if proc.returncode and proc.stderr == "no OpenBLAS\n":
+            pytest.skip("numpy loads no libscipy_openblas64_")
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(proc.stdout.splitlines()) == sorted(["child 1", "parent 1", "after True", "True"])
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="needs CPU affinity and two allowed CPUs")
     def test_each_process_starts_on_its_own_cpu(self):

@@ -153,6 +153,20 @@ class TestBadSeedsExit2:
         rc, io = _cli(capsys, tmp_path, "run", "--reps", "2", doc=doc)
         assert rc == 2 and f"{where}: " in io.err
 
+    @pytest.mark.parametrize("where", ["seed", "mc.seed", "population.sampling.seed"])
+    def test_null_seed_names_its_field(self, capsys, tmp_path, where):
+        # JSON null is a written seed, not a missing key: it used to run on the
+        # next seed in line, or to fail with a "no seed" naming no field
+        doc = catalog_config(POP if where.startswith("population") else MC)
+        *parents, leaf = where.split(".")
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[leaf] = None
+        for flag in ((), ("--seed", "5")):
+            rc, io = _cli(capsys, tmp_path, "run", "--reps", "2", *flag, doc=doc)
+            assert (rc, io.err) == (2, f"validation error: {where}: must be an integer in [0, 2^64), got None\n")
+
     @pytest.mark.parametrize("flag", ["-1", str(2**64)])
     def test_static_scenario_flag_out_of_range(self, capsys, tmp_path, flag):
         rc, io = _cli(capsys, tmp_path, "run", "--catalog", "entry1-linearity", "--seed", flag)
