@@ -250,10 +250,9 @@ def _block_balance(a: Doc) -> _Built:
     return [strata, *covariates], name, run
 
 
-# measure is imported by the two kinds that use it, when one is parsed; their
-# runners, like the writers, look its functions up when they run
-
 def _attenuation(a: Doc) -> _Built:
+    # measure loads only with the kinds that use it; like the writers, their
+    # runners look its functions up when they run
     from . import measure
     y, x = _fields(a, "y", "x")
     variants = [measure.AttenuationVariant.from_json_dict(v) for v in a["variants"]]
