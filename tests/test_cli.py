@@ -327,8 +327,7 @@ print(len(loop.errors) + len(samples.errors), 'scipy.linalg' in sys.modules)
     assert proc.stdout.splitlines() == ["[]", "True True", "0 False"]
 
 
-
-def test_cli_start_loads_only_what_the_command_uses(tmp_path):
+def test_cli_start_loads_only_what_the_command_uses():
     # the package resolves its exports on first access, the command line
     # imports the catalog only for --catalog and `catalog`, a config imports
     # measure only for an attenuation or recode analysis, and numpy.random
@@ -397,7 +396,6 @@ except AttributeError as exc:
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "[]", "79", "True 0.1.0", "module 'biaslab' has no attribute 'no_such_name'"]
-
 
 
 class TestConfigRoundTrip:
