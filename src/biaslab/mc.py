@@ -433,16 +433,18 @@ def _run_chunk(ids: range, job: tuple) -> list[tuple[int, list[float], str | Non
 
 
 # OpenBLAS's thread-count functions, {} being get or set: in numpy's wheel
-# (64-bit integers), in scipy's, and in a system build
-_BLAS_APIS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
-              "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+# (64-bit integers) and in scipy's
+_BLAS_APIS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads")
 
 
 @contextmanager
 def _one_blas_thread():
     """Hold each OpenBLAS this process has loaded at one thread, then restore
     its count.  The libraries are found among the files ``/proc/self/maps``
-    lists; where it does not exist, nothing changes."""
+    lists on entry; where it does not exist, nothing changes.  One loaded
+    later (scipy.linalg's, first imported by a replicate inside the block)
+    keeps its own count; replicate 0 runs in the parent before the children
+    start, so the loop's usual imports are loaded by then."""
     restore, paths = [], set()
     if os.path.exists("/proc/self/maps"):
         with open("/proc/self/maps") as fh:
