@@ -22,6 +22,7 @@ its rows back once.
 
 from __future__ import annotations
 
+import csv
 import ctypes
 import json
 import math
@@ -35,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .causal import _OPS, _holds, iv_wald, RowFilter
-from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantiles_type7, write_rows
+from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantiles_type7
 from .errors import BiaslabError, DataError, Doc, ParameterError, ValidationError, expect, expect_count, shown
 from .regress import Formula, fit, fit_ols, fit_terms
 from .rng import Substreams, check_seed, derive_substream, sample_indices
@@ -381,8 +382,7 @@ def _sample_data(population: Dataset, plan: SamplingPlan, rng: np.random.Generat
                  record: dict) -> Dataset:
     """A replicate's data from its stream: ``plan.k`` rows drawn without replacement."""
     record["N"] = plan.k
-    idx = sample_indices(rng, population.n_rows, plan.k)
-    return population.select_rows(np.sort(idx))
+    return population.select_rows(sample_indices(rng, population.n_rows, plan.k))
 
 
 def repeated_samples(
@@ -649,8 +649,12 @@ def value_histogram(values: np.ndarray, name: str, bins: int) -> list[tuple[floa
 
 
 def write_mc_csv(result: McResult, path: str) -> None:
-    """Columns: i, N, then the recorded series; missing cells are empty."""
-    names = ("i", "N", *result.series_names)
-    columns = [result.columns[name].tolist() for name in names]
-    write_rows(path, names, ([i, n, *("" if math.isnan(v) else v for v in values)]
-                             for i, n, *values in zip(*columns)))
+    """Columns: i, N, then the recorded series; missing cells are empty.  The bytes
+    of ``write_rows``, formatted a column at a time as ``csv`` formats a cell
+    (``str`` of an int, ``repr`` of a float); no such cell needs quoting."""
+    columns = [list(map(str, result.columns[name].tolist())) for name in ("i", "N")]
+    columns += [["" if math.isnan(v) else repr(v) for v in result.columns[name].tolist()]
+                for name in result.series_names]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(("i", "N", *result.series_names))
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))

@@ -19,6 +19,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .data import Dataset, listwise_complete
 from .errors import (
@@ -292,22 +293,54 @@ def _build_design(
     return _design(complete, formula.terms, labels, (formula.response,)), labels, n_dropped
 
 
-def _check_rank(a: np.ndarray, labels: Sequence[str]) -> np.ndarray:
-    """R of the column-major ``a`` from one QR that forms no Q, or ``SingularDesignError``
-    if its first ``len(labels)`` columns (the design) lack full rank.
+def _lapack(gufunc, a: np.ndarray, failure: str) -> np.ndarray:
+    """``gufunc(a)`` on float64 ``a`` as ``np.linalg.qr`` and ``inv`` call it, less their
+    checks and copies: a LAPACK failure raises ``LinAlgError(failure)``."""
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(failure)
 
-    Column j is numerically a combination of the columns before it when
-    ``|R_jj|`` is at most ``_RANK_TOL`` times the largest ``|R_ij|`` of its own
-    column.  Scaling a column scales its column of R, so the test does not
-    depend on the scale of any column; a zero column is dependent."""
-    # R over the reflectors; zeroing those costs less than mode "r"'s triu
-    h, k = np.linalg.qr(a, mode="raw")[0].T, min(a.shape)
-    for i in range(1, k):
-        h[i, :i] = 0.0
-    r, p = np.ascontiguousarray(h[:k]), len(labels)
+    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return gufunc(a, signature="d->d")
+
+
+def _check_rank_with_intercept(x: np.ndarray, labels: Sequence[str]) -> None:
+    """Raise ``SingularDesignError`` naming a dependent term unless
+    ``[1 | x]`` has full rank.  Centring ``x`` spans the same space and keeps
+    the pivoted pass from naming the intercept, which is orthogonal to every
+    centred column; a constant column centres to a zero column."""
+    design = np.ones((len(x), x.shape[1] + 1), order="F")
+    np.subtract(x, x.mean(axis=0), out=design[:, 1:])
+    _least_squares(design, ["(Intercept)", *labels], ())
+
+
+def _least_squares(
+    a: np.ndarray, labels: Sequence[str], responses: Sequence[str]
+) -> list[tuple[np.ndarray, float, np.ndarray]]:
+    """Least squares of each response on the design, from the buffer ``a = [X | y1 ... yk]``
+    (column-major in every fit): X has columns ``labels``, y_i is named ``responses[i]``.
+    With no responses, X's rank check alone.
+
+    One QR of ``a`` that forms no Q gives X's R, and Q'y_i beside it.  Column j of X
+    is numerically a combination of the columns before it when ``|R_jj|`` is at most
+    ``_RANK_TOL`` times the largest ``|R_ij|`` of its own column, a test that no
+    column's scale moves; a zero column is dependent.  b = R⁻¹Q'y_i takes one
+    refinement step ``b += R⁻¹R⁻ᵀXᵀ(y_i − Xb)`` (Björck, *Numerical Methods for
+    Least Squares Problems*, SIAM 1996); RSS is the refined residual's, so an exact
+    fit has RSS 0, and SEs are classical.  Raises ``DataError`` for no more rows
+    than columns, then ``SingularDesignError``, then ``DataError`` for a response
+    whose squares overflow."""
+    n, p = a.shape[0], len(labels)
+    if n <= p:
+        raise DataError(f"need more rows ({n}) than parameters ({p})")
+    # R over the reflectors in a copy; zeroing those costs less than a triu
+    h = a.copy(order="K")
+    _lapack(_umath_linalg.qr_r_raw, h, "Incorrect argument found while performing QR factorization")
+    r = np.ascontiguousarray(h[:p])
+    for i in range(1, p):
+        r[i, :i] = 0.0
     # lists, not arrays, as numpy's per-call overhead would dominate; a NaN in a
     # column (NaN data) never flags it, and a NaN on the diagonal never raises
-    cols = [list(map(abs, c)) for c in zip(*r[:p, :p].tolist())]
+    cols = [list(map(abs, c)) for c in zip(*r[:, :p].tolist())]
     diag = [c[j] for j, c in enumerate(cols)]
     if (any(d <= _RANK_TOL * max(c) and not any(map(math.isnan, c)) for d, c in zip(diag, cols))
             and not any(map(math.isnan, diag))):
@@ -320,43 +353,17 @@ def _check_rank(a: np.ndarray, labels: Sequence[str]) -> np.ndarray:
         bad = np.nonzero(ap.diagonal() <= _RANK_TOL * ap.max(axis=0))[0]
         term = labels[piv[bad[0]]] if bad.size else labels[-1]
         raise SingularDesignError(f"design matrix is singular at term {term!r}", term=term)
-    return r
-
-
-def _check_rank_with_intercept(x: np.ndarray, labels: Sequence[str]) -> None:
-    """Raise ``SingularDesignError`` naming a dependent term unless
-    ``[1 | x]`` has full rank.  Centring ``x`` spans the same space and keeps
-    the pivoted pass from naming the intercept, which is orthogonal to every
-    centred column; a constant column centres to a zero column."""
-    design = np.ones((len(x), x.shape[1] + 1), order="F")
-    np.subtract(x, x.mean(axis=0), out=design[:, 1:])
-    _check_rank(design, ["(Intercept)", *labels])
-
-
-def _least_squares(
-    a: np.ndarray, labels: Sequence[str], responses: Sequence[str]
-) -> list[tuple[np.ndarray, float, np.ndarray]]:
-    """Least squares of each response on the design, from the column-major buffer
-    ``a = [X | y1 ... yk]``: X has columns ``labels``, y_i is named ``responses[i]``.
-
-    ``_check_rank`` gives R as the top-left p × p block of its R, and Q'y_i
-    beside it.  b = R⁻¹Q'y_i takes one refinement step ``b += R⁻¹R⁻ᵀXᵀ(y_i − Xb)``
-    (Björck, *Numerical Methods for Least Squares Problems*, SIAM 1996); RSS is
-    the refined residual's, so an exact fit has RSS 0, and SEs are classical.
-    Raises ``SingularDesignError`` on rank deficiency, and ``DataError`` when
-    there are no more rows than columns or a response's squares overflow."""
-    n, p = a.shape[0], len(labels)
-    if n <= p:
-        raise DataError(f"need more rows ({n}) than parameters ({p})")
-    r = _check_rank(a, labels)
-    rinv = np.linalg.inv(r[:p, :p])
+    if not responses:
+        return []
+    with np.errstate(over="ignore"):
+        for name, y in zip(responses, a[:, p:].T):
+            if not math.isfinite(y @ y):
+                raise DataError(f"response {name!r} is too large: its squares overflow float64")
+    rinv = _lapack(_umath_linalg.inv, r[:, :p], "Singular matrix")
     unscaled_var = np.add.reduce(rinv**2, axis=1)
     x = a[:, :p]
     fits = []
-    for name, y, qty in zip(responses, a[:, p:].T, r[:p, p:].T):
-        with np.errstate(over="ignore"):
-            if not math.isfinite(y @ y):
-                raise DataError(f"response {name!r} is too large: its squares overflow float64")
+    for y, qty in zip(a[:, p:].T, r[:, p:].T):
         b = rinv @ qty
         b += rinv @ (rinv.T @ (x.T @ (y - x @ b)))
         resid = y - x @ b
@@ -365,16 +372,23 @@ def _least_squares(
     return fits
 
 
+def _sd(v: np.ndarray) -> np.ndarray:
+    """``np.std(v, axis=0, ddof=1)`` of two rows or more, bit for bit: the
+    reductions of numpy's ``_var`` in its order, less its checks and wrappers."""
+    d = v - np.add.reduce(v, axis=0) / len(v)
+    return np.sqrt(np.add.reduce(d * d, axis=0) / (len(v) - 1))
+
+
 def _standardized(
     b: np.ndarray, x: np.ndarray, y: np.ndarray, labels: Sequence[str]
 ) -> np.ndarray:
-    sy = float(np.std(y, ddof=1))  # no fitter passes a response whose squares overflow
-    if sy == 0 or not labels:
+    sy = float(_sd(y)) if labels else 0.0  # no fitter passes a response whose squares overflow
+    if sy == 0:
         return np.zeros_like(b)
     with np.errstate(over="ignore"):
-        sx = np.std(x, axis=0, ddof=1)
+        sx = _sd(x)
     # a design column whose squares overflow: its SD on that column scaled by 1 / max |v|
-    for j in np.flatnonzero(~np.isfinite(sx)):
+    for j in [j for j, s in enumerate(sx.tolist()) if not math.isfinite(s)]:
         m = np.max(np.abs(x[:, j]))
         sx[j] = m * np.std(x[:, j] / m, ddof=1)
     # an intercept column's SD is 0, and + 0.0 turns the -0.0 of a negative b into 0.0
@@ -432,16 +446,18 @@ def _binomial_deviance(y: np.ndarray, eta: np.ndarray) -> float:
     return float(2.0 * np.sum(np.logaddexp(0.0, eta) - y * eta))
 
 
-def _separated(fitted: np.ndarray, b: np.ndarray, last: np.ndarray) -> bool:
+def _separated(own: np.ndarray, b: np.ndarray, last: np.ndarray) -> bool:
     """Whether an iterative fit stopped at ``b`` on separation, where no finite
-    MLE exists (Albert & Anderson, *Biometrika* 71, 1984), warning if so: a
-    fitted probability within 1e-10 of 0 or 1 while the last step, from
-    ``last``, still grew max |b| by over 1e-3 of it.  Along a separating
+    MLE exists (Albert & Anderson, *Biometrika* 71, 1984), warning if so: each
+    row's fitted probability of its own level (``own``) above 1/2, which puts every
+    row inside its own level's interval, however the steps stalled; or one within
+    1e-10 of 0 or 1 while the last step, from ``last``, still grew max |b| by over
+    1e-3 of it.  Along a separating
     direction each step adds about as much as the one before; at a finite MLE
     the last step is quadratically small, however extreme the fitted values."""
     top = float(np.max(np.abs(b))) if b.size else 0.0
     grown = top - (float(np.max(np.abs(last))) if last.size else 0.0)
-    if grown > 1e-3 * top and (np.any(fitted < 1e-10) or np.any(fitted > 1.0 - 1e-10)):
+    if own.min() > 0.5 or (grown > 1e-3 * top and (np.any(own < 1e-10) or np.any(own > 1.0 - 1e-10))):
         warnings.warn("complete separation detected; coefficients are diverging", SeparationWarning)
         return True
     return False
@@ -485,7 +501,7 @@ def fit_logistic(data: Dataset, formula: Formula) -> FitResult:
             converged = True
             break
         dev = new_dev
-    if _separated(mu, b, last):
+    if _separated(np.where(y == 1.0, mu, 1.0 - mu), b, last):
         converged = False
 
     w = np.clip(mu * (1.0 - mu), 1e-10, None)

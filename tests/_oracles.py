@@ -430,3 +430,115 @@ def exact_ols(x, y, intercept=True):
     centre = Fraction(sum(ys), n) if intercept else 0
     tss = sum((v - centre) ** 2 for v in ys)
     return b, rss, se, (1 - rss / tss if tss else Fraction(1))
+
+
+# Gaussian least squares as it was before the kernel called numpy's LAPACK
+# gufuncs itself: ``np.linalg.qr`` and ``np.linalg.inv``, an overflow screen
+# per response under its own errstate, and ``np.std`` for standardized slopes.
+
+
+def check_rank_kernel_oracle(a, labels):
+    """R of the column-major ``a`` from one QR that forms no Q, or ``SingularDesignError``
+    if its first ``len(labels)`` columns (the design) lack full rank."""
+    from biaslab.errors import SingularDesignError
+
+    h, k = np.linalg.qr(a, mode="raw")[0].T, min(a.shape)
+    for i in range(1, k):
+        h[i, :i] = 0.0
+    r, p = np.ascontiguousarray(h[:k]), len(labels)
+    cols = [list(map(abs, c)) for c in zip(*r[:p, :p].tolist())]
+    diag = [c[j] for j, c in enumerate(cols)]
+    if (any(d <= 1e-10 * max(c) and not any(map(math.isnan, c)) for d, c in zip(diag, cols))
+            and not any(map(math.isnan, diag))):
+        import scipy.linalg
+
+        _, rp, piv = scipy.linalg.qr(a[:, :p], mode="economic", pivoting=True)
+        ap = np.abs(rp)
+        bad = np.nonzero(ap.diagonal() <= 1e-10 * ap.max(axis=0))[0]
+        term = labels[piv[bad[0]]] if bad.size else labels[-1]
+        raise SingularDesignError(f"design matrix is singular at term {term!r}", term=term)
+    return r
+
+
+def least_squares_kernel_oracle(a, labels, responses):
+    """[(b, RSS, SE)] of each response on the design, from ``a = [X | y1 ... yk]``."""
+    from biaslab.errors import DataError
+
+    n, p = a.shape[0], len(labels)
+    if n <= p:
+        raise DataError(f"need more rows ({n}) than parameters ({p})")
+    r = check_rank_kernel_oracle(a, labels)
+    rinv = np.linalg.inv(r[:p, :p])
+    unscaled_var = np.add.reduce(rinv**2, axis=1)
+    x = a[:, :p]
+    fits = []
+    for name, y, qty in zip(responses, a[:, p:].T, r[:p, p:].T):
+        with np.errstate(over="ignore"):
+            if not math.isfinite(y @ y):
+                raise DataError(f"response {name!r} is too large: its squares overflow float64")
+        b = rinv @ qty
+        b += rinv @ (rinv.T @ (x.T @ (y - x @ b)))
+        resid = y - x @ b
+        rss = float(resid @ resid)
+        fits.append((b, rss, np.sqrt(unscaled_var * (rss / (n - p)))))
+    return fits
+
+
+def _standardized_kernel_oracle(b, x, y, labels):
+    sy = float(np.std(y, ddof=1))
+    if sy == 0 or not labels:
+        return np.zeros_like(b)
+    with np.errstate(over="ignore"):
+        sx = np.std(x, axis=0, ddof=1)
+    for j in np.flatnonzero(~np.isfinite(sx)):
+        m = np.max(np.abs(x[:, j]))
+        sx[j] = m * np.std(x[:, j] / m, ddof=1)
+    return b * sx / sy + 0.0
+
+
+def fit_ols_kernel_oracle(data, formula, standardized=True):
+    """Gaussian least squares with classical (t-based) inference."""
+    from biaslab.regress import FitResult, _build_design, _wald
+
+    a, labels, n_dropped = _build_design(data, formula, formula.intercept)
+    [(b, rss, se)] = least_squares_kernel_oracle(a, labels, (formula.response,))
+    n, p = a.shape[0], len(labels)
+    x, y = a[:, :p], a[:, p]
+    df = n - p
+    sigma2 = rss / df
+    stat = _wald(b, se)
+    if formula.intercept:
+        tss = float(np.add.reduce((y - np.add.reduce(y) / n) ** 2))
+    else:
+        tss = float(y @ y)
+    r2 = 1.0 - rss / tss if tss > 0 else 1.0
+    adj = 1.0 - (1.0 - r2) * (n - (1 if formula.intercept else 0)) / df if df > 0 else float("nan")
+    aic = n * (math.log(2 * math.pi) + math.log(max(rss, 1e-300) / n) + 1) + 2 * (p + 1)
+    return FitResult(
+        family="gaussian",
+        formula=formula,
+        terms=labels,
+        b=b,
+        se=se,
+        stat=stat,
+        beta=_standardized_kernel_oracle(b, x, y, labels) if standardized else np.zeros(p),
+        n_used=n,
+        n_dropped=n_dropped,
+        df_residual=df,
+        deviance=rss,
+        null_deviance=tss,
+        aic=aic,
+        r_squared=r2,
+        adj_r_squared=adj,
+        residual_se=math.sqrt(sigma2),
+    )
+
+
+def write_mc_csv_oracle(result, path):
+    """The loop CSV written a row at a time through ``csv.writer``."""
+    from biaslab.data import write_rows
+
+    names = ("i", "N", *result.series_names)
+    columns = [result.columns[name].tolist() for name in names]
+    write_rows(path, names, ([i, n, *("" if math.isnan(v) else v for v in values)]
+                             for i, n, *values in zip(*columns)))

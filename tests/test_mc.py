@@ -10,6 +10,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biaslab import causal, mc, rng, scm
 from biaslab.catalog import catalog_config, collider_template, iv_template
@@ -37,7 +39,7 @@ from biaslab.rng import derive_substream
 from biaslab.scm import (EquationSpec, ErrorTerm, GroupError, ScmSpec, SourceSpec, bind_spec,
                          evaluate_scm)
 
-from _oracles import quantile7_oracle
+from _oracles import quantile7_oracle, write_mc_csv_oracle
 
 
 def same_columns(a: dict, b: dict) -> bool:
@@ -970,3 +972,24 @@ def test_csv_export_missing_empty(tmp_path):
     assert len(lines) == 4
     row1 = lines[2].split(",")
     assert row1[5] == ""  # bxy missing cell
+
+
+_CELLS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 3.0, -2.0, 1e16]),
+                   st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_csv_export_writes_the_row_wise_writers_bytes(tmp_path_factory, draw):
+    names = draw.draw(st.lists(st.sampled_from(["bxy", "b:X", 'a "quoted", comma', "se"]), unique=True,
+                               max_size=4), label="series")
+    reps = draw.draw(st.integers(0, 25), label="reps")
+    columns = {"i": np.arange(reps), "N": np.array(draw.draw(st.lists(st.integers(1, 10**6), min_size=reps,
+                                                                      max_size=reps)), dtype=np.int64)}
+    for name in names:
+        columns[name] = np.array(draw.draw(st.lists(_CELLS, min_size=reps, max_size=reps)), dtype=float)
+    result = mc.McResult(tuple(names), columns, {}, "0" * 16, 1)
+    out = tmp_path_factory.mktemp("csv")
+    write_mc_csv(result, str(out / "got.csv"))
+    write_mc_csv_oracle(result, str(out / "want.csv"))
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from numpy.linalg import LinAlgError, _umath_linalg
 from scipy.special import expit, ndtr, stdtr
 
 from biaslab import regress
@@ -43,7 +44,9 @@ from _oracles import (
     brute_force_logistic,
     brute_force_ordered,
     exact_ols,
+    fit_ols_kernel_oracle,
     fit_ols_oracle,
+    least_squares_kernel_oracle,
     normal_equations_ols,
 )
 
@@ -303,6 +306,96 @@ class TestOlsMatchesOracle:
             got = outcome(fit_ols, d, Formula.parse(text))
             assert isinstance(got, DataError)
             assert_same_error(got, outcome(fit_ols_oracle, d, Formula.parse(text)))
+
+
+class TestLeastSquaresKernel:
+    """The one least-squares kernel against the code it replaced, kept in
+    ``_oracles``: the same bits of b, SE, stat, RSS and r², or the same refusal.
+
+    Columns are drawn to reach every branch: zero and collinear columns (a
+    singular design), values of 1e200 (squares that overflow), integral
+    values, NaN cells (listwise deletion), as few rows as parameters."""
+
+    @staticmethod
+    def _column(draw, label, g, n, before):
+        kind = draw.draw(st.sampled_from(["normal", "normal", "zero", "collinear", "huge", "integral"]),
+                         label=label)
+        if kind == "zero":
+            return np.zeros(n)
+        if kind == "collinear" and before:
+            return 2.0 * before[0] - before[-1]
+        if kind == "huge":
+            return g.normal(size=n) * 1e200
+        if kind == "integral":
+            return g.integers(-5, 6, n).astype(float)
+        return g.normal(size=n) * g.uniform(0.1, 10) + g.normal()
+
+    def _draw(self, draw, n_responses):
+        intercept = draw.draw(st.booleans(), label="intercept")
+        k = draw.draw(st.integers(1 - intercept, 6 - intercept), label="terms")
+        n = draw.draw(st.one_of(st.integers(2, 12), st.integers(2, 2000)), label="n")
+        g = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1), label="seed"))
+        cols: list = []
+        for j in range(k):
+            cols.append(self._column(draw, f"x{j}", g, n, cols))
+        ys = []
+        for i in range(n_responses):
+            kind = draw.draw(st.sampled_from(["noisy", "exact", "huge"]), label=f"y{i}")
+            y = sum((c for c in cols if np.abs(c).max() < 1e100), np.zeros(n))
+            ys.append(y * 1e200 if kind == "huge" else y + g.normal(size=n) * (kind == "noisy"))
+        return intercept, cols, ys, g
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_fit_ols_matches_the_reference(self, draw):
+        intercept, cols, (y,), g = self._draw(draw, 1)
+        values = {f"x{j}": c for j, c in enumerate(cols)} | {"y": y}
+        missing = draw.draw(st.sampled_from([0.0, 0.02, 0.3]), label="missing")
+        for v in values.values():
+            v[g.random(len(v)) < missing] = np.nan
+        formula = Formula("y", tuple(main(name) for name in values if name != "y"), intercept=intercept)
+        standardized = draw.draw(st.booleans(), label="standardized")
+        got = outcome(fit_ols, Dataset(values), formula, standardized=standardized)
+        want = outcome(fit_ols_kernel_oracle, Dataset(values), formula, standardized=standardized)
+        event(str(want)[:24] if isinstance(want, BiaslabError) else "fit")
+        assert_same_fit(got, want)
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_kernel_matches_the_reference_on_either_layout(self, draw):
+        # two responses on one design, as iv_wald passes them
+        n_responses = draw.draw(st.integers(1, 2), label="responses")
+        intercept, cols, ys, _ = self._draw(draw, n_responses)
+        n = len(ys[0])
+        columns = [np.ones(n)] * intercept + cols + ys
+        a = np.column_stack(columns) if columns else np.empty((n, 0))
+        a = draw.draw(st.sampled_from([np.asfortranarray, np.ascontiguousarray]), label="order")(a)
+        labels = ("(Intercept)",) * intercept + tuple(f"x{j}" for j in range(len(cols)))
+        responses = ("y", "x")[:n_responses]
+        got = outcome(regress._least_squares, a, labels, responses)
+        want = outcome(least_squares_kernel_oracle, a, labels, responses)
+        event(str(want)[:24] if isinstance(want, BiaslabError) else "fit")
+        if isinstance(want, BiaslabError):
+            assert_same_error(got, want)
+        else:
+            assert len(got) == len(want)
+            for (b, rss, se), (b0, rss0, se0) in zip(got, want):
+                assert (b.tobytes(), repr(rss), se.tobytes()) == (b0.tobytes(), repr(rss0), se0.tobytes())
+        # the gufuncs the kernel calls give np.linalg's bits and refusals
+        q, tau = np.linalg.qr(a, mode="raw")
+        h = a.copy(order="K")
+        raw = regress._lapack(_umath_linalg.qr_r_raw, h, "QR failed")
+        assert (h.tobytes(), raw.tobytes()) == (q.T.tobytes(), tau.tobytes())
+        if n <= len(labels):
+            return
+        r = np.triu(h[: len(labels), : len(labels)])
+        try:
+            want_inv = np.linalg.inv(r)
+        except LinAlgError as exc:
+            with pytest.raises(LinAlgError, match=f"^{exc}$"):
+                regress._lapack(_umath_linalg.inv, r, str(exc))
+        else:
+            assert regress._lapack(_umath_linalg.inv, r, "Singular matrix").tobytes() == want_inv.tobytes()
 
 
 class TestLeastSquaresMatchesExactArithmetic:
@@ -699,12 +792,16 @@ class TestIterativeFitterProperties:
     the likelihood has a flat tail (n = 20, five levels, three slopes) the two
     fits stop as much as 3 % of an SE apart on a cutpoint."""
 
-    @staticmethod
-    def _latent(draw, n_lo=20, n_hi=400):
+    @classmethod
+    def _latent(cls, draw, n_lo=20, n_hi=400):
         n = draw.draw(st.integers(n_lo, n_hi), label="n")
         p = draw.draw(st.integers(1, 3), label="p")
         noise = draw.draw(st.sampled_from([0.0, 0.5, 1.0, 4.0]), label="noise")  # 0: separated
-        g = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1), label="seed"))
+        return cls._sample(n, p, noise, draw.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    @staticmethod
+    def _sample(n, p, noise, seed):
+        g = np.random.default_rng(seed)
         x = g.normal(size=(n, p)) * g.uniform(0.1, 10, p)
         cols = {f"x{j}": x[:, j] for j in range(p)}
         return cols, x, x @ g.normal(size=p) + noise * g.logistic(size=n), " + ".join(cols)
@@ -732,6 +829,17 @@ class TestIterativeFitterProperties:
         assert score @ np.linalg.solve(info, score) < 1e-6
         assert np.all(np.abs(g.b + f.b) <= 0.1 * f.se)
 
+    def test_a_separated_logit_whose_steps_stall_is_flagged(self):
+        # every IRLS weight sits at its 1e-10 clip, so the steps stall at max |b|
+        # ~1e9 and the deviance rule stops the fit; every row lies on its own
+        # class's side of the fitted predictor, so no finite MLE exists
+        cols, _, latent, rhs = self._sample(300, 3, 0.0, 1659)
+        y = (latent > np.median(latent)).astype(float)
+        for response in (y, 1.0 - y):
+            with pytest.warns(SeparationWarning):
+                f = fit_logistic(dataset(**cols, y=response), Formula.parse(f"y ~ {rhs}"))
+            assert not f.converged
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_ordered_score_vanishes_and_reversal_flips_the_fit(self, draw):
@@ -749,7 +857,7 @@ class TestIterativeFitterProperties:
         grad, hess = _OrderedNll(x, (y - 1).astype(int), K).derivs(f.b, f.cutpoints)
         assert grad @ np.linalg.solve(hess, grad) < 1e-6
         assert np.all(np.abs(g.b + f.b) <= 0.1 * f.se)
-        assert np.all(np.abs(g.cutpoints + f.cutpoints[::-1]) <= 0.1 * f.cutpoint_se)
+        assert np.all(np.abs(g.cutpoints + f.cutpoints[::-1]) <= 0.1 * f.cutpoint_se[::-1])
 
 
 class TestFamilies:

@@ -51,6 +51,20 @@ def test_sample_indices_without_replacement_distinct():
         sample_indices(derive_substream(2, 0), 5, 6)
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n_total=st.sampled_from([5_000, 10_001, 20_000, 500_000]),
+       share=st.floats(0.0, 0.1))
+@example(seed=0, n_total=500_000, share=0.002)  # numpy's Floyd's algorithm
+@example(seed=0, n_total=5_000, share=0.2)
+@example(seed=0, n_total=20_000, share=0.03)  # the tail shuffle with numpy's last shuffle, Floyd's without
+@example(seed=0, n_total=20_000, share=0.06)  # the tail shuffle either way
+def test_sample_indices_is_the_shuffled_draws_set_in_order(seed, n_total, share):
+    k = int(share * n_total)
+    idx = sample_indices(derive_substream(seed, 0), n_total, k)
+    drawn = derive_substream(seed, 0).choice(n_total, size=k, replace=False)
+    assert idx.tolist() == sorted(drawn.tolist())
+
+
 def test_substream_is_pcg64_of_seed_sequence():
     for seed, i in ((0, 0), (1992, 7), (2**64 - 1, 2**32)):
         own = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
