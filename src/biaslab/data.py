@@ -310,13 +310,18 @@ def _format_cell(v: float) -> str:
     return repr(float(v))
 
 
-def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """The one CSV writer: ``header``, then each row.  Each caller formats its
-    own cells; a float cell is written as its ``repr``."""
+def write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence] = (),
+               columns: Sequence[Sequence[str]] = ()) -> None:
+    """The one CSV writer: ``header``, then each row, then the rows of ``columns``.
+    Each caller formats its own cells; a float cell is written as its ``repr``.
+    The cells of ``columns`` are strings that need no quoting, as a number's or
+    an empty cell's never do, so each of their rows is its cells joined by ","
+    and ended by "\r\n": the bytes of ``csv.writer``, for a fraction of its time."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
 
 def write_csv(data: Dataset, path: str) -> None:

@@ -22,7 +22,6 @@ its rows back once.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import json
 import math
@@ -36,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .causal import _OPS, _holds, iv_wald, RowFilter
-from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantiles_type7
+from .data import _BALANCE_DELTAS, Dataset, balance_diff, pearson, quantiles_type7, write_rows
 from .errors import BiaslabError, DataError, Doc, ParameterError, ValidationError, expect, expect_count, shown
 from .regress import Formula, fit, fit_ols, fit_terms
 from .rng import Substreams, check_seed, derive_substream, sample_indices
@@ -649,12 +648,9 @@ def value_histogram(values: np.ndarray, name: str, bins: int) -> list[tuple[floa
 
 
 def write_mc_csv(result: McResult, path: str) -> None:
-    """Columns: i, N, then the recorded series; missing cells are empty.  The bytes
-    of ``write_rows``, formatted a column at a time as ``csv`` formats a cell
-    (``str`` of an int, ``repr`` of a float); no such cell needs quoting."""
+    """Columns: i, N, then the recorded series; missing cells are empty.  Each
+    column is formatted once: ``str`` of ``i`` and ``N``, ``repr`` of a float."""
     columns = [list(map(str, result.columns[name].tolist())) for name in ("i", "N")]
     columns += [["" if math.isnan(v) else repr(v) for v in result.columns[name].tolist()]
                 for name in result.series_names]
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(("i", "N", *result.series_names))
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+    write_rows(path, ("i", "N", *result.series_names), columns=columns)

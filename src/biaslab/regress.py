@@ -372,23 +372,16 @@ def _least_squares(
     return fits
 
 
-def _sd(v: np.ndarray) -> np.ndarray:
-    """``np.std(v, axis=0, ddof=1)`` of two rows or more, bit for bit: the
-    reductions of numpy's ``_var`` in its order, less its checks and wrappers."""
-    d = v - np.add.reduce(v, axis=0) / len(v)
-    return np.sqrt(np.add.reduce(d * d, axis=0) / (len(v) - 1))
-
-
 def _standardized(
     b: np.ndarray, x: np.ndarray, y: np.ndarray, labels: Sequence[str]
 ) -> np.ndarray:
-    sy = float(_sd(y)) if labels else 0.0  # no fitter passes a response whose squares overflow
-    if sy == 0:
+    sy = float(np.std(y, ddof=1))  # no fitter passes a response whose squares overflow
+    if sy == 0 or not labels:
         return np.zeros_like(b)
     with np.errstate(over="ignore"):
-        sx = _sd(x)
+        sx = np.std(x, axis=0, ddof=1)
     # a design column whose squares overflow: its SD on that column scaled by 1 / max |v|
-    for j in [j for j, s in enumerate(sx.tolist()) if not math.isfinite(s)]:
+    for j in np.flatnonzero(~np.isfinite(sx)):
         m = np.max(np.abs(x[:, j]))
         sx[j] = m * np.std(x[:, j] / m, ddof=1)
     # an intercept column's SD is 0, and + 0.0 turns the -0.0 of a negative b into 0.0

@@ -94,15 +94,10 @@ def derive_substream(master_seed: int, replicate_index: int,
 
 
 def sample_indices(rng: np.random.Generator, n_total: int, k: int) -> np.ndarray:
-    """Sample ``k`` distinct row indices from ``range(n_total)``, in ascending order.
-
-    The set is ``rng.choice(n_total, k, replace=False)``'s, whose last step only
-    shuffles it, so that step is skipped unless skipping it would switch numpy's
-    algorithm: over 10 000 rows, a tail shuffle serves k > n_total // 50 with the
-    last step and k > n_total // 20 without it."""
+    """Sample ``k`` distinct row indices from ``range(n_total)``, in ascending order:
+    the set that ``rng.choice(n_total, k, replace=False)`` draws, sorted."""
     if n_total < 0 or k < 0:
         raise ParameterError("n_total and k must be non-negative")
     if k > n_total:
         raise ParameterError(f"cannot sample {k} of {n_total} without replacement")
-    shuffle = n_total > 10_000 and n_total // 50 < k <= n_total // 20
-    return np.sort(rng.choice(n_total, size=int(k), replace=False, shuffle=shuffle))
+    return np.sort(rng.choice(n_total, size=int(k), replace=False))

@@ -433,8 +433,8 @@ def exact_ols(x, y, intercept=True):
 
 
 # Gaussian least squares as it was before the kernel called numpy's LAPACK
-# gufuncs itself: ``np.linalg.qr`` and ``np.linalg.inv``, an overflow screen
-# per response under its own errstate, and ``np.std`` for standardized slopes.
+# gufuncs itself: ``np.linalg.qr`` and ``np.linalg.inv``, and an overflow
+# screen per response under its own errstate.
 
 
 def check_rank_kernel_oracle(a, labels):
@@ -484,21 +484,9 @@ def least_squares_kernel_oracle(a, labels, responses):
     return fits
 
 
-def _standardized_kernel_oracle(b, x, y, labels):
-    sy = float(np.std(y, ddof=1))
-    if sy == 0 or not labels:
-        return np.zeros_like(b)
-    with np.errstate(over="ignore"):
-        sx = np.std(x, axis=0, ddof=1)
-    for j in np.flatnonzero(~np.isfinite(sx)):
-        m = np.max(np.abs(x[:, j]))
-        sx[j] = m * np.std(x[:, j] / m, ddof=1)
-    return b * sx / sy + 0.0
-
-
 def fit_ols_kernel_oracle(data, formula, standardized=True):
     """Gaussian least squares with classical (t-based) inference."""
-    from biaslab.regress import FitResult, _build_design, _wald
+    from biaslab.regress import FitResult, _build_design, _standardized, _wald
 
     a, labels, n_dropped = _build_design(data, formula, formula.intercept)
     [(b, rss, se)] = least_squares_kernel_oracle(a, labels, (formula.response,))
@@ -521,7 +509,7 @@ def fit_ols_kernel_oracle(data, formula, standardized=True):
         b=b,
         se=se,
         stat=stat,
-        beta=_standardized_kernel_oracle(b, x, y, labels) if standardized else np.zeros(p),
+        beta=_standardized(b, x, y, labels) if standardized else np.zeros(p),
         n_used=n,
         n_dropped=n_dropped,
         df_residual=df,

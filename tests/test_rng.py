@@ -52,17 +52,17 @@ def test_sample_indices_without_replacement_distinct():
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), n_total=st.sampled_from([5_000, 10_001, 20_000, 500_000]),
+@given(seed=st.integers(0, 2**64 - 1), n_total=st.sampled_from([5_000, 20_000, 500_000]),
        share=st.floats(0.0, 0.1))
 @example(seed=0, n_total=500_000, share=0.002)  # numpy's Floyd's algorithm
-@example(seed=0, n_total=5_000, share=0.2)
-@example(seed=0, n_total=20_000, share=0.03)  # the tail shuffle with numpy's last shuffle, Floyd's without
-@example(seed=0, n_total=20_000, share=0.06)  # the tail shuffle either way
+@example(seed=0, n_total=20_000, share=0.06)  # numpy's tail shuffle
 def test_sample_indices_is_the_shuffled_draws_set_in_order(seed, n_total, share):
     k = int(share * n_total)
-    idx = sample_indices(derive_substream(seed, 0), n_total, k)
-    drawn = derive_substream(seed, 0).choice(n_total, size=k, replace=False)
-    assert idx.tolist() == sorted(drawn.tolist())
+    ours, numpys = derive_substream(seed, 0), derive_substream(seed, 0)
+    idx = sample_indices(ours, n_total, k)
+    assert idx.tolist() == sorted(numpys.choice(n_total, size=k, replace=False).tolist())
+    # the stream goes on as after numpy's draw
+    assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 def test_substream_is_pcg64_of_seed_sequence():
